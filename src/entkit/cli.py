@@ -294,7 +294,7 @@ def _cmd_egs_check(args) -> int:
     state = parse_named_state(args.state)
     vec = entropy_vector(state)
     minimum = min(value for _, value in vec.entries())
-    passes = egs_check(state)
+    passes = egs_check(vec)
     rows: list[list] = [
         ["entangled_across_every_partition", passes],
         ["min_partition_entropy", minimum],

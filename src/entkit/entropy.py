@@ -28,6 +28,7 @@ __all__ = [
     "entropy",
     "EntropyVector",
     "entropy_vector",
+    "cut_spectra",
     "single_party_entropies",
     "is_isentropic",
     "is_marginally_isentropic",
@@ -123,11 +124,14 @@ class EntropyVector:
     def entries(self) -> list[tuple[Partition, float]]:
         return [(part, self.values[part]) for part in self.partitions()]
 
-    def max_difference(self, other: "EntropyVector") -> float:
+    def max_difference(self, other: "EntropyVector", size: int | None = None) -> float:
+        """Largest |S_X(self) - S_X(other)|, over cuts with |X| = size if given."""
         if self.num_parties != other.num_parties:
             raise ValueError("entropy vectors span different party counts")
         return max(
-            abs(self.values[p] - other.values[p]) for p in self.partitions()
+            abs(self.values[p] - other.values[p])
+            for p in self.partitions()
+            if size is None or len(p.members) == size
         )
 
     def dominates(self, other: "EntropyVector", tol: float = _ISENTROPY_TOL) -> bool:
@@ -145,14 +149,37 @@ def _cheaper_side(state: PureState, part: Partition) -> tuple[int, ...]:
     return part.members if dim_x <= dim_rest else part.complement().members
 
 
-def entropy_vector(state: PureState) -> EntropyVector:
-    """All partial entropies of a pure state, one per canonical partition."""
-    if state.num_parties < 2:
-        raise ValueError("entropy vector needs at least two parties")
-    values = {}
+def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
+    """The reduced spectrum across every canonical cut, in canonical order.
+
+    Each cut's reduced Gram matrix is formed on its cheaper side. A flat
+    spectrum of power-of-two rank is reported as its exact entropy (a
+    `Fraction`) and never reaches the eigensolver; every other cut maps to
+    its eigenvalues, sorted descending. The remaining Gram matrices are
+    diagonalized with one stacked call per matrix size.
+    """
+    out: dict[Partition, Fraction | np.ndarray] = {}
+    pending: dict[int, list[tuple[Partition, np.ndarray]]] = {}
     for part in canonical_partitions(state.num_parties):
         gram = reduced_gram(state, _cheaper_side(state, part))
-        values[part] = entropy(gram)
+        exact = exact_entropy(gram)
+        out[part] = exact
+        if exact is None:
+            pending.setdefault(len(gram), []).append((part, gram))
+    for cuts in pending.values():
+        spectra = hermitian_eigenvalues(np.stack([gram for _, gram in cuts]))
+        for (part, _), spectrum in zip(cuts, spectra):
+            out[part] = spectrum
+    return out
+
+
+def entropy_vector(state: PureState) -> EntropyVector:
+    """All partial entropies of a pure state, one per canonical partition."""
+    values = {
+        part: float(value) if isinstance(value, Fraction)
+        else shannon_entropy([max(float(v), 0.0) for v in value])
+        for part, value in cut_spectra(state).items()
+    }
     return EntropyVector(state.num_parties, values)
 
 
@@ -174,9 +201,7 @@ def is_marginally_isentropic(
     """True when every single-party entropy matches within tolerance."""
     if a.num_parties != b.num_parties:
         raise ValueError("states have different party counts")
-    ea = single_party_entropies(a)
-    eb = single_party_entropies(b)
-    return all(abs(x - y) <= tol for x, y in zip(ea, eb))
+    return entropy_vector(a).max_difference(entropy_vector(b), size=1) <= tol
 
 
 class PartitionAsymmetryError(ValueError):
@@ -228,15 +253,12 @@ def entropy_ratio_r21(state: PureState, tol: float = _ISENTROPY_TOL) -> float:
 
 def exact_entropy_vector(state: PureState) -> dict[Partition, Fraction]:
     """Exact entropy per canonical partition; raises if any cut is not exact."""
-    values: dict[Partition, Fraction] = {}
-    for part in canonical_partitions(state.num_parties):
-        gram = reduced_gram(state, _cheaper_side(state, part))
-        value = exact_entropy(gram)
-        if value is None:
+    values = cut_spectra(state)
+    for part, value in values.items():
+        if not isinstance(value, Fraction):
             raise ValueError(
                 f"partition {part.label} has no exact rational entropy"
             )
-        values[part] = value
     return values
 
 

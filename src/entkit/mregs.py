@@ -23,6 +23,7 @@ from math import gcd
 from typing import Mapping, Sequence, Union
 
 from .entropy import (
+    EntropyVector,
     entropy_vector,
     exact_entropy_ratio_r21,
     exact_entropy_vector,
@@ -644,12 +645,13 @@ def r21_table() -> list[R21Row]:
     return rows
 
 
-def egs_check(state: PureState, threshold: float = 1e-8) -> bool:
+def egs_check(state: PureState | EntropyVector, threshold: float = 1e-8) -> bool:
     """Whether every nontrivial partition of the state carries entropy.
 
     States passing this can, in principle, buy any entanglement pattern
     among their parties asymptotically; a zero anywhere means some cut can
-    never be crossed.
+    never be crossed. Takes the state or its already computed entropy
+    vector.
     """
-    vec = entropy_vector(state)
+    vec = state if isinstance(state, EntropyVector) else entropy_vector(state)
     return all(value > threshold for _, value in vec.entries())

@@ -16,18 +16,15 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .entropy import (
-    entropy_vector,
-    is_isentropic,
-    is_marginally_isentropic,
-)
+from .entropy import cut_spectra, entropy_vector
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .schmidt import schmidt_decompose
-from .states import Partition, PureState, canonical_partitions, reduced_gram, refine_to_qubits
+from .states import Partition, PureState, reduced_gram, refine_to_qubits
 
 __all__ = [
     "majorizes",
@@ -48,6 +45,7 @@ _SPECTRUM_TOL = 1e-8
 _LU_FIDELITY_TOL = 1e-9
 _NPT_TOL = 1e-10
 _MAXMIX_TOL = 1e-10
+_ISENTROPY_TOL = 1e-8
 
 
 def majorizes(q: Sequence[float], p: Sequence[float], tol: float = _MAJORIZATION_TOL) -> bool:
@@ -150,27 +148,27 @@ def _classify_bipartite(a: PureState, b: PureState) -> Classification:
     )
 
 
+def _as_eigenvalues(value: Fraction | np.ndarray) -> np.ndarray:
+    """A cut spectrum as eigenvalues; an exact entropy s stands for 2^s equal ones."""
+    if isinstance(value, Fraction):
+        rank = 1 << int(value)
+        return np.full(rank, 1.0 / rank)
+    return np.maximum(value, 0.0)
+
+
 def _partition_spectra_match(a: PureState, b: PureState) -> Partition | None:
     """First canonical partition whose marginal spectra differ, if any."""
-    for part in canonical_partitions(a.num_parties):
-        ea = hermitian_eigenvalues(reduced_gram(a, _smaller_side(a, part)))
-        eb = hermitian_eigenvalues(reduced_gram(b, _smaller_side(b, part)))
-        na, nb = len(ea), len(eb)
-        n = max(na, nb)
+    spectra_b = cut_spectra(b)
+    for part, value in cut_spectra(a).items():
+        ea, eb = _as_eigenvalues(value), _as_eigenvalues(spectra_b[part])
+        n = max(len(ea), len(eb))
         pa = np.zeros(n)
         pb = np.zeros(n)
-        pa[:na] = np.maximum(ea, 0.0)
-        pb[:nb] = np.maximum(eb, 0.0)
+        pa[: len(ea)] = ea
+        pb[: len(eb)] = eb
         if np.max(np.abs(pa - pb)) > _SPECTRUM_TOL:
             return part
     return None
-
-
-def _smaller_side(state: PureState, part: Partition) -> tuple[int, ...]:
-    inside = math.prod(state.dims[p] for p in part.members)
-    comp = part.complement()
-    outside = math.prod(state.dims[p] for p in comp.members)
-    return part.members if inside <= outside else comp.members
 
 
 def _apply_party_unitaries(state: PureState, mats: Sequence[np.ndarray]) -> PureState:
@@ -389,7 +387,7 @@ def classify_states(a: PureState, b: PureState) -> Classification:
     vec_a = entropy_vector(a)
     vec_b = entropy_vector(b)
 
-    if not is_marginally_isentropic(a, b):
+    if vec_a.max_difference(vec_b, size=1) > _ISENTROPY_TOL:
         a_dom = vec_a.dominates(vec_b)
         b_dom = vec_b.dominates(vec_a)
         if not a_dom and not b_dom:
@@ -413,7 +411,7 @@ def classify_states(a: PureState, b: PureState) -> Classification:
             f"out the {blocked} direction",
         )
 
-    if not is_isentropic(a, b):
+    if vec_a.max_difference(vec_b) > _ISENTROPY_TOL:
         witness = next(
             p
             for p, _ in vec_a.entries()

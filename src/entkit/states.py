@@ -20,8 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem
-
 __all__ = [
     "Partition",
     "PureState",
@@ -138,6 +136,8 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected {total}"
             )
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            raise ValueError("state vector has non-finite amplitudes (NaN or infinity)")
         if norm < _NORM_TOL:
             raise ValueError("state vector has (near-)zero norm")
         if abs(norm - 1.0) > _NORM_TOL:
@@ -214,9 +214,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return hermitian_eigensystem(self.matrix)
 
     def purity(self) -> float:
         return float(np.vdot(self.matrix, self.matrix).real)

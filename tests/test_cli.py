@@ -1,5 +1,7 @@
 """The command-line surface: every subcommand, both formats, exit codes,
 and byte-identical reruns."""
+import json
+
 import pytest
 
 from entkit.cli import main
@@ -180,6 +182,19 @@ def test_unknown_state_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "entropy-table", "--state", "no-such-state")
     assert code == 1
     assert "error:" in err
+
+
+def test_non_finite_state_file_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    terms = [
+        {"basis": [0, 0], "re": float("nan"), "im": 0.0},
+        {"basis": [1, 1], "re": 1.0, "im": 0.0},
+    ]
+    path.write_text(json.dumps({"dims": [2, 2], "terms": terms}))
+    code, out, err = run_cli(capsys, "entropy-table", "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: state vector has non-finite amplitudes (NaN or infinity)\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

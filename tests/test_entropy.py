@@ -1,5 +1,6 @@
 """Entropy vectors: frozen values, purity symmetry, unitary invariance."""
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from entkit.builders import (
 )
 from entkit.entropy import (
     PartitionAsymmetryError,
+    cut_spectra,
     entropy,
     entropy_ratio_r21,
     entropy_vector,
@@ -144,3 +146,77 @@ def test_entropy_vector_dominance():
     # GHZ carries a full bit on every cut; a random state rarely does
     if not ghz.dominates(w_like):
         assert any(v > 1.0 + 1e-8 for _, v in w_like.entries())
+
+
+def svd_spectrum(state, members):
+    """Squared singular values of the amplitude matrix across a cut (numpy only)."""
+    rest = tuple(p for p in range(state.num_parties) if p not in members)
+    rows = math.prod(state.dims[p] for p in members)
+    mat = state.as_tensor().transpose(members + rest).reshape(rows, -1)
+    return np.linalg.svd(mat, compute_uv=False) ** 2
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (3,) * 5, (2,) * 8])
+def test_cut_spectra_match_svd(dims):
+    state = random_pure_state(dims, np.random.default_rng(len(dims) * 101))
+    spectra = cut_spectra(state)
+    vec = entropy_vector(state)
+    assert list(spectra) == canonical_partitions(len(dims))
+    for part, spectrum in spectra.items():
+        reference = svd_spectrum(state, part.members)
+        assert isinstance(spectrum, np.ndarray)
+        assert np.allclose(spectrum, reference, atol=1e-9)
+        positive = reference[reference > 1e-15]
+        assert vec[part] == pytest.approx(
+            float(-(positive * np.log2(positive)).sum()), abs=1e-9
+        )
+
+
+def count_solver_calls(monkeypatch):
+    # the package re-exports a function named `entropy`, so reach the module
+    # through sys.modules
+    module = sys.modules["entkit.entropy"]
+    calls = []
+    original = module.hermitian_eigenvalues
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "state, formula",
+    [
+        (cat_state(5), lambda members: 1),
+        (eprs_complete(4), lambda members: len(members) * (4 - len(members))),
+        (codeword5(), lambda members: min(len(members), 5 - len(members))),
+    ],
+    ids=["cat5", "eprs4", "codeword5"],
+)
+def test_exact_vector_combinatorial_without_solver(monkeypatch, state, formula):
+    calls = count_solver_calls(monkeypatch)
+    exact = exact_entropy_vector(state)
+    assert list(exact) == canonical_partitions(state.num_parties)
+    for part, value in exact.items():
+        assert type(value) is Fraction
+        assert value == formula(part.members)
+    assert calls == []
+
+
+def test_flat_cuts_never_reach_the_solver(monkeypatch):
+    calls = count_solver_calls(monkeypatch)
+    vec = entropy_vector(cat_state(6))
+    assert all(value == 1.0 for _, value in vec.entries())
+    assert calls == []
+    # control: a generic 8-qubit state needs one stacked call per Gram size
+    entropy_vector(random_pure_state((2,) * 8, np.random.default_rng(3)))
+    assert sorted(calls) == [(8, 2, 2), (28, 4, 4), (35, 16, 16), (56, 8, 8)]
+
+
+def test_exact_vector_names_the_first_numeric_cut():
+    state = random_pure_state((2, 2, 2), np.random.default_rng(4))
+    with pytest.raises(ValueError, match="partition A has no exact"):
+        exact_entropy_vector(state)

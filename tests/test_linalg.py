@@ -1,4 +1,9 @@
-"""The Jacobi eigensolver against an independent route (LAPACK via numpy)."""
+"""The Hermitian eigensolver against routes it does not use.
+
+The solver wraps LAPACK's Hermitian driver, so the reference is the general
+non-Hermitian eigensolver (a different LAPACK routine, `geev`) and, for one
+matrix, a sign change of the characteristic polynomial.
+"""
 import numpy as np
 import pytest
 
@@ -10,14 +15,32 @@ def random_hermitian(dim, rng):
     return (a + a.conj().T) / 2
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13])
+def general_eigenvalues(a):
+    """Eigenvalues from the general (non-Hermitian) solver, real parts descending."""
+    return np.sort(np.linalg.eigvals(a).real)[::-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 64, 256])
 def test_eigenvalues_match_lapack(dim):
     rng = np.random.default_rng(dim)
-    for _ in range(20):
+    for _ in range(20 if dim <= 64 else 3):
         a = random_hermitian(dim, rng)
         ours = hermitian_eigenvalues(a)
-        reference = np.linalg.eigvalsh(a)[::-1]
+        reference = general_eigenvalues(a)
         assert np.allclose(ours, reference, atol=1e-10)
+
+
+def test_stacked_input_matches_one_by_one():
+    rng = np.random.default_rng(23)
+    stack = np.stack([random_hermitian(6, rng) for _ in range(5)])
+    vals = hermitian_eigenvalues(stack)
+    all_vals, vecs = hermitian_eigensystem(stack)
+    assert vals.shape == all_vals.shape == (5, 6)
+    assert vecs.shape == (5, 6, 6)
+    for a, v, w, u in zip(stack, vals, all_vals, vecs):
+        assert np.allclose(v, general_eigenvalues(a), atol=1e-10)
+        assert np.allclose(w, v, atol=1e-12)
+        assert np.linalg.norm(u @ np.diag(w) @ u.conj().T - a) < 1e-10
 
 
 def test_eigenvalues_descending():
@@ -53,6 +76,27 @@ def test_diagonal_passthrough():
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # one bad matrix in a stack is enough
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigensystem(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_entries(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = bad
+    for solver in (hermitian_eigenvalues, hermitian_eigensystem):
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(np.stack([np.eye(3), a]))
+
+
+def test_rejects_non_square():
+    for shape in [(2, 3), (4,), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigenvalues(np.zeros(shape))
 
 
 def test_characteristic_polynomial_roots():

@@ -12,6 +12,7 @@ from entkit.builders import (
     epr_between,
     eprs_chain,
 )
+from entkit.entropy import entropy_vector
 from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
@@ -150,6 +151,9 @@ def test_egs_check():
     assert egs_check(eprs_chain(3))
     lonely = make_state((2, 2, 2), [("000", 1.0), ("110", 1.0)])
     assert not egs_check(lonely)
+    # an entropy vector already in hand gives the same verdicts
+    assert egs_check(entropy_vector(cat_state(4)))
+    assert not egs_check(entropy_vector(lonely))
 
 
 def test_entropy_matrix_rejects_width_mismatch():

@@ -1,5 +1,6 @@
 """Majorization, convertibility verdicts, and the separability/NPT witness."""
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -195,3 +196,30 @@ def test_ghz_epr_witness_report():
 def test_classify_2ghz_vs_3epr():
     result = classify_states(cat_power(3, 2), eprs_complete(3))
     assert result.verdict is ComparisonVerdict.INCOMPARABLE
+
+
+def test_classify_builds_each_entropy_vector_once(monkeypatch):
+    # the package re-exports a function named `entropy`, so reach the
+    # modules through sys.modules
+    entropy_module = sys.modules["entkit.entropy"]
+    calls = []
+    original = entropy_module.cut_spectra
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(entropy_module, "cut_spectra", counting)
+    monkeypatch.setattr(sys.modules["entkit.reducibility"], "cut_spectra", counting)
+
+    # entropies cross: decided from the two vectors alone
+    result = classify_states(eprs_graph(3, [(0, 1)]), eprs_graph(3, [(1, 2)]))
+    assert result.verdict is ComparisonVerdict.INCOMPARABLE
+    assert result.witness_partition.label == "C"
+    assert len(calls) == 2
+
+    # fully isentropic: the two vectors, then one spectrum pass per state
+    calls.clear()
+    result = classify_states(cat_power(3, 2), eprs_complete(3))
+    assert result.verdict is ComparisonVerdict.INCOMPARABLE
+    assert len(calls) == 4

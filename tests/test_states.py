@@ -147,6 +147,12 @@ def test_pure_state_rejects_zero_vector():
         PureState((2,), np.zeros(2, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState((2, 2), np.array([1.0, 0.0, bad, 0.0]))
+
+
 def test_pure_state_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         PureState((2, 2), np.ones(3, dtype=complex))
