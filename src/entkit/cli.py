@@ -111,36 +111,33 @@ def _cmd_r21_table(args) -> int:
     return 0
 
 
+def _coefficient_rows(coefficients) -> list[list]:
+    rows: list[list] = [["index", "coefficient", "weight"]]
+    for i, c in enumerate(coefficients):
+        rows.append([i, float(c), float(c) ** 2])
+    return rows
+
+
 def _cmd_schmidt(args) -> int:
     state = parse_named_state(args.state)
     if state.num_parties == 2:
-        decomposition = schmidt_decompose(state, (0,))
-        rows: list[list] = [["index", "coefficient", "weight"]]
-        for i, c in enumerate(decomposition.coefficients):
-            rows.append([i, float(c), float(c) ** 2])
-        _emit(args, rows)
+        _emit(args, _coefficient_rows(schmidt_decompose(state, (0,)).coefficients))
         return 0
     result = is_m_orthogonal(state)
     status = (
         "inconclusive" if result.decomposable is None
         else "yes" if result.decomposable else "no"
     )
-    meta: list[list] = [["decomposable", status], ["reason", result.reason]]
+    rows = None if result.form is None else _coefficient_rows(result.form.coefficients)
     if args.format == "csv":
-        _emit_csv(meta)
-        if result.form is not None:
+        _emit_csv([["decomposable", status], ["reason", result.reason]])
+        if rows is not None:
             print()
-            rows = [["index", "coefficient", "weight"]]
-            for i, c in enumerate(result.form.coefficients):
-                rows.append([i, float(c), float(c) ** 2])
             _emit_csv(rows)
     else:
         print(f"decomposable: {status}")
         print(f"reason: {result.reason}")
-        if result.form is not None:
-            rows = [["index", "coefficient", "weight"]]
-            for i, c in enumerate(result.form.coefficients):
-                rows.append([i, float(c), float(c) ** 2])
+        if rows is not None:
             _emit_text_table(rows)
     return 0
 

@@ -173,14 +173,21 @@ def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     return out
 
 
-def entropy_vector(state: PureState) -> EntropyVector:
-    """All partial entropies of a pure state, one per canonical partition."""
+def _vector_from_spectra(
+    num_parties: int, spectra: dict[Partition, Fraction | np.ndarray]
+) -> EntropyVector:
+    """The entropy vector of the cut spectra that `cut_spectra` returned."""
     values = {
         part: float(value) if isinstance(value, Fraction)
         else shannon_entropy([max(float(v), 0.0) for v in value])
-        for part, value in cut_spectra(state).items()
+        for part, value in spectra.items()
     }
-    return EntropyVector(state.num_parties, values)
+    return EntropyVector(num_parties, values)
+
+
+def entropy_vector(state: PureState) -> EntropyVector:
+    """All partial entropies of a pure state, one per canonical partition."""
+    return _vector_from_spectra(state.num_parties, cut_spectra(state))
 
 
 def single_party_entropies(state: PureState) -> list[float]:
@@ -213,22 +220,24 @@ class PartitionAsymmetryError(ValueError):
         self.unequal = unequal
 
 
-def _symmetric_level_values(
-    vec: EntropyVector, size: int, tol: float
-) -> float:
-    """The common S_X over |X| = size, or raise with the spread listed."""
-    parties = range(vec.num_parties)
-    values: list[tuple[str, float]] = []
-    for members in itertools.combinations(parties, size):
-        part = Partition(vec.num_parties, members)
-        values.append((part.label, vec[part]))
-    lo = min(v for _, v in values)
-    hi = max(v for _, v in values)
-    if hi - lo > tol:
+def _symmetric_level(
+    values: dict[Partition, float | Fraction], num_parties: int, size: int, tol: float
+) -> float | Fraction:
+    """The common S_X over |X| = size, or raise with every such S_X listed.
+
+    Callers pass tol = 0 for exact `Fraction` entropies.
+    """
+    levels = []
+    for members in itertools.combinations(range(num_parties), size):
+        part = Partition(num_parties, members)
+        levels.append((part.label, values[part.canonical()]))
+    spread = max(v for _, v in levels) - min(v for _, v in levels)
+    if spread > tol:
         raise PartitionAsymmetryError(
-            f"size-{size} partition entropies are not all equal", values
+            f"size-{size} partition entropies are not all equal",
+            [(label, float(v)) for label, v in levels],
         )
-    return values[0][1]
+    return levels[0][1]
 
 
 def entropy_ratio_r21(state: PureState, tol: float = _ISENTROPY_TOL) -> float:
@@ -240,9 +249,9 @@ def entropy_ratio_r21(state: PureState, tol: float = _ISENTROPY_TOL) -> float:
     """
     if state.num_parties < 3:
         raise ValueError("r21 needs at least three parties")
-    vec = entropy_vector(state)
-    s1 = _symmetric_level_values(vec, 1, tol)
-    s2 = _symmetric_level_values(vec, 2, tol)
+    values = entropy_vector(state).values
+    s1 = _symmetric_level(values, state.num_parties, 1, tol)
+    s2 = _symmetric_level(values, state.num_parties, 2, tol)
     if s1 <= tol:
         raise ValueError("r21 undefined: single-party entropy is zero")
     return s2 / s1
@@ -308,21 +317,8 @@ def exact_entropy_ratio_r21(
     vec: dict[Partition, Fraction], num_parties: int
 ) -> Fraction:
     """Exact S_AB / S_A from an exact entropy vector of a symmetric state."""
-
-    def level(size: int) -> Fraction:
-        vals = {
-            vec[Partition(num_parties, members).canonical()]
-            for members in itertools.combinations(range(num_parties), size)
-        }
-        if len(vals) != 1:
-            raise PartitionAsymmetryError(
-                f"size-{size} partition entropies are not all equal",
-                [(str(size), float(v)) for v in vals],
-            )
-        return next(iter(vals))
-
-    s1 = level(1)
-    s2 = level(2)
+    s1 = _symmetric_level(vec, num_parties, 1, 0)
+    s2 = _symmetric_level(vec, num_parties, 2, 0)
     if s1 == 0:
         raise ValueError("r21 undefined: single-party entropy is zero")
     return s2 / s1

@@ -372,6 +372,18 @@ def expand_factor_op(
     with an empty `on`, `insert_at` places them (default: appended).
     Returns the full party-space matrix and the new factor list.
     """
+    full, new_factors, _ = _expand_factor_op(op, factor_dims, on, out_dims, insert_at)
+    return full, new_factors
+
+
+def _expand_factor_op(
+    op: np.ndarray,
+    factor_dims: Sequence[int],
+    on: Sequence[int] | None,
+    out_dims: Sequence[int] | None,
+    insert_at: int | None,
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """`expand_factor_op`, plus the new slot of each emitted factor."""
     factors = [int(d) for d in factor_dims]
     n = len(factors)
     on = list(range(n)) if on is None else [int(i) for i in on]
@@ -400,6 +412,7 @@ def expand_factor_op(
     if len(out) == len(on):
         # one emitted factor per consumed one: keep them in the same slots,
         # so square operators stay genuine operators on the party space
+        emitted = list(on)
         for slot in range(n):
             if slot in on_set:
                 k = on.index(slot)
@@ -418,6 +431,7 @@ def expand_factor_op(
                 raise ValueError("insert_at out of range")
         for slot in range(n + 1):
             if slot == anchor:
+                emitted = list(range(len(new_factors), len(new_factors) + len(out)))
                 order.extend(out_axes)
                 new_factors.extend(out)
             if slot == n:
@@ -439,7 +453,7 @@ def expand_factor_op(
     big = big.transpose(order + in_order)
     new_total = math.prod(new_factors) if new_factors else 1
     total_in = math.prod(factors) if factors else 1
-    return big.reshape(new_total, total_in), new_factors
+    return big.reshape(new_total, total_in), new_factors, emitted
 
 
 def hadamard_projectors() -> tuple[np.ndarray, np.ndarray]:
@@ -494,9 +508,6 @@ class ProtocolBuilder:
     def steps(self) -> list[ProtocolStep]:
         return list(self._steps)
 
-    def initial_dims(self) -> tuple[int, ...]:
-        return tuple(self.party_dim(p) for p in range(self.num_parties))
-
     def regroup(self, party: int, new_factor_dims: Sequence[int]) -> None:
         """Re-declare a party's factor structure (no physical operation)."""
         new = [int(d) for d in new_factor_dims]
@@ -511,12 +522,15 @@ class ProtocolBuilder:
         on: Sequence[int] | None = None,
         out_dims: Sequence[int] | None = None,
         insert_at: int | None = None,
-    ) -> None:
-        full, new_factors = expand_factor_op(
+    ) -> list[int]:
+        """Apply an operator to some of a party's factors (see
+        `expand_factor_op`); returns the slot of each factor it emits."""
+        full, new_factors, emitted = _expand_factor_op(
             matrix, self._factors[party], on, out_dims, insert_at
         )
         self._steps.append(LocalUnitary(party, full))
         self._factors[party] = new_factors
+        return emitted
 
     def add_ancilla(
         self, party: int, vector: Sequence[complex], insert_at: int | None = None
@@ -672,11 +686,7 @@ class ProtocolBuilder:
         in_dims = [self._factors[party][i] for i in on]
         if math.prod(in_dims) != d:
             raise ValueError("Kraus dimension does not match the selected factors")
-        self.unitary(party, iso, on=on, out_dims=in_dims + [n_out])
-        ancilla = None
-        # the ancilla factor sits right after the consumed block
-        anchor = min(on) if on else len(self._factors[party]) - 1
-        ancilla = anchor + len(in_dims)
+        ancilla = self.unitary(party, iso, on=on, out_dims=in_dims + [n_out])[-1]
         basis_projs = []
         for i in range(n_out):
             p = np.zeros((n_out, n_out), dtype=complex)
@@ -904,13 +914,14 @@ def dilution_protocol(
     builder = ProtocolBuilder(layout)
 
     perm = _ranking_permutation(coeffs**2, n)
-    builder.unitary(0, perm, on=[2 * t + 1 for t in range(n)], out_dims=[2] * c)
-    names = (
-        ["share0"]
-        + [f"bit{i}" for i in range(c)]
-        + [f"share{t}" for t in range(1, n)]
-        + [f"leg{t}" for t in range(k)]
-    )
+    bits = builder.unitary(0, perm, on=[2 * t + 1 for t in range(n)], out_dims=[2] * c)
+    # name the first party's factors so positions survive the discards; the
+    # factors the ranking left alone keep their order: shares, then legs
+    names: list[str | None] = [None] * len(builder.factor_dims(0))
+    for i, slot in enumerate(bits):
+        names[slot] = f"bit{i}"
+    untouched = iter([f"share{t}" for t in range(n)] + [f"leg{t}" for t in range(k)])
+    names = [name or next(untouched) for name in names]
 
     if junk:
         d_junk = 2**junk

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import cut_spectra, entropy_vector
+from .entropy import _vector_from_spectra, cut_spectra, entropy_vector
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .schmidt import schmidt_decompose
 from .states import Partition, PureState, reduced_gram, refine_to_qubits
@@ -156,10 +156,12 @@ def _as_eigenvalues(value: Fraction | np.ndarray) -> np.ndarray:
     return np.maximum(value, 0.0)
 
 
-def _partition_spectra_match(a: PureState, b: PureState) -> Partition | None:
+def _partition_spectra_match(
+    spectra_a: dict[Partition, Fraction | np.ndarray],
+    spectra_b: dict[Partition, Fraction | np.ndarray],
+) -> Partition | None:
     """First canonical partition whose marginal spectra differ, if any."""
-    spectra_b = cut_spectra(b)
-    for part, value in cut_spectra(a).items():
+    for part, value in spectra_a.items():
         ea, eb = _as_eigenvalues(value), _as_eigenvalues(spectra_b[part])
         n = max(len(ea), len(eb))
         pa = np.zeros(n)
@@ -384,8 +386,10 @@ def classify_states(a: PureState, b: PureState) -> Classification:
     if a.num_parties == 2:
         return _classify_bipartite(a, b)
 
-    vec_a = entropy_vector(a)
-    vec_b = entropy_vector(b)
+    spectra_a = cut_spectra(a)
+    spectra_b = cut_spectra(b)
+    vec_a = _vector_from_spectra(a.num_parties, spectra_a)
+    vec_b = _vector_from_spectra(b.num_parties, spectra_b)
 
     if vec_a.max_difference(vec_b, size=1) > _ISENTROPY_TOL:
         a_dom = vec_a.dominates(vec_b)
@@ -425,7 +429,7 @@ def classify_states(a: PureState, b: PureState) -> Classification:
             witness_partition=witness,
         )
 
-    spectral_witness = _partition_spectra_match(a, b)
+    spectral_witness = _partition_spectra_match(spectra_a, spectra_b)
     if spectral_witness is not None:
         return Classification(
             ComparisonVerdict.INCOMPARABLE,

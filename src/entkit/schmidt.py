@@ -20,7 +20,7 @@ import numpy as np
 
 from .entropy import entropy_vector, shannon_entropy
 from .linalg import hermitian_eigensystem
-from .states import Partition, PureState
+from .states import Partition, PureState, _keep_indices
 
 __all__ = [
     "SchmidtDecomposition",
@@ -87,12 +87,9 @@ def schmidt_decompose(
     matching vectors on the far side are read off the amplitude matrix, so
     phases land entirely in the vectors and the coefficients stay real.
     """
-    if isinstance(cut, Partition):
-        members = cut.members
-    else:
-        members = tuple(sorted(set(int(p) for p in cut)))
+    members = _keep_indices(state.num_parties, cut)
     rest = tuple(p for p in range(state.num_parties) if p not in members)
-    if not members or not rest:
+    if not rest:
         raise ValueError("cut must split the parties into two nonempty sides")
 
     d_left = math.prod(state.dims[p] for p in members)
@@ -413,27 +410,11 @@ def dilution_fidelity(probs: Sequence[float], n: int, k: int) -> float:
     probability mass. Nondecreasing in k, reaching 1 once 2^k covers the
     full support.
     """
-    p = _clean_distribution(probs)
-    if n < 1:
-        raise ValueError("need at least one copy")
-    if k < 0:
-        raise ValueError("cat budget must be nonnegative")
-    types = []
-    for counts in _compositions(n, len(p)):
-        per_string = math.prod(base**c for base, c in zip(p, counts) if c)
-        if per_string == 0.0:
-            continue
-        types.append((per_string, counts, _multinomial(counts)))
-    types.sort(key=lambda t: (-t[0], t[1]))
-    budget = 1 << k
-    fidelity = 0.0
-    for per_string, _, size in types:
-        take = min(size, budget)
-        fidelity += per_string * take
-        budget -= take
-        if budget == 0:
-            break
-    return min(fidelity, 1.0)
+    kept = sum(
+        per_string * take
+        for _, per_string, _, take in dilution_retained_types(probs, n, k)
+    )
+    return min(kept, 1.0)
 
 
 def dilution_retained_types(
@@ -442,6 +423,10 @@ def dilution_retained_types(
     """Breakdown of `dilution_fidelity`: (counts, per-string probability,
     class size, strings kept) per type, in the greedy order."""
     p = _clean_distribution(probs)
+    if n < 1:
+        raise ValueError("need at least one copy")
+    if k < 0:
+        raise ValueError("cat budget must be nonnegative")
     types = []
     for counts in _compositions(n, len(p)):
         per_string = math.prod(base**c for base, c in zip(p, counts) if c)

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -96,22 +98,23 @@ class Partition:
         return self.label
 
 
+@functools.cache
+def _canonical_sides(num_parties: int) -> tuple[Partition, ...]:
+    # the smaller side of each cut; at even m, a half-half cut keeps the
+    # half without party 0. Combinations come out in (size, members) order.
+    return tuple(
+        Partition(num_parties, members)
+        for size in range(1, num_parties // 2 + 1)
+        for members in itertools.combinations(range(num_parties), size)
+        if 2 * size < num_parties or members[0] != 0
+    )
+
+
 def canonical_partitions(num_parties: int) -> list[Partition]:
     """All 2**(m-1) - 1 canonical nontrivial partitions, sorted by (size, members)."""
     if num_parties < 2:
         raise ValueError("need at least two parties")
-    seen: set[tuple[int, ...]] = set()
-    out: list[Partition] = []
-    for mask in range(1, 1 << num_parties):
-        members = tuple(p for p in range(num_parties) if mask >> p & 1)
-        if len(members) == num_parties:
-            continue
-        canon = Partition(num_parties, members).canonical()
-        if canon.members not in seen:
-            seen.add(canon.members)
-            out.append(canon)
-    out.sort(key=lambda part: (len(part.members), part.members))
-    return out
+    return list(_canonical_sides(num_parties))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,14 @@ def test_r21_rejects_asymmetric_states():
         entropy_ratio_r21(eprs_chain(4))
 
 
+def test_exact_r21_names_the_unequal_partitions():
+    vec = exact_entropy_vector(eprs_chain(4))
+    with pytest.raises(PartitionAsymmetryError) as caught:
+        exact_entropy_ratio_r21(vec, 4)
+    assert [label for label, _ in caught.value.unequal] == ["A", "B", "C", "D"]
+    assert "S_A=1" in str(caught.value)
+
+
 def test_purity_symmetry_random_states():
     rng = np.random.default_rng(42)
     for _ in range(60):

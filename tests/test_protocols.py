@@ -265,6 +265,34 @@ def test_dilution_end_to_end_three_parties():
     assert report.target.num_parties == 3
 
 
+def dilution_cases():
+    """Qubit targets in both orders up to n = 3 at every budget (n = 4 at
+    small budgets), plus an unsorted four-coefficient target."""
+    cases = []
+    descending = [np.sqrt(0.75), np.sqrt(0.25)]
+    for order, coeffs in (("desc", descending), ("asc", descending[::-1])):
+        sizes = [(n, k, m) for n in (1, 2, 3) for k in range(n + 1) for m in (2, 3)]
+        for n, k, m in sizes + [(4, 0, 2), (4, 1, 2)]:
+            cases.append(pytest.param(coeffs, n, k, m, id=f"{order}-n{n}-k{k}-m{m}"))
+    four = [0.5, 0.3, 0.6, np.sqrt(0.3)]
+    for k in (0, 1, 2):
+        cases.append(pytest.param(four, 1, k, 2, id=f"four-n1-k{k}-m2"))
+    return cases
+
+
+@pytest.mark.parametrize("coeffs, n, k, parties", dilution_cases())
+def test_dilution_end_to_end_matches_type_class_fidelity(coeffs, n, k, parties):
+    from entkit.schmidt import dilution_fidelity
+
+    report = dilution_end_to_end(coeffs, n=n, k=k, num_parties=parties)
+    weights = np.asarray(coeffs) ** 2
+    expected = dilution_fidelity(weights / weights.sum(), n, k)
+    assert report.success_fidelity == pytest.approx(expected, abs=1e-9)
+    register_qubits = n * (len(coeffs).bit_length() - 1)
+    if k == register_qubits:
+        assert report.success_fidelity == pytest.approx(1.0, abs=1e-9)
+
+
 # --- serialization ---------------------------------------------------------------
 
 

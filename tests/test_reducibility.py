@@ -218,8 +218,9 @@ def test_classify_builds_each_entropy_vector_once(monkeypatch):
     assert result.witness_partition.label == "C"
     assert len(calls) == 2
 
-    # fully isentropic: the two vectors, then one spectrum pass per state
+    # fully isentropic: the spectra behind the vectors also settle the
+    # spectral comparison, so still one pass per state
     calls.clear()
     result = classify_states(cat_power(3, 2), eprs_complete(3))
     assert result.verdict is ComparisonVerdict.INCOMPARABLE
-    assert len(calls) == 4
+    assert len(calls) == 2

@@ -185,3 +185,18 @@ def test_dilution_retained_types_budget():
     # greedy: per-string probabilities nonincreasing down the list
     probs = [q for _, q, _, _ in rows]
     assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (2, -1)])
+def test_dilution_rejects_bad_copy_count_and_budget(n, k):
+    p = [0.75, 0.25]
+    with pytest.raises(ValueError):
+        dilution_retained_types(p, n, k)
+    with pytest.raises(ValueError):
+        dilution_fidelity(p, n, k)
+
+
+@pytest.mark.parametrize("cut", [(7,), (-1,)])
+def test_schmidt_decompose_rejects_out_of_range_cut(cut):
+    with pytest.raises(ValueError, match="out of range"):
+        schmidt_decompose(cat_state(3), cut)

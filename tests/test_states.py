@@ -59,6 +59,37 @@ def test_canonical_partition_count(m, count):
     assert len(canonical_partitions(m)) == count
 
 
+def brute_force_canonical(m):
+    """Every mask's smaller side, ties to the side without party 0, sorted."""
+    sides = set()
+    for mask in range(1, (1 << m) - 1):
+        inside = tuple(p for p in range(m) if mask >> p & 1)
+        outside = tuple(p for p in range(m) if not mask >> p & 1)
+        if len(inside) != len(outside):
+            sides.add(min(inside, outside, key=len))
+        else:
+            sides.add(outside if 0 in inside else inside)
+    return sorted(sides, key=lambda side: (len(side), side))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_canonical_partitions_match_brute_force(m):
+    parts = canonical_partitions(m)
+    assert [part.members for part in parts] == brute_force_canonical(m)
+    assert all(part.num_parties == m for part in parts)
+    assert all(part.canonical() == part for part in parts)
+
+
+def test_canonical_partitions_returns_a_fresh_list():
+    first = canonical_partitions(4)
+    expected = list(first)
+    first.clear()
+    second = canonical_partitions(4)
+    assert second == expected
+    second.append(Partition(4, (0,)))
+    assert canonical_partitions(4) == expected
+
+
 def test_tensor_party_map():
     a = make_state((2,), [("0", 1.0)])
     b = make_state((2,), [("1", 1.0)])
