@@ -9,7 +9,7 @@ human-readable text for machine-friendly CSV on stdout.
 
 Exit codes: 0 on success, 1 when the inputs are well-formed but the
 computation rejects them (bad state file, impossible request), 2 on usage
-errors.
+errors, 3 when an internal invariant fails (a bug in entkit).
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .builders import parse_named_state
 from .entropy import entropy_vector
+from .errors import InternalError
 from .mregs import (
     EntropyMatrix,
     Infeasible,
@@ -31,8 +32,8 @@ from .mregs import (
 from .protocols import load_protocol, run
 from .reducibility import classify_states, ghz_epr_witness
 from .schmidt import (
+    _retained_fidelity,
     concentration_yield_distribution,
-    dilution_fidelity,
     dilution_retained_types,
     expected_concentration_yield,
     is_m_orthogonal,
@@ -225,15 +226,15 @@ def _cmd_concentrate(args) -> int:
 
 def _cmd_dilute(args) -> int:
     probs = [float(x) for x in _parse_weights(args.coeffs)]
-    fid = dilution_fidelity(probs, args.n, args.k)
+    retained = dilution_retained_types(probs, args.n, args.k)
     summary: list[list] = [
         ["n", "k", "classical_bits", "fidelity"],
-        [args.n, args.k, 2 * args.k, fid],
+        [args.n, args.k, 2 * args.k, _retained_fidelity(retained)],
     ]
     _emit(args, summary)
     print()
     rows: list[list] = [["counts", "per_string_probability", "class_size", "strings_kept"]]
-    for counts, per_string, size, kept in dilution_retained_types(probs, args.n, args.k):
+    for counts, per_string, size, kept in retained:
         rows.append([":".join(str(c) for c in counts), per_string, size, kept])
     _emit(args, rows)
     return 0
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,7 @@ from .entropy import (
     exact_entropy_vector,
     exact_entropy_vector_of_factors,
 )
+from .errors import InternalError
 from .states import PureState, canonical_partitions, party_letters
 
 __all__ = [
@@ -393,7 +394,7 @@ def solve_coefficients(
         ]
         lifted = _solve_exact(transpose, lam)
         if not isinstance(lifted, tuple):
-            raise RuntimeError("multipliers failed to lift; this is a bug")
+            raise InternalError("multipliers failed to lift; this is a bug")
         w = lifted[0]
         if sum(wi * ti for wi, ti in zip(w, t)) > 0:
             w = [-x for x in w]
@@ -548,7 +549,7 @@ def mregs_lower_bound(
         verdict = solve_coefficients(gens, state)
         if isinstance(verdict, Infeasible):
             if not verdict.verified:
-                raise RuntimeError(
+                raise InternalError(
                     f"certificate for probe {label!r} failed verification"
                 )
             bound += 1

@@ -16,6 +16,11 @@ probability-weighted entropy of the branch states never exceeds the
 input's. A violation raises EntropyMonotonicityError naming the partition,
 since no sequence of local operations and broadcasts can increase any
 partial entropy.
+
+Operators are stored and applied on the factors of a party's local space
+they touch, not as matrices on the whole party: a step may declare the
+party's current `factor_dims` and the factors `on` which it acts, and the
+simulator contracts the small operator over those axes of the state.
 """
 from __future__ import annotations
 
@@ -87,12 +92,44 @@ class EntropyMonotonicityError(ProtocolError):
         self.after = after
 
 
+def _freeze_placement(step) -> None:
+    """Normalize a step's placement fields to ints. Without `factor_dims` a
+    step acts on the whole party, and the other placement fields must be
+    unset."""
+    names = [n for n in ("on", "out_dims", "insert_at") if hasattr(step, n)]
+    if step.factor_dims is None:
+        if any(getattr(step, n) is not None for n in names):
+            raise ValueError("`on`, `out_dims` and `insert_at` need `factor_dims`")
+        return
+    object.__setattr__(step, "factor_dims", tuple(int(d) for d in step.factor_dims))
+    for name in names:
+        value = getattr(step, name)
+        if value is not None:
+            value = int(value) if name == "insert_at" else tuple(int(i) for i in value)
+            object.__setattr__(step, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
-    """Unitary or isometry on one party; (d_out, d_in) with d_out >= d_in."""
+    """Unitary or isometry on one party; (d_out, d_in) with d_out >= d_in.
+
+    By default the matrix acts on the party's whole local space. With
+    `factor_dims` (the party's current factorization, most significant
+    first) it acts only on the factors listed in `on`, in the matrix's own
+    input order, and emits factors of `out_dims` (default: the consumed
+    ones); `expand_factor_op` says where the emitted factors land.
+    """
 
     party: int
     matrix: np.ndarray
+    factor_dims: tuple[int, ...] | None = None
+    on: tuple[int, ...] | None = None
+    out_dims: tuple[int, ...] | None = None
+    insert_at: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        _freeze_placement(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +137,16 @@ class LocalMeasurement:
     """Complete projective measurement on one party.
 
     Projectors must be Hermitian, idempotent, and sum to the identity on
-    the party's current local space; the outcome labels join the transcript.
+    the space they act on: the party's whole local space, or the factors
+    `on` of `factor_dims` as for `LocalUnitary`. The outcome labels join
+    the transcript.
     """
 
     party: int
     projectors: tuple[np.ndarray, ...]
     outcomes: tuple[str, ...]
+    factor_dims: tuple[int, ...] | None = None
+    on: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "projectors", tuple(np.asarray(p, dtype=complex) for p in self.projectors))
@@ -114,21 +155,31 @@ class LocalMeasurement:
             raise ValueError("need exactly one outcome label per projector")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome labels must be distinct")
+        _freeze_placement(self)
 
 
 @dataclass(frozen=True, eq=False)
 class ConditionedUnitary:
-    """Unitary on one party chosen by the full classical transcript so far."""
+    """Unitary on one party chosen by the full classical transcript so far.
+
+    Placement as for `LocalMeasurement`. Equal matrices in the table share
+    one array, so each distinct one is checked once per run.
+    """
 
     party: int
     table: Mapping[tuple[str, ...], np.ndarray]
+    factor_dims: tuple[int, ...] | None = None
+    on: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        frozen = {
-            tuple(str(o) for o in key): np.asarray(mat, dtype=complex)
-            for key, mat in dict(self.table).items()
-        }
+        distinct: dict[tuple, np.ndarray] = {}
+        frozen = {}
+        for key, mat in dict(self.table).items():
+            mat = np.asarray(mat, dtype=complex)
+            mat = distinct.setdefault((mat.shape, mat.tobytes()), mat)
+            frozen[tuple(str(o) for o in key)] = mat
         object.__setattr__(self, "table", frozen)
+        _freeze_placement(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,49 +235,76 @@ class ProtocolRun:
         return sum(b.probability * fidelity(b.state, target) for b in self.branches)
 
 
-def _check_isometry(matrix: np.ndarray, where: str) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] < mat.shape[1]:
-        raise ProtocolError(f"{where}: matrix of shape {mat.shape} cannot be an isometry")
-    gram = mat.conj().T @ mat
-    if np.linalg.norm(gram - np.eye(mat.shape[1])) > _ISOMETRY_TOL:
-        raise ProtocolError(f"{where}: matrix is not an isometry within tolerance")
-    return mat
-
-
-def _apply_local(state: PureState, party: int, matrix: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Apply a party-local matrix; returns (new_dims, unnormalized vector)."""
-    dims = state.dims
-    d_in = dims[party]
-    if matrix.shape[1] != d_in:
+def _step_layout(step, dims: tuple[int, ...], where: str) -> _FactorLayout:
+    """Resolve where a non-discard step acts on its party's current space."""
+    dim = dims[step.party]
+    if step.factor_dims is None:
+        out_dims = None
+        if isinstance(step, LocalUnitary) and step.matrix.ndim == 2:
+            out_dims = (step.matrix.shape[0],)
+        return _factor_layout((dim,), None, out_dims, None)
+    if math.prod(step.factor_dims) != dim:
         raise ProtocolError(
-            f"matrix expects local dimension {matrix.shape[1]}, party has {d_in}"
+            f"{where}: declared factors {step.factor_dims} do not multiply to "
+            f"the party dimension {dim}"
         )
-    t = np.moveaxis(state.as_tensor(), party, 0).reshape(d_in, -1)
-    out = matrix @ t
-    d_out = matrix.shape[0]
-    rest_dims = tuple(d for i, d in enumerate(dims) if i != party)
-    out = np.moveaxis(out.reshape((d_out,) + rest_dims), 0, party)
-    new_dims = list(dims)
-    new_dims[party] = d_out
-    return tuple(new_dims), out.reshape(-1)
+    try:
+        return _factor_layout(
+            step.factor_dims, step.on, getattr(step, "out_dims", None), getattr(step, "insert_at", None)
+        )
+    except ValueError as exc:
+        raise ProtocolError(f"{where}: {exc}") from exc
 
 
-def _validate_measurement(step: LocalMeasurement, dim: int) -> None:
-    total = np.zeros((dim, dim), dtype=complex)
+def _check_shape(op: np.ndarray, layout: _FactorLayout, where: str) -> None:
+    if op.shape != layout.shape:
+        raise ProtocolError(
+            f"{where}: operator of shape {op.shape} does not act on factors "
+            f"{list(layout.on)} of {list(layout.factors)}; expected {layout.shape}"
+        )
+
+
+# The checks below run on the small operator. Tensoring with the identity on
+# the untouched factors (dimension u) multiplies every Frobenius norm they
+# take by sqrt(u), so dividing the tolerance by sqrt(u) makes each check
+# exactly as strict as the same check on the party-space matrix.
+
+
+def _check_isometry(op: np.ndarray, layout: _FactorLayout, where: str) -> None:
+    if op.ndim != 2 or op.shape[0] < op.shape[1]:
+        raise ProtocolError(f"{where}: matrix of shape {op.shape} cannot be an isometry")
+    _check_shape(op, layout, where)
+    gram = op.conj().T @ op
+    tol = _ISOMETRY_TOL / math.sqrt(layout.untouched)
+    if np.linalg.norm(gram - np.eye(op.shape[1])) > tol:
+        raise ProtocolError(f"{where}: matrix is not an isometry within tolerance")
+
+
+def _validate_measurement(step: LocalMeasurement, layout: _FactorLayout, where: str) -> None:
+    tol = _PROJECTOR_TOL / math.sqrt(layout.untouched)
+    total = np.zeros(layout.shape, dtype=complex)
     for proj, outcome in zip(step.projectors, step.outcomes):
-        if proj.shape != (dim, dim):
-            raise ProtocolError(
-                f"projector for outcome {outcome!r} has shape {proj.shape}, "
-                f"party dimension is {dim}"
-            )
-        if np.linalg.norm(proj - proj.conj().T) > _PROJECTOR_TOL:
+        _check_shape(proj, layout, f"{where}, outcome {outcome!r}")
+        if np.linalg.norm(proj - proj.conj().T) > tol:
             raise ProtocolError(f"projector for outcome {outcome!r} is not Hermitian")
-        if np.linalg.norm(proj @ proj - proj) > _PROJECTOR_TOL:
+        if np.linalg.norm(proj @ proj - proj) > tol:
             raise ProtocolError(f"projector for outcome {outcome!r} is not idempotent")
         total += proj
-    if np.linalg.norm(total - np.eye(dim)) > _PROJECTOR_TOL:
+    if np.linalg.norm(total - np.eye(len(total))) > tol:
         raise ProtocolError("measurement projectors do not sum to the identity")
+
+
+def _apply_local(
+    state: PureState, party: int, op: np.ndarray, layout: _FactorLayout
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Apply a checked operator to a party's factors; returns (new_dims,
+    unnormalized vector)."""
+    dims = state.dims
+    t = np.moveaxis(state.as_tensor(), party, 0).reshape(layout.factors + (-1,))
+    out = _apply_factor_op(op, t, layout)
+    d_out = math.prod(layout.new_factors)
+    out = np.moveaxis(out.reshape((d_out,) + dims[:party] + dims[party + 1 :]), 0, party)
+    return dims[:party] + (d_out,) + dims[party + 1 :], out.reshape(-1)
 
 
 def _discard_branch(state: PureState, step: DiscardSubsystem) -> PureState:
@@ -288,17 +366,18 @@ def run(
     for index, step in enumerate(steps):
         where = f"step {index} ({type(step).__name__})"
         new_branches: list[tuple[float, PureState, tuple[str, ...]]] = []
+        if not isinstance(step, DiscardSubsystem):
+            layout = _step_layout(step, branches[0][1].dims, where)
         if isinstance(step, LocalUnitary):
-            mat = _check_isometry(step.matrix, where)
+            _check_isometry(step.matrix, layout, where)
             for prob, psi, transcript in branches:
-                dims, vec = _apply_local(psi, step.party, mat)
+                dims, vec = _apply_local(psi, step.party, step.matrix, layout)
                 new_branches.append((prob, PureState(dims, vec), transcript))
         elif isinstance(step, LocalMeasurement):
-            dim = branches[0][1].dims[step.party]
-            _validate_measurement(step, dim)
+            _validate_measurement(step, layout, where)
             for prob, psi, transcript in branches:
                 for proj, outcome in zip(step.projectors, step.outcomes):
-                    dims, vec = _apply_local(psi, step.party, proj)
+                    dims, vec = _apply_local(psi, step.party, proj, layout)
                     weight = float(np.vdot(vec, vec).real)
                     p_new = prob * weight
                     if p_new < prune_threshold:
@@ -307,16 +386,20 @@ def run(
                         (p_new, PureState(dims, vec), transcript + (outcome,))
                     )
         elif isinstance(step, ConditionedUnitary):
+            checked: set[int] = set()
             for prob, psi, transcript in branches:
                 if transcript not in step.table:
                     raise ProtocolError(
                         f"{where}: incomplete conditioning table, no entry for "
                         f"transcript {transcript!r}"
                     )
-                mat = _check_isometry(step.table[transcript], where)
-                if mat.shape[0] != mat.shape[1]:
-                    raise ProtocolError(f"{where}: conditioned matrices must be square")
-                dims, vec = _apply_local(psi, step.party, mat)
+                mat = step.table[transcript]
+                if id(mat) not in checked:
+                    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                        raise ProtocolError(f"{where}: conditioned matrices must be square")
+                    _check_isometry(mat, layout, where)
+                    checked.add(id(mat))
+                dims, vec = _apply_local(psi, step.party, mat, layout)
                 new_branches.append((prob, PureState(dims, vec), transcript))
         else:  # DiscardSubsystem
             for prob, psi, transcript in branches:
@@ -355,6 +438,92 @@ def _assert_entropy_monotone(result: ProtocolRun) -> None:
 # --- factor-level operator plumbing -----------------------------------------
 
 
+@dataclass(frozen=True)
+class _FactorLayout:
+    """Where an operator on some factors of a party acts, and what it leaves.
+
+    `_apply_factor_op` brings the axes in `in_order` to the front, contracts
+    the operator over them, and transposes the result (emitted factors,
+    then the untouched ones) by `out_order`.
+    """
+
+    factors: tuple[int, ...]
+    on: tuple[int, ...]
+    shape: tuple[int, int]  # (d_out, d_in) of the operator
+    untouched: int  # dimension of the factors the operator leaves alone
+    new_factors: tuple[int, ...]
+    emitted: tuple[int, ...]  # slot of each emitted factor in new_factors
+    in_order: tuple[int, ...]
+    mid_shape: tuple[int, ...]
+    out_order: tuple[int, ...]
+
+
+def _factor_layout(
+    factor_dims: Sequence[int],
+    on: Sequence[int] | None = None,
+    out_dims: Sequence[int] | None = None,
+    insert_at: int | None = None,
+) -> _FactorLayout:
+    """The placement rule of `expand_factor_op`, before any operator is seen."""
+    factors = tuple(int(d) for d in factor_dims)
+    n = len(factors)
+    on = tuple(range(n)) if on is None else tuple(int(i) for i in on)
+    if len(set(on)) != len(on):
+        raise ValueError("duplicate factor index in `on`")
+    if any(i < 0 or i >= n for i in on):
+        raise ValueError("factor index out of range")
+    in_dims = tuple(factors[i] for i in on)
+    out = in_dims if out_dims is None else tuple(int(d) for d in out_dims)
+    rest = tuple(i for i in range(n) if i not in on)
+    # axes after the contraction: the emitted factors, then the untouched ones
+    axis = {slot: len(out) + j for j, slot in enumerate(rest)}
+    if len(out) == len(on):
+        # one emitted factor per consumed one: keep them in the same slots,
+        # so square operators stay genuine operators on the party space
+        axis.update((slot, k) for k, slot in enumerate(on))
+        out_order = tuple(axis[slot] for slot in range(n))
+        emitted = on
+    else:
+        if on:
+            anchor = min(on)
+        else:
+            anchor = n if insert_at is None else int(insert_at)
+            if anchor < 0 or anchor > n:
+                raise ValueError("insert_at out of range")
+        before = tuple(axis[slot] for slot in rest if slot < anchor)
+        after = tuple(axis[slot] for slot in rest if slot >= anchor)
+        out_order = before + tuple(range(len(out))) + after
+        emitted = tuple(range(len(before), len(before) + len(out)))
+    mid_shape = out + tuple(factors[i] for i in rest)
+    return _FactorLayout(
+        factors=factors,
+        on=on,
+        shape=(math.prod(out), math.prod(in_dims)),
+        untouched=math.prod(factors[i] for i in rest),
+        new_factors=tuple(mid_shape[a] for a in out_order),
+        emitted=emitted,
+        in_order=on + rest,
+        mid_shape=mid_shape,
+        out_order=out_order,
+    )
+
+
+def _as_operator(op, layout: _FactorLayout) -> np.ndarray:
+    op = np.asarray(op, dtype=complex)
+    if op.shape != layout.shape:
+        raise ValueError(f"operator shape {op.shape} does not match {layout.shape}")
+    return op
+
+
+def _apply_factor_op(op: np.ndarray, tensor: np.ndarray, layout: _FactorLayout) -> np.ndarray:
+    """Apply `op` to a tensor shaped as the party's factors followed by one
+    trailing axis; returns the new factors followed by the same axis."""
+    n = len(layout.factors)
+    t = tensor.transpose(layout.in_order + (n,)).reshape(layout.shape[1], -1)
+    out = (op @ t).reshape(layout.mid_shape + (-1,))
+    return out.transpose(layout.out_order + (len(layout.mid_shape),))
+
+
 def expand_factor_op(
     op: np.ndarray,
     factor_dims: Sequence[int],
@@ -368,92 +537,17 @@ def expand_factor_op(
     significant first). `on` names the factors the operator consumes, in
     the operator's own input order; `out_dims` the factor dimensions it
     emits (defaults to the consumed dimensions, i.e. a square operator).
-    The emitted factors are inserted where the first consumed factor sat;
-    with an empty `on`, `insert_at` places them (default: appended).
-    Returns the full party-space matrix and the new factor list.
+    When it emits as many factors as it consumes, they keep the consumed
+    slots; otherwise they are inserted as one block where the first
+    consumed factor sat, or, with an empty `on`, at `insert_at` (default:
+    appended). Returns the full party-space matrix and the new factor list.
     """
-    full, new_factors, _ = _expand_factor_op(op, factor_dims, on, out_dims, insert_at)
-    return full, new_factors
-
-
-def _expand_factor_op(
-    op: np.ndarray,
-    factor_dims: Sequence[int],
-    on: Sequence[int] | None,
-    out_dims: Sequence[int] | None,
-    insert_at: int | None,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """`expand_factor_op`, plus the new slot of each emitted factor."""
-    factors = [int(d) for d in factor_dims]
-    n = len(factors)
-    on = list(range(n)) if on is None else [int(i) for i in on]
-    on_set = set(on)
-    if len(on_set) != len(on):
-        raise ValueError("duplicate factor index in `on`")
-    if any(i < 0 or i >= n for i in on):
-        raise ValueError("factor index out of range")
-    in_dims = [factors[i] for i in on]
-    out = [int(d) for d in out_dims] if out_dims is not None else list(in_dims)
-    d_in = math.prod(in_dims) if in_dims else 1
-    d_out = math.prod(out) if out else 1
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d_out, d_in):
-        raise ValueError(f"operator shape {op.shape} does not match ({d_out}, {d_in})")
-    rest = [i for i in range(n) if i not in on_set]
-    rest_dims = [factors[i] for i in rest]
-    d_rest = math.prod(rest_dims) if rest_dims else 1
-    big = np.kron(op, np.eye(d_rest, dtype=complex))
-    big = big.reshape(out + rest_dims + in_dims + rest_dims)
-
-    out_axes = list(range(len(out)))
-    rest_axes_out = [len(out) + j for j in range(len(rest))]
-    order: list[int] = []
-    new_factors: list[int] = []
-    if len(out) == len(on):
-        # one emitted factor per consumed one: keep them in the same slots,
-        # so square operators stay genuine operators on the party space
-        emitted = list(on)
-        for slot in range(n):
-            if slot in on_set:
-                k = on.index(slot)
-                order.append(out_axes[k])
-                new_factors.append(out[k])
-            else:
-                j = rest.index(slot)
-                order.append(rest_axes_out[j])
-                new_factors.append(factors[slot])
-    else:
-        if on:
-            anchor = min(on)
-        else:
-            anchor = n if insert_at is None else int(insert_at)
-            if anchor < 0 or anchor > n:
-                raise ValueError("insert_at out of range")
-        for slot in range(n + 1):
-            if slot == anchor:
-                emitted = list(range(len(new_factors), len(new_factors) + len(out)))
-                order.extend(out_axes)
-                new_factors.extend(out)
-            if slot == n:
-                break
-            if slot in on_set:
-                continue
-            j = rest.index(slot)
-            order.append(rest_axes_out[j])
-            new_factors.append(factors[slot])
-
-    in_offset = len(out) + len(rest)
-    in_order: list[int] = []
-    for slot in range(n):
-        if slot in on_set:
-            in_order.append(in_offset + on.index(slot))
-        else:
-            in_order.append(in_offset + len(in_dims) + rest.index(slot))
-
-    big = big.transpose(order + in_order)
-    new_total = math.prod(new_factors) if new_factors else 1
-    total_in = math.prod(factors) if factors else 1
-    return big.reshape(new_total, total_in), new_factors, emitted
+    layout = _factor_layout(factor_dims, on, out_dims, insert_at)
+    op = _as_operator(op, layout)
+    d = math.prod(layout.factors)
+    identity = np.eye(d, dtype=complex).reshape(layout.factors + (d,))
+    full = _apply_factor_op(op, identity, layout)
+    return full.reshape(-1, d), list(layout.new_factors)
 
 
 def hadamard_projectors() -> tuple[np.ndarray, np.ndarray]:
@@ -483,9 +577,10 @@ def bell_projectors() -> list[tuple[str, np.ndarray]]:
 class ProtocolBuilder:
     """Assemble protocol steps while tracking each party's subsystem layout.
 
-    The simulator itself only sees party-local matrices; this helper keeps
-    the per-party factor lists so operators, measurements, and discards can
-    be addressed to individual subsystems.
+    Each step stores the small operator together with the party's factor
+    list at that point and the factors it acts on, so operators,
+    measurements, and discards can be addressed to individual subsystems
+    without ever forming a party-space matrix.
     """
 
     def __init__(self, factor_dims: Sequence[Sequence[int]]):
@@ -525,12 +620,13 @@ class ProtocolBuilder:
     ) -> list[int]:
         """Apply an operator to some of a party's factors (see
         `expand_factor_op`); returns the slot of each factor it emits."""
-        full, new_factors, emitted = _expand_factor_op(
-            matrix, self._factors[party], on, out_dims, insert_at
+        layout = _factor_layout(self._factors[party], on, out_dims, insert_at)
+        op = _as_operator(matrix, layout)
+        self._steps.append(
+            LocalUnitary(party, op, layout.factors, layout.on, out_dims, insert_at)
         )
-        self._steps.append(LocalUnitary(party, full))
-        self._factors[party] = new_factors
-        return emitted
+        self._factors[party] = list(layout.new_factors)
+        return list(layout.emitted)
 
     def add_ancilla(
         self, party: int, vector: Sequence[complex], insert_at: int | None = None
@@ -555,13 +651,11 @@ class ProtocolBuilder:
         outcomes: Sequence[str],
         on: Sequence[int] | None = None,
     ) -> None:
-        expanded = []
-        for proj in projectors:
-            full, new_factors = expand_factor_op(proj, self._factors[party], on)
-            if new_factors != self._factors[party]:
-                raise ValueError("measurement projectors must be square")
-            expanded.append(full)
-        self._steps.append(LocalMeasurement(party, tuple(expanded), tuple(outcomes)))
+        layout = _factor_layout(self._factors[party], on)
+        projs = tuple(_as_operator(proj, layout) for proj in projectors)
+        self._steps.append(
+            LocalMeasurement(party, projs, tuple(outcomes), layout.factors, layout.on)
+        )
         self._outcome_sets.append(tuple(str(o) for o in outcomes))
 
     def conditioned(
@@ -571,15 +665,12 @@ class ProtocolBuilder:
         on: Sequence[int] | None = None,
     ) -> None:
         """Add a unitary chosen by the transcript, tabulated over all of them."""
-        table = {}
-        for transcript in itertools.product(*self._outcome_sets):
-            full, new_factors = expand_factor_op(
-                matrix_for(transcript), self._factors[party], on
-            )
-            if new_factors != self._factors[party]:
-                raise ValueError("conditioned matrices must be square")
-            table[transcript] = full
-        self._steps.append(ConditionedUnitary(party, table))
+        layout = _factor_layout(self._factors[party], on)
+        table = {
+            transcript: _as_operator(matrix_for(transcript), layout)
+            for transcript in itertools.product(*self._outcome_sets)
+        }
+        self._steps.append(ConditionedUnitary(party, table, layout.factors, layout.on))
 
     def discard(self, party: int, factor_indices: Sequence[int]) -> None:
         indices = tuple(sorted(int(i) for i in factor_indices))
@@ -1013,6 +1104,11 @@ def dilution_end_to_end(
 #   {"type": "conditioned", "party": 0, "table": {"+,-": [[...]]}}
 #   {"type": "discard", "party": 0, "factor_dims": [2, 2], "discard": [0]}
 # Matrix entries are [re, im] pairs (bare numbers are accepted as real).
+# Unitary, measurement and conditioned entries may add "factor_dims" and
+# "on" (and a unitary "out_dims" and "insert_at"); without them the step
+# acts on the whole party.
+
+_PLACEMENT_KEYS = ("factor_dims", "on", "out_dims", "insert_at")
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list:
@@ -1036,12 +1132,34 @@ def _matrix_from_json(payload) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _placement_to_json(step: ProtocolStep) -> dict:
+    out = {}
+    for key in _PLACEMENT_KEYS:
+        value = getattr(step, key, None)
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _placement_from_json(entry: Mapping, step_type: type) -> dict:
+    return {
+        key: entry[key]
+        for key in _PLACEMENT_KEYS
+        if key in entry and hasattr(step_type, key)
+    }
+
+
 def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:
     out = []
     for step in steps:
         if isinstance(step, LocalUnitary):
             out.append(
-                {"type": "unitary", "party": step.party, "matrix": _matrix_to_json(step.matrix)}
+                {
+                    "type": "unitary",
+                    "party": step.party,
+                    "matrix": _matrix_to_json(step.matrix),
+                    **_placement_to_json(step),
+                }
             )
         elif isinstance(step, LocalMeasurement):
             out.append(
@@ -1050,6 +1168,7 @@ def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:
                     "party": step.party,
                     "projectors": [_matrix_to_json(p) for p in step.projectors],
                     "outcomes": list(step.outcomes),
+                    **_placement_to_json(step),
                 }
             )
         elif isinstance(step, ConditionedUnitary):
@@ -1061,6 +1180,7 @@ def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:
                         ",".join(key): _matrix_to_json(mat)
                         for key, mat in sorted(step.table.items())
                     },
+                    **_placement_to_json(step),
                 }
             )
         elif isinstance(step, DiscardSubsystem):
@@ -1083,13 +1203,20 @@ def protocol_from_list(payload: Sequence[Mapping]) -> list[ProtocolStep]:
         kind = entry.get("type")
         party = int(entry["party"])
         if kind == "unitary":
-            steps.append(LocalUnitary(party, _matrix_from_json(entry["matrix"])))
+            steps.append(
+                LocalUnitary(
+                    party,
+                    _matrix_from_json(entry["matrix"]),
+                    **_placement_from_json(entry, LocalUnitary),
+                )
+            )
         elif kind == "measurement":
             steps.append(
                 LocalMeasurement(
                     party,
                     tuple(_matrix_from_json(p) for p in entry["projectors"]),
                     tuple(entry["outcomes"]),
+                    **_placement_from_json(entry, LocalMeasurement),
                 )
             )
         elif kind == "conditioned":
@@ -1097,7 +1224,9 @@ def protocol_from_list(payload: Sequence[Mapping]) -> list[ProtocolStep]:
                 tuple(key.split(",")) if key else (): _matrix_from_json(mat)
                 for key, mat in entry["table"].items()
             }
-            steps.append(ConditionedUnitary(party, table))
+            steps.append(
+                ConditionedUnitary(party, table, **_placement_from_json(entry, ConditionedUnitary))
+            )
         elif kind == "discard":
             steps.append(
                 DiscardSubsystem(
@@ -1117,6 +1246,7 @@ def load_protocol(path: str) -> list[ProtocolStep]:
 
 
 def save_protocol(steps: Sequence[ProtocolStep], path: str) -> None:
+    """Write a protocol file, one compact JSON step per line."""
+    entries = [json.dumps(entry) for entry in protocol_to_list(steps)]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(protocol_to_list(steps), fh, indent=1)
-        fh.write("\n")
+        fh.write("[\n" + ",\n".join(entries) + "\n]\n")

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _vector_from_spectra, cut_spectra, entropy_vector
+from .entropy import _vector_from_spectra, cut_spectra
+from .errors import InternalError
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .schmidt import schmidt_decompose
 from .states import Partition, PureState, reduced_gram, refine_to_qubits
@@ -385,9 +386,17 @@ def classify_states(a: PureState, b: PureState) -> Classification:
         raise ValueError("need at least two parties")
     if a.num_parties == 2:
         return _classify_bipartite(a, b)
+    return _classify_from_spectra(a, b, cut_spectra(a), cut_spectra(b))
 
-    spectra_a = cut_spectra(a)
-    spectra_b = cut_spectra(b)
+
+def _classify_from_spectra(
+    a: PureState,
+    b: PureState,
+    spectra_a: dict[Partition, Fraction | np.ndarray],
+    spectra_b: dict[Partition, Fraction | np.ndarray],
+) -> Classification:
+    """`classify_states` for three or more parties, given each state's
+    `cut_spectra`."""
     vec_a = _vector_from_spectra(a.num_parties, spectra_a)
     vec_b = _vector_from_spectra(b.num_parties, spectra_b)
 
@@ -529,8 +538,10 @@ def ghz_epr_witness() -> GhzEprWitness:
     cats = cat_power(3, 2)
     eprs = eprs_complete(3)
 
-    vec_c = entropy_vector(cats)
-    vec_e = entropy_vector(eprs)
+    spectra_c = cut_spectra(cats)
+    spectra_e = cut_spectra(eprs)
+    vec_c = _vector_from_spectra(cats.num_parties, spectra_c)
+    vec_e = _vector_from_spectra(eprs.num_parties, spectra_e)
 
     rho_bc = reduced_gram(cats, [1, 2])
     off_diag = _off_diagonal_max(rho_bc)
@@ -545,10 +556,10 @@ def ghz_epr_witness() -> GhzEprWitness:
 
     found = _npt_cross_pair(eprs, 1, 2)
     if found is None:
-        raise RuntimeError("expected a distillable pair between B and C")
+        raise InternalError("expected a distillable pair between B and C")
     _, eig = found
 
-    classified = classify_states(cats, eprs)
+    classified = _classify_from_spectra(cats, eprs, spectra_c, spectra_e)
     return GhzEprWitness(
         entropy_vector_cats=[(p.label, v) for p, v in vec_c.entries()],
         entropy_vector_eprs=[(p.label, v) for p, v in vec_e.entries()],

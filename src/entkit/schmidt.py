@@ -410,11 +410,12 @@ def dilution_fidelity(probs: Sequence[float], n: int, k: int) -> float:
     probability mass. Nondecreasing in k, reaching 1 once 2^k covers the
     full support.
     """
-    kept = sum(
-        per_string * take
-        for _, per_string, _, take in dilution_retained_types(probs, n, k)
-    )
-    return min(kept, 1.0)
+    return _retained_fidelity(dilution_retained_types(probs, n, k))
+
+
+def _retained_fidelity(rows: Sequence[tuple[tuple[int, ...], float, int, int]]) -> float:
+    """The kept probability mass of `dilution_retained_types` rows."""
+    return min(sum(per_string * take for _, per_string, _, take in rows), 1.0)
 
 
 def dilution_retained_types(

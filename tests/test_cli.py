@@ -76,6 +76,28 @@ def test_run_protocol(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_invalid_protocol_is_domain_error(capsys, tmp_path):
+    from entkit.protocols import hadamard_projectors, protocol_to_list, LocalMeasurement
+
+    plus, _ = hadamard_projectors()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(protocol_to_list([LocalMeasurement(0, (plus,), ("+",))])))
+    code, out, err = run_cli(capsys, "run-protocol", "--state", "epr", "--protocol", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch):
+    import sys
+
+    monkeypatch.setattr(sys.modules["entkit.reducibility"], "_npt_cross_pair", lambda *a: None)
+    code, out, err = run_cli(capsys, "ghz-epr-witness")
+    assert code == 3
+    assert out == ""
+    assert "expected a distillable pair" in err
+
+
 def test_run_protocol_with_target(capsys, tmp_path):
     from entkit.protocols import eprs_to_cat, eprs_to_cat_input, save_protocol
     from entkit.states import save_state
@@ -117,6 +139,23 @@ def test_dilute(capsys):
     )
     assert code == 0
     assert "2,1,2,0.75" in out
+
+
+def test_dilute_enumerates_type_classes_once(capsys, monkeypatch):
+    import sys
+
+    calls = []
+    original = sys.modules["entkit.schmidt"].dilution_retained_types
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in ("entkit.schmidt", "entkit.cli"):
+        monkeypatch.setattr(sys.modules[module], "dilution_retained_types", counting)
+    code, out, _ = run_cli(capsys, "dilute", "--n", "6", "--k", "3", "--coeffs", "2/3,1/3")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_coeffs_feasible(capsys):

@@ -1,6 +1,7 @@
 """Branch-exact protocol simulation: teleportation, cat/EPR conversions,
 dilution end to end, and the entropy-monotonicity assertion."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,20 +11,27 @@ from conftest import random_protocol
 from entkit.builders import cat_state, epr_between, epr_pair, eprs_complete
 from entkit.protocols import (
     Branch,
+    ConditionedUnitary,
+    DiscardSubsystem,
     EntropyMonotonicityError,
     LocalMeasurement,
+    LocalUnitary,
     ProtocolBuilder,
     ProtocolError,
     bell_projectors,
     cat_to_epr,
     dilution_end_to_end,
+    dilution_input,
+    dilution_protocol,
     eprs_to_cat,
     eprs_to_cat_input,
     expand_factor_op,
     hadamard_projectors,
+    load_protocol,
     protocol_from_list,
     protocol_to_list,
     run,
+    save_protocol,
 )
 from entkit.states import (
     PureState,
@@ -267,7 +275,8 @@ def test_dilution_end_to_end_three_parties():
 
 def dilution_cases():
     """Qubit targets in both orders up to n = 3 at every budget (n = 4 at
-    small budgets), plus an unsorted four-coefficient target."""
+    small budgets), plus an unsorted four-coefficient target at n = 1 and,
+    at every budget, n = 2."""
     cases = []
     descending = [np.sqrt(0.75), np.sqrt(0.25)]
     for order, coeffs in (("desc", descending), ("asc", descending[::-1])):
@@ -277,6 +286,8 @@ def dilution_cases():
     four = [0.5, 0.3, 0.6, np.sqrt(0.3)]
     for k in (0, 1, 2):
         cases.append(pytest.param(four, 1, k, 2, id=f"four-n1-k{k}-m2"))
+    for k in range(5):
+        cases.append(pytest.param(four, 2, k, 2, id=f"four-n2-k{k}-m2"))
     return cases
 
 
@@ -323,3 +334,164 @@ def test_protocol_list_roundtrip_preserves_step_count():
     for x, y in zip(a.branches, b.branches):
         assert x.transcript == y.transcript
         assert fidelity(y.state, cat_state(3)) >= 1.0 - 1e-9
+
+
+# --- factor-local steps against their dense expansion ---------------------------
+
+
+def dense_steps(steps):
+    """The same protocol with every operator expanded to its party's whole
+    local space, which is how steps were stored before they carried their
+    factors."""
+    out = []
+    for step in steps:
+        if isinstance(step, DiscardSubsystem) or step.factor_dims is None:
+            out.append(step)
+            continue
+
+        def full(op, **iso):
+            return expand_factor_op(op, step.factor_dims, step.on, **iso)[0]
+
+        if isinstance(step, LocalUnitary):
+            iso = {"out_dims": step.out_dims, "insert_at": step.insert_at}
+            out.append(LocalUnitary(step.party, full(step.matrix, **iso)))
+        elif isinstance(step, LocalMeasurement):
+            projs = tuple(full(p) for p in step.projectors)
+            out.append(LocalMeasurement(step.party, projs, step.outcomes))
+        else:
+            table = {key: full(mat) for key, mat in step.table.items()}
+            out.append(ConditionedUnitary(step.party, table))
+    return out
+
+
+def assert_same_runs(a, b):
+    assert [x.transcript for x in a.branches] == [y.transcript for y in b.branches]
+    assert [x.probability for x in a.branches] == [y.probability for y in b.branches]
+    for x, y in zip(a.branches, b.branches):
+        assert x.state.dims == y.state.dims
+        assert np.max(np.abs(x.state.amplitudes - y.state.amplitudes)) < 1e-12
+
+
+def povm_case():
+    k0 = np.sqrt(0.75) * np.eye(2)
+    k1 = np.sqrt(0.25) * X
+    builder = ProtocolBuilder([[2, 2], [2]])
+    builder.povm(0, [k0, k1], outcomes=["keep", "flip"], on=[1])
+    builder.unitary(0, H, on=[0])
+    state = random_pure_state((4, 2), np.random.default_rng(11))
+    return builder.steps(), state
+
+
+def equivalence_cases():
+    cases = []
+    for m in range(3, 7):
+        for i, j in sorted({(0, 1), (1, m - 1), (m - 2, m - 1)}):
+            cases.append(pytest.param(lambda m=m, i=i, j=j: (cat_to_epr(m, i, j), cat_state(m)), id=f"cat_to_epr-{m}-{i}{j}"))
+    for m, center in ((3, 0), (3, 2), (4, 0), (4, 1)):
+        cases.append(
+            pytest.param(
+                lambda m=m, c=center: (eprs_to_cat(m, c), eprs_to_cat_input(m, c)),
+                id=f"eprs_to_cat-{m}-{center}",
+            )
+        )
+    cases.append(pytest.param(povm_case, id="povm"))
+    for coeffs, n, k, parties in (
+        ([np.sqrt(0.75), np.sqrt(0.25)], 2, 1, 3),
+        ([np.sqrt(0.25), np.sqrt(0.75)], 3, 2, 2),
+        ([0.5, 0.3, 0.6, np.sqrt(0.3)], 1, 1, 2),
+        ([0.5, 0.3, 0.6, np.sqrt(0.3)], 1, 2, 3),
+    ):
+        cases.append(
+            pytest.param(
+                lambda c=coeffs, n=n, k=k, p=parties: (
+                    dilution_protocol(c, n, k, p),
+                    dilution_input(c, n, k, p),
+                ),
+                id=f"dilution-r{len(coeffs)}-n{n}-k{k}-m{parties}",
+            )
+        )
+    return cases
+
+
+@pytest.mark.parametrize("make", equivalence_cases())
+def test_factor_local_steps_match_dense_expansion(make):
+    steps, state = make()
+    assert any(getattr(s, "on", None) is not None for s in steps)
+    assert_same_runs(run(steps, state), run(dense_steps(steps), state))
+
+
+def test_dense_protocol_file_still_loads(tmp_path):
+    steps = eprs_to_cat(3, 1)
+    payload = protocol_to_list(dense_steps(steps))
+    assert not any(key in entry for entry in payload for key in ("on", "out_dims", "insert_at"))
+    assert all("factor_dims" not in entry for entry in payload if entry["type"] != "discard")
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(payload))
+    state = eprs_to_cat_input(3, 1)
+    assert_same_runs(run(load_protocol(str(path)), state), run(steps, state))
+
+
+def test_factor_local_protocol_roundtrips_its_placement(tmp_path):
+    steps = dilution_protocol([0.5, 0.3, 0.6, np.sqrt(0.3)], 1, 1, 2)
+    path = str(tmp_path / "p.json")
+    save_protocol(steps, path)
+    reloaded = load_protocol(path)
+    for a, b in zip(steps, reloaded):
+        for key in ("factor_dims", "on", "out_dims", "insert_at"):
+            assert getattr(a, key, None) == getattr(b, key, None)
+    state = dilution_input([0.5, 0.3, 0.6, np.sqrt(0.3)], 1, 1, 2)
+    assert_same_runs(run(reloaded, state), run(steps, state))
+
+
+def test_saved_protocol_stays_factor_local(tmp_path):
+    # the dense form of this protocol was a 40 MB file
+    path = tmp_path / "e2c5.json"
+    save_protocol(eprs_to_cat(5), str(path))
+    assert path.stat().st_size < 100_000
+
+
+def test_placement_fields_need_factor_dims():
+    with pytest.raises(ValueError):
+        LocalUnitary(0, np.eye(2), on=(0,))
+
+
+def test_declared_factors_must_match_the_party():
+    step = LocalUnitary(0, np.eye(2), factor_dims=(2, 3), on=(0,))
+    with pytest.raises(ProtocolError):
+        run([step], epr_pair())
+
+
+# An operator on factor 0 of a party holding [2, 8] that is off by `eps`:
+# the checks on the 2x2 operator must reject it exactly when the checks on
+# the 16x16 party-space matrix do, although the untouched factor multiplies
+# every party-space deviation by sqrt(8).
+OFF_BY = [(1e-11, False), (0.5e-9, True)]
+
+
+def perturbed_steps(eps):
+    near_projector = np.diag([1.0, eps]).astype(complex)
+    near_unitary = np.diag([1.0, 1.0 + eps / 2]).astype(complex)
+    factors = (2, 8)
+    return [
+        LocalMeasurement(0, (near_projector, np.diag([0.0, 1.0])), ("0", "1"), factors, (0,)),
+        LocalUnitary(0, near_unitary, factors, (0,)),
+        ConditionedUnitary(0, {("0",): near_unitary, ("1",): np.eye(2)}, factors, (0,)),
+        LocalUnitary(0, np.vstack([near_unitary, np.zeros((2, 2))]), factors, (0,), (4,)),
+    ]
+
+
+@pytest.mark.parametrize("eps, rejected", OFF_BY)
+@pytest.mark.parametrize("which", range(4))
+def test_small_operator_checks_are_as_strict_as_dense(eps, rejected, which):
+    state = random_pure_state((16, 2), np.random.default_rng(5))
+    steps = [perturbed_steps(eps)[which]]
+    if which == 2:
+        # the conditioned step needs a transcript: measure exactly first
+        exact = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        steps.insert(0, LocalMeasurement(0, exact, ("0", "1"), (2, 8), (0,)))
+    for steps in (steps, dense_steps(steps)):
+        if rejected:
+            with pytest.raises(ProtocolError):
+                run(steps, state, check_entropy=False)
+        else:
+            run(steps, state, check_entropy=False)

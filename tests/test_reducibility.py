@@ -224,3 +224,18 @@ def test_classify_builds_each_entropy_vector_once(monkeypatch):
     result = classify_states(cat_power(3, 2), eprs_complete(3))
     assert result.verdict is ComparisonVerdict.INCOMPARABLE
     assert len(calls) == 2
+
+
+def test_ghz_epr_witness_computes_each_states_spectra_once(monkeypatch):
+    calls = []
+    original = sys.modules["entkit.entropy"].cut_spectra
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(sys.modules["entkit.entropy"], "cut_spectra", counting)
+    monkeypatch.setattr(sys.modules["entkit.reducibility"], "cut_spectra", counting)
+    report = ghz_epr_witness()
+    assert report.verdict is ComparisonVerdict.INCOMPARABLE
+    assert len(calls) == 2
