@@ -11,15 +11,19 @@ that is nonnegative against every generator yet negative against the
 target. Counting certified-independent states gives lower bounds on how
 many states a reversible generating set must contain.
 
-Everything here works over `fractions.Fraction`; float inputs are accepted
-only when they are within 1e-9 of a small rational.
+Inputs and results are exact `fractions.Fraction`s; float inputs are
+accepted only when they are within 1e-9 of a small rational. Elimination
+scales each equation to Python ints and runs fraction-free, so the one
+solver `_solve_exact` serves the equality system, the left-kernel
+certificate of an inconsistent system and the lift of Fourier-Motzkin
+multipliers to a partition weighting.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
 from .entropy import (
@@ -166,74 +170,50 @@ class Infeasible:
     reason: str
 
 
-def _eliminate(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[list[Fraction]], list[Fraction], list[list[Fraction]], list[int]]:
-    """Gaussian elimination with a full record of the row operations.
+def _solve_exact(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n_cols: int
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """Solve matrix x = rhs over the rationals, for `n_cols` unknowns.
 
-    Returns (reduced matrix, reduced rhs, record, pivot columns) where each
-    reduced row equals record[i] applied to the original rows.
+    Each equation is scaled to Python ints and reduced Gauss-Jordan style
+    with the fraction-free row operation a*row - f*pivot_row, every new row
+    divided by the gcd of its entries. Each pivot row is then a multiple of
+    its row in the reduced row echelon form, so the results are those of
+    rational elimination. Returns (particular solution, kernel basis), or
+    None when the system is inconsistent.
     """
-    rows = [list(r) for r in matrix]
-    b = list(rhs)
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    record = [
-        [Fraction(int(i == j)) for j in range(n_rows)] for i in range(n_rows)
-    ]
+    rows: list[list[int]] = []
+    for coeffs, b in zip(matrix, rhs):
+        entries = [*coeffs, b]
+        scale = lcm(*(x.denominator for x in entries))
+        rows.append([x.numerator * (scale // x.denominator) for x in entries])
     pivots: list[int] = []
-    rank = 0
     for col in range(n_cols):
-        pivot = next(
-            (r for r in range(rank, n_rows) if rows[r][col] != 0), None
-        )
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        b[rank], b[pivot] = b[pivot], b[rank]
-        record[rank], record[pivot] = record[pivot], record[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        b[rank] *= inv
-        record[rank] = [x * inv for x in record[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-                b[r] -= factor * b[rank]
-                record[r] = [
-                    x - factor * y for x, y in zip(record[r], record[rank])
-                ]
+        top = rows[rank]
+        a = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and f:
+                new = [a * x - f * y for x, y in zip(row, top)]
+                common = gcd(*new)
+                rows[r] = [x // common for x in new] if common > 1 else new
         pivots.append(col)
-        rank += 1
-    return rows, b, record, pivots
-
-
-def _solve_exact(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | list[Fraction]:
-    """Solve matrix x = rhs over the rationals.
-
-    Returns (particular solution, kernel basis) when consistent, or the
-    inconsistency certificate row w (with w.matrix = 0 and w.rhs != 0)
-    otherwise.
-    """
-    rows, b, record, pivots = _eliminate(matrix, rhs)
-    n_cols = len(matrix[0]) if matrix else 0
-    rank = len(pivots)
-    for r in range(rank, len(rows)):
-        if b[r] != 0:
-            return record[r]
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
     particular = [Fraction(0)] * n_cols
-    for i, col in enumerate(pivots):
-        particular[col] = b[i]
-    free = [c for c in range(n_cols) if c not in pivots]
+    for row, col in zip(rows, pivots):
+        particular[col] = Fraction(row[-1], row[col])
     kernel: list[list[Fraction]] = []
-    for f_col in free:
+    for f_col in (c for c in range(n_cols) if c not in pivots):
         direction = [Fraction(0)] * n_cols
         direction[f_col] = Fraction(1)
-        for i, col in enumerate(pivots):
-            direction[col] = -rows[i][f_col]
+        for row, col in zip(rows, pivots):
+            direction[col] = Fraction(-row[f_col], row[col])
         kernel.append(direction)
     return particular, kernel
 
@@ -375,12 +355,13 @@ def solve_coefficients(
     exactly before being handed back.
     """
     t = list(_as_row(gens.num_parties, target))
-    matrix = gens.column_matrix()
-    outcome = _solve_exact(matrix, t)
-    if not isinstance(outcome, tuple):
-        w = outcome
-        if sum(wi * ti for wi, ti in zip(w, t)) > 0:
-            w = [-x for x in w]
+    n_gens = gens.num_generators
+    outcome = _solve_exact(gens.column_matrix(), t, n_gens)
+    if outcome is None:
+        # a left-kernel vector w (w . row = 0 for every generator) that
+        # does not vanish on the target
+        _, left_kernel = _solve_exact(gens.rows, [Fraction(0)] * n_gens, len(t))
+        w = next(w for w in left_kernel if _dot(w, t) != 0)
         return _certified_infeasible(
             gens, t, w, "the equality system itself is inconsistent"
         )
@@ -388,20 +369,13 @@ def solve_coefficients(
     y, lam = _feasible_point(x0, kernel)
     if y is None:
         # lift the inequality multipliers to a partition weighting
-        transpose = [
-            [gens.rows[g][p] for p in range(len(t))]
-            for g in range(gens.num_generators)
-        ]
-        lifted = _solve_exact(transpose, lam)
-        if not isinstance(lifted, tuple):
+        lifted = _solve_exact(gens.rows, lam, len(t))
+        if lifted is None:
             raise InternalError("multipliers failed to lift; this is a bug")
-        w = lifted[0]
-        if sum(wi * ti for wi, ti in zip(w, t)) > 0:
-            w = [-x for x in w]
         return _certified_infeasible(
             gens,
             t,
-            w,
+            lifted[0],
             "the equality system is solvable only with negative coefficients",
         )
     solution = list(x0)
@@ -428,15 +402,17 @@ def solve_coefficients(
     )
 
 
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def _certified_infeasible(
     gens: EntropyMatrix, t: list[Fraction], w: list[Fraction], reason: str
 ) -> Infeasible:
-    against_target = sum(wi * ti for wi, ti in zip(w, t))
-    ok = against_target < 0
-    for row in gens.rows:
-        if sum(wi * ri for wi, ri in zip(w, row)) < 0:
-            ok = False
-            break
+    """Orient w against the target and re-check it exactly."""
+    if _dot(w, t) > 0:
+        w = [-x for x in w]
+    ok = _dot(w, t) < 0 and all(_dot(w, row) >= 0 for row in gens.rows)
     return Infeasible(
         labels=gens.labels,
         certificate=tuple(w),
@@ -606,16 +582,11 @@ def r21_table() -> list[R21Row]:
 
     Cat states sit at 1 for every m; complete EPR graphs at 2(m-2)/(m-1);
     the five-qubit codeword at 2. All ratios are computed from the states
-    themselves in exact arithmetic (the six-party EPR graph through
-    entropy additivity over its pair factors, the rest densely).
+    in exact arithmetic: cats and the codeword densely, each complete EPR
+    graph through entropy additivity over its pair factors, so no graph
+    state is ever built.
     """
-    from .builders import (
-        cat_state,
-        codeword5,
-        complete_graph_edges,
-        epr_pair,
-        eprs_complete,
-    )
+    from .builders import cat_state, codeword5, complete_graph_edges, epr_pair
 
     rows: list[R21Row] = []
     for m in (3, 4, 5, 6):
@@ -624,13 +595,9 @@ def r21_table() -> list[R21Row]:
             R21Row(m, f"cat{m}", exact_entropy_ratio_r21(cat_vec, m))
         )
         edges = complete_graph_edges(m)
-        if m <= 5:
-            epr_vec = exact_entropy_vector(eprs_complete(m))
-        else:
-            factors = [
-                (epr_pair(), (i, j)) for i, j in edges
-            ]
-            epr_vec = exact_entropy_vector_of_factors(m, factors)
+        epr_vec = exact_entropy_vector_of_factors(
+            m, [(epr_pair(), edge) for edge in edges]
+        )
         rows.append(
             R21Row(
                 m,

@@ -682,18 +682,19 @@ class ProtocolBuilder:
         ]
 
     def move_factors(self, party: int, order: Sequence[int]) -> None:
-        """Permute a party's factors with the corresponding local unitary."""
-        factors = self._factors[party]
+        """Permute a party's factors into `order` (old indices, new order),
+        one swap of neighbouring factors per step."""
         new_order = [int(i) for i in order]
-        if sorted(new_order) != list(range(len(factors))):
+        if sorted(new_order) != list(range(len(self._factors[party]))):
             raise ValueError("order must list every factor exactly once")
-        d = math.prod(factors)
-        identity = np.eye(d, dtype=complex).reshape(factors + factors)
-        n = len(factors)
-        axes = new_order + list(range(n, 2 * n))
-        matrix = identity.transpose(axes).reshape(d, d)
-        self._steps.append(LocalUnitary(party, matrix))
-        self._factors[party] = [factors[i] for i in new_order]
+        slots = list(range(len(new_order)))
+        for target, factor in enumerate(new_order):
+            for j in range(slots.index(factor), target, -1):
+                a, b = self._factors[party][j - 1 : j + 1]
+                swap = np.eye(a * b).reshape(a, b, a * b).transpose(1, 0, 2)
+                swap = swap.reshape(a * b, a * b)
+                self.unitary(party, swap, on=[j - 1, j], out_dims=[b, a])
+                slots[j - 1], slots[j] = slots[j], slots[j - 1]
 
     def bell_measure(self, party: int, first: int, second: int) -> None:
         """Bell-basis measurement of two qubit factors of one party."""

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _vector_from_spectra, cut_spectra
+from .entropy import _ISENTROPY_TOL, _vector_from_spectra, cut_spectra
 from .errors import InternalError
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .schmidt import schmidt_decompose
@@ -46,7 +46,6 @@ _SPECTRUM_TOL = 1e-8
 _LU_FIDELITY_TOL = 1e-9
 _NPT_TOL = 1e-10
 _MAXMIX_TOL = 1e-10
-_ISENTROPY_TOL = 1e-8
 
 
 def majorizes(q: Sequence[float], p: Sequence[float], tol: float = _MAJORIZATION_TOL) -> bool:
@@ -404,11 +403,12 @@ def _classify_from_spectra(
         a_dom = vec_a.dominates(vec_b)
         b_dom = vec_b.dominates(vec_a)
         if not a_dom and not b_dom:
+            values_a, values_b = vec_a.values, vec_b.values
             up = next(
-                p for p, _ in vec_a.entries() if vec_a.values[p] < vec_b.values[p] - 1e-8
+                p for p, _ in vec_a.entries() if values_a[p] < values_b[p] - _ISENTROPY_TOL
             )
             down = next(
-                p for p, _ in vec_a.entries() if vec_a.values[p] > vec_b.values[p] + 1e-8
+                p for p, _ in vec_a.entries() if values_a[p] > values_b[p] + _ISENTROPY_TOL
             )
             return Classification(
                 ComparisonVerdict.INCOMPARABLE,
@@ -428,7 +428,7 @@ def _classify_from_spectra(
         witness = next(
             p
             for p, _ in vec_a.entries()
-            if abs(vec_a.values[p] - vec_b.values[p]) > 1e-8
+            if abs(vec_a.values[p] - vec_b.values[p]) > _ISENTROPY_TOL
         )
         return Classification(
             ComparisonVerdict.INCOMPARABLE_BY_DICHOTOMY,

@@ -1,5 +1,6 @@
 """Exact feasibility over entropy vectors: recovery, kernels, certificates,
 and the generating-set lower bounds."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from entkit.builders import (
     cat_state,
     codeword5,
     complete_graph_edges,
+    embedded_cat,
     epr_between,
     eprs_chain,
 )
@@ -17,6 +19,7 @@ from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
     Infeasible,
+    _solve_exact,
     egs_check,
     mregs_lower_bound,
     r21_table,
@@ -179,3 +182,141 @@ def test_solver_rejects_irrational_floats():
     gens = epr_matrix(3)
     with pytest.raises(ValueError):
         solve_coefficients(gens, [0.123456789012345, 1.0, 1.0])
+
+
+def test_empty_generator_set():
+    gens = EntropyMatrix(3, (), ())
+    outcome = solve_coefficients(gens, [1, 1, 1])
+    assert isinstance(outcome, Infeasible)
+    assert outcome.verified
+    assert outcome.reason == "the equality system itself is inconsistent"
+    verify_certificate(gens, [Fraction(1)] * 3, outcome.certificate)
+    assert solve_coefficients(gens, [0, 0, 0]) == CoefficientSolution(
+        labels=(),
+        coefficients=(),
+        unique=True,
+        kernel_direction=None,
+        residual=Fraction(0),
+    )
+
+
+def test_inconsistent_with_wide_left_kernel():
+    gens = EntropyMatrix.from_states(
+        4, [("ab", epr_between(4, 0, 1)), ("cd", epr_between(4, 2, 3))]
+    )
+    width = len(canonical_partitions(4))
+    _, left_kernel = _solve_exact(gens.rows, [Fraction(0)] * 2, width)
+    assert len(left_kernel) == 5
+    outcome = solve_coefficients(gens, cat_state(4))
+    assert isinstance(outcome, Infeasible)
+    assert outcome.verified
+    assert outcome.reason == "the equality system itself is inconsistent"
+    w = outcome.certificate
+    for row in gens.rows:
+        assert sum(wi * ri for wi, ri in zip(w, row)) == 0
+    assert sum(w) < 0  # the cat's row is all ones
+
+
+def reference_solve(matrix, rhs, n_cols):
+    """Gauss-Jordan elimination on Fractions, the solver's former
+    arithmetic without its row-operation record."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    b = [Fraction(x) for x in rhs]
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        b[rank], b[pivot] = b[pivot], b[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        b[rank] *= inv
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+                b[r] -= factor * b[rank]
+        pivots.append(col)
+    if any(b[r] != 0 for r in range(len(pivots), len(rows))):
+        return None
+    particular = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivots):
+        particular[col] = b[i]
+    kernel = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        direction = [Fraction(0)] * n_cols
+        direction[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            direction[col] = -rows[i][free]
+        kernel.append(direction)
+    return particular, kernel
+
+
+def random_system(rng):
+    n_rows, n_cols = rng.randrange(0, 7), rng.randrange(0, 7)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+
+    matrix = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 3 and rng.random() < 0.4:
+        a, c = entry(), entry()
+        matrix[-1] = [a * x + c * y for x, y in zip(matrix[0], matrix[1])]
+    if n_rows and rng.random() < 0.2:
+        matrix[rng.randrange(n_rows)] = [Fraction(0)] * n_cols
+    if n_cols and rng.random() < 0.2:
+        col = rng.randrange(n_cols)
+        for row in matrix:
+            row[col] = Fraction(0)
+    if rng.random() < 0.5:
+        x = [entry() for _ in range(n_cols)]
+        rhs = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in matrix]
+    else:
+        rhs = [entry() for _ in range(n_rows)]
+    return matrix, rhs, n_cols
+
+
+def test_solve_exact_matches_rational_elimination():
+    rng = random.Random(1968)
+    seen = dict.fromkeys(
+        ["inconsistent", "full rank", "rank deficient", "zero row", "zero column"], 0
+    )
+    for _ in range(600):
+        matrix, rhs, n_cols = random_system(rng)
+        expected = reference_solve(matrix, rhs, n_cols)
+        assert _solve_exact(matrix, rhs, n_cols) == expected
+        if expected is None:
+            seen["inconsistent"] += 1
+        elif n_cols - len(expected[1]) == min(len(matrix), n_cols):
+            seen["full rank"] += 1
+        else:
+            seen["rank deficient"] += 1
+        seen["zero row"] += any(not any(row) for row in matrix)
+        seen["zero column"] += any(
+            not any(row[c] for row in matrix) for c in range(n_cols)
+        ) and bool(matrix)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_wide_kernel_mix_over_eprs_and_embedded_cats():
+    entries = [(f"epr{i}{j}", epr_between(5, i, j)) for i, j in complete_graph_edges(5)]
+    for k in (3, 4, 5):
+        for members in itertools.combinations(range(5), k):
+            entries.append(("cat" + "".join(map(str, members)), embedded_cat(5, members)))
+    gens = EntropyMatrix.from_states(5, entries)
+    assert gens.num_generators == 26
+    target = [sum(column) for column in zip(*gens.rows)]
+    _, kernel = _solve_exact(gens.column_matrix(), target, 26)
+    assert len(kernel) == 11
+    sol = solve_coefficients(gens, target)
+    assert isinstance(sol, CoefficientSolution)
+    assert not sol.unique
+    assert sol.kernel_direction is not None
+    assert all(c >= 0 for c in sol.coefficients)
+    assert sol.residual == 0
+    for p, t in enumerate(target):
+        assert sum(c * gens.rows[g][p] for g, c in enumerate(sol.coefficients)) == t

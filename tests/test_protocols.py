@@ -450,6 +450,21 @@ def test_saved_protocol_stays_factor_local(tmp_path):
     assert path.stat().st_size < 100_000
 
 
+def test_dilution_factor_moves_stay_small():
+    # the closing factor permutation is a chain of two-factor swaps
+    steps = dilution_protocol([0.5, 0.3, 0.6, np.sqrt(0.3)], n=2, k=0, num_parties=2)
+    for step in steps:
+        if isinstance(step, LocalUnitary):
+            ops = [step.matrix]
+        elif isinstance(step, LocalMeasurement):
+            ops = list(step.projectors)
+        elif isinstance(step, ConditionedUnitary):
+            ops = list(step.table.values())
+        else:
+            continue
+        assert all(max(op.shape) <= 16 for op in ops), step
+
+
 def test_placement_fields_need_factor_dims():
     with pytest.raises(ValueError):
         LocalUnitary(0, np.eye(2), on=(0,))
