@@ -32,10 +32,10 @@ from .mregs import (
 from .protocols import load_protocol, run
 from .reducibility import classify_states, ghz_epr_witness
 from .schmidt import (
+    _mean_yield,
     _retained_fidelity,
     concentration_yield_distribution,
     dilution_retained_types,
-    expected_concentration_yield,
     is_m_orthogonal,
     schmidt_decompose,
 )
@@ -219,7 +219,7 @@ def _cmd_concentrate(args) -> int:
         )
     _emit(args, rows)
     if args.format == "text":
-        expected = expected_concentration_yield(probs, args.n)
+        expected = _mean_yield(branches)
         print(f"expected yield: {_fmt(expected)} bits ({_fmt(expected / args.n)} per copy)")
     return 0
 

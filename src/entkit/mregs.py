@@ -15,8 +15,10 @@ Inputs and results are exact `fractions.Fraction`s; float inputs are
 accepted only when they are within 1e-9 of a small rational. Elimination
 scales each equation to Python ints and runs fraction-free, so the one
 solver `_solve_exact` serves the equality system, the left-kernel
-certificate of an inconsistent system and the lift of Fourier-Motzkin
-multipliers to a partition weighting.
+certificate of an inconsistent system and the lift of Farkas multipliers
+to a partition weighting. The inequality half, x >= 0 over the solutions
+of the equality system, is one exact dictionary simplex (`_lexmin_mix`):
+it finds the mix, decides uniqueness and yields the Farkas multipliers.
 """
 from __future__ import annotations
 
@@ -220,14 +222,9 @@ def _solve_exact(
 
 def _primitive_direction(direction: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational direction to coprime integers, first nonzero > 0."""
-    denominators = [x.denominator for x in direction]
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
+    scale = lcm(*(x.denominator for x in direction))
     ints = [int(x * scale) for x in direction]
-    common = 0
-    for x in ints:
-        common = gcd(common, abs(x))
+    common = gcd(*ints)
     if common:
         ints = [x // common for x in ints]
     first = next((x for x in ints if x != 0), 0)
@@ -236,111 +233,101 @@ def _primitive_direction(direction: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-# A tracked inequality const + coeffs . y >= 0, carrying the nonnegative
-# multipliers lam over the original inequalities it was combined from.
-_Ineq = tuple[Fraction, list[Fraction], list[Fraction]]
-
-
-def _fourier_motzkin(
-    inequalities: list[_Ineq], keep: int | None = None
-) -> tuple[list[_Ineq], list[list[_Ineq]]]:
-    """Eliminate variables from a tracked inequality system.
-
-    Eliminates every variable (or all but `keep`). Returns the final
-    system and the per-stage snapshots used for back-substitution.
-    """
-    system = [
-        (c, list(coeffs), list(lam)) for c, coeffs, lam in inequalities
-    ]
-    n_vars = len(system[0][1]) if system else 0
-    stages: list[list[_Ineq]] = []
-    order = [v for v in range(n_vars) if v != keep]
-    for var in order:
-        stages.append([(c, list(k), list(l)) for c, k, l in system])
-        positive = [q for q in system if q[1][var] > 0]
-        negative = [q for q in system if q[1][var] < 0]
-        neutral = [q for q in system if q[1][var] == 0]
-        merged: list[_Ineq] = list(neutral)
-        for cp, kp, lp in positive:
-            for cn, kn, ln in negative:
-                a = kp[var]
-                b = -kn[var]
-                const = b * cp + a * cn
-                coeffs = [b * x + a * y for x, y in zip(kp, kn)]
-                lam = [b * x + a * y for x, y in zip(lp, ln)]
-                merged.append((const, coeffs, lam))
-        system = merged
-    return system, stages
-
-
-def _feasible_point(
+def _lexmin_mix(
     x0: list[Fraction], kernel: list[list[Fraction]]
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Find y with x0 + K y >= 0, or the certifying multipliers if none.
+) -> tuple[list[Fraction] | None, bool, list[Fraction] | None]:
+    """The nonnegative point of x0 + K y picked coordinate by coordinate.
 
-    Returns (y, None) on success and (None, lam) on infeasibility, where
-    lam >= 0 satisfies lam . x0 < 0 and lam . K = 0.
+    `x0` and `kernel` are as `_solve_exact` returns them, so each kernel
+    vector is zero past its free column and 1 there: y_j is the free
+    generator's own coefficient, hence y >= 0. That is a simplex
+    dictionary: the free generators are nonbasic, the others basic at x0.
+    For j = f-1 down to 0 it minimizes y_j with the later y fixed, then
+    fixes y_j there by deleting the nonbasic columns of positive reduced
+    cost. `unique` holds when every y_j, on the face the later ones leave,
+    has its maximum equal to its minimum.
+    Pivots follow Bland's rule; phase 1 is Chvatal's single artificial
+    variable, whose optimal row on infeasibility holds the Farkas
+    multipliers lam >= 0 with lam . x0 < 0 and lam . K = 0.
+
+    Returns (point, unique, None), or (None, False, lam) when x0 + K y >= 0
+    has no solution.
     """
-    n_gens = len(x0)
-    f = len(kernel)
-    inequalities: list[_Ineq] = []
-    for g in range(n_gens):
-        coeffs = [kernel[j][g] for j in range(f)]
-        lam = [Fraction(int(i == g)) for i in range(n_gens)]
-        inequalities.append((x0[g], coeffs, lam))
-    final, stages = _fourier_motzkin(inequalities)
-    for const, _, lam in final:
-        if const < 0:
-            return None, list(lam)
-    order = list(range(f))
-    y = [Fraction(0)] * f
-    for stage_index in range(f - 1, -1, -1):
-        var = order[stage_index]
-        system = stages[stage_index]
-        lower = None
-        upper = None
-        for const, coeffs, _ in system:
-            a = coeffs[var]
-            if a == 0:
-                continue
-            rest = const + sum(
-                coeffs[v] * y[v] for v in range(f) if v != var and coeffs[v] != 0
-            )
-            bound = -rest / a
-            if a > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None:
-            y[var] = lower
-        elif upper is not None:
-            y[var] = min(upper, Fraction(0))
-    return y, None
+    n = len(x0)
+    free = [max(g for g in range(n) if d[g]) for d in kernel]
+    nonbasic = list(free)
+    basis = [g for g in range(n) if g not in nonbasic]
+    # rows[i] reads basis[i] = rows[i][-1] + sum_c rows[i][c] * nonbasic[c]
+    rows = [[*(d[b] for d in kernel), x0[b]] for b in basis]
 
+    def pivot(r: int, c: int) -> None:
+        a = rows[r][c]
+        new = [-x / a for x in rows[r]]
+        new[c] = 1 / a
+        rows[r] = new
+        basis[r], nonbasic[c] = nonbasic[c], basis[r]
+        support = [k for k, x in enumerate(new) if x]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                row[c] = 0
+                for k in support:
+                    row[k] += f * new[k]
 
-def _coordinate_pinned(
-    x0: list[Fraction], kernel: list[list[Fraction]], var: int
-) -> bool:
-    """Whether coordinate `var` of the feasible set takes a single value."""
-    n_gens = len(x0)
-    f = len(kernel)
-    inequalities: list[_Ineq] = []
-    for g in range(n_gens):
-        coeffs = [kernel[j][g] for j in range(f)]
-        inequalities.append((x0[g], coeffs, []))
-    final, _ = _fourier_motzkin(inequalities, keep=var)
-    lower = None
-    upper = None
-    for const, coeffs, _ in final:
-        a = coeffs[var]
-        if a == 0:
-            continue
-        bound = -const / a
-        if a > 0:
-            lower = bound if lower is None else max(lower, bound)
-        else:
-            upper = bound if upper is None else min(upper, bound)
-    return lower is not None and upper is not None and lower == upper
+    def objective(var: int) -> list[Fraction]:
+        if var in basis:
+            return rows[basis.index(var)]
+        return [Fraction(int(v == var)) for v in nonbasic] + [Fraction(0)]
+
+    def minimize(var: int, sign: int) -> Fraction | None:
+        """Minimize sign * var; return var at the optimum, None if unbounded."""
+        while True:
+            obj = objective(var)
+            entering = [c for c in range(len(nonbasic)) if sign * obj[c] < 0]
+            if not entering:
+                return obj[-1]
+            c = min(entering, key=nonbasic.__getitem__)
+            leaving = [i for i, row in enumerate(rows) if row[c] < 0]
+            if not leaving:
+                return None
+            r = min(leaving, key=lambda i: (rows[i][-1] / -rows[i][c], basis[i]))
+            pivot(r, c)
+
+    def drop_columns(dropped: list[int]) -> None:
+        for row in rows:
+            for c in reversed(dropped):
+                del row[c]
+        for c in reversed(dropped):
+            del nonbasic[c]
+
+    if any(row[-1] < 0 for row in rows):
+        artificial = n
+        for row in rows:
+            row.insert(-1, Fraction(1))
+        nonbasic.append(artificial)
+        pivot(min(range(len(rows)), key=lambda i: rows[i][-1]), len(nonbasic) - 1)
+        if minimize(artificial, 1) > 0:
+            row = rows[basis.index(artificial)]
+            lam = [Fraction(0)] * n
+            for c, g in enumerate(nonbasic):
+                lam[g] = row[c]
+            return None, False, lam
+        if artificial in basis:
+            r = basis.index(artificial)
+            pivot(r, next(c for c, x in enumerate(rows[r][:-1]) if x))
+        drop_columns([nonbasic.index(artificial)])
+    unique = True
+    for var in reversed(free):
+        if unique:
+            highest = minimize(var, -1)
+        lowest = minimize(var, 1)
+        unique = unique and lowest == highest
+        obj = objective(var)
+        drop_columns([c for c in range(len(nonbasic)) if obj[c] > 0])
+    point = [Fraction(0)] * n
+    for b, row in zip(basis, rows):
+        point[b] = row[-1]
+    return point, unique, None
 
 
 def solve_coefficients(
@@ -348,9 +335,13 @@ def solve_coefficients(
 ) -> Union[CoefficientSolution, Infeasible]:
     """Express a target entropy vector as a nonnegative mix of generators.
 
-    Solves the per-partition equality system exactly, then decides whether
-    the solution set meets the nonnegative orthant. Infeasibility of either
-    kind (inconsistent equalities, or consistency only with some negative
+    Solves the per-partition equality system exactly, then runs an exact
+    simplex over its solution set: the particular solution is the starting
+    point and each kernel direction one nonnegative variable. The mix
+    returned minimizes the last kernel coordinate first, then the one
+    before it, and so on; `unique` is set when every coordinate's range is
+    a single value along the way. Infeasibility of either kind
+    (inconsistent equalities, or consistency only with some negative
     coefficient) is returned with a separating partition weighting, checked
     exactly before being handed back.
     """
@@ -366,9 +357,9 @@ def solve_coefficients(
             gens, t, w, "the equality system itself is inconsistent"
         )
     x0, kernel = outcome
-    y, lam = _feasible_point(x0, kernel)
-    if y is None:
-        # lift the inequality multipliers to a partition weighting
+    solution, unique, lam = _lexmin_mix(x0, kernel)
+    if solution is None:
+        # lift the Farkas multipliers to a partition weighting
         lifted = _solve_exact(gens.rows, lam, len(t))
         if lifted is None:
             raise InternalError("multipliers failed to lift; this is a bug")
@@ -378,20 +369,12 @@ def solve_coefficients(
             lifted[0],
             "the equality system is solvable only with negative coefficients",
         )
-    solution = list(x0)
-    for j, direction in enumerate(kernel):
-        if y[j] == 0:
-            continue
-        solution = [s + y[j] * d for s, d in zip(solution, direction)]
     residual = Fraction(0)
     for p in range(len(t)):
         acc = sum(
             gens.rows[g][p] * solution[g] for g in range(gens.num_generators)
         )
         residual = max(residual, abs(acc - t[p]))
-    unique = not kernel or all(
-        _coordinate_pinned(x0, kernel, j) for j in range(len(kernel))
-    )
     direction = _primitive_direction(kernel[0]) if kernel else None
     return CoefficientSolution(
         labels=gens.labels,
@@ -467,7 +450,7 @@ class MregsBound:
 
     Every bipartite cut needs its EPR pair, giving the m(m-1)/2 baseline;
     each probe whose entropy vector cannot be written as a nonnegative mix
-    of the accumulated generators forces one further member.
+    of the accumulated generators adds one to the count.
     """
 
     num_parties: int
@@ -490,11 +473,11 @@ def mregs_lower_bound(
 ) -> MregsBound:
     """Count how many states a reversible generating set must contain.
 
-    Starts from the complete EPR graph and adds each probe in turn: a
-    probe whose entropy vector is infeasible over the accumulated
-    generators cannot be bought with them at any exchange rate, so any
-    generating set needs an extra member for it (and the probe joins the
-    pool). The trace records the entropy-ratio comparison that drives the
+    Starts from the complete EPR graph and adds each probe in turn. What
+    the count certifies is that each counted probe's entropy vector is not
+    a nonnegative mix of the generators accumulated before it, so it cannot
+    be bought from them at any exchange rate; the probe then joins the
+    pool. The trace records the entropy-ratio comparison that drives the
     standard probes: symmetric EPR mixes have ratio 2(m-2)/(m-1), cats sit
     at 1, the five-qubit codeword at 2.
     """

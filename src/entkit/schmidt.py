@@ -395,10 +395,12 @@ def concentration_yield_distribution(
 
 def expected_concentration_yield(probs: Sequence[float], n: int) -> float:
     """Expected cat states from concentrating n copies (fractional bits)."""
-    return sum(
-        b.probability * b.yield_bits
-        for b in concentration_yield_distribution(probs, n)
-    )
+    return _mean_yield(concentration_yield_distribution(probs, n))
+
+
+def _mean_yield(branches: Sequence[TypeBranch]) -> float:
+    """The expected `yield_bits` of `concentration_yield_distribution` branches."""
+    return sum(b.probability * b.yield_bits for b in branches)
 
 
 def dilution_fidelity(probs: Sequence[float], n: int, k: int) -> float:

@@ -158,6 +158,26 @@ def test_dilute_enumerates_type_classes_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_concentrate_enumerates_type_classes_once(capsys, monkeypatch):
+    import sys
+
+    calls = []
+    original = sys.modules["entkit.schmidt"].concentration_yield_distribution
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in ("entkit.schmidt", "entkit.cli"):
+        monkeypatch.setattr(
+            sys.modules[module], "concentration_yield_distribution", counting
+        )
+    code, out, _ = run_cli(capsys, "concentrate", "--n", "6", "--coeffs", "2/3,1/3")
+    assert code == 0
+    assert "expected yield:" in out
+    assert len(calls) == 1
+
+
 def test_coeffs_feasible(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@
 and the generating-set lower bounds."""
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
     Infeasible,
+    _lexmin_mix,
     _solve_exact,
     egs_check,
     mregs_lower_bound,
@@ -302,12 +304,17 @@ def test_solve_exact_matches_rational_elimination():
     assert min(seen.values()) >= 20, seen
 
 
+def eprs_and_embedded_cats(m):
+    """Every EPR pair and every embedded k-cat (k >= 3) on m parties."""
+    entries = [(f"epr{i}{j}", epr_between(m, i, j)) for i, j in complete_graph_edges(m)]
+    for k in range(3, m + 1):
+        for members in itertools.combinations(range(m), k):
+            entries.append(("cat" + "".join(map(str, members)), embedded_cat(m, members)))
+    return EntropyMatrix.from_states(m, entries)
+
+
 def test_wide_kernel_mix_over_eprs_and_embedded_cats():
-    entries = [(f"epr{i}{j}", epr_between(5, i, j)) for i, j in complete_graph_edges(5)]
-    for k in (3, 4, 5):
-        for members in itertools.combinations(range(5), k):
-            entries.append(("cat" + "".join(map(str, members)), embedded_cat(5, members)))
-    gens = EntropyMatrix.from_states(5, entries)
+    gens = eprs_and_embedded_cats(5)
     assert gens.num_generators == 26
     target = [sum(column) for column in zip(*gens.rows)]
     _, kernel = _solve_exact(gens.column_matrix(), target, 26)
@@ -320,3 +327,262 @@ def test_wide_kernel_mix_over_eprs_and_embedded_cats():
     assert sol.residual == 0
     for p, t in enumerate(target):
         assert sum(c * gens.rows[g][p] for g, c in enumerate(sol.coefficients)) == t
+
+
+def test_scale_mixes_over_eprs_and_embedded_cats():
+    for m, size, budget in ((6, 57, 1.0), (7, 120, 10.0)):
+        gens = eprs_and_embedded_cats(m)
+        assert gens.num_generators == size
+        target = [sum(column) for column in zip(*gens.rows)]
+        start = time.perf_counter()
+        sol = solve_coefficients(gens, target)
+        elapsed = time.perf_counter() - start
+        assert isinstance(sol, CoefficientSolution)
+        assert not sol.unique
+        assert sol.residual == 0
+        assert all(c >= 0 for c in sol.coefficients)
+        assert elapsed < budget, (m, elapsed)
+
+
+def test_linear_cluster_needs_negative_cat_coefficient():
+    gens = epr_matrix(4).with_generator("cat4", cat_state(4))
+    target_row = [Fraction(x) for x in (1, 1, 1, 1, 1, 2, 2)]
+    outcome = solve_coefficients(gens, target_row)
+    assert isinstance(outcome, Infeasible)
+    assert outcome.verified
+    assert outcome.reason == (
+        "the equality system is solvable only with negative coefficients"
+    )
+    verify_certificate(gens, target_row, outcome.certificate)
+
+
+# The Fourier-Motzkin routines the solver used before the simplex, kept as
+# the oracle for `_lexmin_mix`. `fm_range` is the body of the former
+# `_coordinate_pinned`, returning the range it tested for a single value.
+def fm_eliminate(inequalities, keep=None):
+    system = [(c, list(coeffs), list(lam)) for c, coeffs, lam in inequalities]
+    n_vars = len(system[0][1]) if system else 0
+    stages = []
+    order = [v for v in range(n_vars) if v != keep]
+    for var in order:
+        stages.append([(c, list(k), list(l)) for c, k, l in system])
+        positive = [q for q in system if q[1][var] > 0]
+        negative = [q for q in system if q[1][var] < 0]
+        neutral = [q for q in system if q[1][var] == 0]
+        merged = list(neutral)
+        for cp, kp, lp in positive:
+            for cn, kn, ln in negative:
+                a = kp[var]
+                b = -kn[var]
+                const = b * cp + a * cn
+                coeffs = [b * x + a * y for x, y in zip(kp, kn)]
+                lam = [b * x + a * y for x, y in zip(lp, ln)]
+                merged.append((const, coeffs, lam))
+        system = merged
+    return system, stages
+
+
+def fm_feasible_point(x0, kernel):
+    n_gens = len(x0)
+    f = len(kernel)
+    inequalities = []
+    for g in range(n_gens):
+        coeffs = [kernel[j][g] for j in range(f)]
+        lam = [Fraction(int(i == g)) for i in range(n_gens)]
+        inequalities.append((x0[g], coeffs, lam))
+    final, stages = fm_eliminate(inequalities)
+    for const, _, lam in final:
+        if const < 0:
+            return None, list(lam)
+    order = list(range(f))
+    y = [Fraction(0)] * f
+    for stage_index in range(f - 1, -1, -1):
+        var = order[stage_index]
+        system = stages[stage_index]
+        lower = None
+        upper = None
+        for const, coeffs, _ in system:
+            a = coeffs[var]
+            if a == 0:
+                continue
+            rest = const + sum(
+                coeffs[v] * y[v] for v in range(f) if v != var and coeffs[v] != 0
+            )
+            bound = -rest / a
+            if a > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None:
+            y[var] = lower
+        elif upper is not None:
+            y[var] = min(upper, Fraction(0))
+    return y, None
+
+
+def fm_range(x0, kernel, var):
+    n_gens = len(x0)
+    f = len(kernel)
+    inequalities = []
+    for g in range(n_gens):
+        coeffs = [kernel[j][g] for j in range(f)]
+        inequalities.append((x0[g], coeffs, []))
+    final, _ = fm_eliminate(inequalities, keep=var)
+    lower = None
+    upper = None
+    for const, coeffs, _ in final:
+        a = coeffs[var]
+        if a == 0:
+            continue
+        bound = -const / a
+        if a > 0:
+            lower = bound if lower is None else max(lower, bound)
+        else:
+            upper = bound if upper is None else min(upper, bound)
+    return lower, upper
+
+
+def fm_unique(x0, kernel):
+    ranges = [fm_range(x0, kernel, j) for j in range(len(kernel))]
+    return all(lo is not None and lo == hi for lo, hi in ranges), ranges
+
+
+def random_cone_system(rng):
+    """A consistent system A x = A x_true whose nonnegative solutions are
+    sought. x_true is signed, nonnegative or nonnegative with mostly zero
+    entries; the last often leaves it the only nonnegative solution."""
+    n_cols = rng.randrange(1, 7)
+    n_rows = rng.randrange(0, n_cols + 1)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+
+    matrix = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    mode = rng.randrange(4)
+    if mode == 0:
+        x_true = [entry() for _ in range(n_cols)]
+    elif mode == 1:
+        x_true = [abs(entry()) for _ in range(n_cols)]
+    else:
+        x_true = [abs(entry()) * (rng.random() < 0.3) for _ in range(n_cols)]
+    rhs = [sum((a * x for a, x in zip(row, x_true)), Fraction(0)) for row in matrix]
+    return matrix, rhs, n_cols
+
+
+def reparametrize(x0, kernel, rng):
+    """The same solution set x0 + K y written over y = T z + s for a random
+    invertible lower-triangular T, so that z carries no sign constraint."""
+    f = len(kernel)
+    T = [[Fraction(0)] * f for _ in range(f)]
+    for i in range(f):
+        T[i][i] = Fraction(rng.choice((-1, 1)))
+        for j in range(i):
+            T[i][j] = Fraction(rng.randrange(-3, 4))
+    s = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(f)]
+    shifted = [x + sum(sj * d[g] for sj, d in zip(s, kernel)) for g, x in enumerate(x0)]
+    directions = [
+        [sum(T[j][i] * kernel[j][g] for j in range(f)) for g in range(len(x0))]
+        for i in range(f)
+    ]
+    return shifted, directions
+
+
+def test_lexmin_mix_matches_fourier_motzkin():
+    rng = random.Random(1977)
+    seen = dict.fromkeys(
+        [
+            "pinned",
+            "unpinned",
+            "unbounded below",
+            "unbounded above",
+            "infeasible",
+            "x0 >= 0",
+            "x0 negative",
+        ],
+        0,
+    )
+    systems = 0
+    while systems < 420:
+        matrix, rhs, n_cols = random_cone_system(rng)
+        x0, kernel = _solve_exact(matrix, rhs, n_cols)
+        systems += 1
+        seen["x0 >= 0" if min(x0) >= 0 else "x0 negative"] += 1
+        y, lam = fm_feasible_point(x0, kernel)
+        point, unique, certificate = _lexmin_mix(x0, kernel)
+        if y is None:
+            seen["infeasible"] += 1
+            assert point is None
+            assert all(x >= 0 for x in certificate)
+            assert sum(c * x for c, x in zip(certificate, x0)) < 0
+            for d in kernel:
+                assert sum(c * x for c, x in zip(certificate, d)) == 0
+        else:
+            expected = list(x0)
+            for yj, d in zip(y, kernel):
+                expected = [e + yj * dg for e, dg in zip(expected, d)]
+            assert point == expected
+            assert certificate is None
+            pinned, _ = fm_unique(x0, kernel)
+            assert unique == pinned
+            if kernel:
+                seen["pinned" if pinned else "unpinned"] += 1
+        # the verdicts do not depend on the parametrization of the kernel
+        shifted, directions = reparametrize(x0, kernel, rng)
+        z, _ = fm_feasible_point(shifted, directions)
+        assert (z is None) == (point is None)
+        if z is not None:
+            pinned, ranges = fm_unique(shifted, directions)
+            assert pinned == unique
+            seen["unbounded below"] += any(lo is None for lo, _ in ranges)
+            seen["unbounded above"] += any(hi is None for _, hi in ranges)
+    assert min(seen.values()) >= 20, seen
+
+
+def highs_feasible(matrix, rhs, n_cols):
+    """Whether A x = b, x >= 0 has a solution, by scipy's HiGHS in floats."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    if not matrix:
+        return True
+    result = linprog(
+        np.zeros(n_cols),
+        A_eq=np.array(matrix, dtype=float),
+        b_eq=np.array(rhs, dtype=float),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+def test_feasibility_matches_highs_on_random_systems():
+    pytest.importorskip("scipy")
+    rng = random.Random(1947)
+    verdicts = []
+    for _ in range(400):
+        matrix, rhs, n_cols = random_cone_system(rng)
+        x0, kernel = _solve_exact(matrix, rhs, n_cols)
+        feasible = _lexmin_mix(x0, kernel)[0] is not None
+        assert feasible == highs_feasible(matrix, rhs, n_cols), (matrix, rhs)
+        verdicts.append(feasible)
+    assert verdicts.count(False) >= 20
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_feasibility_matches_highs_on_mixes(m):
+    pytest.importorskip("scipy")
+    gens = eprs_and_embedded_cats(m)
+    total = [sum(column) for column in zip(*gens.rows)]
+    full_cat = gens.rows[-1]
+    verdicts = set()
+    for k in (0, 2, 4):
+        target = [a - k * b for a, b in zip(total, full_cat)]
+        outcome = solve_coefficients(gens, target)
+        feasible = isinstance(outcome, CoefficientSolution)
+        assert feasible or outcome.verified
+        assert feasible == highs_feasible(gens.column_matrix(), target, gens.num_generators)
+        verdicts.add(feasible)
+    assert verdicts == {True, False}
