@@ -45,14 +45,17 @@ __all__ = ["main"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    # plain cells first: `Fraction`'s isinstance goes through its ABC metaclass
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
     return str(value)
 
 

@@ -72,33 +72,61 @@ def entropy(rho: DensityMatrix | np.ndarray) -> float:
     return shannon_entropy([max(float(v), 0.0) for v in eigenvalues])
 
 
-def flat_spectrum_rank(rho: DensityMatrix | np.ndarray) -> int | None:
-    """Rank r if rho is exactly (a projector)/r within tolerance, else None."""
+def flat_spectrum_rank(rho: DensityMatrix | np.ndarray) -> int | None | list[int | None]:
+    """Rank r if rho is exactly (a projector)/r within tolerance, else None.
+
+    A `(B, d, d)` stack of Gram matrices gives a list with one such entry
+    per matrix; the projector test runs once over every candidate.
+    """
     gram = _gram_of(rho)
-    purity = float(np.vdot(gram, gram).real)
-    if purity <= 0.0:
-        return None
-    r = round(1.0 / purity)
-    if r < 1 or abs(r * purity - 1.0) > _FLAT_TOL:
-        return None
-    if float(np.linalg.norm(r * (gram @ gram) - gram)) > _FLAT_TOL:
-        return None
-    return int(r)
+    stack = gram if gram.ndim == 3 else gram[None]
+    ranks: list[int | None] = []
+    for purity in _squared_norms(stack):
+        r = round(1.0 / purity) if purity > 0.0 else 0
+        ranks.append(r if r >= 1 and abs(r * purity - 1.0) <= _FLAT_TOL else None)
+    rows = [i for i, r in enumerate(ranks) if r is not None]
+    if rows:
+        candidates = stack if len(rows) == len(stack) else stack[rows]
+        deviation = candidates @ candidates
+        if len(stack) == 1:  # a scalar is the cheapest multiplier for one matrix
+            deviation *= ranks[0]
+        else:
+            deviation *= np.array([ranks[i] for i in rows], dtype=float).reshape(-1, 1, 1)
+        deviation -= candidates
+        for i, square in zip(rows, _squared_norms(deviation)):
+            if math.sqrt(square) > _FLAT_TOL:
+                ranks[i] = None
+    return ranks if gram.ndim == 3 else ranks[0]
 
 
-def exact_entropy(rho: DensityMatrix | np.ndarray) -> Fraction | None:
+def _squared_norms(stack: np.ndarray) -> list[float]:
+    """Sum of squared moduli of each entry of a stack, per leading index."""
+    if len(stack) == 1:  # np.vdot is the cheapest reduction for one matrix
+        return [float(np.vdot(stack, stack).real)]
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat).tolist()
+
+
+def exact_entropy(rho: DensityMatrix | np.ndarray) -> Fraction | None | list[Fraction | None]:
     """Entropy as an exact rational, when the spectrum allows it.
 
     Flat spectra of power-of-two rank r = 2^s have entropy exactly s bits;
-    anything else returns None and callers fall back to floating point.
+    anything else returns None and callers fall back to floating point. A
+    `(B, d, d)` stack gives a list with one entry per matrix.
     """
-    r = flat_spectrum_rank(rho)
-    if r is None:
+    ranks = flat_spectrum_rank(rho)
+    if not isinstance(ranks, list):
+        return _entropy_of_rank(ranks)
+    # the rows of a stack share one Fraction per distinct rank
+    entropies = {r: _entropy_of_rank(r) for r in set(ranks)}
+    return [entropies[r] for r in ranks]
+
+
+def _entropy_of_rank(r: int | None) -> Fraction | None:
+    """s bits for a flat spectrum of rank r = 2^s, else None."""
+    if r is None or r & (r - 1):
         return None
-    s = r.bit_length() - 1
-    if (1 << s) != r:
-        return None
-    return Fraction(s)
+    return Fraction(r.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -143,51 +171,116 @@ class EntropyVector:
         )
 
 
-def _cheaper_side(state: PureState, part: Partition) -> tuple[int, ...]:
-    dim_x = math.prod(state.dims[p] for p in part.members)
-    dim_rest = state.dim // dim_x
-    return part.members if dim_x <= dim_rest else part.complement().members
+def _cheaper_side(dims: Sequence[int], dim: int, part: Partition) -> Partition:
+    dim_x = math.prod(dims[p] for p in part.members)
+    return part if dim_x * dim_x <= dim else part.complement()
 
 
-def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
+# matrix entries held back for one stacked eigensolver call (64 MB)
+_PENDING_ENTRIES = 1 << 22
+
+
+def cut_spectra(
+    state: PureState | np.ndarray,
+) -> dict[Partition, Fraction | np.ndarray] | dict[Partition, list[Fraction | np.ndarray]]:
     """The reduced spectrum across every canonical cut, in canonical order.
 
     Each cut's reduced Gram matrix is formed on its cheaper side. A flat
     spectrum of power-of-two rank is reported as its exact entropy (a
     `Fraction`) and never reaches the eigensolver; every other cut maps to
     its eigenvalues, sorted descending. The remaining Gram matrices are
-    diagonalized with one stacked call per matrix size.
+    diagonalized with one stacked call per matrix size, split only when the
+    held-back matrices would exceed 64 MB.
+
+    `state` may also be a stack of states with shared dims, an array of
+    shape (B, d1, ..., dm): each cut then forms one (B, d, d) Gram stack
+    and maps to a list with one entry per state. A single state is the
+    B = 1 case.
     """
-    out: dict[Partition, Fraction | np.ndarray] = {}
-    pending: dict[int, list[tuple[Partition, np.ndarray]]] = {}
-    for part in canonical_partitions(state.num_parties):
-        gram = reduced_gram(state, _cheaper_side(state, part))
-        exact = exact_entropy(gram)
-        out[part] = exact
-        if exact is None:
-            pending.setdefault(len(gram), []).append((part, gram))
-    for cuts in pending.values():
-        spectra = hermitian_eigenvalues(np.stack([gram for _, gram in cuts]))
-        for (part, _), spectrum in zip(cuts, spectra):
-            out[part] = spectrum
+    stacked = not isinstance(state, PureState)
+    dims = state.shape[1:] if stacked else state.dims
+    dim = math.prod(dims)
+    out: dict[Partition, Fraction | np.ndarray | None | list] = {}
+    # per Gram size: (cut, the rows of its list still to fill, or None for a
+    # single state, and their Grams)
+    pending: dict[int, list[tuple[Partition, list[int] | None, np.ndarray]]] = {}
+    held: dict[int, int] = {}
+
+    def diagonalize(size: int) -> None:
+        batch = pending.pop(size)
+        del held[size]
+        spectra = iter(hermitian_eigenvalues(np.concatenate([grams for *_, grams in batch])))
+        for part, rows, _ in batch:
+            if rows is None:
+                out[part] = next(spectra)
+            else:
+                for row in rows:
+                    out[part][row] = next(spectra)
+
+    for part in canonical_partitions(len(dims)):
+        grams = reduced_gram(state, _cheaper_side(dims, dim, part))
+        out[part] = values = exact_entropy(grams)
+        if not stacked:
+            if values is not None:
+                continue
+            rows, grams = None, grams[None]
+        else:
+            rows = [row for row, value in enumerate(values) if value is None]
+            if not rows:
+                continue
+            if len(rows) < len(grams):
+                grams = grams[rows]
+        size = grams.shape[-1]
+        pending.setdefault(size, []).append((part, rows, grams))
+        held[size] = held.get(size, 0) + grams.size
+        if held[size] >= _PENDING_ENTRIES:
+            diagonalize(size)
+    for size in list(pending):
+        diagonalize(size)
     return out
 
 
+def _cut_entropy(value: Fraction | np.ndarray) -> float:
+    if isinstance(value, np.ndarray):
+        return shannon_entropy([max(float(v), 0.0) for v in value])
+    return float(value)
+
+
 def _vector_from_spectra(
-    num_parties: int, spectra: dict[Partition, Fraction | np.ndarray]
+    num_parties: int, spectra: dict, weights: Sequence[float] | None = None
 ) -> EntropyVector:
-    """The entropy vector of the cut spectra that `cut_spectra` returned."""
-    values = {
-        part: float(value) if isinstance(value, Fraction)
-        else shannon_entropy([max(float(v), 0.0) for v in value])
-        for part, value in spectra.items()
-    }
-    return EntropyVector(num_parties, values)
+    """The entropy vector of the cut spectra that `cut_spectra` returned;
+    for a stack, the `weights`-weighted sum of its states' vectors."""
+    if weights is None:
+        return EntropyVector(
+            num_parties, {part: _cut_entropy(value) for part, value in spectra.items()}
+        )
+    return EntropyVector(
+        num_parties,
+        {
+            part: sum(w * _cut_entropy(value) for w, value in zip(weights, values))
+            for part, values in spectra.items()
+        },
+    )
 
 
-def entropy_vector(state: PureState) -> EntropyVector:
-    """All partial entropies of a pure state, one per canonical partition."""
-    return _vector_from_spectra(state.num_parties, cut_spectra(state))
+def entropy_vector(
+    state: PureState | np.ndarray, weights: Sequence[float] | None = None
+) -> EntropyVector:
+    """All partial entropies of a pure state, one per canonical partition.
+
+    For a stack of states with shared dims (see `cut_spectra`), pass one
+    weight per state: the result is the weighted sum of their entropy
+    vectors, with branch probabilities as weights the expected one.
+    """
+    if isinstance(state, PureState):
+        if weights is not None:
+            raise ValueError("weights apply to a stack of states only")
+        return _vector_from_spectra(state.num_parties, cut_spectra(state))
+    if weights is None or len(weights) != len(state):
+        raise ValueError("a stack of states needs one weight per state")
+    weights = [float(w) for w in weights]
+    return _vector_from_spectra(state.ndim - 1, cut_spectra(state), weights)
 
 
 def single_party_entropies(state: PureState) -> list[float]:

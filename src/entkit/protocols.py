@@ -10,17 +10,34 @@ Local maps may be proper isometries (ancilla attachment grows a party's
 dimension), and parties may discard subsystems, but only subsystems that
 are in a product state with everything else; together with projective
 measurements this keeps every branch pure, which is what makes the
-partial-entropy bookkeeping exact. Unless disabled, every run asserts the
-monotonicity law for partial entropies: for each partition, the
-probability-weighted entropy of the branch states never exceeds the
-input's. A violation raises EntropyMonotonicityError naming the partition,
-since no sequence of local operations and broadcasts can increase any
-partial entropy.
+partial-entropy bookkeeping exact. Unless disabled, every run checks the
+monotonicity law for partial entropies once it is over: for each
+partition, the probability-weighted entropy of the final branches must not
+exceed the input's. A violation raises EntropyMonotonicityError naming the
+partition, since no sequence of local operations and broadcasts can
+increase any partial entropy on average.
 
 Operators are stored and applied on the factors of a party's local space
 they touch, not as matrices on the whole party: a step may declare the
 party's current `factor_dims` and the factors `on` which it acts, and the
 simulator contracts the small operator over those axes of the state.
+
+Every branch shares the same dims after every step, so the branch set is
+one complex array of shape (B, dim), with a probability vector and a list
+of transcripts. A local map is one contraction over all B rows; a
+measurement with K outcomes turns them into B*K rows, then drops the ones
+below the pruning threshold; a conditioned unitary applies each distinct
+table matrix once, to the rows whose transcript selects it; a discard
+checks purity and finds each row's product factor with one stacked Gram
+and one stacked eigensystem call. Rows are processed in slices of about
+4096 amplitudes, so the transient copies stay small. `PureState` objects
+are built only for the returned branches, and the monotonicity check forms
+one (B, d, d) Gram stack per cut (`entropy.entropy_vector` on the stack).
+The check's cost is arithmetic: forming those Grams, and the exact
+flat-spectrum test, which squares each branch's d x d Gram on every cut,
+O(B d^3) per cut. With 256 branches and Grams up to 32 x 32,
+`cat_to_epr(10, 0, 1)` takes over 2 s with the check and a few hundredths
+of a second without.
 """
 from __future__ import annotations
 
@@ -32,9 +49,9 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .entropy import entropy_vector
+from .entropy import _squared_norms, entropy_vector
 from .linalg import hermitian_eigensystem
-from .states import PureState, fidelity
+from .states import _DENSE_DIM_LIMIT, _NORM_TOL, PureState, fidelity
 
 __all__ = [
     "LocalUnitary",
@@ -44,6 +61,7 @@ __all__ = [
     "ProtocolStep",
     "Branch",
     "ProtocolRun",
+    "StepStats",
     "ProtocolError",
     "EntropyMonotonicityError",
     "run",
@@ -70,6 +88,9 @@ _PROJECTOR_TOL = 1e-9
 _DISCARD_PURITY_TOL = 1e-9
 _PROBABILITY_TOL = 1e-9
 _ENTROPY_GAIN_TOL = 1e-8
+# amplitudes per slice of branch rows an operator is applied to, which
+# bounds the transient copies a step makes
+_CHUNK_AMPS = 1 << 12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -218,12 +239,23 @@ class Branch:
 
 
 @dataclass(frozen=True)
+class StepStats:
+    """Where one protocol step left the branch set."""
+
+    branches: int  # branches after the step
+    pruned: int  # branches dropped below the pruning threshold
+    pruned_mass: float  # their probability, before the final renormalization
+
+
+@dataclass(frozen=True)
 class ProtocolRun:
-    """All branches of a protocol applied to an input state."""
+    """All branches of a protocol applied to an input state, with one
+    `StepStats` per step."""
 
     input_state: PureState
     branches: tuple[Branch, ...]
     probability_drift: float
+    step_stats: tuple[StepStats, ...] = ()
 
     def total_probability(self) -> float:
         return sum(b.probability for b in self.branches)
@@ -294,53 +326,106 @@ def _validate_measurement(step: LocalMeasurement, layout: _FactorLayout, where: 
         raise ProtocolError("measurement projectors do not sum to the identity")
 
 
-def _apply_local(
-    state: PureState, party: int, op: np.ndarray, layout: _FactorLayout
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Apply a checked operator to a party's factors; returns (new_dims,
-    unnormalized vector)."""
-    dims = state.dims
-    t = np.moveaxis(state.as_tensor(), party, 0).reshape(layout.factors + (-1,))
-    out = _apply_factor_op(op, t, layout)
+def _row_chunks(num_rows: int, dim: int) -> list[slice]:
+    """Slices of branch rows holding about `_CHUNK_AMPS` amplitudes each."""
+    per = max(1, _CHUNK_AMPS // dim)
+    return [slice(start, start + per) for start in range(0, num_rows, per)]
+
+
+def _apply_to_rows(op, layout: _FactorLayout, party: int, dims, amps, out, rows=None) -> None:
+    """Write a checked operator on a party's factors, applied to the branch
+    rows `rows` of `amps` (default: all), into the same rows of `out`."""
+    others = dims[:party] + dims[party + 1 :]
     d_out = math.prod(layout.new_factors)
-    out = np.moveaxis(out.reshape((d_out,) + dims[:party] + dims[party + 1 :]), 0, party)
-    return dims[:party] + (d_out,) + dims[party + 1 :], out.reshape(-1)
+    for chunk in _row_chunks(len(amps) if rows is None else len(rows), amps.shape[1]):
+        take = chunk if rows is None else rows[chunk]
+        block = amps[take]
+        n = len(block)
+        t = np.moveaxis(block.reshape((n,) + dims), party + 1, 0)
+        t = _apply_factor_op(op, t.reshape(layout.factors + (-1,)), layout)
+        out[take] = np.moveaxis(t.reshape((d_out, n) + others), 0, party + 1).reshape(n, -1)
 
 
-def _discard_branch(state: PureState, step: DiscardSubsystem) -> PureState:
+def _empty_rows(lead: tuple[int, ...], size: int) -> np.ndarray:
+    """Uninitialized branch rows of `size` amplitudes; refuses, as
+    `PureState` does, a total dimension beyond the dense limit."""
+    if size > _DENSE_DIM_LIMIT:
+        raise ValueError(f"total dimension {size} exceeds the dense representation limit")
+    return np.empty(lead + (size,), dtype=complex)
+
+
+def _normalize_rows(amps: np.ndarray) -> None:
+    """Rescale in place every branch row whose norm is off by more than
+    the `PureState` tolerance, with `PureState`'s checks."""
+    norms = np.sqrt(_squared_norms(amps))
+    if not np.isfinite(norms).all():
+        raise ValueError("state vector has non-finite amplitudes (NaN or infinity)")
+    if (norms < _NORM_TOL).any():
+        raise ValueError("state vector has (near-)zero norm")
+    off = np.abs(norms - 1.0) > _NORM_TOL
+    if off.any():
+        amps /= np.where(off, norms, 1.0)[:, None]
+
+
+def _condition(step: ConditionedUnitary, layout: _FactorLayout, transcripts, where: str) -> list:
+    """Each distinct table matrix, checked once, with the branch rows it
+    acts on (None for all of them)."""
+    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for row, transcript in enumerate(transcripts):
+        mat = step.table.get(transcript)
+        if mat is None:
+            raise ProtocolError(
+                f"{where}: incomplete conditioning table, no entry for "
+                f"transcript {transcript!r}"
+            )
+        if id(mat) not in groups:
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ProtocolError(f"{where}: conditioned matrices must be square")
+            _check_isometry(mat, layout, where)
+            groups[id(mat)] = (mat, [])
+        groups[id(mat)][1].append(row)
+    if len(groups) == 1:
+        return [(mat, None) for mat, _ in groups.values()]
+    return [(mat, np.array(rows)) for mat, rows in groups.values()]
+
+
+def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray):
+    """Drop product factors from every branch row: one stacked purity check
+    and one stacked eigensystem call on the discarded factors' Grams.
+    Returns the new dims and rows."""
     party = step.party
-    dims = state.dims
     if math.prod(step.factor_dims) != dims[party]:
         raise ProtocolError(
             f"declared factors {step.factor_dims} do not multiply to the "
             f"party dimension {dims[party]}"
         )
-    n_factors = len(step.factor_dims)
-    keep = tuple(i for i in range(n_factors) if i not in step.discard)
-    # expand the party axis into factor axes, pull discarded ones to front
-    t = state.as_tensor()
-    t = np.moveaxis(t, party, 0)
-    t = t.reshape(step.factor_dims + t.shape[1:])
-    order = step.discard + keep + tuple(range(n_factors, t.ndim))
-    t = np.transpose(t, order)
     d_disc = math.prod(step.factor_dims[i] for i in step.discard)
-    m = t.reshape(d_disc, -1)
-    gram = m @ m.conj().T
-    purity = float(np.vdot(gram, gram).real)
-    if purity < 1.0 - _DISCARD_PURITY_TOL:
-        raise ProtocolError(
-            f"discarded factors {step.discard} of party {party} are not in a "
-            f"product state (purity {purity:.12g})"
-        )
-    eigenvalues, vectors = hermitian_eigensystem(gram)
-    principal = vectors[:, 0]
-    remainder = principal.conj() @ m
-    d_keep = math.prod(step.factor_dims[i] for i in keep)
-    rest_dims = tuple(d for i, d in enumerate(dims) if i != party)
-    out = np.moveaxis(remainder.reshape((d_keep,) + rest_dims), 0, party)
-    new_dims = list(dims)
-    new_dims[party] = d_keep
-    return PureState(tuple(new_dims), out.reshape(-1))
+    # one axis per factor of the party; the discarded ones move to the front
+    # and everything else keeps its order, which is the layout after the step
+    shape = dims[:party] + step.factor_dims + dims[party + 1 :]
+    discarded = [1 + party + i for i in step.discard]
+    chunks = _row_chunks(len(amps), amps.shape[1])
+
+    def split(chunk: slice) -> np.ndarray:
+        block = amps[chunk].reshape((-1,) + shape)
+        block = np.moveaxis(block, discarded, range(1, 1 + len(discarded)))
+        return block.reshape(len(block), d_disc, -1)
+
+    grams = np.empty((len(amps), d_disc, d_disc), dtype=complex)
+    for chunk in chunks:
+        m = split(chunk)
+        grams[chunk] = m @ m.conj().swapaxes(-1, -2)
+    for purity in _squared_norms(grams):
+        if purity < 1.0 - _DISCARD_PURITY_TOL:
+            raise ProtocolError(
+                f"discarded factors {step.discard} of party {party} are not in a "
+                f"product state (purity {purity:.12g})"
+            )
+    principal = hermitian_eigensystem(grams)[1][:, None, :, 0].conj()
+    out = np.empty((len(amps), amps.shape[1] // d_disc), dtype=complex)
+    for chunk in chunks:
+        out[chunk] = (principal[chunk] @ split(chunk))[:, 0]
+    return dims[:party] + (dims[party] // d_disc,) + dims[party + 1 :], out
 
 
 def run(
@@ -362,77 +447,77 @@ def run(
         if step.party < 0 or step.party >= state.num_parties:
             raise ProtocolError(f"step references party {step.party}, state has {state.num_parties}")
 
-    branches: list[tuple[float, PureState, tuple[str, ...]]] = [(1.0, state, ())]
+    # the branch set: row i of `amps` is branch i's state, all on `dims`
+    dims = state.dims
+    amps = state.amplitudes.reshape(1, -1)
+    probs = np.ones(1)
+    transcripts: list[tuple[str, ...]] = [()]
+    stats = []
     for index, step in enumerate(steps):
         where = f"step {index} ({type(step).__name__})"
-        new_branches: list[tuple[float, PureState, tuple[str, ...]]] = []
-        if not isinstance(step, DiscardSubsystem):
-            layout = _step_layout(step, branches[0][1].dims, where)
-        if isinstance(step, LocalUnitary):
-            _check_isometry(step.matrix, layout, where)
-            for prob, psi, transcript in branches:
-                dims, vec = _apply_local(psi, step.party, step.matrix, layout)
-                new_branches.append((prob, PureState(dims, vec), transcript))
-        elif isinstance(step, LocalMeasurement):
-            _validate_measurement(step, layout, where)
-            for prob, psi, transcript in branches:
-                for proj, outcome in zip(step.projectors, step.outcomes):
-                    dims, vec = _apply_local(psi, step.party, proj, layout)
-                    weight = float(np.vdot(vec, vec).real)
-                    p_new = prob * weight
-                    if p_new < prune_threshold:
-                        continue
-                    new_branches.append(
-                        (p_new, PureState(dims, vec), transcript + (outcome,))
-                    )
-        elif isinstance(step, ConditionedUnitary):
-            checked: set[int] = set()
-            for prob, psi, transcript in branches:
-                if transcript not in step.table:
-                    raise ProtocolError(
-                        f"{where}: incomplete conditioning table, no entry for "
-                        f"transcript {transcript!r}"
-                    )
-                mat = step.table[transcript]
-                if id(mat) not in checked:
-                    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                        raise ProtocolError(f"{where}: conditioned matrices must be square")
-                    _check_isometry(mat, layout, where)
-                    checked.add(id(mat))
-                dims, vec = _apply_local(psi, step.party, mat, layout)
-                new_branches.append((prob, PureState(dims, vec), transcript))
-        else:  # DiscardSubsystem
-            for prob, psi, transcript in branches:
-                new_branches.append((prob, _discard_branch(psi, step), transcript))
-        if not new_branches:
+        pruned, pruned_mass = 0, 0.0
+        if isinstance(step, DiscardSubsystem):
+            dims, amps = _discard(step, dims, amps)
+        else:
+            layout = _step_layout(step, dims, where)
+            new_dims = dims[: step.party] + (math.prod(layout.new_factors),) + dims[step.party + 1 :]
+            size = math.prod(new_dims)
+            if isinstance(step, LocalMeasurement):
+                _validate_measurement(step, layout, where)
+                # row b * K + k holds branch b after outcome k
+                k = len(step.projectors)
+                out = _empty_rows((len(amps), k), size)
+                for i, proj in enumerate(step.projectors):
+                    _apply_to_rows(proj, layout, step.party, dims, amps, out[:, i])
+                out = out.reshape(-1, size)
+                probs = (probs[:, None] * np.reshape(_squared_norms(out), (-1, k))).reshape(-1)
+                transcripts = [t + (o,) for t in transcripts for o in step.outcomes]
+                kept = ~(probs < prune_threshold)
+                if not kept.all():
+                    pruned, pruned_mass = int(len(kept) - kept.sum()), float(probs[~kept].sum())
+                    out, probs = out[kept], probs[kept]
+                    transcripts = list(itertools.compress(transcripts, kept.tolist()))
+            else:
+                if isinstance(step, LocalUnitary):
+                    _check_isometry(step.matrix, layout, where)
+                    groups = [(step.matrix, None)]
+                else:
+                    groups = _condition(step, layout, transcripts, where)
+                out = _empty_rows((len(amps),), size)
+                for mat, rows in groups:
+                    _apply_to_rows(mat, layout, step.party, dims, amps, out, rows)
+            dims, amps = new_dims, out
+        if not len(amps):
             raise ProtocolError(f"{where}: every branch fell below the pruning threshold")
-        branches = new_branches
+        _normalize_rows(amps)
+        stats.append(StepStats(len(amps), pruned, pruned_mass))
 
-    total = sum(prob for prob, _, _ in branches)
+    total = sum(probs.tolist())
     drift = abs(1.0 - total)
     if drift > _PROBABILITY_TOL:
         raise ProtocolError(f"branch probabilities sum to {total:.12g}")
-    branches = [(prob / total, psi, transcript) for prob, psi, transcript in branches]
-    branches.sort(key=lambda b: b[2])
-    result = ProtocolRun(
-        input_state=state,
-        branches=tuple(Branch(p, s, t) for p, s, t in branches),
-        probability_drift=drift,
+    probs = probs.tolist()
+    branches = tuple(
+        Branch(probs[i] / total, PureState(dims, amps[i]), transcripts[i])
+        for i in sorted(range(len(transcripts)), key=transcripts.__getitem__)
     )
+    del amps  # the branches hold their own copies
+    result = ProtocolRun(state, branches, drift, tuple(stats))
     if check_entropy and state.num_parties >= 2:
         _assert_entropy_monotone(result)
     return result
 
 
 def _assert_entropy_monotone(result: ProtocolRun) -> None:
+    """No cut's probability-weighted branch entropy may exceed the input's.
+    The branches share dims, so each cut is one Gram stack over all of them."""
     before = entropy_vector(result.input_state)
-    branch_vectors = [
-        (b.probability, entropy_vector(b.state)) for b in result.branches
-    ]
+    branches = result.branches
+    stack = np.stack([b.state.as_tensor() for b in branches])
+    after = entropy_vector(stack, [b.probability for b in branches])
     for part in before.partitions():
-        expected_after = sum(p * vec.values[part] for p, vec in branch_vectors)
-        if expected_after > before.values[part] + _ENTROPY_GAIN_TOL:
-            raise EntropyMonotonicityError(part.label, before.values[part], expected_after)
+        if after.values[part] > before.values[part] + _ENTROPY_GAIN_TOL:
+            raise EntropyMonotonicityError(part.label, before.values[part], after.values[part])
 
 
 # --- factor-level operator plumbing -----------------------------------------

@@ -342,14 +342,27 @@ def _keep_indices(
     return members
 
 
-def reduced_gram(state: PureState, keep: Partition | Iterable[int]) -> np.ndarray:
-    """Reduced density matrix of `keep`, as a raw ndarray (no wrapper checks)."""
-    members = _keep_indices(state.num_parties, keep)
-    rest = tuple(p for p in range(state.num_parties) if p not in members)
-    dim_keep = math.prod(state.dims[p] for p in members)
-    tensor_view = state.as_tensor().transpose(members + rest)
-    m = tensor_view.reshape(dim_keep, -1)
-    return m @ m.conj().T
+def reduced_gram(
+    state: PureState | np.ndarray, keep: Partition | Iterable[int]
+) -> np.ndarray:
+    """Reduced density matrix of `keep`, as a raw ndarray (no wrapper checks).
+
+    `state` may also be a stack of states with shared dims, an array of
+    shape (B, d1, ..., dm); the result is then the (B, d, d) stack of their
+    reduced matrices.
+    """
+    stacked = isinstance(state, np.ndarray)
+    tensor = state if stacked else state.as_tensor()
+    dims = tensor.shape[stacked:]
+    members = _keep_indices(len(dims), keep)
+    rest = tuple(p for p in range(len(dims)) if p not in members)
+    dim_keep = math.prod(dims[p] for p in members)
+    if stacked:
+        m = tensor.transpose((0,) + tuple(1 + p for p in members + rest))
+        m = m.reshape(len(tensor), dim_keep, -1)
+    else:
+        m = tensor.transpose(members + rest).reshape(dim_keep, -1)
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def partial_trace(

@@ -1,16 +1,37 @@
 """The command-line surface: every subcommand, both formats, exit codes,
 and byte-identical reruns."""
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from entkit.cli import main
+from entkit.cli import _fmt, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(3), "3"),
+        (Fraction(-6, 4), "-3/2"),
+        (True, "yes"),
+        (False, "no"),
+        (7, "7"),
+        (0.1, "0.1"),
+        (1 / 3, "0.333333333333"),
+        (np.float64(2 / 3), "0.666666666667"),
+        (np.float64(1e-20), "1e-20"),
+        ("A;B", "A;B"),
+    ],
+)
+def test_fmt_cells(value, text):
+    assert _fmt(value) == text
 
 
 def test_entropy_table_ghz(capsys):

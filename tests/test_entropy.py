@@ -25,10 +25,12 @@ from entkit.entropy import (
     exact_entropy_ratio_r21,
     exact_entropy_vector,
     exact_entropy_vector_of_factors,
+    flat_spectrum_rank,
     shannon_entropy,
     single_party_entropies,
 )
 from entkit.states import (
+    PureState,
     canonical_partitions,
     random_pure_state,
     random_unitary,
@@ -228,3 +230,71 @@ def test_exact_vector_names_the_first_numeric_cut():
     state = random_pure_state((2, 2, 2), np.random.default_rng(4))
     with pytest.raises(ValueError, match="partition A has no exact"):
         exact_entropy_vector(state)
+
+
+# --- stacks of states with shared dims ------------------------------------------
+
+
+def mixed_stack(dims, seed):
+    """Random states and flat (cat-like, product) ones on the same dims."""
+    rng = np.random.default_rng(seed)
+    states = [random_pure_state(dims, rng) for _ in range(4)]
+    cat = np.zeros(math.prod(dims), dtype=complex)
+    cat[0] = cat[-1] = 1.0
+    product = np.zeros(math.prod(dims), dtype=complex)
+    product[0] = 1.0
+    states[1:1] = [PureState(dims, cat), PureState(dims, product)]
+    return states, np.stack([s.as_tensor() for s in states])
+
+
+def same_spectrum(a, b):
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        return a == b and type(a) is type(b)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2, 2), (3, 3, 4)])
+def test_stacked_cut_spectra_match_each_state(dims):
+    states, stack = mixed_stack(dims, len(dims))
+    stacked = cut_spectra(stack)
+    assert list(stacked) == canonical_partitions(len(dims))
+    for b, state in enumerate(states):
+        for part, value in cut_spectra(state).items():
+            assert same_spectrum(stacked[part][b], value)
+
+
+def test_flat_spectrum_rank_on_a_stack_matches_each_matrix():
+    states, stack = mixed_stack((2, 2, 2, 2), 9)
+    grams = reduced_gram(stack, (0, 1))
+    assert grams.shape == (len(states), 4, 4)
+    ranks = flat_spectrum_rank(grams)
+    assert ranks == [flat_spectrum_rank(g) for g in grams]
+    assert ranks[1:3] == [2, 1] and ranks.count(None) == 4
+    assert exact_entropy(grams) == [exact_entropy(g) for g in grams]
+
+
+def test_entropy_vector_of_a_stack_is_the_weighted_sum():
+    states, stack = mixed_stack((2, 2, 3), 5)
+    weights = np.random.default_rng(6).dirichlet(np.ones(len(states)))
+    got = entropy_vector(stack, weights)
+    vectors = [entropy_vector(s) for s in states]
+    for part in got.partitions():
+        assert got.values[part] == sum(w * v.values[part] for w, v in zip(weights, vectors))
+    with pytest.raises(ValueError):
+        entropy_vector(stack)
+    with pytest.raises(ValueError):
+        entropy_vector(states[0], [1.0])
+
+
+def test_held_back_eigensolver_batches_are_bounded(monkeypatch):
+    calls = count_solver_calls(monkeypatch)
+    _, stack = mixed_stack((2, 2, 2, 2, 2), 12)
+    whole = cut_spectra(stack)
+    assert sorted(calls) == [(20, 2, 2), (40, 4, 4)]  # one call per Gram size
+    calls.clear()
+    monkeypatch.setattr(sys.modules["entkit.entropy"], "_PENDING_ENTRIES", 64)
+    split = cut_spectra(stack)
+    # a batch is flushed once it holds 64 entries, so it ends below 64 plus one cut's rows
+    assert len(calls) > 2 and all(n * d * d < 64 + len(stack) * d * d for n, d, _ in calls)
+    for part, values in whole.items():
+        assert all(same_spectrum(a, b) for a, b in zip(values, split[part]))

@@ -2,6 +2,9 @@
 dilution end to end, and the entropy-monotonicity assertion."""
 import itertools
 import json
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from entkit.protocols import (
     LocalUnitary,
     ProtocolBuilder,
     ProtocolError,
+    ProtocolRun,
+    StepStats,
+    _assert_entropy_monotone,
     bell_projectors,
     cat_to_epr,
     dilution_end_to_end,
@@ -476,6 +482,25 @@ def test_declared_factors_must_match_the_party():
         run([step], epr_pair())
 
 
+def test_growth_past_the_dense_limit_raises_before_allocating():
+    # a 2^18-amplitude input whose party 0 grows by an ancilla of 32, to
+    # 2^23 > 2^21 amplitudes (128 MB), and is then discarded again
+    amps = np.zeros(1 << 18, dtype=complex)
+    amps[0] = 1.0
+    state = PureState((2, 1 << 17), amps)
+    attach = np.zeros((64, 2), dtype=complex)
+    attach[0, 0] = attach[32, 1] = 1.0
+    steps = [LocalUnitary(0, attach), DiscardSubsystem(0, (2, 32), (1,))]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the dense representation limit"):
+            run(steps, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < amps.nbytes
+
+
 # An operator on factor 0 of a party holding [2, 8] that is off by `eps`:
 # the checks on the 2x2 operator must reject it exactly when the checks on
 # the 16x16 party-space matrix do, although the untouched factor multiplies
@@ -510,3 +535,223 @@ def test_small_operator_checks_are_as_strict_as_dense(eps, rejected, which):
                 run(steps, state, check_entropy=False)
         else:
             run(steps, state, check_entropy=False)
+
+
+# --- batched simulator against a per-branch reference ---------------------------
+#
+# The simulator carries the branch set as one (B, dim) array. The reference
+# below is the earlier per-branch simulator and check, kept as an oracle with
+# the same arithmetic but without the input validation: one PureState per
+# branch, one operator application per branch, one eigensystem per branch and
+# discard, one entropy vector per branch.
+
+
+def _reference_apply_local(state, party, op, layout):
+    from entkit.protocols import _apply_factor_op
+
+    dims = state.dims
+    t = np.moveaxis(state.as_tensor(), party, 0).reshape(layout.factors + (-1,))
+    out = _apply_factor_op(op, t, layout)
+    d_out = math.prod(layout.new_factors)
+    out = np.moveaxis(out.reshape((d_out,) + dims[:party] + dims[party + 1 :]), 0, party)
+    return dims[:party] + (d_out,) + dims[party + 1 :], out.reshape(-1)
+
+
+def _reference_discard_branch(state, step):
+    from entkit.linalg import hermitian_eigensystem
+
+    party = step.party
+    dims = state.dims
+    if math.prod(step.factor_dims) != dims[party]:
+        raise ProtocolError("declared factors do not multiply to the party dimension")
+    n_factors = len(step.factor_dims)
+    keep = tuple(i for i in range(n_factors) if i not in step.discard)
+    t = np.moveaxis(state.as_tensor(), party, 0)
+    t = t.reshape(step.factor_dims + t.shape[1:])
+    t = np.transpose(t, step.discard + keep + tuple(range(n_factors, t.ndim)))
+    m = t.reshape(math.prod(step.factor_dims[i] for i in step.discard), -1)
+    gram = m @ m.conj().T
+    purity = float(np.vdot(gram, gram).real)
+    if purity < 1.0 - 1e-9:
+        raise ProtocolError(f"discarded factors are not in a product state (purity {purity:.12g})")
+    _, vectors = hermitian_eigensystem(gram)
+    remainder = vectors[:, 0].conj() @ m
+    d_keep = math.prod(step.factor_dims[i] for i in keep)
+    rest_dims = tuple(d for i, d in enumerate(dims) if i != party)
+    out = np.moveaxis(remainder.reshape((d_keep,) + rest_dims), 0, party)
+    new_dims = list(dims)
+    new_dims[party] = d_keep
+    return PureState(tuple(new_dims), out.reshape(-1))
+
+
+def reference_run(steps, state, prune_threshold=1e-14):
+    from entkit.protocols import _check_isometry, _step_layout, _validate_measurement
+
+    branches = [(1.0, state, ())]
+    for index, step in enumerate(steps):
+        where = f"step {index} ({type(step).__name__})"
+        new_branches = []
+        if not isinstance(step, DiscardSubsystem):
+            layout = _step_layout(step, branches[0][1].dims, where)
+        if isinstance(step, LocalUnitary):
+            _check_isometry(step.matrix, layout, where)
+            for prob, psi, transcript in branches:
+                dims, vec = _reference_apply_local(psi, step.party, step.matrix, layout)
+                new_branches.append((prob, PureState(dims, vec), transcript))
+        elif isinstance(step, LocalMeasurement):
+            _validate_measurement(step, layout, where)
+            for prob, psi, transcript in branches:
+                for proj, outcome in zip(step.projectors, step.outcomes):
+                    dims, vec = _reference_apply_local(psi, step.party, proj, layout)
+                    p_new = prob * float(np.vdot(vec, vec).real)
+                    if p_new < prune_threshold:
+                        continue
+                    new_branches.append((p_new, PureState(dims, vec), transcript + (outcome,)))
+        elif isinstance(step, ConditionedUnitary):
+            for prob, psi, transcript in branches:
+                mat = step.table[transcript]
+                _check_isometry(mat, layout, where)
+                dims, vec = _reference_apply_local(psi, step.party, mat, layout)
+                new_branches.append((prob, PureState(dims, vec), transcript))
+        else:
+            for prob, psi, transcript in branches:
+                new_branches.append((prob, _reference_discard_branch(psi, step), transcript))
+        branches = new_branches
+    total = sum(prob for prob, _, _ in branches)
+    branches = sorted(((p / total, s, t) for p, s, t in branches), key=lambda b: b[2])
+    return ProtocolRun(state, tuple(Branch(p, s, t) for p, s, t in branches), abs(1.0 - total))
+
+
+def reference_assert_entropy_monotone(result):
+    from entkit.entropy import entropy_vector
+
+    before = entropy_vector(result.input_state)
+    branch_vectors = [(b.probability, entropy_vector(b.state)) for b in result.branches]
+    for part in before.partitions():
+        expected_after = sum(p * vec.values[part] for p, vec in branch_vectors)
+        if expected_after > before.values[part] + 1e-8:
+            raise EntropyMonotonicityError(part.label, before.values[part], expected_after)
+
+
+def shipped_protocol_cases():
+    cases = []
+    for m in range(3, 9):
+        for i, j in sorted({(0, 1), (1, m - 1), (0, m - 1), (m - 2, m - 1)}):
+            cases.append(pytest.param(lambda m=m, i=i, j=j: (cat_to_epr(m, i, j), cat_state(m)), id=f"cat_to_epr-{m}-{i}{j}"))
+    for m in range(3, 7):
+        for center in (0, m - 2):
+            cases.append(
+                pytest.param(
+                    lambda m=m, c=center: (eprs_to_cat(m, c), eprs_to_cat_input(m, c)),
+                    id=f"eprs_to_cat-{m}-{center}",
+                )
+            )
+    return cases + [c for c in equivalence_cases() if not c.id.startswith(("cat_to_epr", "eprs_to_cat"))]
+
+
+@pytest.mark.parametrize("make", shipped_protocol_cases())
+def test_batched_run_matches_per_branch_reference(make):
+    steps, state = make()
+    got = run(steps, state)  # the stacked check accepts every shipped run
+    want = reference_run(steps, state)
+    assert [b.transcript for b in got.branches] == [b.transcript for b in want.branches]
+    for x, y in zip(got.branches, want.branches):
+        assert abs(x.probability - y.probability) <= 1e-15
+        assert x.state.dims == y.state.dims
+        assert np.max(np.abs(x.state.amplitudes - y.state.amplitudes)) < 1e-12
+    assert got.probability_drift == pytest.approx(want.probability_drift, abs=1e-15)
+
+
+def haar_fake_run(seed):
+    """A run whose branches are Haar-random states on shared dims, so no cut
+    is flat and the stacked check falls back to the eigensolver."""
+    rng = np.random.default_rng([seed, 77])
+    dims = [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2)][seed % 4]
+    count = int(rng.integers(1, 12))
+    weights = rng.dirichlet(np.ones(count))
+    branches = [Branch(float(w), random_pure_state(dims, rng), (str(i),)) for i, w in enumerate(weights)]
+    if seed % 3 == 0:
+        start = random_pure_state(dims, rng)
+    else:
+        # a weakly entangled input: most seeds must fail on some cut
+        amps = np.zeros(math.prod(dims), dtype=complex)
+        amps[0], amps[-1] = 1.0, rng.uniform(0.0, 1.5)
+        start = PureState(dims, amps)
+    return ProtocolRun(start, tuple(branches), 0.0)
+
+
+def monotonicity_verdict(check, result):
+    try:
+        check(result)
+    except EntropyMonotonicityError as exc:
+        return exc.partition_label, exc.before, exc.after
+    return None
+
+
+def test_stacked_check_matches_per_branch_check_on_haar_branches(monkeypatch):
+    entropy_module = sys.modules["entkit.entropy"]
+    solver_calls = []
+    original = entropy_module.hermitian_eigenvalues
+
+    def counting(matrix):
+        solver_calls.append(np.shape(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(entropy_module, "hermitian_eigenvalues", counting)
+    verdicts = []
+    for seed in range(24):
+        fake = haar_fake_run(seed)
+        solver_calls.clear()
+        got = monotonicity_verdict(_assert_entropy_monotone, fake)
+        # every cut of every branch went through the stacked eigensolver fallback
+        cuts = 2 ** (len(fake.input_state.dims) - 1) - 1
+        assert sum(shape[0] for shape in solver_calls) >= len(fake.branches) * cuts
+        assert got == monotonicity_verdict(reference_assert_entropy_monotone, fake)
+        verdicts.append(got)
+    assert any(v is None for v in verdicts) and any(v is not None for v in verdicts)
+
+
+def counting_wrapper(monkeypatch, module_name, name):
+    module = sys.modules[module_name]
+    calls = []
+    original = getattr(module, name)
+
+    def counting(first, *args):
+        calls.append(first)
+        return original(first, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_check_forms_one_stacked_gram_per_cut(monkeypatch):
+    grams = counting_wrapper(monkeypatch, "entkit.entropy", "reduced_gram")
+    solver = counting_wrapper(monkeypatch, "entkit.entropy", "hermitian_eigenvalues")
+    run(cat_to_epr(8, 0, 1), cat_state(8))
+    stacked = [g for g in grams if isinstance(g, np.ndarray)]
+    assert len(stacked) == 127  # one per canonical cut, not 127 x 64
+    assert all(g.shape == (64,) + (2,) * 8 for g in stacked)
+    assert len(grams) - len(stacked) == 127  # the input's own vector
+    assert solver == []
+
+
+def test_each_discard_makes_one_stacked_eigensystem_call(monkeypatch):
+    calls = counting_wrapper(monkeypatch, "entkit.protocols", "hermitian_eigensystem")
+    steps = eprs_to_cat(4, 0)
+    run(steps, eprs_to_cat_input(4, 0))
+    assert sum(isinstance(step, DiscardSubsystem) for step in steps) == 3
+    assert [np.shape(c) for c in calls] == [(4, 4, 4), (16, 4, 4), (64, 4, 4)]
+
+
+@pytest.mark.parametrize("m, i, j", [(3, 0, 1), (5, 1, 4), (7, 2, 3)])
+def test_step_stats_cat_to_epr_doubles_per_helper(m, i, j):
+    outcome = run(cat_to_epr(m, i, j), cat_state(m))
+    helpers = [2**h for h in range(1, m - 1)]
+    assert outcome.step_stats == tuple(StepStats(b, 0, 0.0) for b in helpers + [helpers[-1]])
+
+
+def test_step_stats_count_pruned_branches():
+    basis = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    outcome = run([LocalMeasurement(0, basis, ("0", "1"))], make_state((2, 2), [("00", 1.0)]))
+    assert [b.transcript for b in outcome.branches] == [("0",)]
+    assert outcome.step_stats == (StepStats(1, 1, 0.0),)
