@@ -29,7 +29,7 @@ from .mregs import (
     r21_table,
     solve_coefficients,
 )
-from .protocols import load_protocol, run
+from .protocols import _expected, load_protocol, run
 from .reducibility import classify_states, ghz_epr_witness
 from .schmidt import (
     _mean_yield,
@@ -203,7 +203,7 @@ def _cmd_run_protocol(args) -> int:
         rows.append(row)
     _emit(args, rows)
     if args.format == "text" and target is not None:
-        print(f"expected fidelity: {_fmt(outcome.expected_fidelity(target))}")
+        print(f"expected fidelity: {_fmt(_expected(outcome.branches, fidelities))}")
     return 0
 
 

@@ -41,11 +41,12 @@ of a second without.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -113,17 +114,24 @@ class EntropyMonotonicityError(ProtocolError):
         self.after = after
 
 
+@functools.cache
+def _step_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """(name, required) for each dataclass field of a step class, in order."""
+    return tuple((f.name, f.default is MISSING) for f in fields(cls))
+
+
 def _freeze_placement(step) -> None:
-    """Normalize a step's placement fields to ints. Without `factor_dims` a
-    step acts on the whole party, and the other placement fields must be
-    unset."""
-    names = [n for n in ("on", "out_dims", "insert_at") if hasattr(step, n)]
+    """Normalize an operator step's placement fields, `factor_dims` and the
+    fields after it, to ints. Without `factor_dims` a step acts on the
+    whole party, and the other placement fields must be unset."""
+    names = [name for name, _ in _step_fields(type(step))]
+    placement = names[names.index("factor_dims") + 1 :]
     if step.factor_dims is None:
-        if any(getattr(step, n) is not None for n in names):
-            raise ValueError("`on`, `out_dims` and `insert_at` need `factor_dims`")
+        if any(getattr(step, n) is not None for n in placement):
+            raise ValueError(f"{', '.join(map(repr, placement))} need 'factor_dims'")
         return
     object.__setattr__(step, "factor_dims", tuple(int(d) for d in step.factor_dims))
-    for name in names:
+    for name in placement:
         value = getattr(step, name)
         if value is not None:
             value = int(value) if name == "insert_at" else tuple(int(i) for i in value)
@@ -230,6 +238,16 @@ class DiscardSubsystem:
 
 ProtocolStep = Union[LocalUnitary, LocalMeasurement, ConditionedUnitary, DiscardSubsystem]
 
+# each step class under its protocol-file "type"; its dataclass fields, in
+# order, are the keys of that type's entries
+_STEP_TYPES = {
+    "unitary": LocalUnitary,
+    "measurement": LocalMeasurement,
+    "conditioned": ConditionedUnitary,
+    "discard": DiscardSubsystem,
+}
+_TYPE_NAMES = {cls: kind for kind, cls in _STEP_TYPES.items()}
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -264,7 +282,12 @@ class ProtocolRun:
         return [fidelity(b.state, target) for b in self.branches]
 
     def expected_fidelity(self, target: PureState) -> float:
-        return sum(b.probability * fidelity(b.state, target) for b in self.branches)
+        return _expected(self.branches, self.branch_fidelities(target))
+
+
+def _expected(branches: Sequence[Branch], values: Sequence[float]) -> float:
+    """The probability-weighted sum of one value per branch."""
+    return sum(b.probability * v for b, v in zip(branches, values))
 
 
 def _step_layout(step, dims: tuple[int, ...], where: str) -> _FactorLayout:
@@ -442,7 +465,7 @@ def run(
     partial-entropy monotonicity assertion runs over every partition.
     """
     for step in steps:
-        if not isinstance(step, (LocalUnitary, LocalMeasurement, ConditionedUnitary, DiscardSubsystem)):
+        if not isinstance(step, tuple(_TYPE_NAMES)):
             raise ProtocolError(f"unknown protocol step {step!r}")
         if step.party < 0 or step.party >= state.num_parties:
             raise ProtocolError(f"step references party {step.party}, state has {state.num_parties}")
@@ -864,11 +887,7 @@ class ProtocolBuilder:
         if math.prod(in_dims) != d:
             raise ValueError("Kraus dimension does not match the selected factors")
         ancilla = self.unitary(party, iso, on=on, out_dims=in_dims + [n_out])[-1]
-        basis_projs = []
-        for i in range(n_out):
-            p = np.zeros((n_out, n_out), dtype=complex)
-            p[i, i] = 1.0
-            basis_projs.append(p)
+        basis_projs = [np.diag(row) for row in np.eye(n_out, dtype=complex)]
         self.measure(party, basis_projs, list(outcomes), on=[ancilla])
         self.discard(party, [ancilla])
 
@@ -903,13 +922,6 @@ def cat_to_epr(m: int, i: int, j: int) -> list[ProtocolStep]:
     return builder.steps()
 
 
-def _cat_amplitudes(m: int) -> np.ndarray:
-    vec = np.zeros(2**m, dtype=complex)
-    vec[0] = 1.0
-    vec[-1] = 1.0
-    return vec / np.sqrt(2.0)
-
-
 def eprs_to_cat_input(m: int, center: int = 0) -> PureState:
     """Input for `eprs_to_cat`: EPR pairs from `center` to every other party,
     with an m-qubit cat state prepared locally at the center.
@@ -918,15 +930,15 @@ def eprs_to_cat_input(m: int, center: int = 0) -> PureState:
     (legs ordered by the other party's index); every other party holds one
     qubit.
     """
-    from .builders import epr_pair  # local import to avoid a cycle
-    from .states import PureState as _PureState, tensor, permute_parties
+    from .builders import cat_state, epr_pair  # local import to avoid a cycle
+    from .states import permute_parties, tensor
 
     if m < 2:
         raise ValueError("need at least two parties")
     if not 0 <= center < m:
         raise ValueError("center out of range")
     others = [p for p in range(m) if p != center]
-    acc = _PureState((2**m,), _cat_amplitudes(m))
+    acc = PureState((2**m,), cat_state(m).amplitudes)
     for position, _ in enumerate(others):
         acc = tensor(acc, epr_pair(), {0: 0, 1: 1 + position})
     # party 0 of `acc` is the center; move it to its global slot
@@ -990,19 +1002,13 @@ class DilutionReport:
 def _ranking_permutation(probs: Sequence[float], n: int) -> np.ndarray:
     """Permutation matrix sending each n-letter string (as a basis index)
     to its rank by descending product probability, ties broken lexically."""
-    r = len(probs)
-    strings = list(itertools.product(range(r), repeat=n))
+    # product() lists the strings in basis-index order
+    strings = list(itertools.product(range(len(probs)), repeat=n))
     ranked = sorted(
-        strings, key=lambda s: (-math.prod(probs[x] for x in s), s)
+        range(len(strings)),
+        key=lambda i: (-math.prod(probs[x] for x in strings[i]), strings[i]),
     )
-    d = r**n
-    perm = np.zeros((d, d), dtype=complex)
-    for rank, s in enumerate(ranked):
-        index = 0
-        for x in s:
-            index = index * r + x
-        perm[rank, index] = 1.0
-    return perm
+    return np.eye(len(strings), dtype=complex)[ranked]
 
 
 def _normalize_coefficients(coefficients: Sequence[float]) -> np.ndarray:
@@ -1158,15 +1164,9 @@ def dilution_end_to_end(
         pad[0] = 1.0
         reference = tensor(reference, PureState((2**junk,), pad), {0: 0})
 
-    expected = 0.0
-    success_p = 0.0
-    success_f = 0.0
-    for branch in result.branches:
-        f = fidelity(branch.state, reference)
-        expected += branch.probability * f
-        if junk == 0 or branch.transcript[0] == "ok":
-            success_p += branch.probability
-            success_f += branch.probability * f
+    fidelities = result.branch_fidelities(reference)
+    fit = [(b, f) for b, f in zip(result.branches, fidelities) if junk == 0 or b.transcript[0] == "ok"]
+    success_p = sum(b.probability for b, _ in fit)
     if success_p <= 0:
         raise ProtocolError("no branch fit the cat budget")
     return DilutionReport(
@@ -1177,14 +1177,16 @@ def dilution_end_to_end(
         run=result,
         target=reference,
         success_probability=success_p,
-        success_fidelity=success_f / success_p,
-        expected_fidelity=expected,
+        success_fidelity=sum(b.probability * f for b, f in fit) / success_p,
+        expected_fidelity=_expected(result.branches, fidelities),
     )
 
 
 # --- protocol file format ----------------------------------------------------
 #
-# A protocol file is a JSON list of step objects:
+# A protocol file is a JSON list of step objects. The step dataclasses are
+# the schema: an entry is {"type": ...} (the class's name in `_STEP_TYPES`)
+# followed by the class's fields in declaration order, unset ones omitted:
 #   {"type": "unitary", "party": 0, "matrix": [[[re, im], ...], ...]}
 #   {"type": "measurement", "party": 0, "projectors": [...], "outcomes": [...]}
 #   {"type": "conditioned", "party": 0, "table": {"+,-": [[...]]}}
@@ -1192,9 +1194,7 @@ def dilution_end_to_end(
 # Matrix entries are [re, im] pairs (bare numbers are accepted as real).
 # Unitary, measurement and conditioned entries may add "factor_dims" and
 # "on" (and a unitary "out_dims" and "insert_at"); without them the step
-# acts on the whole party.
-
-_PLACEMENT_KEYS = ("factor_dims", "on", "out_dims", "insert_at")
+# acts on the whole party. Keys a step type does not have are ignored.
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list:
@@ -1218,111 +1218,69 @@ def _matrix_from_json(payload) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _placement_to_json(step: ProtocolStep) -> dict:
-    out = {}
-    for key in _PLACEMENT_KEYS:
-        value = getattr(step, key, None)
-        if value is not None:
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+def _field_to_json(name: str, value):
+    if name == "matrix":
+        return _matrix_to_json(value)
+    if name == "projectors":
+        return [_matrix_to_json(p) for p in value]
+    if name == "table":
+        return {",".join(key): _matrix_to_json(mat) for key, mat in sorted(value.items())}
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _placement_from_json(entry: Mapping, step_type: type) -> dict:
-    return {
-        key: entry[key]
-        for key in _PLACEMENT_KEYS
-        if key in entry and hasattr(step_type, key)
-    }
+def _field_from_json(name: str, value):
+    """A field's value from its file entry; the step classes normalize the
+    fields this passes through."""
+    if name == "party":
+        return int(value)
+    if name == "matrix":
+        return _matrix_from_json(value)
+    if name == "projectors":
+        return tuple(_matrix_from_json(p) for p in value)
+    if name == "table":
+        return {tuple(key.split(",")) if key else (): _matrix_from_json(mat) for key, mat in value.items()}
+    return value
 
 
 def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:
     out = []
     for step in steps:
-        if isinstance(step, LocalUnitary):
-            out.append(
-                {
-                    "type": "unitary",
-                    "party": step.party,
-                    "matrix": _matrix_to_json(step.matrix),
-                    **_placement_to_json(step),
-                }
-            )
-        elif isinstance(step, LocalMeasurement):
-            out.append(
-                {
-                    "type": "measurement",
-                    "party": step.party,
-                    "projectors": [_matrix_to_json(p) for p in step.projectors],
-                    "outcomes": list(step.outcomes),
-                    **_placement_to_json(step),
-                }
-            )
-        elif isinstance(step, ConditionedUnitary):
-            out.append(
-                {
-                    "type": "conditioned",
-                    "party": step.party,
-                    "table": {
-                        ",".join(key): _matrix_to_json(mat)
-                        for key, mat in sorted(step.table.items())
-                    },
-                    **_placement_to_json(step),
-                }
-            )
-        elif isinstance(step, DiscardSubsystem):
-            out.append(
-                {
-                    "type": "discard",
-                    "party": step.party,
-                    "factor_dims": list(step.factor_dims),
-                    "discard": list(step.discard),
-                }
-            )
-        else:
+        kind = _TYPE_NAMES.get(type(step))
+        if kind is None:
             raise ValueError(f"cannot serialize step {step!r}")
+        entry = {"type": kind}
+        for name, _ in _step_fields(type(step)):
+            value = getattr(step, name)
+            if value is not None:
+                entry[name] = _field_to_json(name, value)
+        out.append(entry)
     return out
 
 
 def protocol_from_list(payload: Sequence[Mapping]) -> list[ProtocolStep]:
+    """Steps from a parsed protocol file. A malformed payload or entry
+    raises one ValueError naming the entry (numbered from 0, as in `run`)."""
+    if not isinstance(payload, (list, tuple)):
+        raise ValueError(f"a protocol is a list of steps, not {type(payload).__name__}")
     steps: list[ProtocolStep] = []
-    for entry in payload:
+    for index, entry in enumerate(payload):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"protocol step {index}: expected an object, not {type(entry).__name__}")
         kind = entry.get("type")
-        party = int(entry["party"])
-        if kind == "unitary":
-            steps.append(
-                LocalUnitary(
-                    party,
-                    _matrix_from_json(entry["matrix"]),
-                    **_placement_from_json(entry, LocalUnitary),
-                )
-            )
-        elif kind == "measurement":
-            steps.append(
-                LocalMeasurement(
-                    party,
-                    tuple(_matrix_from_json(p) for p in entry["projectors"]),
-                    tuple(entry["outcomes"]),
-                    **_placement_from_json(entry, LocalMeasurement),
-                )
-            )
-        elif kind == "conditioned":
-            table = {
-                tuple(key.split(",")) if key else (): _matrix_from_json(mat)
-                for key, mat in entry["table"].items()
-            }
-            steps.append(
-                ConditionedUnitary(party, table, **_placement_from_json(entry, ConditionedUnitary))
-            )
-        elif kind == "discard":
-            steps.append(
-                DiscardSubsystem(
-                    party,
-                    tuple(int(d) for d in entry["factor_dims"]),
-                    tuple(int(i) for i in entry["discard"]),
-                )
-            )
-        else:
-            raise ValueError(f"unknown protocol step type {kind!r}")
+        cls = _STEP_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"protocol step {index}: unknown step type {kind!r}")
+        where = f"protocol step {index} ({kind})"
+        values = {}
+        for name, required in _step_fields(cls):
+            if name in entry:
+                values[name] = entry[name]
+            elif required:
+                raise ValueError(f"{where}: missing field {name!r}")
+        try:
+            steps.append(cls(**{name: _field_from_json(name, v) for name, v in values.items()}))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return steps
 
 

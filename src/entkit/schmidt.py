@@ -12,7 +12,9 @@ type-class counting.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -307,16 +309,6 @@ def cat_yield(state: PureState) -> float:
 # --- type-class combinatorics ------------------------------------------------
 
 
-def _compositions(total: int, bins: int):
-    """All tuples of `bins` nonnegative ints summing to `total`, lexicographic."""
-    if bins == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, bins - 1):
-            yield (head,) + tail
-
-
 def _multinomial(counts: Sequence[int]) -> int:
     out = 1
     seen = 0
@@ -334,7 +326,14 @@ def _log2_int(value: int) -> float:
     return shift + math.log2(value / (1 << shift))
 
 
-def _clean_distribution(probs: Sequence[float]) -> list[float]:
+def _type_classes(probs: Sequence[float], n: int):
+    """(counts, per-string probability, class size) of every type class of
+    n-letter strings with nonzero probability, counts in lexicographic order.
+
+    Stars and bars: the counts are the gaps between len(probs) - 1 sorted
+    cut points in 0..n, and the cut tuples come out in lexicographic order,
+    so the counts do too.
+    """
     p = [float(x) for x in probs]
     if len(p) < 1:
         raise ValueError("need at least one probability")
@@ -343,7 +342,15 @@ def _clean_distribution(probs: Sequence[float]) -> list[float]:
     total = sum(p)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return [x / total for x in p]
+    if n < 1:
+        raise ValueError("need at least one copy")
+    p = [x / total for x in p]
+    for cuts in itertools.combinations_with_replacement(range(n + 1), len(p) - 1):
+        counts = tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
+        # a zero count's factor is exactly 1.0, so it leaves the product as is
+        per_string = math.prod(map(pow, p, counts))
+        if per_string != 0.0:
+            yield counts, per_string, _multinomial(counts)
 
 
 @dataclass(frozen=True)
@@ -370,27 +377,16 @@ def concentration_yield_distribution(
     extractable as whole ones. Branches come back in lexicographic order
     of their count profiles.
     """
-    p = _clean_distribution(probs)
-    if n < 1:
-        raise ValueError("need at least one copy")
-    branches = []
-    for counts in _compositions(n, len(p)):
-        size = _multinomial(counts)
-        prob = float(size) * math.prod(
-            base**c for base, c in zip(p, counts) if c
+    return [
+        TypeBranch(
+            counts=counts,
+            probability=float(size) * per_string,
+            size=size,
+            yield_bits=_log2_int(size),
+            yield_floor=size.bit_length() - 1,
         )
-        if prob == 0.0:
-            continue
-        branches.append(
-            TypeBranch(
-                counts=counts,
-                probability=prob,
-                size=size,
-                yield_bits=_log2_int(size),
-                yield_floor=size.bit_length() - 1,
-            )
-        )
-    return branches
+        for counts, per_string, size in _type_classes(probs, n)
+    ]
 
 
 def expected_concentration_yield(probs: Sequence[float], n: int) -> float:
@@ -425,21 +421,12 @@ def dilution_retained_types(
 ) -> list[tuple[tuple[int, ...], float, int, int]]:
     """Breakdown of `dilution_fidelity`: (counts, per-string probability,
     class size, strings kept) per type, in the greedy order."""
-    p = _clean_distribution(probs)
-    if n < 1:
-        raise ValueError("need at least one copy")
     if k < 0:
         raise ValueError("cat budget must be nonnegative")
-    types = []
-    for counts in _compositions(n, len(p)):
-        per_string = math.prod(base**c for base, c in zip(p, counts) if c)
-        if per_string == 0.0:
-            continue
-        types.append((per_string, counts, _multinomial(counts)))
-    types.sort(key=lambda t: (-t[0], t[1]))
+    types = sorted(_type_classes(probs, n), key=lambda t: (-t[1], t[0]))
     budget = 1 << k
     rows = []
-    for per_string, counts, size in types:
+    for counts, per_string, size in types:
         take = min(size, budget)
         rows.append((counts, per_string, size, take))
         budget -= take

@@ -458,15 +458,28 @@ def random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> np
 
 
 def state_from_dict(payload: Mapping) -> PureState:
+    """A state from a parsed state file. A malformed term raises one
+    ValueError naming it (terms numbered from 0)."""
     try:
         dims = [int(d) for d in payload["dims"]]
         raw_terms = payload["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"state payload missing field: {exc}") from exc
+    if not isinstance(raw_terms, (list, tuple)):
+        raise ValueError(f"state terms must be a list, not {type(raw_terms).__name__}")
     terms = []
-    for entry in raw_terms:
-        basis = [int(i) for i in entry["basis"]]
-        amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+    for index, entry in enumerate(raw_terms):
+        # a state can have many terms, so the checks run only on failure
+        try:
+            basis = [int(i) for i in entry["basis"]]
+            amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = exc
+            if not isinstance(entry, Mapping):
+                reason = f"expected an object, not {type(entry).__name__}"
+            elif isinstance(exc, KeyError):
+                reason = f"missing field {exc}"
+            raise ValueError(f"state term {index}: {reason}") from exc
         terms.append((basis, amp))
     return make_state(dims, terms)
 

@@ -1,10 +1,15 @@
 """The command-line surface: every subcommand, both formats, exit codes,
 and byte-identical reruns."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from conftest import MALFORMED_PROTOCOLS, MALFORMED_STATES
 
 from entkit.cli import _fmt, main
 
@@ -144,6 +149,69 @@ def test_run_protocol_with_target(capsys, tmp_path):
     assert lines[0] == "transcript,probability,fidelity"
     assert len(lines) == 17
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_run_protocol_text_scores_each_branch_once(capsys, monkeypatch, tmp_path):
+    import entkit.protocols
+    from entkit.protocols import cat_to_epr, save_protocol
+
+    calls = []
+    original = entkit.protocols.fidelity
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(entkit.protocols, "fidelity", counting)
+    path = str(tmp_path / "p.json")
+    save_protocol(cat_to_epr(5, 0, 1), path)
+    code, out, _ = run_cli(
+        capsys, "run-protocol", "--state", "cat5", "--protocol", path, "--target", "cat5"
+    )
+    assert code == 0
+    assert "expected fidelity:" in out
+    assert len(calls) == 8  # one per branch
+
+
+def assert_one_error_line(code, out, err, message):
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_PROTOCOLS)
+def test_malformed_protocol_file_is_one_error_line(capsys, tmp_path, payload, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    result = run_cli(capsys, "run-protocol", "--state", "epr", "--protocol", str(path))
+    assert_one_error_line(*result, message)
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_STATES)
+def test_malformed_state_file_is_one_error_line(capsys, tmp_path, payload, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    result = run_cli(capsys, "entropy-table", "--state", str(path))
+    assert_one_error_line(*result, message)
+
+
+def test_malformed_files_exit_1_from_the_console(tmp_path):
+    proto = tmp_path / "p.json"
+    proto.write_text(json.dumps([{"type": "discard", "party": 0, "factor_dims": [2]}]))
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps({"dims": [2, 2], "terms": [{"re": 1.0}]}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, message in (
+        (["run-protocol", "--state", "epr", "--protocol", str(proto)], "protocol step 0 (discard): missing field 'discard'"),
+        (["entropy-table", "--state", str(state)], "state term 0: missing field 'basis'"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "entkit.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert_one_error_line(done.returncode, done.stdout, done.stderr, message)
 
 
 def test_concentrate(capsys):

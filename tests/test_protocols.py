@@ -5,11 +5,12 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import random_protocol
+from conftest import MALFORMED_PROTOCOLS, random_protocol
 
 from entkit.builders import cat_state, epr_between, epr_pair, eprs_complete
 from entkit.protocols import (
@@ -340,6 +341,56 @@ def test_protocol_list_roundtrip_preserves_step_count():
     for x, y in zip(a.branches, b.branches):
         assert x.transcript == y.transcript
         assert fidelity(y.state, cat_state(3)) >= 1.0 - 1e-9
+
+
+def dense_four_steps():
+    plus, minus = hadamard_projectors()
+    return [
+        LocalUnitary(0, H),
+        LocalMeasurement(1, (plus, minus), ("+", "-")),
+        ConditionedUnitary(0, {("+",): np.eye(2), ("-",): X}),
+        DiscardSubsystem(1, (2, 1), (1,)),
+    ]
+
+
+# protocols with every step type, with and without placement fields
+CODEC_CASES = [
+    pytest.param(dense_four_steps, id="dense"),
+    pytest.param(lambda: dilution_protocol([0.5, 0.3, 0.6, np.sqrt(0.3)], 1, 1, 2), id="dilution"),
+    pytest.param(lambda: eprs_to_cat(3, 1), id="eprs_to_cat-3-1"),
+    pytest.param(lambda: povm_case()[0], id="povm"),
+]
+
+
+@pytest.mark.parametrize("make", CODEC_CASES)
+def test_file_entries_are_the_step_fields_in_order(make):
+    steps = make()
+    payload = protocol_to_list(steps)
+    for step, entry in zip(steps, payload):
+        names = [f.name for f in fields(step) if getattr(step, f.name) is not None]
+        assert list(entry) == ["type"] + names
+    # what a file holds reads back to the same entries
+    reread = json.loads(json.dumps(payload))
+    assert protocol_to_list(protocol_from_list(reread)) == reread
+
+
+def test_the_codec_cases_cover_every_step_type():
+    kinds = {entry["type"] for case in CODEC_CASES for entry in protocol_to_list(case.values[0]())}
+    assert kinds == {"unitary", "measurement", "conditioned", "discard"}
+
+
+def test_unknown_keys_in_a_step_are_ignored():
+    payload = protocol_to_list(cat_to_epr(3, 0, 1))
+    # `insert_at` is a unitary field; these measurement and conditioned steps have none
+    noisy = [dict(entry, note="ignored", insert_at=5) for entry in payload]
+    assert protocol_to_list(protocol_from_list(noisy)) == payload
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_PROTOCOLS)
+def test_malformed_protocol_names_the_entry(payload, message):
+    with pytest.raises(ValueError) as excinfo:
+        protocol_from_list(payload)
+    assert str(excinfo.value).startswith(message)
 
 
 # --- factor-local steps against their dense expansion ---------------------------

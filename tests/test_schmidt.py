@@ -1,5 +1,7 @@
 """Schmidt machinery, the m-orthogonality test, and the type-class
 combinatorics behind concentration and dilution."""
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from entkit.builders import cat_power, cat_state
 from entkit.schmidt import (
+    _type_classes,
     cat_yield,
     concentration_yield_distribution,
     dilution_fidelity,
@@ -144,6 +147,29 @@ def test_concentration_yield_matches_brute_force():
         assert branches[counts].probability == pytest.approx(
             size * per_string, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("letters", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_classes_match_brute_force(letters, n):
+    probs = [x / sum(range(1, letters + 1)) for x in range(1, letters + 1)]
+    sizes = collections.Counter()
+    per_string = {}
+    for string in itertools.product(range(letters), repeat=n):
+        counts = tuple(string.count(x) for x in range(letters))
+        sizes[counts] += 1
+        per_string[counts] = math.prod(probs[x] for x in string)
+    classes = list(_type_classes(probs, n))
+    assert [c[0] for c in classes] == sorted(sizes)
+    assert {c[0]: c[2] for c in classes} == sizes
+    for counts, p, _ in classes:
+        assert p == pytest.approx(per_string[counts], rel=1e-12)
+
+
+def test_type_classes_skip_zero_probability_letters():
+    classes = list(_type_classes([0.5, 0.0, 0.5], 3))
+    assert [c[0] for c in classes] == [(0, 0, 3), (1, 0, 2), (2, 0, 1), (3, 0, 0)]
+    assert [c[2] for c in classes] == [1, 3, 3, 1]
 
 
 def test_concentration_gap_shrinks():

@@ -1,9 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_STATES
+
 from entkit.states import (
+    DensityMatrix,
     Partition,
     PureState,
     canonical_partitions,
@@ -17,6 +21,7 @@ from entkit.states import (
     reduced_gram,
     refine_to_qubits,
     save_state,
+    state_from_dict,
     tensor,
 )
 
@@ -130,6 +135,40 @@ def test_partial_trace_product_state():
     assert np.linalg.norm(rho.matrix - expect) < 1e-12
 
 
+def density(state: PureState) -> DensityMatrix:
+    return DensityMatrix(state.dims, np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 3, 2)])
+def test_density_matrix_partial_trace_in_steps_matches_direct(dims):
+    psi = random_pure_state(dims, rng=len(dims))
+    rho = density(psi)
+    n = len(dims)
+    for size in range(1, n):
+        for keep in itertools.combinations(range(n), size):
+            # trace out one party at a time, last first so indices stay put
+            stepped = rho
+            for p in reversed([p for p in range(n) if p not in keep]):
+                stepped = partial_trace(stepped, [q for q in range(len(stepped.dims)) if q != p])
+            direct = partial_trace(rho, keep)
+            from_pure = partial_trace(psi, keep)
+            assert stepped.dims == direct.dims == from_pure.dims
+            assert np.max(np.abs(stepped.matrix - from_pure.matrix)) < 1e-12
+            assert np.max(np.abs(direct.matrix - from_pure.matrix)) < 1e-12
+
+
+def test_fidelity_of_a_pure_reduced_density_matrix():
+    rng = np.random.default_rng(6)
+    phi = random_pure_state((2, 2), rng)  # held by parties 0 and 2
+    chi = random_pure_state((3,), rng)  # held by party 1
+    joint = PureState((2, 3, 2), np.einsum("ik,j->ijk", phi.as_tensor(), chi.amplitudes).reshape(-1))
+    for rho in (partial_trace(density(joint), (0, 2)), partial_trace(joint, (0, 2))):
+        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        for seed in range(3):
+            psi = random_pure_state((2, 2), rng=seed)
+            assert fidelity(rho, psi) == pytest.approx(abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2, abs=1e-12)
+
+
 def test_fidelity_bounds():
     s = random_pure_state((2, 2), rng=2)
     t = random_pure_state((2, 2), rng=3)
@@ -171,6 +210,13 @@ def test_state_file_normalizes_on_load(tmp_path):
     s = load_state(str(path))
     assert abs(s.basis_amplitude((0,)) - 0.6) < 1e-12
     assert abs(s.basis_amplitude((1,)) - 0.8) < 1e-12
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_STATES)
+def test_malformed_state_names_the_term(payload, message):
+    with pytest.raises(ValueError) as excinfo:
+        state_from_dict(payload)
+    assert str(excinfo.value).startswith(message)
 
 
 def test_pure_state_rejects_zero_vector():
