@@ -14,6 +14,8 @@ The package splits by what changes hands:
 - `mregs`: exact linear algebra over entropy vectors, feasibility
   certificates, generating-set lower bounds.
 """
+import types
+
 from .builders import (
     cat_power,
     cat_state,
@@ -122,96 +124,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "Classification",
-    "CoefficientSolution",
-    "ComparisonVerdict",
-    "ConditionedUnitary",
-    "DensityMatrix",
-    "DilutionReport",
-    "DiscardSubsystem",
-    "EntropyMatrix",
-    "EntropyMonotonicityError",
-    "EntropyVector",
-    "GhzEprWitness",
-    "Infeasible",
-    "InternalError",
-    "LocalMeasurement",
-    "LocalUnitary",
-    "MOrthogonalResult",
-    "MregsBound",
-    "Partition",
-    "PartitionAsymmetryError",
-    "ProtocolBuilder",
-    "ProtocolError",
-    "ProtocolRun",
-    "PureState",
-    "SchmidtDecomposition",
-    "StepStats",
-    "bell_projectors",
-    "canonical_partitions",
-    "cat_power",
-    "cat_state",
-    "cat_to_epr",
-    "cat_yield",
-    "chain_edges",
-    "classify_states",
-    "codeword5",
-    "complete_graph_edges",
-    "concentration_yield_distribution",
-    "cut_spectra",
-    "dilution_end_to_end",
-    "dilution_fidelity",
-    "dilution_input",
-    "dilution_protocol",
-    "dilution_retained_types",
-    "egs_check",
-    "embedded_cat",
-    "entropy",
-    "entropy_ratio_r21",
-    "entropy_vector",
-    "epr_between",
-    "epr_pair",
-    "eprs_chain",
-    "eprs_complete",
-    "eprs_graph",
-    "eprs_to_cat",
-    "eprs_to_cat_input",
-    "exact_bipartite_reducible",
-    "exact_entropy",
-    "exact_entropy_ratio_r21",
-    "exact_entropy_vector",
-    "exact_entropy_vector_of_factors",
-    "expected_concentration_yield",
-    "fidelity",
-    "ghz_epr_witness",
-    "ghz_state",
-    "hadamard_projectors",
-    "is_isentropic",
-    "is_m_orthogonal",
-    "is_marginally_isentropic",
-    "is_npt_pair",
-    "load_protocol",
-    "load_state",
-    "lu_equivalent_bipartite",
-    "majorizes",
-    "make_state",
-    "mregs_lower_bound",
-    "parse_named_state",
-    "partial_trace",
-    "permute_parties",
-    "ppt_minimum_eigenvalue",
-    "r21_table",
-    "random_pure_state",
-    "random_unitary",
-    "reduced_gram",
-    "run",
-    "save_protocol",
-    "save_state",
-    "schmidt_decompose",
-    "shannon_entropy",
-    "single_party_entropies",
-    "solve_coefficients",
-    "tensor",
-]
+# every name imported above, and nothing else
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -10,11 +10,15 @@ human-readable text for machine-friendly CSV on stdout.
 Exit codes: 0 on success, 1 when the inputs are well-formed but the
 computation rejects them (bad state file, impossible request), 2 on usage
 errors, 3 when an internal invariant fails (a bug in entkit).
+
+The argument parser is built once per process, on the first `main` call,
+and shared by every later call; no argument has a mutable default.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 
@@ -320,6 +324,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entkit",
@@ -406,9 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -1194,7 +1194,8 @@ def dilution_end_to_end(
 # Matrix entries are [re, im] pairs (bare numbers are accepted as real).
 # Unitary, measurement and conditioned entries may add "factor_dims" and
 # "on" (and a unitary "out_dims" and "insert_at"); without them the step
-# acts on the whole party. Keys a step type does not have are ignored.
+# acts on the whole party. Keys a step type does not have are ignored, and
+# a null value leaves its field unset.
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list:
@@ -1229,9 +1230,8 @@ def _field_to_json(name: str, value):
 
 
 def _field_from_json(name: str, value):
-    """A field's value from its file entry; the step classes normalize the
-    fields this passes through."""
-    if name == "party":
+    """A field's value from its file entry."""
+    if name in ("party", "insert_at"):
         return int(value)
     if name == "matrix":
         return _matrix_from_json(value)
@@ -1239,7 +1239,7 @@ def _field_from_json(name: str, value):
         return tuple(_matrix_from_json(p) for p in value)
     if name == "table":
         return {tuple(key.split(",")) if key else (): _matrix_from_json(mat) for key, mat in value.items()}
-    return value
+    return tuple(map(str if name == "outcomes" else int, value))
 
 
 def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:
@@ -1273,12 +1273,16 @@ def protocol_from_list(payload: Sequence[Mapping]) -> list[ProtocolStep]:
         where = f"protocol step {index} ({kind})"
         values = {}
         for name, required in _step_fields(cls):
-            if name in entry:
-                values[name] = entry[name]
-            elif required:
-                raise ValueError(f"{where}: missing field {name!r}")
+            if entry.get(name) is None:
+                if required:
+                    raise ValueError(f"{where}: missing field {name!r}")
+                continue
+            try:
+                values[name] = _field_from_json(name, entry[name])
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{where}: field {name!r}: {exc}") from exc
         try:
-            steps.append(cls(**{name: _field_from_json(name, v) for name, v in values.items()}))
+            steps.append(cls(**values))
         except (ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"{where}: {exc}") from exc
     return steps

@@ -225,19 +225,34 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims})"
 
 
-def _parse_basis(basis: Sequence[int] | str, dims: Sequence[int]) -> tuple[int, ...]:
-    if isinstance(basis, str):
-        digits = tuple(int(ch) for ch in basis)
-    else:
-        digits = tuple(int(b) for b in basis)
-    if len(digits) != len(dims):
-        raise ValueError(
-            f"basis label {basis!r} has {len(digits)} digits, expected {len(dims)}"
-        )
-    for digit, d in zip(digits, dims):
-        if not 0 <= digit < d:
-            raise ValueError(f"basis digit {digit} out of range for local dim {d}")
-    return digits
+def _dense_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """`dims` as a tuple of ints, checked against the dense limit."""
+    dims = tuple(int(d) for d in dims)
+    total = math.prod(dims)
+    if total > _DENSE_DIM_LIMIT:
+        raise ValueError(f"total dimension {total} exceeds the dense limit")
+    return dims
+
+
+def _flat_indices(bases, dims: tuple[int, ...]) -> np.ndarray:
+    """Flat amplitude index of each basis, a sequence of one integer digit
+    per party; all are checked at once."""
+    if not bases:
+        raise ValueError("state needs at least one term")
+    try:
+        digits = np.array(bases)
+        if digits.dtype.kind in "iu" and digits.shape == (len(bases), len(dims)):
+            return np.ravel_multi_index(digits.T, dims)
+    except (TypeError, ValueError):  # ragged bases, or a digit out of range
+        pass
+    raise ValueError(f"basis must be {len(dims)} integer digits within dims {list(dims)}")
+
+
+def _dense_state(dims: tuple[int, ...], index: np.ndarray, amplitudes) -> PureState:
+    """The one builder behind `make_state` and state files."""
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    np.add.at(amps, index, amplitudes)  # repeated bases add up in term order
+    return PureState(dims, amps)
 
 
 def make_state(
@@ -247,27 +262,15 @@ def make_state(
     """Build a pure state from sparse (basis, amplitude) terms.
 
     `terms` is a mapping or an iterable of pairs. Basis labels may be digit
-    strings ("010") or index sequences. Amplitudes need not be normalized;
-    the resulting vector is. An empty or all-zero term list is rejected.
+    strings ("010") or sequences of integer digits. Amplitudes need not be
+    normalized; the resulting vector is. Repeated bases add up. An empty or
+    all-zero term list is rejected.
     """
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if total > _DENSE_DIM_LIMIT:
-        raise ValueError(f"total dimension {total} exceeds the dense limit")
-    if isinstance(terms, Mapping):
-        terms = terms.items()
-    amps = np.zeros(total, dtype=complex)
-    any_term = False
-    for basis, amplitude in terms:
-        digits = _parse_basis(basis, dims)
-        idx = 0
-        for digit, d in zip(digits, dims):
-            idx = idx * d + digit
-        amps[idx] += complex(amplitude)
-        any_term = True
-    if not any_term:
-        raise ValueError("state needs at least one term")
-    return PureState(dims, amps)
+    dims = _dense_dims(dims)
+    pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
+    bases = [[int(ch) for ch in b] if isinstance(b, str) else b for b, _ in pairs]
+    amplitudes = np.array([amp for _, amp in pairs], dtype=complex)
+    return _dense_state(dims, _flat_indices(bases, dims), amplitudes)
 
 
 def tensor(
@@ -457,41 +460,58 @@ def random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> np
 # Terms may be unnormalized; the loader normalizes.
 
 
-def state_from_dict(payload: Mapping) -> PureState:
-    """A state from a parsed state file. A malformed term raises one
-    ValueError naming it (terms numbered from 0)."""
+def _decode_terms(terms, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and complex amplitudes of state-file terms; `re` and
+    `im` go bit for bit into the complex array."""
+    index = _flat_indices([term["basis"] for term in terms], dims)
     try:
-        dims = [int(d) for d in payload["dims"]]
-        raw_terms = payload["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"state payload missing field: {exc}") from exc
-    if not isinstance(raw_terms, (list, tuple)):
-        raise ValueError(f"state terms must be a list, not {type(raw_terms).__name__}")
-    terms = []
-    for index, entry in enumerate(raw_terms):
-        # a state can have many terms, so the checks run only on failure
+        parts = np.array([(term.get("re", 0.0), term.get("im", 0.0)) for term in terms])
+    except ValueError:  # a list where a number belongs
+        parts = None
+    if parts is None or parts.dtype.kind not in "iuf" or parts.shape != (len(terms), 2):
+        raise ValueError("'re' and 'im' must be numbers (floats or 64-bit integers)")
+    return index, parts.astype(float).view(complex).ravel()
+
+
+def _bad_term(terms, dims: tuple[int, ...]) -> str:
+    """What is wrong with the first malformed term of a term list that
+    failed to decode as a whole."""
+    for index, term in enumerate(terms):
         try:
-            basis = [int(i) for i in entry["basis"]]
-            amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = exc
-            if not isinstance(entry, Mapping):
-                reason = f"expected an object, not {type(entry).__name__}"
-            elif isinstance(exc, KeyError):
-                reason = f"missing field {exc}"
-            raise ValueError(f"state term {index}: {reason}") from exc
-        terms.append((basis, amp))
-    return make_state(dims, terms)
+            _decode_terms([term], dims)
+        except KeyError as exc:
+            return f"state term {index}: missing field {exc}"
+        except (TypeError, AttributeError):
+            return f"state term {index}: expected an object, not {type(term).__name__}"
+        except ValueError as exc:
+            return f"state term {index}: {exc}"
+    return "state needs at least one term"
+
+
+def state_from_dict(payload: Mapping) -> PureState:
+    """A state from a parsed state file. A malformed payload or term raises
+    one ValueError naming it (terms numbered from 0)."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"a state file holds an object, not {type(payload).__name__}")
+    dims, terms = payload.get("dims"), payload.get("terms")
+    if not (isinstance(dims, (list, tuple)) and dims and all(type(d) is int and d > 0 for d in dims)):
+        raise ValueError(f"state dims must be a list of positive integers, not {dims!r}")
+    if not isinstance(terms, (list, tuple)):
+        raise ValueError(f"state terms must be a list, not {type(terms).__name__}")
+    dims = _dense_dims(dims)
+    try:
+        # a state can have many terms, so they are checked one by one only on failure
+        index, amplitudes = _decode_terms(terms, dims)
+    except (KeyError, TypeError, AttributeError, ValueError):
+        raise ValueError(_bad_term(terms, dims)) from None
+    return _dense_state(dims, index, amplitudes)
 
 
 def state_to_dict(state: PureState, threshold: float = 1e-14) -> dict:
-    terms = []
     tensor_view = state.as_tensor()
-    for idx in np.argwhere(np.abs(tensor_view) > threshold):
-        amp = tensor_view[tuple(idx)]
-        terms.append(
-            {"basis": [int(i) for i in idx], "re": float(amp.real), "im": float(amp.imag)}
-        )
+    index = np.argwhere(np.abs(tensor_view) > threshold)
+    amps = tensor_view[tuple(index.T)].tolist()
+    terms = [{"basis": b, "re": a.real, "im": a.imag} for b, a in zip(index.tolist(), amps)]
     return {"dims": list(state.dims), "terms": terms}
 
 

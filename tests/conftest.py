@@ -56,6 +56,14 @@ MALFORMED_PROTOCOLS = [
     ([{"type": "conditioned", "party": 0, "table": [[1]]}], "protocol step 0 (conditioned): "),
     ([{"type": "discard", "party": 0, "factor_dims": 2, "discard": [0]}], "protocol step 0 (discard): "),
     ([{"type": "discard", "party": 0, "factor_dims": [2], "discard": [3]}], "protocol step 0 (discard): "),
+    (
+        [{"type": "discard", "party": 0, "factor_dims": 2, "discard": [0]}],
+        "protocol step 0 (discard): field 'factor_dims': ",
+    ),
+    (
+        [{"type": "measurement", "party": 0, "projectors": [[[1]]], "outcomes": 3}],
+        "protocol step 0 (measurement): field 'outcomes': ",
+    ),
 ]
 
 # (state file payload, start of the one error it must raise); terms are
@@ -70,4 +78,17 @@ MALFORMED_STATES = [
     ({"dims": [2, 2], "terms": [{"basis": [0, 0]}, [1, 1]]}, "state term 1: expected an object, not list"),
     ({"dims": [2, 2], "terms": [{"basis": [0, "x"]}]}, "state term 0: "),
     ({"dims": [2, 2], "terms": [{"basis": 0}]}, "state term 0: "),
+    # digits are JSON integers, amplitudes JSON numbers
+    ({"dims": [2, 2], "terms": [{"basis": [0, 1.7], "re": 1.0}]}, "state term 0: basis must be 2 integer digits"),
+    ({"dims": [2, 2], "terms": [{"basis": ["1", 0], "re": 1.0}]}, "state term 0: basis must be 2 integer digits"),
+    (
+        {"dims": [2, 2], "terms": [{"basis": [0, 0], "re": 1.0}, {"basis": [1, 1], "re": "0.5"}]},
+        "state term 1: 're' and 'im' must be numbers",
+    ),
+    ({"dims": [2, 2], "terms": [{"basis": [0, 2], "re": 1.0}]}, "state term 0: basis must be 2 integer digits"),
+    ({"dims": 5, "terms": []}, "state dims must be a list of positive integers, not 5"),
+    ({"dims": [2, "2"], "terms": []}, "state dims must be a list of positive integers"),
+    ([{"dims": [2], "terms": []}], "a state file holds an object, not list"),
+    ({"dims": [2, 2], "terms": []}, "state needs at least one term"),
+    ({"dims": [2] * 70, "terms": [{"basis": [0] * 70, "re": 1.0}]}, "total dimension 1180591620717411303424 exceeds"),
 ]

@@ -376,3 +376,38 @@ def test_reruns_byte_identical(capsys, argv):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
+    import entkit.cli as cli
+    from entkit.protocols import cat_to_epr, save_protocol
+
+    proto = str(tmp_path / "p.json")
+    save_protocol(cat_to_epr(3, 0, 1), proto)
+    runs = [
+        ("entropy-table", "--state", "ghz", "--format", "csv"),
+        ("r21-table",),
+        ("frobnicate",),  # usage error, exit 2
+        ("schmidt", "--state", "cat4"),
+        ("classify", "--a", "2ghz", "--b", "3epr"),
+        ("--help",),  # exit 0
+        ("ghz-epr-witness", "--format", "csv"),
+        ("run-protocol", "--state", "cat3", "--protocol", proto, "--target", "cat3"),
+        ("entropy-table",),  # missing flag, exit 2
+        ("concentrate", "--n", "4", "--coeffs", "3/4,1/4"),
+        ("dilute", "--n", "2", "--k", "1", "--coeffs", "3/4,1/4", "--format", "csv"),
+        ("schmidt", "--help"),
+        ("coeffs", "--gens", "epr(a,b,3)", "epr(b,c,3)", "epr(a,c,3)", "--target", "ghz"),
+        ("mregs-bounds", "--m", "4", "--format", "csv"),
+        ("egs-check", "--state", "cat3"),
+    ]
+    cli._build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in runs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared].count(2) == 2
+    assert [code for code, _, _ in shared].count(0) == len(runs) - 2
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in runs]
+    for argv, got, want in zip(runs, shared, fresh):
+        assert got == want, argv

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MALFORMED_STATES
 
@@ -233,3 +234,86 @@ def test_pure_state_rejects_non_finite_amplitudes(bad):
 def test_pure_state_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         PureState((2, 2), np.ones(3, dtype=complex))
+
+
+# --- the array state decoder against the per-term one it replaced ----------
+
+
+def reference_make_state(dims, terms):
+    """The per-term builder the array decoder replaced, kept as an oracle."""
+    dims = tuple(int(d) for d in dims)
+    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    any_term = False
+    for basis, amplitude in terms:
+        digits = tuple(int(ch) for ch in basis) if isinstance(basis, str) else tuple(int(b) for b in basis)
+        if len(digits) != len(dims) or not all(0 <= i < d for i, d in zip(digits, dims)):
+            raise ValueError(f"bad basis {basis!r}")
+        idx = 0
+        for digit, d in zip(digits, dims):
+            idx = idx * d + digit
+        amps[idx] += complex(amplitude)
+        any_term = True
+    if not any_term:
+        raise ValueError("state needs at least one term")
+    return PureState(dims, amps)
+
+
+def reference_state_from_dict(payload):
+    terms = [
+        (entry["basis"], complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0))))
+        for entry in payload["terms"]
+    ]
+    return reference_make_state(payload["dims"], terms)
+
+
+@st.composite
+def state_payloads(draw):
+    """State-file payloads on 1-5 parties with d <= 4: repeated bases, signed
+    zeros, and terms that cancel."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    basis = st.tuples(*(st.integers(0, d - 1) for d in dims)).map(list)
+    pool = draw(st.lists(basis, min_size=1, max_size=4))
+    number = st.one_of(st.sampled_from([0.0, -0.0, 1, -1, 0.5]), st.floats(-4.0, 4.0))
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        term = {"basis": draw(st.sampled_from(pool) | basis)}
+        for key in ("re", "im"):
+            if draw(st.booleans()):
+                term[key] = draw(number)
+        terms.append(term)
+    return {"dims": dims, "terms": terms}
+
+
+def decoded(build, *args):
+    try:
+        return build(*args).amplitudes.tobytes()
+    except ValueError:
+        return "rejected"
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_payloads())
+def test_array_decoder_is_bit_identical_to_the_per_term_one(payload):
+    want = decoded(reference_state_from_dict, payload)
+    assert decoded(state_from_dict, payload) == want
+    # the same terms through make_state, as digit strings and as pairs
+    pairs = [(t["basis"], complex(t.get("re", 0.0), t.get("im", 0.0))) for t in payload["terms"]]
+    labels = [("".join(map(str, b)), amp) for b, amp in pairs]
+    assert decoded(make_state, payload["dims"], labels) == want
+    assert decoded(make_state, payload["dims"], pairs) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(state_payloads())
+def test_save_load_round_trips_bit_identically(tmp_path_factory, payload):
+    try:
+        state = state_from_dict(payload)
+    except ValueError:  # every term cancelled
+        return
+    path = str(tmp_path_factory.mktemp("s") / "s.json")
+    save_state(state, path)
+    with open(path) as fh:
+        assert decoded(reference_state_from_dict, json.load(fh)) == load_state(path).amplitudes.tobytes()
+    # tiny amplitudes are not written, so compare only states without them
+    if not np.any((np.abs(state.amplitudes) > 0) & (np.abs(state.amplitudes) <= 1e-14)):
+        assert load_state(path).amplitudes.tobytes() == state.amplitudes.tobytes()
