@@ -42,8 +42,6 @@ from .entropy import (
     exact_entropy_ratio_r21,
     exact_entropy_vector,
     exact_entropy_vector_of_factors,
-    is_isentropic,
-    is_marginally_isentropic,
     shannon_entropy,
     single_party_entropies,
 )
@@ -106,14 +104,12 @@ from .schmidt import (
     schmidt_decompose,
 )
 from .states import (
-    DensityMatrix,
     Partition,
     PureState,
     canonical_partitions,
     fidelity,
     load_state,
     make_state,
-    partial_trace,
     permute_parties,
     random_pure_state,
     random_unitary,

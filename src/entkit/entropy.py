@@ -15,13 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .states import (
-    DensityMatrix,
-    Partition,
-    PureState,
-    canonical_partitions,
-    reduced_gram,
-)
+from .states import Partition, PureState, canonical_partitions, reduced_gram
 
 __all__ = [
     "shannon_entropy",
@@ -30,8 +24,6 @@ __all__ = [
     "entropy_vector",
     "cut_spectra",
     "single_party_entropies",
-    "is_isentropic",
-    "is_marginally_isentropic",
     "PartitionAsymmetryError",
     "entropy_ratio_r21",
     "flat_spectrum_rank",
@@ -58,28 +50,24 @@ def shannon_entropy(probs: Sequence[float]) -> float:
     return max(total, 0.0)
 
 
-def _gram_of(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-def entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """Von Neumann entropy -tr(rho log2 rho) in bits."""
-    gram = _gram_of(rho)
-    exact = exact_entropy(gram)
+def entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy -tr(rho log2 rho) in bits of a reduced matrix
+    (see `reduced_gram`)."""
+    exact = exact_entropy(rho)
     if exact is not None:
         return float(exact)
-    eigenvalues = hermitian_eigenvalues(gram)
+    eigenvalues = hermitian_eigenvalues(rho)
     return shannon_entropy([max(float(v), 0.0) for v in eigenvalues])
 
 
-def flat_spectrum_rank(rho: DensityMatrix | np.ndarray) -> int | None | list[int | None]:
-    """Rank r if rho is exactly (a projector)/r within tolerance, else None.
+def flat_spectrum_rank(rho: np.ndarray) -> int | None | list[int | None]:
+    """Rank r if the reduced matrix rho is exactly (a projector)/r within
+    tolerance, else None.
 
     A `(B, d, d)` stack of Gram matrices gives a list with one such entry
     per matrix; the projector test runs once over every candidate.
     """
-    gram = _gram_of(rho)
-    stack = gram if gram.ndim == 3 else gram[None]
+    stack = rho if rho.ndim == 3 else rho[None]
     ranks: list[int | None] = []
     for purity in _squared_norms(stack):
         r = round(1.0 / purity) if purity > 0.0 else 0
@@ -96,7 +84,7 @@ def flat_spectrum_rank(rho: DensityMatrix | np.ndarray) -> int | None | list[int
         for i, square in zip(rows, _squared_norms(deviation)):
             if math.sqrt(square) > _FLAT_TOL:
                 ranks[i] = None
-    return ranks if gram.ndim == 3 else ranks[0]
+    return ranks if rho.ndim == 3 else ranks[0]
 
 
 def _squared_norms(stack: np.ndarray) -> list[float]:
@@ -107,8 +95,9 @@ def _squared_norms(stack: np.ndarray) -> list[float]:
     return np.einsum("ij,ij->i", flat, flat).tolist()
 
 
-def exact_entropy(rho: DensityMatrix | np.ndarray) -> Fraction | None | list[Fraction | None]:
-    """Entropy as an exact rational, when the spectrum allows it.
+def exact_entropy(rho: np.ndarray) -> Fraction | None | list[Fraction | None]:
+    """Entropy of a reduced matrix as an exact rational, when its spectrum
+    allows it.
 
     Flat spectra of power-of-two rank r = 2^s have entropy exactly s bits;
     anything else returns None and callers fall back to floating point. A
@@ -162,12 +151,12 @@ class EntropyVector:
             if size is None or len(p.members) == size
         )
 
-    def dominates(self, other: "EntropyVector", tol: float = _ISENTROPY_TOL) -> bool:
-        """Componentwise S_X(self) >= S_X(other) - tol."""
+    def dominates(self, other: "EntropyVector") -> bool:
+        """Componentwise S_X(self) >= S_X(other) - 1e-8."""
         if self.num_parties != other.num_parties:
             raise ValueError("entropy vectors span different party counts")
         return all(
-            self.values[p] >= other.values[p] - tol for p in self.partitions()
+            self.values[p] >= other.values[p] - _ISENTROPY_TOL for p in self.partitions()
         )
 
 
@@ -288,22 +277,6 @@ def single_party_entropies(state: PureState) -> list[float]:
     return [vec[(p,)] for p in range(state.num_parties)]
 
 
-def is_isentropic(a: PureState, b: PureState, tol: float = _ISENTROPY_TOL) -> bool:
-    """True when every partial entropy matches within tolerance."""
-    if a.num_parties != b.num_parties:
-        raise ValueError("states have different party counts")
-    return entropy_vector(a).max_difference(entropy_vector(b)) <= tol
-
-
-def is_marginally_isentropic(
-    a: PureState, b: PureState, tol: float = _ISENTROPY_TOL
-) -> bool:
-    """True when every single-party entropy matches within tolerance."""
-    if a.num_parties != b.num_parties:
-        raise ValueError("states have different party counts")
-    return entropy_vector(a).max_difference(entropy_vector(b), size=1) <= tol
-
-
 class PartitionAsymmetryError(ValueError):
     """Raised when a ratio that assumes partition symmetry is requested."""
 
@@ -333,19 +306,19 @@ def _symmetric_level(
     return levels[0][1]
 
 
-def entropy_ratio_r21(state: PureState, tol: float = _ISENTROPY_TOL) -> float:
+def entropy_ratio_r21(state: PureState) -> float:
     """S_AB / S_A for partition-symmetric states of m >= 3 parties.
 
     Requires all single-party entropies equal and all two-party entropies
-    equal (within `tol`); otherwise raises PartitionAsymmetryError naming
+    equal (within 1e-8); otherwise raises PartitionAsymmetryError naming
     the unequal partitions.
     """
     if state.num_parties < 3:
         raise ValueError("r21 needs at least three parties")
     values = entropy_vector(state).values
-    s1 = _symmetric_level(values, state.num_parties, 1, tol)
-    s2 = _symmetric_level(values, state.num_parties, 2, tol)
-    if s1 <= tol:
+    s1 = _symmetric_level(values, state.num_parties, 1, _ISENTROPY_TOL)
+    s2 = _symmetric_level(values, state.num_parties, 2, _ISENTROPY_TOL)
+    if s1 <= _ISENTROPY_TOL:
         raise ValueError("r21 undefined: single-party entropy is zero")
     return s2 / s1
 

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _FLOAT_SNAP_TOL = 1e-9
+_EGS_FLOOR = 1e-8
 
 
 def _snap(value) -> Fraction:
@@ -596,8 +597,9 @@ def r21_table() -> list[R21Row]:
     return rows
 
 
-def egs_check(state: PureState | EntropyVector, threshold: float = 1e-8) -> bool:
-    """Whether every nontrivial partition of the state carries entropy.
+def egs_check(state: PureState | EntropyVector) -> bool:
+    """Whether every nontrivial partition of the state carries more than
+    1e-8 bits of entropy.
 
     States passing this can, in principle, buy any entanglement pattern
     among their parties asymptotically; a zero anywhere means some cut can
@@ -605,4 +607,4 @@ def egs_check(state: PureState | EntropyVector, threshold: float = 1e-8) -> bool
     vector.
     """
     vec = state if isinstance(state, EntropyVector) else entropy_vector(state)
-    return all(value > threshold for _, value in vec.entries())
+    return all(value > _EGS_FLOOR for _, value in vec.entries())

@@ -184,6 +184,10 @@ class LocalMeasurement:
             raise ValueError("need exactly one outcome label per projector")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome labels must be distinct")
+        for label in self.outcomes:
+            # a protocol file joins a transcript's labels with ',' (see `_field_to_json`)
+            if not label or "," in label:
+                raise ValueError(f"outcome label {label!r} must be nonempty and free of ','")
         _freeze_placement(self)
 
 
@@ -455,7 +459,6 @@ def run(
     steps: Sequence[ProtocolStep],
     state: PureState,
     check_entropy: bool = True,
-    prune_threshold: float = _PRUNE_THRESHOLD,
 ) -> ProtocolRun:
     """Apply a protocol to a state, expanding every measurement branch.
 
@@ -495,7 +498,7 @@ def run(
                 out = out.reshape(-1, size)
                 probs = (probs[:, None] * np.reshape(_squared_norms(out), (-1, k))).reshape(-1)
                 transcripts = [t + (o,) for t in transcripts for o in step.outcomes]
-                kept = ~(probs < prune_threshold)
+                kept = ~(probs < _PRUNE_THRESHOLD)
                 if not kept.all():
                     pruned, pruned_mass = int(len(kept) - kept.sum()), float(probs[~kept].sum())
                     out, probs = out[kept], probs[kept]
@@ -817,7 +820,6 @@ class ProtocolBuilder:
         payload: int,
         leg: int,
         receivers: Sequence[tuple[int, int]],
-        discard_measured: bool = True,
     ) -> None:
         """Teleport a qubit factor of `sender` through a shared cat state.
 
@@ -825,7 +827,8 @@ class ProtocolBuilder:
         (party, factor) pairs for every other leg. After the sender's Bell
         measurement each receiver undoes the bit flip and the first listed
         receiver also undoes the phase flip, which leaves the receivers'
-        legs holding the payload (cat-encoded when there are several).
+        legs holding the payload (cat-encoded when there are several). The
+        sender's two measured qubits are then discarded.
         """
         if not receivers:
             raise ValueError("teleport needs at least one receiver")
@@ -849,8 +852,7 @@ class ProtocolBuilder:
                 lambda t, fp=fix_phase: correction(t, fp),
                 on=[factor],
             )
-        if discard_measured:
-            self.discard(sender, [payload, leg])
+        self.discard(sender, [payload, leg])
 
     def povm(
         self,
@@ -1191,11 +1193,16 @@ def dilution_end_to_end(
 #   {"type": "measurement", "party": 0, "projectors": [...], "outcomes": [...]}
 #   {"type": "conditioned", "party": 0, "table": {"+,-": [[...]]}}
 #   {"type": "discard", "party": 0, "factor_dims": [2, 2], "discard": [0]}
-# Matrix entries are [re, im] pairs (bare numbers are accepted as real).
-# Unitary, measurement and conditioned entries may add "factor_dims" and
-# "on" (and a unitary "out_dims" and "insert_at"); without them the step
-# acts on the whole party. Keys a step type does not have are ignored, and
-# a null value leaves its field unset.
+# Matrix entries are [re, im] pairs of JSON numbers (bare numbers are
+# accepted as real). Unitary, measurement and conditioned entries may add
+# "factor_dims" and "on" (and a unitary "out_dims" and "insert_at"); without
+# them the step acts on the whole party. Parties, dimensions and factor
+# indices are JSON integers. Keys a step type does not have are ignored,
+# and a null value leaves its field unset.
+
+# JSON numbers as `json` decodes them; types are compared exactly, since
+# bool is a subclass of int
+_JSON_NUMBERS = (int, float)
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list:
@@ -1210,13 +1217,18 @@ def _matrix_from_json(payload) -> np.ndarray:
     for row in payload:
         out_row = []
         for entry in row:
-            if isinstance(entry, (int, float)):
-                out_row.append(complex(entry))
-            else:
-                re, im = entry
-                out_row.append(complex(float(re), float(im)))
+            re, im = entry if type(entry) is list and len(entry) == 2 else (entry, 0.0)
+            if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+                raise ValueError(f"matrix entry {entry!r} is not a number or an [re, im] pair of numbers")
+            out_row.append(complex(re, im))
         rows.append(out_row)
     return np.array(rows, dtype=complex)
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, not {value!r}")
+    return value
 
 
 def _field_to_json(name: str, value):
@@ -1232,14 +1244,18 @@ def _field_to_json(name: str, value):
 def _field_from_json(name: str, value):
     """A field's value from its file entry."""
     if name in ("party", "insert_at"):
-        return int(value)
+        return _json_int(value)
     if name == "matrix":
         return _matrix_from_json(value)
     if name == "projectors":
         return tuple(_matrix_from_json(p) for p in value)
     if name == "table":
         return {tuple(key.split(",")) if key else (): _matrix_from_json(mat) for key, mat in value.items()}
-    return tuple(map(str if name == "outcomes" else int, value))
+    if name == "outcomes":
+        return tuple(map(str, value))
+    if type(value) is not list:
+        raise ValueError(f"expected a list of integers, not {value!r}")
+    return tuple(map(_json_int, value))
 
 
 def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:
@@ -1279,7 +1295,7 @@ def protocol_from_list(payload: Sequence[Mapping]) -> list[ProtocolStep]:
                 continue
             try:
                 values[name] = _field_from_json(name, entry[name])
-            except (ValueError, TypeError, AttributeError) as exc:
+            except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                 raise ValueError(f"{where}: field {name!r}: {exc}") from exc
         try:
             steps.append(cls(**values))

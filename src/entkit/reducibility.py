@@ -48,8 +48,8 @@ _NPT_TOL = 1e-10
 _MAXMIX_TOL = 1e-10
 
 
-def majorizes(q: Sequence[float], p: Sequence[float], tol: float = _MAJORIZATION_TOL) -> bool:
-    """Whether distribution q majorizes p (prefix sums of q dominate).
+def majorizes(q: Sequence[float], p: Sequence[float]) -> bool:
+    """Whether distribution q majorizes p (prefix sums of q dominate, within 1e-10).
 
     Inputs are padded to a common length and sorted descending; both must
     sum to 1 within 1e-8.
@@ -65,7 +65,7 @@ def majorizes(q: Sequence[float], p: Sequence[float], tol: float = _MAJORIZATION
     for i in range(n):
         acc_q += qs[i]
         acc_p += ps[i]
-        if acc_q < acc_p - tol:
+        if acc_q < acc_p - _MAJORIZATION_TOL:
             return False
     return True
 
@@ -86,14 +86,14 @@ def exact_bipartite_reducible(source: PureState, target: PureState) -> bool:
     return majorizes(bipartite_spectrum(target), bipartite_spectrum(source))
 
 
-def lu_equivalent_bipartite(a: PureState, b: PureState, tol: float = _SPECTRUM_TOL) -> bool:
-    """Two-party local-unitary equivalence: equal Schmidt spectra."""
+def lu_equivalent_bipartite(a: PureState, b: PureState) -> bool:
+    """Two-party local-unitary equivalence: Schmidt spectra equal within 1e-8."""
     sa = list(bipartite_spectrum(a))
     sb = list(bipartite_spectrum(b))
     n = max(len(sa), len(sb))
     sa += [0.0] * (n - len(sa))
     sb += [0.0] * (n - len(sb))
-    return max(abs(x - y) for x, y in zip(sa, sb)) <= tol
+    return max(abs(x - y) for x, y in zip(sa, sb)) <= _SPECTRUM_TOL
 
 
 class ComparisonVerdict(enum.Enum):
@@ -285,17 +285,17 @@ def ppt_minimum_eigenvalue(rho: np.ndarray) -> float:
     """Smallest eigenvalue of a two-qubit state after partial transpose."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit density matrix")
+        raise ValueError("expected a 4x4 two-qubit reduced matrix")
     t = rho.reshape(2, 2, 2, 2)
     # transpose the second qubit: swap its bra and ket indices
     pt = t.transpose(0, 3, 2, 1).reshape(4, 4)
     return float(hermitian_eigenvalues(pt)[-1])
 
 
-def is_npt_pair(rho: np.ndarray, tol: float = _NPT_TOL) -> bool:
+def is_npt_pair(rho: np.ndarray) -> bool:
     """Whether a two-qubit state fails the positive-partial-transpose test
-    (for two qubits this is exactly entanglement)."""
-    return ppt_minimum_eigenvalue(rho) < -tol
+    by more than 1e-10 (for two qubits this is exactly entanglement)."""
+    return ppt_minimum_eigenvalue(rho) < -_NPT_TOL
 
 
 def _maximally_mixed_deviation(rho: np.ndarray) -> float:

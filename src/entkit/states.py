@@ -1,4 +1,4 @@
-"""Multipartite pure states, density matrices, and party partitions.
+"""Multipartite pure states, their reduced matrices, and party partitions.
 
 Conventions used throughout the package:
 
@@ -25,11 +25,9 @@ import numpy as np
 __all__ = [
     "Partition",
     "PureState",
-    "DensityMatrix",
     "make_state",
     "tensor",
     "permute_parties",
-    "partial_trace",
     "reduced_gram",
     "fidelity",
     "party_letters",
@@ -44,6 +42,8 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-10
+# amplitudes at or below this are left out of state files
+_TERM_FLOOR = 1e-14
 _DENSE_DIM_LIMIT = 1 << 21
 
 
@@ -186,45 +186,6 @@ class PureState:
         return f"PureState(dims={self.dims})"
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Density matrix over the retained parties of a state."""
-
-    dims: tuple[int, ...]
-    matrix: np.ndarray = field(repr=False)
-
-    _HERMITICITY_TOL = 1e-10
-    _TRACE_TOL = 1e-10
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        total = math.prod(dims)
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (total, total):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if np.linalg.norm(mat - mat.conj().T) > self._HERMITICITY_TOL * max(
-            1.0, float(np.linalg.norm(mat))
-        ):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > self._TRACE_TOL:
-            raise ValueError("density matrix trace differs from 1 beyond tolerance")
-        mat = (mat + mat.conj().T) / 2.0
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DensityMatrix(dims={self.dims})"
-
-
 def _dense_dims(dims: Sequence[int]) -> tuple[int, ...]:
     """`dims` as a tuple of ints, checked against the dense limit."""
     dims = tuple(int(d) for d in dims)
@@ -240,10 +201,14 @@ def _flat_indices(bases, dims: tuple[int, ...]) -> np.ndarray:
     if not bases:
         raise ValueError("state needs at least one term")
     try:
-        digits = np.array(bases)
-        if digits.dtype.kind in "iu" and digits.shape == (len(bases), len(dims)):
-            return np.ravel_multi_index(digits.T, dims)
-    except (TypeError, ValueError):  # ragged bases, or a digit out of range
+        # types are compared exactly: JSON true decodes to a bool, an int subclass
+        if set(map(len, bases)) == {len(dims)} and all(
+            t is not bool and issubclass(t, (int, np.integer))
+            for t in set(map(type, itertools.chain.from_iterable(bases)))
+        ):
+            digits = np.fromiter(itertools.chain.from_iterable(bases), np.intp, len(bases) * len(dims))
+            return np.ravel_multi_index(digits.reshape(len(bases), len(dims)).T, dims)
+    except (TypeError, ValueError, OverflowError):  # a basis that is not a list, a digit out of range
         pass
     raise ValueError(f"basis must be {len(dims)} integer digits within dims {list(dims)}")
 
@@ -348,11 +313,13 @@ def _keep_indices(
 def reduced_gram(
     state: PureState | np.ndarray, keep: Partition | Iterable[int]
 ) -> np.ndarray:
-    """Reduced density matrix of `keep`, as a raw ndarray (no wrapper checks).
+    """The reduced state of the parties in `keep`: tr_rest |psi><psi|, the
+    d x d Gram matrix M M^dag of the amplitudes reshaped to (d, rest).
 
-    `state` may also be a stack of states with shared dims, an array of
-    shape (B, d1, ..., dm); the result is then the (B, d, d) stack of their
-    reduced matrices.
+    This ndarray is the package's one reduced-state type: entropies,
+    spectra and fidelities all take it. `state` may also be a stack of
+    states with shared dims, an array of shape (B, d1, ..., dm); the result
+    is then the (B, d, d) stack of their reduced matrices.
     """
     stacked = isinstance(state, np.ndarray)
     tensor = state if stacked else state.as_tensor()
@@ -368,44 +335,18 @@ def reduced_gram(
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def partial_trace(
-    state: PureState | DensityMatrix, keep: Partition | Iterable[int]
-) -> DensityMatrix:
-    """Trace out every party not in `keep`.
+def fidelity(rho: PureState | np.ndarray, psi: PureState) -> float:
+    """Fidelity <psi| rho |psi> against a pure reference state, clamped to [0, 1].
 
-    For pure states this is formed from the amplitude matrix directly; for
-    density matrices the traced axes are contracted pairwise.
-    """
-    if isinstance(state, PureState):
-        members = _keep_indices(state.num_parties, keep)
-        rho = reduced_gram(state, members)
-        return DensityMatrix(tuple(state.dims[p] for p in members), rho)
-    members = _keep_indices(len(state.dims), keep)
-    dims = state.dims
-    n = len(dims)
-    mat = state.matrix.reshape(dims + dims)
-    # contract traced-out axes from the back so axis numbers stay valid
-    traced = [p for p in range(n) if p not in members]
-    remaining = n
-    for p in reversed(traced):
-        mat = np.trace(mat, axis1=p, axis2=p + remaining)
-        remaining -= 1
-    dim_keep = math.prod(dims[p] for p in members)
-    return DensityMatrix(
-        tuple(dims[p] for p in members), mat.reshape(dim_keep, dim_keep)
-    )
-
-
-def fidelity(rho: DensityMatrix | PureState, psi: PureState) -> float:
-    """Fidelity <psi| rho |psi> against a pure reference state.
-
-    A pure first argument is treated as its projector, giving |<phi|psi>|^2.
+    `rho` is a reduced matrix (see `reduced_gram`) on psi's space; a pure
+    first argument is treated as its projector, giving |<phi|psi>|^2.
     """
     if isinstance(rho, PureState):
         return float(abs(rho.overlap(psi)) ** 2)
-    if math.prod(rho.dims) != psi.dim:
-        raise ValueError(f"dimension mismatch: {rho.dims} vs {psi.dims}")
-    value = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes).real
+    rho = np.asarray(rho)
+    if rho.shape != (psi.dim, psi.dim):
+        raise ValueError(f"matrix shape {rho.shape} does not match dims {psi.dims}")
+    value = np.vdot(psi.amplitudes, rho @ psi.amplitudes).real
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -464,12 +405,16 @@ def _decode_terms(terms, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]
     """Flat indices and complex amplitudes of state-file terms; `re` and
     `im` go bit for bit into the complex array."""
     index = _flat_indices([term["basis"] for term in terms], dims)
-    try:
-        parts = np.array([(term.get("re", 0.0), term.get("im", 0.0)) for term in terms])
-    except ValueError:  # a list where a number belongs
-        parts = None
-    if parts is None or parts.dtype.kind not in "iuf" or parts.shape != (len(terms), 2):
-        raise ValueError("'re' and 'im' must be numbers (floats or 64-bit integers)")
+    pairs = [(term.get("re", 0.0), term.get("im", 0.0)) for term in terms]
+    types = set(map(type, itertools.chain.from_iterable(pairs)))
+    if types == {float}:  # what `save_state` writes, read without numpy's type discovery
+        parts = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs))
+    else:
+        # as for digits, exact types keep JSON true out; an int beyond 64
+        # bits makes an object array
+        parts = np.array(pairs) if types <= {int, float} else None
+        if parts is None or parts.dtype.kind not in "iuf":
+            raise ValueError("'re' and 'im' must be numbers (floats or 64-bit integers)")
     return index, parts.astype(float).view(complex).ravel()
 
 
@@ -507,9 +452,10 @@ def state_from_dict(payload: Mapping) -> PureState:
     return _dense_state(dims, index, amplitudes)
 
 
-def state_to_dict(state: PureState, threshold: float = 1e-14) -> dict:
+def state_to_dict(state: PureState) -> dict:
+    """The state-file payload of a state: one term per amplitude above 1e-14."""
     tensor_view = state.as_tensor()
-    index = np.argwhere(np.abs(tensor_view) > threshold)
+    index = np.argwhere(np.abs(tensor_view) > _TERM_FLOOR)
     amps = tensor_view[tuple(index.T)].tolist()
     terms = [{"basis": b, "re": a.real, "im": a.imag} for b, a in zip(index.tolist(), amps)]
     return {"dims": list(state.dims), "terms": terms}

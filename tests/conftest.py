@@ -64,6 +64,43 @@ MALFORMED_PROTOCOLS = [
         [{"type": "measurement", "party": 0, "projectors": [[[1]]], "outcomes": 3}],
         "protocol step 0 (measurement): field 'outcomes': ",
     ),
+    # counts and indices are JSON integers: no bool, float or string
+    ([{"type": "unitary", "party": 0.9, "matrix": [[1]]}], "protocol step 0 (unitary): field 'party': expected an integer"),
+    ([{"type": "unitary", "party": "0", "matrix": [[1]]}], "protocol step 0 (unitary): field 'party': expected an integer"),
+    ([{"type": "unitary", "party": True, "matrix": [[1]]}], "protocol step 0 (unitary): field 'party': expected an integer"),
+    (
+        [{"type": "discard", "party": 0, "factor_dims": [2.7, 2], "discard": [0]}],
+        "protocol step 0 (discard): field 'factor_dims': expected an integer",
+    ),
+    (
+        [{"type": "discard", "party": 0, "factor_dims": [2, 1], "discard": [True]}],
+        "protocol step 0 (discard): field 'discard': expected an integer",
+    ),
+    (
+        [{"type": "unitary", "party": 0, "matrix": [[1]], "factor_dims": [2], "on": ["0"]}],
+        "protocol step 0 (unitary): field 'on': expected an integer",
+    ),
+    (
+        [{"type": "unitary", "party": 0, "matrix": [[1]], "factor_dims": [2], "on": [], "out_dims": [1.0]}],
+        "protocol step 0 (unitary): field 'out_dims': expected an integer",
+    ),
+    (
+        [{"type": "unitary", "party": 0, "matrix": [[1]], "factor_dims": [2], "on": [], "insert_at": False}],
+        "protocol step 0 (unitary): field 'insert_at': expected an integer",
+    ),
+    # matrix entries are numbers or [re, im] pairs of numbers
+    ([{"type": "unitary", "party": 0, "matrix": [[True]]}], "protocol step 0 (unitary): field 'matrix': matrix entry True"),
+    ([{"type": "unitary", "party": 0, "matrix": [[[1, False]]]}], "protocol step 0 (unitary): field 'matrix': matrix entry"),
+    ([{"type": "unitary", "party": 0, "matrix": [[["1", 0]]]}], "protocol step 0 (unitary): field 'matrix': matrix entry"),
+    (
+        [{"type": "measurement", "party": 0, "projectors": [[[True]]], "outcomes": ["0"]}],
+        "protocol step 0 (measurement): field 'projectors': matrix entry True",
+    ),
+    (
+        [{"type": "conditioned", "party": 0, "table": {"": [["1"]]}}],
+        "protocol step 0 (conditioned): field 'table': matrix entry '1'",
+    ),
+    ([{"type": "unitary", "party": 0, "matrix": [[10**400]]}], "protocol step 0 (unitary): field 'matrix': int too large"),
 ]
 
 # (state file payload, start of the one error it must raise); terms are
@@ -91,4 +128,13 @@ MALFORMED_STATES = [
     ([{"dims": [2], "terms": []}], "a state file holds an object, not list"),
     ({"dims": [2, 2], "terms": []}, "state needs at least one term"),
     ({"dims": [2] * 70, "terms": [{"basis": [0] * 70, "re": 1.0}]}, "total dimension 1180591620717411303424 exceeds"),
+    # JSON true and false are not digits or amplitudes
+    (
+        {"dims": [2, 2], "terms": [{"basis": [0, 0], "re": 1.0}, {"basis": [0, True], "re": 1.0}]},
+        "state term 1: basis must be 2 integer digits",
+    ),
+    (
+        {"dims": [2, 2], "terms": [{"basis": [0, 0], "re": 1.0}, {"basis": [1, 1], "re": True}]},
+        "state term 1: 're' and 'im' must be numbers",
+    ),
 ]

@@ -46,7 +46,6 @@ from entkit.states import (
     PureState,
     canonical_partitions,
     fidelity,
-    partial_trace,
     random_pure_state,
     random_unitary,
     reduced_gram,
@@ -113,7 +112,7 @@ def test_criterion_3_exact_protocols_and_monotonicity():
             outcome = run(cat_to_epr(m, i, j), cat_state(m), check_entropy=True)
             assert len(outcome.branches) == 2 ** (m - 2)
             for branch in outcome.branches:
-                rho = partial_trace(branch.state, keep=(i, j))
+                rho = reduced_gram(branch.state, (i, j))
                 assert fidelity(rho, epr_pair()) >= 1.0 - 1e-9
                 checked_branches += 1
     for m in (3, 4):

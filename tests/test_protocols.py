@@ -165,6 +165,14 @@ def test_measurement_projectors_must_be_complete():
         )
 
 
+@pytest.mark.parametrize("label", ["a,b", ""])
+def test_outcome_labels_a_protocol_file_cannot_hold_are_rejected(label):
+    # a saved conditioning table joins labels with ',', so these would not load back
+    plus, minus = hadamard_projectors()
+    with pytest.raises(ValueError, match=f"outcome label {label!r}"):
+        LocalMeasurement(0, (plus, minus), (label, "z"))
+
+
 def test_discard_of_entangled_factor_rejected():
     builder = ProtocolBuilder([[2], [2]])
     builder.discard(0, [0])
@@ -498,6 +506,24 @@ def test_factor_local_protocol_roundtrips_its_placement(tmp_path):
             assert getattr(a, key, None) == getattr(b, key, None)
     state = dilution_input([0.5, 0.3, 0.6, np.sqrt(0.3)], 1, 1, 2)
     assert_same_runs(run(reloaded, state), run(steps, state))
+
+
+DILUTION = [0.5, 0.3, 0.6, np.sqrt(0.3)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: (cat_to_epr(4, 1, 3), cat_state(4)), id="cat_to_epr"),
+        pytest.param(lambda: (eprs_to_cat(4, 2), eprs_to_cat_input(4, 2)), id="eprs_to_cat"),
+        pytest.param(lambda: (dilution_protocol(DILUTION, 2, 1, 3), dilution_input(DILUTION, 2, 1, 3)), id="dilution"),
+    ],
+)
+def test_every_shipped_protocol_runs_the_same_after_a_save(tmp_path, make):
+    steps, state = make()
+    path = str(tmp_path / "p.json")
+    save_protocol(steps, path)
+    assert_same_runs(run(load_protocol(path), state), run(steps, state))
 
 
 def test_saved_protocol_stays_factor_local(tmp_path):

@@ -115,7 +115,19 @@ def test_lu_equivalent_bipartite():
     rotated = PureState((3, 3), (u @ mat @ v.T).reshape(-1))
     assert lu_equivalent_bipartite(state, rotated)
     other = random_pure_state((3, 3), rng)
-    assert not lu_equivalent_bipartite(state, other) or True  # spectra may collide
+    assert not lu_equivalent_bipartite(state, other)
+
+
+@pytest.mark.parametrize("shift, equivalent", [(1e-6, False), (1e-10, True)])
+def test_lu_equivalence_tolerance_is_fixed_between_1e_10_and_1e_6(shift, equivalent):
+    def schmidt_state(p: float) -> PureState:
+        return make_state((2, 2), [("00", np.sqrt(p)), ("11", np.sqrt(1.0 - p))])
+
+    rng = np.random.default_rng(22)
+    u, v = random_unitary(2, rng), random_unitary(2, rng)
+    shifted = schmidt_state(0.6 + shift).as_tensor()
+    rotated = PureState((2, 2), (u @ shifted @ v.T).reshape(-1))
+    assert lu_equivalent_bipartite(schmidt_state(0.6), rotated) == equivalent
 
 
 def test_classify_detects_local_unitary_equivalence():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import MALFORMED_STATES
 
 from entkit.states import (
-    DensityMatrix,
     Partition,
     PureState,
     canonical_partitions,
     fidelity,
     load_state,
     make_state,
-    partial_trace,
     party_letters,
     permute_parties,
     random_pure_state,
@@ -131,31 +130,29 @@ def test_partial_trace_product_state():
     a = make_state((2,), [("0", 1.0)])
     b = make_state((2,), [("0", 1.0), ("1", 1.0)])
     joint = tensor(a, b, party_map=[1])
-    rho = partial_trace(joint, keep=(1,))
+    rho = reduced_gram(joint, (1,))
     expect = np.full((2, 2), 0.5)
-    assert np.linalg.norm(rho.matrix - expect) < 1e-12
+    assert np.linalg.norm(rho - expect) < 1e-12
 
 
-def density(state: PureState) -> DensityMatrix:
-    return DensityMatrix(state.dims, np.outer(state.amplitudes, state.amplitudes.conj()))
+def einsum_trace(psi: PureState, keep) -> np.ndarray:
+    """tr over the parties outside `keep` of |psi><psi|, as one explicit einsum:
+    ket and bra share the traced indices and keep their own kept ones."""
+    n = psi.num_parties
+    bra = [n + p if p in keep else p for p in range(n)]
+    out = list(keep) + [n + p for p in keep]
+    rho = np.einsum(psi.as_tensor(), list(range(n)), psi.as_tensor().conj(), bra, out)
+    d = math.prod(psi.dims[p] for p in keep)
+    return rho.reshape(d, d)
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 3, 2)])
-def test_density_matrix_partial_trace_in_steps_matches_direct(dims):
+def test_reduced_gram_matches_an_einsum_trace(dims):
     psi = random_pure_state(dims, rng=len(dims))
-    rho = density(psi)
     n = len(dims)
     for size in range(1, n):
         for keep in itertools.combinations(range(n), size):
-            # trace out one party at a time, last first so indices stay put
-            stepped = rho
-            for p in reversed([p for p in range(n) if p not in keep]):
-                stepped = partial_trace(stepped, [q for q in range(len(stepped.dims)) if q != p])
-            direct = partial_trace(rho, keep)
-            from_pure = partial_trace(psi, keep)
-            assert stepped.dims == direct.dims == from_pure.dims
-            assert np.max(np.abs(stepped.matrix - from_pure.matrix)) < 1e-12
-            assert np.max(np.abs(direct.matrix - from_pure.matrix)) < 1e-12
+            assert np.max(np.abs(reduced_gram(psi, keep) - einsum_trace(psi, keep))) < 1e-12
 
 
 def test_fidelity_of_a_pure_reduced_density_matrix():
@@ -163,11 +160,13 @@ def test_fidelity_of_a_pure_reduced_density_matrix():
     phi = random_pure_state((2, 2), rng)  # held by parties 0 and 2
     chi = random_pure_state((3,), rng)  # held by party 1
     joint = PureState((2, 3, 2), np.einsum("ik,j->ijk", phi.as_tensor(), chi.amplitudes).reshape(-1))
-    for rho in (partial_trace(density(joint), (0, 2)), partial_trace(joint, (0, 2))):
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+    for rho in (einsum_trace(joint, (0, 2)), reduced_gram(joint, (0, 2))):
+        assert np.vdot(rho, rho).real == pytest.approx(1.0, abs=1e-12)
         for seed in range(3):
             psi = random_pure_state((2, 2), rng=seed)
             assert fidelity(rho, psi) == pytest.approx(abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2, abs=1e-12)
+    with pytest.raises(ValueError, match="does not match"):
+        fidelity(reduced_gram(joint, (0,)), psi)
 
 
 def test_fidelity_bounds():
