@@ -1252,7 +1252,9 @@ def _field_from_json(name: str, value):
     if name == "table":
         return {tuple(key.split(",")) if key else (): _matrix_from_json(mat) for key, mat in value.items()}
     if name == "outcomes":
-        return tuple(map(str, value))
+        if type(value) is not list or not all(type(label) is str for label in value):
+            raise ValueError(f"expected a list of strings, not {value!r}")
+        return tuple(value)
     if type(value) is not list:
         raise ValueError(f"expected a list of integers, not {value!r}")
     return tuple(map(_json_int, value))

@@ -93,7 +93,7 @@ def lu_equivalent_bipartite(a: PureState, b: PureState) -> bool:
     n = max(len(sa), len(sb))
     sa += [0.0] * (n - len(sa))
     sb += [0.0] * (n - len(sb))
-    return max(abs(x - y) for x, y in zip(sa, sb)) <= _SPECTRUM_TOL
+    return bool(max(abs(x - y) for x, y in zip(sa, sb)) <= _SPECTRUM_TOL)
 
 
 class ComparisonVerdict(enum.Enum):

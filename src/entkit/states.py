@@ -405,17 +405,17 @@ def _decode_terms(terms, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]
     """Flat indices and complex amplitudes of state-file terms; `re` and
     `im` go bit for bit into the complex array."""
     index = _flat_indices([term["basis"] for term in terms], dims)
-    pairs = [(term.get("re", 0.0), term.get("im", 0.0)) for term in terms]
-    types = set(map(type, itertools.chain.from_iterable(pairs)))
-    if types == {float}:  # what `save_state` writes, read without numpy's type discovery
-        parts = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs))
-    else:
-        # as for digits, exact types keep JSON true out; an int beyond 64
-        # bits makes an object array
-        parts = np.array(pairs) if types <= {int, float} else None
-        if parts is None or parts.dtype.kind not in "iuf":
-            raise ValueError("'re' and 'im' must be numbers (floats or 64-bit integers)")
-    return index, parts.astype(float).view(complex).ravel()
+    parts = [part for term in terms for part in (term.get("re", 0.0), term.get("im", 0.0))]
+    # as for digits, exact types keep JSON true out
+    if all(
+        t is not bool and issubclass(t, (int, float, np.integer, np.floating))
+        for t in set(map(type, parts))
+    ):
+        try:
+            return index, np.fromiter(parts, float, len(parts)).view(complex)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError("'re' and 'im' must be numbers within the float range")
 
 
 def _bad_term(terms, dims: tuple[int, ...]) -> str:

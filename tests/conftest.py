@@ -101,6 +101,15 @@ MALFORMED_PROTOCOLS = [
         "protocol step 0 (conditioned): field 'table': matrix entry '1'",
     ),
     ([{"type": "unitary", "party": 0, "matrix": [[10**400]]}], "protocol step 0 (unitary): field 'matrix': int too large"),
+    # outcome labels are a list of JSON strings
+    (
+        [{"type": "measurement", "party": 0, "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "outcomes": "01"}],
+        "protocol step 0 (measurement): field 'outcomes': expected a list of strings",
+    ),
+    (
+        [{"type": "measurement", "party": 0, "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "outcomes": [0, 1]}],
+        "protocol step 0 (measurement): field 'outcomes': expected a list of strings",
+    ),
 ]
 
 # (state file payload, start of the one error it must raise); terms are
@@ -136,5 +145,9 @@ MALFORMED_STATES = [
     (
         {"dims": [2, 2], "terms": [{"basis": [0, 0], "re": 1.0}, {"basis": [1, 1], "re": True}]},
         "state term 1: 're' and 'im' must be numbers",
+    ),
+    (
+        {"dims": [2, 2], "terms": [{"basis": [0, 0], "re": 1.0}, {"basis": [1, 1], "re": 10**400}]},
+        "state term 1: 're' and 'im' must be numbers within the float range",
     ),
 ]

@@ -113,9 +113,9 @@ def test_lu_equivalent_bipartite():
     v = random_unitary(3, rng)
     mat = state.as_tensor()
     rotated = PureState((3, 3), (u @ mat @ v.T).reshape(-1))
-    assert lu_equivalent_bipartite(state, rotated)
+    assert lu_equivalent_bipartite(state, rotated) is True
     other = random_pure_state((3, 3), rng)
-    assert not lu_equivalent_bipartite(state, other)
+    assert lu_equivalent_bipartite(state, other) is False
 
 
 @pytest.mark.parametrize("shift, equivalent", [(1e-6, False), (1e-10, True)])
@@ -127,7 +127,7 @@ def test_lu_equivalence_tolerance_is_fixed_between_1e_10_and_1e_6(shift, equival
     u, v = random_unitary(2, rng), random_unitary(2, rng)
     shifted = schmidt_state(0.6 + shift).as_tensor()
     rotated = PureState((2, 2), (u @ shifted @ v.T).reshape(-1))
-    assert lu_equivalent_bipartite(schmidt_state(0.6), rotated) == equivalent
+    assert lu_equivalent_bipartite(schmidt_state(0.6), rotated) is equivalent
 
 
 def test_classify_detects_local_unitary_equivalence():

@@ -219,6 +219,17 @@ def test_malformed_state_names_the_term(payload, message):
     assert str(excinfo.value).startswith(message)
 
 
+def test_state_from_dict_takes_numpy_numbers_and_large_integers():
+    def payload(zero, one, re, im):
+        return {"dims": [2, 2], "terms": [{"basis": [zero, one], "re": re, "im": im}, {"basis": [1, 0], "re": 2**70}]}
+
+    want = state_from_dict(payload(0, 1, 0.25, 3.0)).amplitudes.tobytes()
+    got = state_from_dict(payload(np.int64(0), np.int32(1), np.float64(0.25), np.int64(3))).amplitudes.tobytes()
+    assert got == want
+    with pytest.raises(ValueError, match="state term 0: 're' and 'im' must be numbers"):
+        state_from_dict(payload(0, 1, np.bool_(True), 0.0))
+
+
 def test_pure_state_rejects_zero_vector():
     with pytest.raises(ValueError):
         PureState((2,), np.zeros(2, dtype=complex))
