@@ -48,14 +48,24 @@ from .states import canonical_partitions
 __all__ = ["main"]
 
 
+# cell text by exact type; `_fmt` sends every other type to the branches below
+_CELL_TEXT = {
+    bool: {True: "yes", False: "no"}.__getitem__,
+    float: "{:.12g}".format,
+    int: str,
+    str: str,
+}
+# body rows formatted and written per CSV block, so peak memory stays flat
+_CSV_BLOCK = 1024
+
+
 def _fmt(value) -> str:
-    # plain cells first: `Fraction`'s isinstance goes through its ABC metaclass
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
+    plain = _CELL_TEXT.get(type(value))
+    if plain is not None:
+        return plain(value)
+    if isinstance(value, float):  # numpy.float64 and other float subclasses
         return f"{value:.12g}"
-    if isinstance(value, (int, str)):
-        return str(value)
+    # `Fraction`'s isinstance goes through its ABC metaclass, so it comes late
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
@@ -63,20 +73,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _text_columns(rows: list[list]) -> list[list[str]]:
+    """Cell text of rectangular `rows`, column by column.
+
+    A column whose cells share one exact type from `_CELL_TEXT` maps that
+    type's formatter over itself; any other column goes through `_fmt` cell
+    by cell. Either way a cell reads as `_fmt` would write it.
+    """
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        plain = _CELL_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(list(map(plain or _fmt, column)))
+    return columns
+
+
 def _emit_csv(rows: list[list]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerow(map(_fmt, rows[0]))
+    for start in range(1, len(rows), _CSV_BLOCK):
+        writer.writerows(zip(*_text_columns(rows[start : start + _CSV_BLOCK])))
 
 
 def _emit_text_table(rows: list[list]) -> None:
-    text = [[_fmt(x) for x in row] for row in rows]
-    widths = [
-        max(len(row[c]) for row in text if c < len(row))
-        for c in range(max(len(r) for r in text))
-    ]
-    for row in text:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    columns = [[_fmt(cell)] for cell in rows[0]]
+    for column, body in zip(columns, _text_columns(rows[1:])):
+        column += body
+    padded = []
+    for column in columns:
+        width = max(map(len, column))
+        padded.append([cell.ljust(width) for cell in column])
+    for row in zip(*padded):
+        print("  ".join(row).rstrip())
 
 
 def _emit(args, rows: list[list]) -> None:
@@ -86,13 +114,18 @@ def _emit(args, rows: list[list]) -> None:
         _emit_text_table(rows)
 
 
-def _parse_weights(text: str) -> list[Fraction]:
+def _parse_weights(text: str) -> list[float]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        out.append(Fraction(piece))
+        try:
+            out.append(float(Fraction(piece)))
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {piece!r} divides by zero") from None
+        except OverflowError:
+            raise ValueError(f"coefficient {piece!r} is beyond the float range") from None
     if not out:
         raise ValueError("no coefficients given")
     return out
@@ -212,13 +245,13 @@ def _cmd_run_protocol(args) -> int:
 
 
 def _cmd_concentrate(args) -> int:
-    probs = [float(x) for x in _parse_weights(args.coeffs)]
+    probs = _parse_weights(args.coeffs)
     branches = concentration_yield_distribution(probs, args.n)
     rows: list[list] = [["counts", "probability", "yield_bits", "cats_extracted"]]
     for branch in branches:
         rows.append(
             [
-                ":".join(str(c) for c in branch.counts),
+                ":".join(map(str, branch.counts)),
                 branch.probability,
                 branch.yield_bits,
                 branch.yield_floor,
@@ -232,7 +265,7 @@ def _cmd_concentrate(args) -> int:
 
 
 def _cmd_dilute(args) -> int:
-    probs = [float(x) for x in _parse_weights(args.coeffs)]
+    probs = _parse_weights(args.coeffs)
     retained = dilution_retained_types(probs, args.n, args.k)
     summary: list[list] = [
         ["n", "k", "classical_bits", "fidelity"],
@@ -242,7 +275,7 @@ def _cmd_dilute(args) -> int:
     print()
     rows: list[list] = [["counts", "per_string_probability", "class_size", "strings_kept"]]
     for counts, per_string, size, kept in retained:
-        rows.append([":".join(str(c) for c in counts), per_string, size, kept])
+        rows.append([":".join(map(str, counts)), per_string, size, kept])
     _emit(args, rows)
     return 0
 

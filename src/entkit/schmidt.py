@@ -12,11 +12,9 @@ type-class counting.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -309,15 +307,6 @@ def cat_yield(state: PureState) -> float:
 # --- type-class combinatorics ------------------------------------------------
 
 
-def _multinomial(counts: Sequence[int]) -> int:
-    out = 1
-    seen = 0
-    for c in counts:
-        seen += c
-        out *= math.comb(seen, c)
-    return out
-
-
 def _log2_int(value: int) -> float:
     """log2 of a positive integer without float overflow."""
     shift = value.bit_length() - 1
@@ -326,13 +315,40 @@ def _log2_int(value: int) -> float:
     return shift + math.log2(value / (1 << shift))
 
 
+# the least integer that float() rounds past the largest finite float
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+# classes lost to the float range may hold at most this much probability
+_LOST_MASS_LOG2 = -53
+
+
+def _heads(tables, counts, rest, head, base):
+    """Every choice of the counts drawn from `tables`, in lexicographic order:
+    (counts, copies left, product of their per-string factors, multinomial
+    of the counts and the copies left)."""
+    if not tables:
+        yield counts, rest, head, base
+        return
+    table, tables = tables[0], tables[1:]
+    for c in range(rest + 1):
+        yield from _heads(tables, counts + (c,), rest - c, head * table[c], base)
+        base = base * (rest - c) // (c + 1)
+
+
 def _type_classes(probs: Sequence[float], n: int):
     """(counts, per-string probability, class size) of every type class of
     n-letter strings with nonzero probability, counts in lexicographic order.
 
-    Stars and bars: the counts are the gaps between len(probs) - 1 sorted
-    cut points in 0..n, and the cut tuples come out in lexicographic order,
-    so the counts do too.
+    Each letter gets a table of its powers 0..n. The counts of all letters
+    but the last two are chosen in lexicographic order; for each choice, an
+    inner loop walks the last two counts (j, rest - j), multiplies the
+    per-string factors in letter order, and advances the exact class size
+    by the binomial recurrence.
+
+    A class that uses a zero-probability letter is skipped. A class whose
+    per-string probability underflows to 0.0, or whose size float() cannot
+    hold, is lost to the float range: those classes are skipped while the
+    probability they hold together is below 2^-53, and a ValueError naming
+    n is raised otherwise.
     """
     p = [float(x) for x in probs]
     if len(p) < 1:
@@ -340,23 +356,47 @@ def _type_classes(probs: Sequence[float], n: int):
     if any(x < 0 for x in p):
         raise ValueError("probabilities must be nonnegative")
     total = sum(p)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails this test
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     if n < 1:
         raise ValueError("need at least one copy")
     p = [x / total for x in p]
-    for cuts in itertools.combinations_with_replacement(range(n + 1), len(p) - 1):
-        counts = tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
-        # a zero count's factor is exactly 1.0, so it leaves the product as is
-        per_string = math.prod(map(pow, p, counts))
-        if per_string != 0.0:
-            yield counts, per_string, _multinomial(counts)
+    if len(p) == 1:  # p == [1.0]
+        yield (n,), 1.0, 1
+        return
+    powers = [[pow(x, c) for c in range(n + 1)] for x in p]
+    zero = [i for i, x in enumerate(p) if x == 0.0]
+    lost: list[float] = []
+    a, b = powers[-2:]
+    for counts, rest, head, size in _heads(powers[:-2], (), n, 1, 1):
+        for j in range(rest + 1):
+            full = counts + (j, rest - j)
+            per_string = head * a[j] * b[rest - j]
+            if per_string != 0.0 and size < _FLOAT_OVERFLOW:
+                yield full, per_string, size
+            elif not any(full[i] for i in zero):
+                lost.append(
+                    _log2_int(size) + sum(c * math.log2(x) for c, x in zip(full, p) if c)
+                )
+            size = size * (rest - j) // (j + 1)
+    if lost:
+        top = max(lost)
+        mass = top + math.log2(sum(2.0 ** (x - top) for x in lost))
+        if mass >= _LOST_MASS_LOG2:
+            raise ValueError(
+                f"n = {n} is past the float range: type classes holding "
+                f"2^{mass:.1f} of the probability have a per-string probability "
+                "below the least float or more strings than the largest float"
+            )
 
 
-@dataclass(frozen=True)
-class TypeBranch:
+class TypeBranch(NamedTuple):
     """One type class of n-letter strings: its count profile, probability,
-    and the cat states extractable from a uniform set of that size."""
+    and the cat states extractable from a uniform set of that size.
+
+    A named tuple: immutable, and compared and unpacked as a plain tuple of
+    its five fields.
+    """
 
     counts: tuple[int, ...]
     probability: float
@@ -379,11 +419,7 @@ def concentration_yield_distribution(
     """
     return [
         TypeBranch(
-            counts=counts,
-            probability=float(size) * per_string,
-            size=size,
-            yield_bits=_log2_int(size),
-            yield_floor=size.bit_length() - 1,
+            counts, float(size) * per_string, size, _log2_int(size), size.bit_length() - 1
         )
         for counts, per_string, size in _type_classes(probs, n)
     ]

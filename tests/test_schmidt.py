@@ -3,12 +3,18 @@ combinatorics behind concentration and dilution."""
 import collections
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entkit.builders import cat_power, cat_state
 from entkit.schmidt import (
+    _FLOAT_OVERFLOW,
+    TypeBranch,
+    _log2_int,
     _type_classes,
     cat_yield,
     concentration_yield_distribution,
@@ -170,6 +176,131 @@ def test_type_classes_skip_zero_probability_letters():
     classes = list(_type_classes([0.5, 0.0, 0.5], 3))
     assert [c[0] for c in classes] == [(0, 0, 3), (1, 0, 2), (2, 0, 1), (3, 0, 0)]
     assert [c[2] for c in classes] == [1, 3, 3, 1]
+
+
+def _reference_multinomial(counts):
+    out = 1
+    seen = 0
+    for c in counts:
+        seen += c
+        out *= math.comb(seen, c)
+    return out
+
+
+def _reference_type_classes(probs, n):
+    """The per-class enumerator that the power-table one replaced: stars and
+    bars over cut points, one `pow` and one `math.comb` per letter."""
+    p = [float(x) for x in probs]
+    total = sum(p)
+    p = [x / total for x in p]
+    for cuts in itertools.combinations_with_replacement(range(n + 1), len(p) - 1):
+        counts = tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
+        per_string = math.prod(map(pow, p, counts))
+        if per_string != 0.0:
+            yield counts, per_string, _reference_multinomial(counts)
+
+
+def _reference_concentration(probs, n):
+    return [
+        (counts, float(size) * per_string, size, _log2_int(size), size.bit_length() - 1)
+        for counts, per_string, size in _reference_type_classes(probs, n)
+    ]
+
+
+def _reference_dilution(probs, n, k):
+    types = sorted(_reference_type_classes(probs, n), key=lambda t: (-t[1], t[0]))
+    budget = 1 << k
+    rows = []
+    for counts, per_string, size in types:
+        take = min(size, budget)
+        rows.append((counts, per_string, size, take))
+        budget -= take
+        if budget == 0:
+            break
+    return rows
+
+
+def _bits(row):
+    """A row with every float replaced by its exact hex spelling."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+# letters -> largest n drawn, so that no example has more than ~12k classes
+_MAX_COPIES = {1: 80, 2: 80, 3: 80, 4: 40, 5: 20}
+
+
+@st.composite
+def _weights_and_copies(draw):
+    letters = draw(st.integers(1, 5))
+    numerators = draw(st.lists(st.integers(0, 12), min_size=letters, max_size=letters))
+    if not any(numerators):
+        numerators[draw(st.integers(0, letters - 1))] = 1
+    denominators = draw(st.lists(st.integers(1, 12), min_size=letters, max_size=letters))
+    weights = [Fraction(a, b) for a, b in zip(numerators, denominators)]
+    total = sum(weights)
+    probs = [float(w / total) for w in weights]
+    return probs, draw(st.integers(1, _MAX_COPIES[letters]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weights_and_copies(), st.integers(0, 12))
+def test_type_classes_bit_identical_to_the_per_class_enumerator(case, k):
+    probs, n = case
+    want = list(_reference_type_classes(probs, n))
+    got = list(_type_classes(probs, n))
+    assert [c for c, _, _ in got] == [c for c, _, _ in want]
+    assert [p.hex() for _, p, _ in got] == [p.hex() for _, p, _ in want]
+    assert [s for _, _, s in got] == [s for _, _, s in want]
+    branches = concentration_yield_distribution(probs, n)
+    assert all(type(b) is TypeBranch for b in branches)
+    assert [_bits(b) for b in branches] == [_bits(r) for r in _reference_concentration(probs, n)]
+    assert [_bits(r) for r in dilution_retained_types(probs, n, k)] == [
+        _bits(r) for r in _reference_dilution(probs, n, k)
+    ]
+
+
+def test_type_branch_is_an_immutable_named_tuple():
+    (branch,) = concentration_yield_distribution([1.0], 3)
+    assert TypeBranch._fields == ("counts", "probability", "size", "yield_bits", "yield_floor")
+    assert branch == ((3,), 1.0, 1, 0.0, 0)
+    with pytest.raises(AttributeError):
+        branch.size = 2
+
+
+def test_float_overflow_is_the_first_integer_float_cannot_hold():
+    assert float(_FLOAT_OVERFLOW - 1) == 1.7976931348623157e308
+    with pytest.raises(OverflowError):
+        float(_FLOAT_OVERFLOW)
+
+
+@pytest.mark.parametrize(
+    "probs, n",
+    [
+        ([0.5, 0.5], 1050),  # C(1050, 525) has no float
+        ([0.9, 0.1], 3000),  # nor do the likeliest class sizes here
+        ([0.5, 0.5], 1100),  # every per-string 2^-1100 underflows to 0.0
+    ],
+)
+def test_classes_lost_to_the_float_range_are_an_error(probs, n):
+    with pytest.raises(ValueError, match=f"n = {n} is past the float range"):
+        concentration_yield_distribution(probs, n)
+    with pytest.raises(ValueError, match=f"n = {n} is past the float range"):
+        dilution_retained_types(probs, n, n - 1)
+
+
+def test_classes_lost_below_2_to_the_minus_53_are_dropped():
+    # the 81 classes with 320 or more of the 1/10 letter underflow; together
+    # they hold about 2^-790.7
+    branches = concentration_yield_distribution([0.9, 0.1], 400)
+    assert [b.counts for b in branches] == [(400 - c, c) for c in range(319, -1, -1)]
+    assert [_bits(b) for b in branches] == [
+        _bits(r) for r in _reference_concentration([0.9, 0.1], 400)
+    ]
+
+
+def test_rejects_probabilities_summing_to_nan():
+    with pytest.raises(ValueError, match="sum to nan"):
+        list(_type_classes([float("nan"), 1.0], 3))
 
 
 def test_concentration_gap_shrinks():
