@@ -384,8 +384,8 @@ def _type_classes(probs: Sequence[float], n: int):
         mass = top + math.log2(sum(2.0 ** (x - top) for x in lost))
         if mass >= _LOST_MASS_LOG2:
             raise ValueError(
-                f"n = {n} is past the float range: type classes holding "
-                f"2^{mass:.1f} of the probability have a per-string probability "
+                f"n = {n} is past the float range: type classes of total "
+                f"probability {2.0 ** mass:.3g} have a per-string probability "
                 "below the least float or more strings than the largest float"
             )
 
