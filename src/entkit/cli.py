@@ -350,13 +350,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", choices=("text", "csv"), default="text", help="output style"
     )
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized modes; the shipped subcommands are exact "
-        "and ignore it",
-    )
 
 
 @functools.cache

@@ -12,13 +12,17 @@ target. Counting certified-independent states gives lower bounds on how
 many states a reversible generating set must contain.
 
 Inputs and results are exact `fractions.Fraction`s; float inputs are
-accepted only when they are within 1e-9 of a small rational. Elimination
-scales each equation to Python ints and runs fraction-free, so the one
-solver `_solve_exact` serves the equality system, the left-kernel
-certificate of an inconsistent system and the lift of Farkas multipliers
-to a partition weighting. The inequality half, x >= 0 over the solutions
-of the equality system, is one exact dictionary simplex (`_lexmin_mix`):
-it finds the mix, decides uniqueness and yields the Farkas multipliers.
+accepted only when they are within 1e-9 of a small rational. One core,
+`_feasible`, decides x >= 0 with A x = b over plain int or `Fraction`
+columns of either sign, and hands back either the mix or a separating
+weighting it has re-checked exactly; `solve_coefficients` is its adapter
+for labeled entropy rows. Inside the core, elimination scales each
+equation to Python ints and runs fraction-free, so the one solver
+`_solve_exact` serves the equality system, the left-kernel certificate of
+an inconsistent system and the lift of Farkas multipliers to a weighting.
+The inequality half, x >= 0 over the solutions of the equality system, is
+one exact dictionary simplex (`_lexmin_mix`): it finds the mix, decides
+uniqueness and yields the Farkas multipliers.
 """
 from __future__ import annotations
 
@@ -70,6 +74,11 @@ def _as_row(num_parties: int, vector) -> tuple[Fraction, ...]:
     """Normalize a state / mapping / sequence to an exact partition row."""
     parts = canonical_partitions(num_parties)
     if isinstance(vector, PureState):
+        if vector.num_parties != num_parties:
+            raise ValueError(
+                f"a {vector.num_parties}-party state where {num_parties} "
+                "parties are expected"
+            )
         exact = exact_entropy_vector(vector)
         return tuple(exact[p] for p in parts)
     if isinstance(vector, Mapping):
@@ -130,14 +139,6 @@ class EntropyMatrix:
     @property
     def num_generators(self) -> int:
         return len(self.rows)
-
-    def column_matrix(self) -> list[list[Fraction]]:
-        """Equations-by-generators matrix (one row per partition)."""
-        width = len(canonical_partitions(self.num_parties))
-        return [
-            [self.rows[g][p] for g in range(self.num_generators)]
-            for p in range(width)
-        ]
 
 
 @dataclass(frozen=True)
@@ -331,6 +332,47 @@ def _lexmin_mix(
     return point, unique, None
 
 
+def _feasible(
+    columns: Sequence[Sequence], b: Sequence
+) -> tuple[tuple | None, tuple | None]:
+    """Decide whether x >= 0 with A x = b, exactly; A's columns are `columns`.
+
+    Entries are ints or `Fraction`s of either sign; a free variable is the
+    pair of columns c and -c. Returns (mix, None) or (None, certificate).
+    The mix is (point, unique, kernel basis) from `_lexmin_mix` over the
+    solutions of the equality system. The certificate is (w, reason,
+    verified): a weighting of the equations, the left-kernel vector of an
+    inconsistent system or the Farkas multipliers lifted through A's
+    transpose, oriented so that w . b < 0; `verified` is an exact re-check
+    of that and of w . c >= 0 for every column c.
+    """
+    n = len(columns)
+    outcome = _solve_exact([[c[p] for c in columns] for p in range(len(b))], b, n)
+    if outcome is None:
+        # a left-kernel vector that does not vanish on b
+        _, left_kernel = _solve_exact(columns, [0] * n, len(b))
+        w = next(w for w in left_kernel if _dot(w, b) != 0)
+        reason = "the equality system itself is inconsistent"
+    else:
+        x0, kernel = outcome
+        point, unique, lam = _lexmin_mix(x0, kernel)
+        if point is not None:
+            return (point, unique, kernel), None
+        lifted = _solve_exact(columns, lam, len(b))
+        if lifted is None:
+            raise InternalError("multipliers failed to lift; this is a bug")
+        w = lifted[0]
+        reason = "the equality system is solvable only with negative coefficients"
+    if _dot(w, b) > 0:
+        w = [-x for x in w]
+    verified = _dot(w, b) < 0 and all(_dot(w, c) >= 0 for c in columns)
+    return None, (w, reason, verified)
+
+
+def _dot(a: Sequence, b: Sequence) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def solve_coefficients(
     gens: EntropyMatrix, target
 ) -> Union[CoefficientSolution, Infeasible]:
@@ -346,62 +388,22 @@ def solve_coefficients(
     coefficient) is returned with a separating partition weighting, checked
     exactly before being handed back.
     """
-    t = list(_as_row(gens.num_parties, target))
-    n_gens = gens.num_generators
-    outcome = _solve_exact(gens.column_matrix(), t, n_gens)
-    if outcome is None:
-        # a left-kernel vector w (w . row = 0 for every generator) that
-        # does not vanish on the target
-        _, left_kernel = _solve_exact(gens.rows, [Fraction(0)] * n_gens, len(t))
-        w = next(w for w in left_kernel if _dot(w, t) != 0)
-        return _certified_infeasible(
-            gens, t, w, "the equality system itself is inconsistent"
-        )
-    x0, kernel = outcome
-    solution, unique, lam = _lexmin_mix(x0, kernel)
-    if solution is None:
-        # lift the Farkas multipliers to a partition weighting
-        lifted = _solve_exact(gens.rows, lam, len(t))
-        if lifted is None:
-            raise InternalError("multipliers failed to lift; this is a bug")
-        return _certified_infeasible(
-            gens,
-            t,
-            lifted[0],
-            "the equality system is solvable only with negative coefficients",
-        )
+    t = _as_row(gens.num_parties, target)
+    mix, certificate = _feasible(gens.rows, t)
+    if certificate is not None:
+        w, reason, verified = certificate
+        return Infeasible(gens.labels, tuple(w), verified, reason)
+    point, unique, kernel = mix
     residual = Fraction(0)
     for p in range(len(t)):
-        acc = sum(
-            gens.rows[g][p] * solution[g] for g in range(gens.num_generators)
-        )
+        acc = sum(row[p] * x for row, x in zip(gens.rows, point))
         residual = max(residual, abs(acc - t[p]))
-    direction = _primitive_direction(kernel[0]) if kernel else None
     return CoefficientSolution(
         labels=gens.labels,
-        coefficients=tuple(solution),
+        coefficients=tuple(point),
         unique=unique,
-        kernel_direction=direction,
+        kernel_direction=_primitive_direction(kernel[0]) if kernel else None,
         residual=residual,
-    )
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _certified_infeasible(
-    gens: EntropyMatrix, t: list[Fraction], w: list[Fraction], reason: str
-) -> Infeasible:
-    """Orient w against the target and re-check it exactly."""
-    if _dot(w, t) > 0:
-        w = [-x for x in w]
-    ok = _dot(w, t) < 0 and all(_dot(w, row) >= 0 for row in gens.rows)
-    return Infeasible(
-        labels=gens.labels,
-        certificate=tuple(w),
-        verified=ok,
-        reason=reason,
     )
 
 
@@ -421,10 +423,6 @@ def _epr_generators(m: int) -> list[tuple[str, PureState]]:
 def _default_probes(m: int) -> list[tuple[str, PureState]]:
     from .builders import cat_state, codeword5, embedded_cat
 
-    if m == 3:
-        return [("cat3", cat_state(3))]
-    if m == 4:
-        return [("cat4", cat_state(4))]
     if m == 5:
         return [("cat5", cat_state(5)), ("codeword5", codeword5())]
     if m == 6:
@@ -469,9 +467,7 @@ class MregsBound:
         return "\n".join(lines)
 
 
-def mregs_lower_bound(
-    m: int, probe_states: Sequence[tuple[str, PureState]] | None = None
-) -> MregsBound:
+def mregs_lower_bound(m: int) -> MregsBound:
     """Count how many states a reversible generating set must contain.
 
     Starts from the complete EPR graph and adds each probe in turn. What
@@ -503,9 +499,8 @@ def mregs_lower_bound(
             f"cat states have r21 = 1, so {comparison}"
         )
     bound = baseline
-    probes = _default_probes(m) if probe_states is None else list(probe_states)
     results: list[ProbeResult] = []
-    for label, state in probes:
+    for label, state in _default_probes(m):
         verdict = solve_coefficients(gens, state)
         if isinstance(verdict, Infeasible):
             if not verdict.verified:

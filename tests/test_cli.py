@@ -500,6 +500,18 @@ def test_coeffs_infeasible(capsys):
     assert "partition,weight" in out
 
 
+@pytest.mark.parametrize(
+    "gens, target, message",
+    [
+        (["epr(a,b,3)", "epr(a,c,3)"], "cat4", "a 4-party state where 3 parties"),
+        (["cat4"], "epr", "a 2-party state where 4 parties"),
+    ],
+)
+def test_coeffs_target_on_other_parties_is_one_error_line(capsys, gens, target, message):
+    result = run_cli(capsys, "coeffs", "--gens", *gens, "--target", target)
+    assert_one_error_line(*result, message)
+
+
 def test_mregs_bounds(capsys):
     code, out, _ = run_cli(capsys, "mregs-bounds", "--m", "4", "--format", "csv")
     assert code == 0
@@ -537,13 +549,6 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert run_cli(capsys, "entropy-table")[0] == 2
-
-
-def test_seed_flag_accepted_everywhere(capsys):
-    code, out, _ = run_cli(
-        capsys, "r21-table", "--seed", "7", "--format", "csv"
-    )
-    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Exact feasibility over entropy vectors: recovery, kernels, certificates,
 and the generating-set lower bounds."""
+import importlib.util
 import itertools
 import random
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from entkit import mregs
 from entkit.builders import (
     cat_state,
     codeword5,
@@ -20,6 +22,7 @@ from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
     Infeasible,
+    _feasible,
     _lexmin_mix,
     _solve_exact,
     egs_check,
@@ -105,6 +108,19 @@ def test_codeword_over_eprs_and_cat_infeasible():
         for p in canonical_partitions(5)
     ]
     verify_certificate(gens, target_row, outcome.certificate)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EntropyMatrix.from_states(3, [("x", cat_state(4))]), "a 4-party state where 3"),
+        (lambda: solve_coefficients(epr_matrix(3), cat_state(4)), "a 4-party state where 3"),
+        (lambda: solve_coefficients(epr_matrix(4), epr_between(2, 0, 1)), "a 2-party state where 4"),
+    ],
+)
+def test_state_on_other_parties_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_infeasible_on_inconsistent_equalities():
@@ -317,7 +333,7 @@ def test_wide_kernel_mix_over_eprs_and_embedded_cats():
     gens = eprs_and_embedded_cats(5)
     assert gens.num_generators == 26
     target = [sum(column) for column in zip(*gens.rows)]
-    _, kernel = _solve_exact(gens.column_matrix(), target, 26)
+    _, kernel = _solve_exact(list(zip(*gens.rows)), target, 26)
     assert len(kernel) == 11
     sol = solve_coefficients(gens, target)
     assert isinstance(sol, CoefficientSolution)
@@ -559,16 +575,51 @@ def highs_feasible(matrix, rhs, n_cols):
 
 
 def test_feasibility_matches_highs_on_random_systems():
-    pytest.importorskip("scipy")
+    """`_feasible` on signed `random_cone_system` systems and on copies with a
+    random integer right-hand side, many of them inconsistent: mixes solve the
+    system, certificates pass a fresh exact re-check, and with scipy present
+    every verdict matches HiGHS."""
+    have_scipy = importlib.util.find_spec("scipy") is not None
     rng = random.Random(1947)
-    verdicts = []
+    seen = dict.fromkeys(
+        [
+            "feasible",
+            "the equality system itself is inconsistent",
+            "the equality system is solvable only with negative coefficients",
+        ],
+        0,
+    )
     for _ in range(400):
         matrix, rhs, n_cols = random_cone_system(rng)
-        x0, kernel = _solve_exact(matrix, rhs, n_cols)
-        feasible = _lexmin_mix(x0, kernel)[0] is not None
-        assert feasible == highs_feasible(matrix, rhs, n_cols), (matrix, rhs)
-        verdicts.append(feasible)
-    assert verdicts.count(False) >= 20
+        columns = [[row[c] for row in matrix] for c in range(n_cols)]
+        for b in (rhs, [rng.randrange(-6, 7) for _ in rhs]):
+            mix, certificate = _feasible(columns, b)
+            if mix is not None:
+                assert certificate is None
+                point = mix[0]
+                assert len(point) == n_cols and min(point) >= 0
+                for row, bp in zip(matrix, b):
+                    assert sum(a * x for a, x in zip(row, point)) == bp
+                seen["feasible"] += 1
+            else:
+                w, reason, verified = certificate
+                assert verified
+                assert sum(wp * bp for wp, bp in zip(w, b)) < 0
+                for column in columns:
+                    assert sum(wp * cp for wp, cp in zip(w, column)) >= 0
+                seen[reason] += 1
+            if have_scipy:
+                assert (mix is not None) == highs_feasible(matrix, b, n_cols), (matrix, b)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_core_recheck_rejects_a_bad_weighting(monkeypatch):
+    # x = (-1, 1) is the only solution; a wrong multiplier (1, -1) lifts to
+    # w = (1, -1), negative on b but also on the second column
+    monkeypatch.setattr(mregs, "_lexmin_mix", lambda x0, kernel: (None, False, [1, -1]))
+    mix, (w, reason, verified) = _feasible([[1, 0], [0, 1]], [-1, 1])
+    assert mix is None and w == [1, -1] and not verified
+    assert reason == "the equality system is solvable only with negative coefficients"
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -583,6 +634,6 @@ def test_feasibility_matches_highs_on_mixes(m):
         outcome = solve_coefficients(gens, target)
         feasible = isinstance(outcome, CoefficientSolution)
         assert feasible or outcome.verified
-        assert feasible == highs_feasible(gens.column_matrix(), target, gens.num_generators)
+        assert feasible == highs_feasible(list(zip(*gens.rows)), target, gens.num_generators)
         verdicts.add(feasible)
     assert verdicts == {True, False}
