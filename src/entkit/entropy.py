@@ -54,66 +54,57 @@ def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits of a reduced matrix
     (see `reduced_gram`)."""
     exact = exact_entropy(rho)
-    if exact is not None:
-        return float(exact)
-    eigenvalues = hermitian_eigenvalues(rho)
-    return shannon_entropy([max(float(v), 0.0) for v in eigenvalues])
+    return _cut_entropy(hermitian_eigenvalues(rho) if exact is None else exact)
 
 
-def flat_spectrum_rank(rho: np.ndarray) -> int | None | list[int | None]:
-    """Rank r if the reduced matrix rho is exactly (a projector)/r within
-    tolerance, else None.
+def flat_spectrum_rank(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (N, d, d) stack of reduced matrices, the rank r if it
+    is exactly (a projector)/r within tolerance, else 0.
 
-    A `(B, d, d)` stack of Gram matrices gives a list with one such entry
-    per matrix; the projector test runs once over every candidate.
+    The purity tr(rho^2) = 1/r singles out the candidates, and one stacked
+    product tests r rho^2 = rho on them only. Zero and non-finite matrices
+    come out 0.
     """
-    stack = rho if rho.ndim == 3 else rho[None]
-    ranks: list[int | None] = []
-    for purity in _squared_norms(stack):
+    if len(stack) == 1:  # Python floats are the cheapest arithmetic for one matrix
+        purity = float(np.vdot(stack, stack).real)
         r = round(1.0 / purity) if purity > 0.0 else 0
-        ranks.append(r if r >= 1 and abs(r * purity - 1.0) <= _FLAT_TOL else None)
-    rows = [i for i, r in enumerate(ranks) if r is not None]
-    if rows:
+        if r < 1 or abs(r * purity - 1.0) > _FLAT_TOL:
+            return np.zeros(1)
+        deviation = stack @ stack
+        deviation *= r
+        deviation -= stack
+        return np.array([r if math.sqrt(np.vdot(deviation, deviation).real) <= _FLAT_TOL else 0.0])
+    purity = _squared_norms(stack)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ranks = np.rint(1.0 / purity)
+        ranks[~(np.abs(ranks * purity - 1.0) <= _FLAT_TOL)] = 0.0
+    rows = ranks.nonzero()[0]
+    if len(rows):
         candidates = stack if len(rows) == len(stack) else stack[rows]
         deviation = candidates @ candidates
-        if len(stack) == 1:  # a scalar is the cheapest multiplier for one matrix
-            deviation *= ranks[0]
-        else:
-            deviation *= np.array([ranks[i] for i in rows], dtype=float).reshape(-1, 1, 1)
+        deviation *= ranks[rows].reshape(-1, 1, 1)
         deviation -= candidates
-        for i, square in zip(rows, _squared_norms(deviation)):
-            if math.sqrt(square) > _FLAT_TOL:
-                ranks[i] = None
-    return ranks if rho.ndim == 3 else ranks[0]
+        ranks[rows[np.sqrt(_squared_norms(deviation)) > _FLAT_TOL]] = 0.0
+    return ranks
 
 
-def _squared_norms(stack: np.ndarray) -> list[float]:
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
     """Sum of squared moduli of each entry of a stack, per leading index."""
     if len(stack) == 1:  # np.vdot is the cheapest reduction for one matrix
-        return [float(np.vdot(stack, stack).real)]
+        return np.array([np.vdot(stack, stack).real])
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat).tolist()
+    return np.einsum("ij,ij->i", flat, flat)
 
 
-def exact_entropy(rho: np.ndarray) -> Fraction | None | list[Fraction | None]:
+def exact_entropy(rho: np.ndarray) -> Fraction | None:
     """Entropy of a reduced matrix as an exact rational, when its spectrum
     allows it.
 
     Flat spectra of power-of-two rank r = 2^s have entropy exactly s bits;
-    anything else returns None and callers fall back to floating point. A
-    `(B, d, d)` stack gives a list with one entry per matrix.
+    anything else returns None and callers fall back to floating point.
     """
-    ranks = flat_spectrum_rank(rho)
-    if not isinstance(ranks, list):
-        return _entropy_of_rank(ranks)
-    # the rows of a stack share one Fraction per distinct rank
-    entropies = {r: _entropy_of_rank(r) for r in set(ranks)}
-    return [entropies[r] for r in ranks]
-
-
-def _entropy_of_rank(r: int | None) -> Fraction | None:
-    """s bits for a flat spectrum of rank r = 2^s, else None."""
-    if r is None or r & (r - 1):
+    r = int(flat_spectrum_rank(rho[None])[0])
+    if not r or r & (r - 1):
         return None
     return Fraction(r.bit_length() - 1)
 
@@ -167,11 +158,12 @@ def _cheaper_side(dims: Sequence[int], dim: int, part: Partition) -> Partition:
 
 # matrix entries held back for one stacked eigensolver call (64 MB)
 _PENDING_ENTRIES = 1 << 22
+# Gram entries per block of same-size cuts in a stack's entropy vector
+# (128 KB): larger blocks save little Python work and raise peak memory
+_BLOCK_ENTRIES = 1 << 13
 
 
-def cut_spectra(
-    state: PureState | np.ndarray,
-) -> dict[Partition, Fraction | np.ndarray] | dict[Partition, list[Fraction | np.ndarray]]:
+def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     """The reduced spectrum across every canonical cut, in canonical order.
 
     Each cut's reduced Gram matrix is formed on its cheaper side. A flat
@@ -180,50 +172,25 @@ def cut_spectra(
     its eigenvalues, sorted descending. The remaining Gram matrices are
     diagonalized with one stacked call per matrix size, split only when the
     held-back matrices would exceed 64 MB.
-
-    `state` may also be a stack of states with shared dims, an array of
-    shape (B, d1, ..., dm): each cut then forms one (B, d, d) Gram stack
-    and maps to a list with one entry per state. A single state is the
-    B = 1 case.
     """
-    stacked = not isinstance(state, PureState)
-    dims = state.shape[1:] if stacked else state.dims
-    dim = math.prod(dims)
-    out: dict[Partition, Fraction | np.ndarray | None | list] = {}
-    # per Gram size: (cut, the rows of its list still to fill, or None for a
-    # single state, and their Grams)
-    pending: dict[int, list[tuple[Partition, list[int] | None, np.ndarray]]] = {}
-    held: dict[int, int] = {}
+    out: dict[Partition, Fraction | np.ndarray | None] = {}
+    # per Gram size: the cuts still to diagonalize and their Grams
+    pending: dict[int, list[tuple[Partition, np.ndarray]]] = {}
 
     def diagonalize(size: int) -> None:
         batch = pending.pop(size)
-        del held[size]
-        spectra = iter(hermitian_eigenvalues(np.concatenate([grams for *_, grams in batch])))
-        for part, rows, _ in batch:
-            if rows is None:
-                out[part] = next(spectra)
-            else:
-                for row in rows:
-                    out[part][row] = next(spectra)
+        spectra = hermitian_eigenvalues(np.stack([gram for _, gram in batch]))
+        for (part, _), values in zip(batch, spectra):
+            out[part] = values
 
-    for part in canonical_partitions(len(dims)):
-        grams = reduced_gram(state, _cheaper_side(dims, dim, part))
-        out[part] = values = exact_entropy(grams)
-        if not stacked:
-            if values is not None:
-                continue
-            rows, grams = None, grams[None]
-        else:
-            rows = [row for row, value in enumerate(values) if value is None]
-            if not rows:
-                continue
-            if len(rows) < len(grams):
-                grams = grams[rows]
-        size = grams.shape[-1]
-        pending.setdefault(size, []).append((part, rows, grams))
-        held[size] = held.get(size, 0) + grams.size
-        if held[size] >= _PENDING_ENTRIES:
-            diagonalize(size)
+    for part in canonical_partitions(state.num_parties):
+        gram = reduced_gram(state, _cheaper_side(state.dims, state.dim, part))
+        out[part] = exact_entropy(gram)
+        if out[part] is None:
+            size = len(gram)
+            pending.setdefault(size, []).append((part, gram))
+            if len(pending[size]) * gram.size >= _PENDING_ENTRIES:
+                diagonalize(size)
     for size in list(pending):
         diagonalize(size)
     return out
@@ -235,22 +202,26 @@ def _cut_entropy(value: Fraction | np.ndarray) -> float:
     return float(value)
 
 
-def _vector_from_spectra(
-    num_parties: int, spectra: dict, weights: Sequence[float] | None = None
-) -> EntropyVector:
-    """The entropy vector of the cut spectra that `cut_spectra` returned;
-    for a stack, the `weights`-weighted sum of its states' vectors."""
-    if weights is None:
-        return EntropyVector(
-            num_parties, {part: _cut_entropy(value) for part, value in spectra.items()}
-        )
+def _vector_from_spectra(num_parties: int, spectra: dict) -> EntropyVector:
+    """The entropy vector of the cut spectra that `cut_spectra` returned."""
     return EntropyVector(
-        num_parties,
-        {
-            part: sum(w * _cut_entropy(value) for w, value in zip(weights, values))
-            for part, values in spectra.items()
-        },
+        num_parties, {part: _cut_entropy(value) for part, value in spectra.items()}
     )
+
+
+def _stack_entropies(grams: np.ndarray) -> np.ndarray:
+    """The entropy of each matrix of a (N, d, d) stack of reduced matrices.
+
+    A flat spectrum of rank 2^s is exactly s bits; every other matrix goes
+    to one stacked eigensolver call.
+    """
+    mantissa, exponent = np.frexp(flat_spectrum_rank(grams))
+    out = (exponent - 1).astype(float)
+    rest = (mantissa != 0.5).nonzero()[0]
+    if len(rest):
+        spectra = hermitian_eigenvalues(grams if len(rest) == len(grams) else grams[rest])
+        out[rest] = [_cut_entropy(values) for values in spectra]
+    return out
 
 
 def entropy_vector(
@@ -258,18 +229,43 @@ def entropy_vector(
 ) -> EntropyVector:
     """All partial entropies of a pure state, one per canonical partition.
 
-    For a stack of states with shared dims (see `cut_spectra`), pass one
-    weight per state: the result is the weighted sum of their entropy
-    vectors, with branch probabilities as weights the expected one.
+    `state` may also be a stack of states with shared dims, an array of
+    shape (B, d1, ..., dm), with one weight per state: the result is the
+    weighted sum of their entropy vectors, with branch probabilities as
+    weights the expected one. The cuts whose cheaper side has the same
+    size d share one (cuts, B, d, d) Gram block of at most about 2^13
+    entries (one cut's stack when that alone is larger). Each block takes
+    one flat-spectrum test and one eigensolver call for the rows that are
+    not flat of power-of-two rank. Each cut's sum runs left to right over
+    the states, so it equals the sum of the states' own vectors exactly.
     """
     if isinstance(state, PureState):
         if weights is not None:
             raise ValueError("weights apply to a stack of states only")
         return _vector_from_spectra(state.num_parties, cut_spectra(state))
-    if weights is None or len(weights) != len(state):
-        raise ValueError("a stack of states needs one weight per state")
-    weights = [float(w) for w in weights]
-    return _vector_from_spectra(state.ndim - 1, cut_spectra(state), weights)
+    if not len(state) or weights is None or len(weights) != len(state):
+        raise ValueError("a stack needs at least one state and one weight per state")
+    weights = np.asarray(weights, dtype=float)
+    dims = state.shape[1:]
+    dim = math.prod(dims)
+    values: dict[Partition, float] = {}
+    by_size: dict[int, list[tuple[Partition, Partition]]] = {}
+    for part in canonical_partitions(len(dims)):
+        values[part] = 0.0  # keeps the canonical order
+        side = _cheaper_side(dims, dim, part)
+        by_size.setdefault(math.prod(dims[p] for p in side.members), []).append((part, side))
+    # infinite rows give NaN Grams, which the eigensolver rejects
+    with np.errstate(invalid="ignore"):
+        for size, cuts in by_size.items():
+            per_block = max(1, _BLOCK_ENTRIES // (len(state) * size * size))
+            for start in range(0, len(cuts), per_block):
+                block = cuts[start : start + per_block]
+                grams = [reduced_gram(state, side) for _, side in block]
+                grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
+                entropies = _stack_entropies(grams).reshape(len(block), len(state))
+                for (part, _), row in zip(block, entropies):
+                    values[part] = sum((weights * row).tolist())
+    return EntropyVector(len(dims), values)
 
 
 def single_party_entropies(state: PureState) -> list[float]:

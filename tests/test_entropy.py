@@ -30,6 +30,7 @@ from entkit.entropy import (
     single_party_entropies,
 )
 from entkit.states import (
+    Partition,
     PureState,
     canonical_partitions,
     random_pure_state,
@@ -247,30 +248,54 @@ def mixed_stack(dims, seed):
     return states, np.stack([s.as_tensor() for s in states])
 
 
-def same_spectrum(a, b):
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return a == b and type(a) is type(b)
-    return np.array_equal(a, b)
+def one_hot(count, b):
+    weights = [0.0] * count
+    weights[b] = 1.0
+    return weights
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2, 2), (3, 3, 4)])
-def test_stacked_cut_spectra_match_each_state(dims):
+def test_stacked_cut_entropies_match_each_state(dims):
+    # one-hot weights read one state's row out of every Gram block: the other
+    # rows add 0.0, so the sum is that row's entropy exactly
     states, stack = mixed_stack(dims, len(dims))
-    stacked = cut_spectra(stack)
-    assert list(stacked) == canonical_partitions(len(dims))
     for b, state in enumerate(states):
-        for part, value in cut_spectra(state).items():
-            assert same_spectrum(stacked[part][b], value)
+        got = entropy_vector(stack, one_hot(len(states), b))
+        assert list(got.values) == canonical_partitions(len(dims))
+        assert got == entropy_vector(state)
 
 
 def test_flat_spectrum_rank_on_a_stack_matches_each_matrix():
     states, stack = mixed_stack((2, 2, 2, 2), 9)
     grams = reduced_gram(stack, (0, 1))
     assert grams.shape == (len(states), 4, 4)
-    ranks = flat_spectrum_rank(grams)
-    assert ranks == [flat_spectrum_rank(g) for g in grams]
-    assert ranks[1:3] == [2, 1] and ranks.count(None) == 4
-    assert exact_entropy(grams) == [exact_entropy(g) for g in grams]
+    ranks = flat_spectrum_rank(grams).tolist()
+    assert ranks == [flat_spectrum_rank(g[None])[0] for g in grams]
+    assert ranks[1:3] == [2, 1] and ranks.count(0) == 4
+    assert [exact_entropy(g) for g in grams] == [None, Fraction(1), Fraction(0), None, None, None]
+
+
+def test_zero_non_finite_and_empty_stacks():
+    # warnings are errors in this suite, so a RuntimeWarning fails here
+    bell = np.zeros((2, 2), dtype=complex)
+    bell[0, 0] = bell[1, 1] = 2**-0.5
+    stack = np.stack([np.zeros((2, 2), dtype=complex), bell])
+    grams = reduced_gram(stack, (0,))
+    assert flat_spectrum_rank(grams).tolist() == [0, 2]
+    assert [flat_spectrum_rank(g[None])[0] for g in grams] == [0, 2]
+    assert entropy_vector(stack, [0.5, 0.5]).entries() == [(Partition(2, (1,)), 0.5)]
+    for bad in (np.nan, np.inf):
+        for row in (0, 1):
+            broken = grams.copy()
+            broken[row, 0, 0] = bad
+            assert flat_spectrum_rank(broken)[row] == 0
+            assert flat_spectrum_rank(broken[row][None])[0] == 0
+            broken = stack.copy()
+            broken[row, 0, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                entropy_vector(broken, [0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one state"):
+        entropy_vector(stack[:0], [])
 
 
 def test_entropy_vector_of_a_stack_is_the_weighted_sum():
@@ -288,13 +313,20 @@ def test_entropy_vector_of_a_stack_is_the_weighted_sum():
 
 def test_held_back_eigensolver_batches_are_bounded(monkeypatch):
     calls = count_solver_calls(monkeypatch)
-    _, stack = mixed_stack((2, 2, 2, 2, 2), 12)
-    whole = cut_spectra(stack)
-    assert sorted(calls) == [(20, 2, 2), (40, 4, 4)]  # one call per Gram size
+    states, stack = mixed_stack((2, 2, 2, 2, 2), 12)
+    weights = [1.0 / len(states)] * len(states)
+    whole = entropy_vector(stack, weights)
+    assert sorted(calls) == [(20, 2, 2), (40, 4, 4)]  # one block per Gram size
     calls.clear()
-    monkeypatch.setattr(sys.modules["entkit.entropy"], "_PENDING_ENTRIES", 64)
-    split = cut_spectra(stack)
-    # a batch is flushed once it holds 64 entries, so it ends below 64 plus one cut's rows
-    assert len(calls) > 2 and all(n * d * d < 64 + len(stack) * d * d for n, d, _ in calls)
-    for part, values in whole.items():
-        assert all(same_spectrum(a, b) for a, b in zip(values, split[part]))
+    monkeypatch.setattr(sys.modules["entkit.entropy"], "_BLOCK_ENTRIES", 64)
+    split = entropy_vector(stack, weights)
+    # a block holds at most 64 entries, or one cut's rows when they alone are more
+    assert len(calls) > 2 and all(n * d * d <= max(64, len(stack) * d * d) for n, d, _ in calls)
+    assert split == whole
+    # a single state holds its Grams back up to a bound of its own
+    whole = cut_spectra(states[0])
+    calls.clear()
+    monkeypatch.setattr(sys.modules["entkit.entropy"], "_PENDING_ENTRIES", 8)
+    split = cut_spectra(states[0])
+    assert len(calls) > 2 and all(n * d * d < 8 + d * d for n, d, _ in calls)
+    assert all(np.array_equal(whole[part], split[part]) for part in whole)

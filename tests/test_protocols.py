@@ -40,8 +40,10 @@ from entkit.protocols import (
     run,
     save_protocol,
 )
+from entkit.entropy import entropy_vector, flat_spectrum_rank
 from entkit.states import (
     PureState,
+    canonical_partitions,
     fidelity,
     make_state,
     random_pure_state,
@@ -200,8 +202,6 @@ def test_branches_sorted_by_transcript():
 
 
 def test_unitary_preserves_entropy_vector():
-    from entkit.entropy import entropy_vector
-
     state = random_pure_state((2, 2, 2), np.random.default_rng(8))
     builder = ProtocolBuilder([[2], [2], [2]])
     builder.unitary(1, random_unitary(2, np.random.default_rng(9)))
@@ -700,8 +700,6 @@ def reference_run(steps, state, prune_threshold=1e-14):
 
 
 def reference_assert_entropy_monotone(result):
-    from entkit.entropy import entropy_vector
-
     before = entropy_vector(result.input_state)
     branch_vectors = [(b.probability, entropy_vector(b.state)) for b in result.branches]
     for part in before.partitions():
@@ -739,14 +737,43 @@ def test_batched_run_matches_per_branch_reference(make):
     assert got.probability_drift == pytest.approx(want.probability_drift, abs=1e-15)
 
 
+HAAR_DIMS = [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2), (3, 3, 2), (2, 3, 2, 3)]
+
+
+def edge_rows(dims):
+    """States at the edges of the exact flat-spectrum test, with transcripts:
+    flat of rank 2 and 1 on every cut; the rank-2 one turned by 1e-7, which
+    passes the purity test but fails r rho^2 = rho; and, given two qutrit
+    parties, a maximally entangled pair of them, flat of rank 3 across every
+    cut between them, where the entropy is not exact and goes to the
+    eigensolver."""
+    rows = {name: np.zeros(dims, dtype=complex) for name in ("cat", "product", "turned")}
+    rows["cat"].flat[0] = rows["cat"].flat[-1] = 2**-0.5
+    rows["product"].flat[0] = 1.0
+    rows["turned"].flat[0] = math.cos(math.pi / 4 + 1e-7)
+    rows["turned"].flat[-1] = math.sin(math.pi / 4 + 1e-7)
+    qutrits = [p for p, d in enumerate(dims) if d == 3]
+    if len(qutrits) >= 2:
+        rows["qutrits"] = np.zeros(dims, dtype=complex)
+        for k in range(3):
+            index = [0] * len(dims)
+            index[qutrits[0]] = index[qutrits[1]] = k
+            rows["qutrits"][tuple(index)] = 3**-0.5
+    return [(PureState(dims, row.reshape(-1)), (name,)) for name, row in rows.items()]
+
+
 def haar_fake_run(seed):
-    """A run whose branches are Haar-random states on shared dims, so no cut
-    is flat and the stacked check falls back to the eigensolver."""
+    """A run whose branches include Haar-random states on shared dims, whose
+    cuts are never flat, so the stacked check falls back to the eigensolver;
+    half the seeds add the `edge_rows` to the same stack."""
     rng = np.random.default_rng([seed, 77])
-    dims = [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2)][seed % 4]
+    dims = HAAR_DIMS[seed % len(HAAR_DIMS)]
     count = int(rng.integers(1, 12))
-    weights = rng.dirichlet(np.ones(count))
-    branches = [Branch(float(w), random_pure_state(dims, rng), (str(i),)) for i, w in enumerate(weights)]
+    states = [(random_pure_state(dims, rng), (str(i),)) for i in range(count)]
+    if seed // len(HAAR_DIMS) % 2:
+        states += edge_rows(dims)
+    weights = rng.dirichlet(np.ones(len(states)))
+    branches = [Branch(float(w), state, t) for w, (state, t) in zip(weights, states)]
     if seed % 3 == 0:
         start = random_pure_state(dims, rng)
     else:
@@ -780,11 +807,27 @@ def test_stacked_check_matches_per_branch_check_on_haar_branches(monkeypatch):
         fake = haar_fake_run(seed)
         solver_calls.clear()
         got = monotonicity_verdict(_assert_entropy_monotone, fake)
-        # every cut of every branch went through the stacked eigensolver fallback
+        # every cut of every Haar branch went through the stacked eigensolver fallback
         cuts = 2 ** (len(fake.input_state.dims) - 1) - 1
-        assert sum(shape[0] for shape in solver_calls) >= len(fake.branches) * cuts
+        haar = sum(b.transcript[0].isdigit() for b in fake.branches)
+        assert sum(shape[0] for shape in solver_calls) >= haar * cuts
         assert got == monotonicity_verdict(reference_assert_entropy_monotone, fake)
         verdicts.append(got)
+        # the values behind the verdict: the input as a stack of one, and the
+        # branches' weighted sum in branch order
+        start = fake.input_state
+        assert entropy_vector(start.as_tensor()[None], [1.0]) == entropy_vector(start)
+        stack = np.stack([b.state.as_tensor() for b in fake.branches])
+        after = entropy_vector(stack, [b.probability for b in fake.branches])
+        vectors = [(b.probability, entropy_vector(b.state)) for b in fake.branches]
+        for part in after.partitions():
+            assert after.values[part] == sum(p * v.values[part] for p, v in vectors)
+        if haar < len(fake.branches):
+            # across party 1: cat, product, turned (not flat) and the qutrit pair
+            grams = reduced_gram(stack[haar:], (1,))
+            ranks = flat_spectrum_rank(grams).tolist()
+            assert ranks == [2, 1, 0, 3][: len(fake.branches) - haar]
+            assert ranks == [flat_spectrum_rank(g[None])[0] for g in grams]
     assert any(v is None for v in verdicts) and any(v is not None for v in verdicts)
 
 
@@ -802,14 +845,48 @@ def counting_wrapper(monkeypatch, module_name, name):
 
 
 def test_check_forms_one_stacked_gram_per_cut(monkeypatch):
-    grams = counting_wrapper(monkeypatch, "entkit.entropy", "reduced_gram")
+    entropy_module = sys.modules["entkit.entropy"]
+    grams = []
+    original = entropy_module.reduced_gram
+
+    def recording(state, keep):
+        grams.append((state.shape, tuple(keep.members)))
+        return original(state, keep)
+
+    monkeypatch.setattr(entropy_module, "reduced_gram", recording)
+    blocks = counting_wrapper(monkeypatch, "entkit.entropy", "flat_spectrum_rank")
     solver = counting_wrapper(monkeypatch, "entkit.entropy", "hermitian_eigenvalues")
     run(cat_to_epr(8, 0, 1), cat_state(8))
-    stacked = [g for g in grams if isinstance(g, np.ndarray)]
-    assert len(stacked) == 127  # one per canonical cut, not 127 x 64
-    assert all(g.shape == (64,) + (2,) * 8 for g in stacked)
-    assert len(grams) - len(stacked) == 127  # the input's own vector
     assert solver == []
+    # each canonical cut's Gram, on its cheaper side, once for the input and
+    # once for the 64 branches
+    sides = sorted(
+        part.members if len(part.members) <= 4 else part.complement().members
+        for part in canonical_partitions(8)
+    )
+    for rows in (1, 64):
+        assert sorted(keep for shape, keep in grams if shape == (rows,) + (2,) * 8) == sides
+    assert len(grams) == 2 * len(sides)
+    # same-size cuts share a block; one above the cap holds a single cut
+    cap = entropy_module._BLOCK_ENTRIES
+    assert len(blocks) < len(grams)
+    assert all(b.size <= max(cap, 64 * b.shape[-1] ** 2) for b in blocks)
+    assert any(b.size > cap for b in blocks) and any(len(b) > 64 for b in blocks)
+
+
+def test_check_peak_memory_is_bounded():
+    # 1,432,264 B is the traced peak of the check with one Gram stack per
+    # cut, before cuts were grouped into blocks (numpy 2.4, Python 3.11); the
+    # block cap keeps the check at or below it
+    result = run(cat_to_epr(8, 0, 1), cat_state(8), check_entropy=False)
+    _assert_entropy_monotone(result)
+    tracemalloc.start()
+    try:
+        _assert_entropy_monotone(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_432_264
 
 
 def test_each_discard_makes_one_stacked_eigensystem_call(monkeypatch):
