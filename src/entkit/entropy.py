@@ -6,6 +6,7 @@ cheaper side and stored once per canonical partition. Entropies are in bits.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,17 +64,9 @@ def flat_spectrum_rank(stack: np.ndarray) -> np.ndarray:
 
     The purity tr(rho^2) = 1/r singles out the candidates, and one stacked
     product tests r rho^2 = rho on them only. Zero and non-finite matrices
-    come out 0.
+    come out 0. Every cut spectrum takes this test first: a block of cuts
+    in `_cut_blocks`, or one matrix in `exact_entropy`.
     """
-    if len(stack) == 1:  # Python floats are the cheapest arithmetic for one matrix
-        purity = float(np.vdot(stack, stack).real)
-        r = round(1.0 / purity) if purity > 0.0 else 0
-        if r < 1 or abs(r * purity - 1.0) > _FLAT_TOL:
-            return np.zeros(1)
-        deviation = stack @ stack
-        deviation *= r
-        deviation -= stack
-        return np.array([r if math.sqrt(np.vdot(deviation, deviation).real) <= _FLAT_TOL else 0.0])
     purity = _squared_norms(stack)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ranks = np.rint(1.0 / purity)
@@ -151,48 +144,68 @@ class EntropyVector:
         )
 
 
-def _cheaper_side(dims: Sequence[int], dim: int, part: Partition) -> Partition:
-    dim_x = math.prod(dims[p] for p in part.members)
-    return part if dim_x * dim_x <= dim else part.complement()
-
-
-# matrix entries held back for one stacked eigensolver call (64 MB)
-_PENDING_ENTRIES = 1 << 22
-# Gram entries per block of same-size cuts in a stack's entropy vector
-# (128 KB): larger blocks save little Python work and raise peak memory
+# Gram entries per block of same-size cuts (128 KB): larger blocks save
+# little Python work and raise peak memory
 _BLOCK_ENTRIES = 1 << 13
+
+
+@functools.cache
+def _cuts_by_size(dims: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, Partition], ...]], ...]:
+    """The canonical cuts of states on `dims` grouped by the size d of the
+    Gram matrix on their cheaper side: (d, ((canonical index, side), ...))."""
+    dim = math.prod(dims)
+    by_size: dict[int, list[tuple[int, Partition]]] = {}
+    for index, part in enumerate(canonical_partitions(len(dims))):
+        size = math.prod(dims[p] for p in part.members)
+        if size * size > dim:
+            part, size = part.complement(), dim // size
+        by_size.setdefault(size, []).append((index, part))
+    return tuple((size, tuple(cuts)) for size, cuts in by_size.items())
+
+
+def _cut_blocks(stack: np.ndarray):
+    """The cut spectra of a (B, d1, ..., dm) stack of states, one block of
+    same-size cuts at a time: (indices, bits, others, spectra).
+
+    A block holds the cuts whose cheaper side has the same Gram size d, at
+    most `_BLOCK_ENTRIES` Gram entries (a single cut when its (B, d, d)
+    stack alone is larger). `indices` are the cuts' canonical indices, and
+    row b of cut k is state b's reduced matrix. For a row whose spectrum is
+    flat of power-of-two rank 2^s, `bits[k, b]` is s; `others[k, b]` marks
+    every other row, and `spectra` holds their eigenvalues in row order,
+    sorted descending, from one eigensolver call.
+    """
+    for size, cuts in _cuts_by_size(stack.shape[1:]):
+        per_block = max(1, _BLOCK_ENTRIES // (len(stack) * size * size))
+        for start in range(0, len(cuts), per_block):
+            block = cuts[start : start + per_block]
+            grams = [reduced_gram(stack, side) for _, side in block]
+            grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
+            mantissa, exponent = np.frexp(flat_spectrum_rank(grams))
+            others = mantissa != 0.5
+            rest = grams if others.all() else grams[others]
+            spectra = hermitian_eigenvalues(rest) if len(rest) else ()
+            shape = (len(block), len(stack))
+            indices = [index for index, _ in block]
+            yield indices, (exponent - 1).reshape(shape), others.reshape(shape), spectra
 
 
 def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     """The reduced spectrum across every canonical cut, in canonical order.
 
-    Each cut's reduced Gram matrix is formed on its cheaper side. A flat
-    spectrum of power-of-two rank is reported as its exact entropy (a
-    `Fraction`) and never reaches the eigensolver; every other cut maps to
-    its eigenvalues, sorted descending. The remaining Gram matrices are
-    diagonalized with one stacked call per matrix size, split only when the
-    held-back matrices would exceed 64 MB.
+    The state goes through `_cut_blocks` as a stack of one, so each cut's
+    Gram matrix is formed on its cheaper side and same-size cuts share one
+    flat-spectrum test and one eigensolver call. A flat spectrum of
+    power-of-two rank is reported as its exact entropy (a `Fraction`) and
+    never reaches the eigensolver; every other cut maps to its eigenvalues,
+    sorted descending.
     """
-    out: dict[Partition, Fraction | np.ndarray | None] = {}
-    # per Gram size: the cuts still to diagonalize and their Grams
-    pending: dict[int, list[tuple[Partition, np.ndarray]]] = {}
-
-    def diagonalize(size: int) -> None:
-        batch = pending.pop(size)
-        spectra = hermitian_eigenvalues(np.stack([gram for _, gram in batch]))
-        for (part, _), values in zip(batch, spectra):
-            out[part] = values
-
-    for part in canonical_partitions(state.num_parties):
-        gram = reduced_gram(state, _cheaper_side(state.dims, state.dim, part))
-        out[part] = exact_entropy(gram)
-        if out[part] is None:
-            size = len(gram)
-            pending.setdefault(size, []).append((part, gram))
-            if len(pending[size]) * gram.size >= _PENDING_ENTRIES:
-                diagonalize(size)
-    for size in list(pending):
-        diagonalize(size)
+    parts = canonical_partitions(state.num_parties)
+    out: dict[Partition, Fraction | np.ndarray] = dict.fromkeys(parts)
+    for indices, bits, others, spectra in _cut_blocks(state.as_tensor()[None]):
+        spectra = iter(spectra)
+        for index, s, other in zip(indices, bits[:, 0].tolist(), others[:, 0].tolist()):
+            out[parts[index]] = next(spectra) if other else Fraction(s)
     return out
 
 
@@ -209,21 +222,6 @@ def _vector_from_spectra(num_parties: int, spectra: dict) -> EntropyVector:
     )
 
 
-def _stack_entropies(grams: np.ndarray) -> np.ndarray:
-    """The entropy of each matrix of a (N, d, d) stack of reduced matrices.
-
-    A flat spectrum of rank 2^s is exactly s bits; every other matrix goes
-    to one stacked eigensolver call.
-    """
-    mantissa, exponent = np.frexp(flat_spectrum_rank(grams))
-    out = (exponent - 1).astype(float)
-    rest = (mantissa != 0.5).nonzero()[0]
-    if len(rest):
-        spectra = hermitian_eigenvalues(grams if len(rest) == len(grams) else grams[rest])
-        out[rest] = [_cut_entropy(values) for values in spectra]
-    return out
-
-
 def entropy_vector(
     state: PureState | np.ndarray, weights: Sequence[float] | None = None
 ) -> EntropyVector:
@@ -232,12 +230,12 @@ def entropy_vector(
     `state` may also be a stack of states with shared dims, an array of
     shape (B, d1, ..., dm), with one weight per state: the result is the
     weighted sum of their entropy vectors, with branch probabilities as
-    weights the expected one. The cuts whose cheaper side has the same
-    size d share one (cuts, B, d, d) Gram block of at most about 2^13
-    entries (one cut's stack when that alone is larger). Each block takes
-    one flat-spectrum test and one eigensolver call for the rows that are
-    not flat of power-of-two rank. Each cut's sum runs left to right over
-    the states, so it equals the sum of the states' own vectors exactly.
+    weights the expected one. Either way the cut spectra come from
+    `_cut_blocks`, which `cut_spectra` reads for a single state as a stack
+    of one: a flat spectrum of rank 2^s is exactly s bits, and every other
+    cut takes the Shannon entropy of its eigenvalues. Each cut's sum runs
+    left to right over the states, so it equals the sum of the states' own
+    vectors exactly.
     """
     if isinstance(state, PureState):
         if weights is not None:
@@ -246,26 +244,16 @@ def entropy_vector(
     if not len(state) or weights is None or len(weights) != len(state):
         raise ValueError("a stack needs at least one state and one weight per state")
     weights = np.asarray(weights, dtype=float)
-    dims = state.shape[1:]
-    dim = math.prod(dims)
-    values: dict[Partition, float] = {}
-    by_size: dict[int, list[tuple[Partition, Partition]]] = {}
-    for part in canonical_partitions(len(dims)):
-        values[part] = 0.0  # keeps the canonical order
-        side = _cheaper_side(dims, dim, part)
-        by_size.setdefault(math.prod(dims[p] for p in side.members), []).append((part, side))
+    parts = canonical_partitions(state.ndim - 1)
+    values = dict.fromkeys(parts, 0.0)
     # infinite rows give NaN Grams, which the eigensolver rejects
     with np.errstate(invalid="ignore"):
-        for size, cuts in by_size.items():
-            per_block = max(1, _BLOCK_ENTRIES // (len(state) * size * size))
-            for start in range(0, len(cuts), per_block):
-                block = cuts[start : start + per_block]
-                grams = [reduced_gram(state, side) for _, side in block]
-                grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
-                entropies = _stack_entropies(grams).reshape(len(block), len(state))
-                for (part, _), row in zip(block, entropies):
-                    values[part] = sum((weights * row).tolist())
-    return EntropyVector(len(dims), values)
+        for indices, bits, others, spectra in _cut_blocks(state):
+            entropies = bits.astype(float)
+            entropies[others] = [_cut_entropy(spectrum) for spectrum in spectra]
+            for index, row in zip(indices, entropies):
+                values[parts[index]] = sum((weights * row).tolist())
+    return EntropyVector(state.ndim - 1, values)
 
 
 def single_party_entropies(state: PureState) -> list[float]:
@@ -341,8 +329,10 @@ def exact_entropy_vector_of_factors(
 
     Each factor is a small pure state together with the global parties it
     occupies (in its own party order). Partial entropy is additive over
-    tensor factors, so each canonical cut is summed factor by factor; this
-    sidesteps ever materializing the (possibly huge) joint state.
+    tensor factors, so each canonical cut sums, factor by factor, the exact
+    entropy of the factor's own cut inside it, read from the factor's
+    `cut_spectra` (taken once per factor). This sidesteps ever
+    materializing the (possibly huge) joint state.
     """
     factor_list = [
         (state, tuple(int(p) for p in parties)) for state, parties in factors
@@ -354,19 +344,18 @@ def exact_entropy_vector_of_factors(
             raise ValueError("factor parties must be distinct")
         if any(p < 0 or p >= num_parties for p in parties):
             raise ValueError("factor party out of range")
+    # a one-party factor has no cut, so it adds 0 everywhere
+    spectra = [cut_spectra(state) if state.num_parties > 1 else {} for state, _ in factor_list]
     values: dict[Partition, Fraction] = {}
     for part in canonical_partitions(num_parties):
         inside = set(part.members)
         total = Fraction(0)
-        for state, parties in factor_list:
-            local = tuple(
-                idx for idx, p in enumerate(parties) if p in inside
-            )
+        for (state, parties), factor in zip(factor_list, spectra):
+            local = tuple(idx for idx, p in enumerate(parties) if p in inside)
             if not local or len(local) == state.num_parties:
                 continue
-            gram = reduced_gram(state, local)
-            value = exact_entropy(gram)
-            if value is None:
+            value = factor[Partition(state.num_parties, local).canonical()]
+            if not isinstance(value, Fraction):
                 raise ValueError(
                     f"factor on {parties} has no exact entropy across {part.label}"
                 )

@@ -536,8 +536,8 @@ def run(
 
 def _assert_entropy_monotone(result: ProtocolRun) -> None:
     """No cut's probability-weighted branch entropy may exceed the input's.
-    The branches share dims, so they are one stack; the input is another."""
-    before = entropy_vector(result.input_state.as_tensor()[None], [1.0])
+    The branches share dims, so they are one stack; the input is a stack of one."""
+    before = entropy_vector(result.input_state)
     branches = result.branches
     stack = np.stack([b.state.as_tensor() for b in branches])
     after = entropy_vector(stack, [b.probability for b in branches])

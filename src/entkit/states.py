@@ -310,28 +310,31 @@ def _keep_indices(
     return members
 
 
+@functools.cache
+def _gram_axes(num_parties: int, members: tuple[int, ...], stacked: bool) -> tuple[int, ...]:
+    # the stack axis if any, then the kept parties' axes, then the rest
+    rest = tuple(p for p in range(num_parties) if p not in members)
+    return tuple(range(stacked)) + tuple(stacked + p for p in members + rest)
+
+
 def reduced_gram(
     state: PureState | np.ndarray, keep: Partition | Iterable[int]
 ) -> np.ndarray:
     """The reduced state of the parties in `keep`: tr_rest |psi><psi|, the
     d x d Gram matrix M M^dag of the amplitudes reshaped to (d, rest).
 
-    This ndarray is the package's one reduced-state type: entropies,
-    spectra and fidelities all take it. `state` may also be a stack of
-    states with shared dims, an array of shape (B, d1, ..., dm); the result
-    is then the (B, d, d) stack of their reduced matrices.
+    This ndarray is the package's one reduced-state type, and this is the
+    package's one place that forms it: entropies, spectra and fidelities
+    all take it. `state` may also be a stack of states with shared dims, an
+    array of shape (B, d1, ..., dm); the result is then the (B, d, d) stack
+    of their reduced matrices.
     """
     stacked = isinstance(state, np.ndarray)
     tensor = state if stacked else state.as_tensor()
     dims = tensor.shape[stacked:]
     members = _keep_indices(len(dims), keep)
-    rest = tuple(p for p in range(len(dims)) if p not in members)
-    dim_keep = math.prod(dims[p] for p in members)
-    if stacked:
-        m = tensor.transpose((0,) + tuple(1 + p for p in members + rest))
-        m = m.reshape(len(tensor), dim_keep, -1)
-    else:
-        m = tensor.transpose(members + rest).reshape(dim_keep, -1)
+    m = tensor.transpose(_gram_axes(len(dims), members, stacked))
+    m = m.reshape(tensor.shape[:stacked] + (math.prod(dims[p] for p in members), -1))
     return m @ m.conj().swapaxes(-1, -2)
 
 

@@ -1,6 +1,33 @@
+import importlib
+
 import numpy as np
+import pytest
 
 from entkit import ProtocolBuilder, random_unitary
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """`record_calls(name, *modules, record=...)` wraps the function `name`
+    of the first module, binds the wrapper under that name in every module
+    given (modules call each other through names bound at import), and
+    returns the list that each call appends to: its positional arguments,
+    or `record(*args)` of them. Modules are named by their import path, as
+    the package re-exports functions whose names shadow its modules."""
+
+    def install(name, *modules, record=lambda *args: args):
+        original = getattr(importlib.import_module(modules[0]), name)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(record(*args))
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(importlib.import_module(module), name, recording)
+        return calls
+
+    return install
 
 
 def random_basis_projectors(dim: int, rng) -> list[np.ndarray]:

@@ -227,18 +227,10 @@ def test_run_protocol_with_target(capsys, tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_run_protocol_text_scores_each_branch_once(capsys, monkeypatch, tmp_path):
-    import entkit.protocols
+def test_run_protocol_text_scores_each_branch_once(capsys, record_calls, tmp_path):
     from entkit.protocols import cat_to_epr, save_protocol
 
-    calls = []
-    original = entkit.protocols.fidelity
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(entkit.protocols, "fidelity", counting)
+    calls = record_calls("fidelity", "entkit.protocols")
     path = str(tmp_path / "p.json")
     save_protocol(cat_to_epr(5, 0, 1), path)
     code, out, _ = run_cli(
@@ -306,37 +298,15 @@ def test_dilute(capsys):
     assert "2,1,2,0.75" in out
 
 
-def test_dilute_enumerates_type_classes_once(capsys, monkeypatch):
-    import sys
-
-    calls = []
-    original = sys.modules["entkit.schmidt"].dilution_retained_types
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module in ("entkit.schmidt", "entkit.cli"):
-        monkeypatch.setattr(sys.modules[module], "dilution_retained_types", counting)
+def test_dilute_enumerates_type_classes_once(capsys, record_calls):
+    calls = record_calls("dilution_retained_types", "entkit.schmidt", "entkit.cli")
     code, out, _ = run_cli(capsys, "dilute", "--n", "6", "--k", "3", "--coeffs", "2/3,1/3")
     assert code == 0
     assert len(calls) == 1
 
 
-def test_concentrate_enumerates_type_classes_once(capsys, monkeypatch):
-    import sys
-
-    calls = []
-    original = sys.modules["entkit.schmidt"].concentration_yield_distribution
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module in ("entkit.schmidt", "entkit.cli"):
-        monkeypatch.setattr(
-            sys.modules[module], "concentration_yield_distribution", counting
-        )
+def test_concentrate_enumerates_type_classes_once(capsys, record_calls):
+    calls = record_calls("concentration_yield_distribution", "entkit.schmidt", "entkit.cli")
     code, out, _ = run_cli(capsys, "concentrate", "--n", "6", "--coeffs", "2/3,1/3")
     assert code == 0
     assert "expected yield:" in out

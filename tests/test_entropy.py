@@ -29,6 +29,7 @@ from entkit.entropy import (
     shannon_entropy,
     single_party_entropies,
 )
+from entkit.linalg import hermitian_eigenvalues
 from entkit.states import (
     Partition,
     PureState,
@@ -148,6 +149,18 @@ def test_exact_vector_of_factors_embedded_pair():
     assert additive == dense
 
 
+def test_exact_vector_of_factors_names_a_factor_without_exact_entropy(record_calls):
+    haar = random_pure_state((2, 2), np.random.default_rng(8))
+    with pytest.raises(ValueError, match=r"factor on \(1, 3\) has no exact entropy across B$"):
+        exact_entropy_vector_of_factors(4, [(epr_pair(), (0, 2)), (haar, (1, 3))])
+    # a one-party factor has no cut: it adds 0 and is never split into partitions
+    calls = record_calls("canonical_partitions", "entkit.entropy")
+    lone = PureState((3,), [0.6, 0.8, 0])
+    additive = exact_entropy_vector_of_factors(3, [(epr_pair(), (0, 2)), (lone, (1,))])
+    assert additive == exact_entropy_vector(epr_between(3, 0, 2))
+    assert calls and (1,) not in calls
+
+
 def test_entropy_vector_dominance():
     ghz = entropy_vector(cat_state(3))
     w_like = entropy_vector(
@@ -167,35 +180,45 @@ def svd_spectrum(state, members):
     return np.linalg.svd(mat, compute_uv=False) ** 2
 
 
-@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (3,) * 5, (2,) * 8])
+# states on these dims are Haar-random, except for a maximally entangled
+# qutrit pair around a dim-1 party: every cut flat of rank 3 or 1
+FLAT_STATES = {(3, 1, 3): PureState((3, 1, 3), np.eye(3))}
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (3,) * 5, (2,) * 8, (2, 1, 3, 2), (3, 1, 3)])
 def test_cut_spectra_match_svd(dims):
-    state = random_pure_state(dims, np.random.default_rng(len(dims) * 101))
+    state = FLAT_STATES.get(dims) or random_pure_state(dims, np.random.default_rng(len(dims) * 101))
     spectra = cut_spectra(state)
     vec = entropy_vector(state)
     assert list(spectra) == canonical_partitions(len(dims))
+    # a single state is a stack of one with weight 1
+    stacked = entropy_vector(state.as_tensor()[None], [1.0])
+    assert [v.hex() for v in vec.values.values()] == [v.hex() for v in stacked.values.values()]
     for part, spectrum in spectra.items():
         reference = svd_spectrum(state, part.members)
-        assert isinstance(spectrum, np.ndarray)
-        assert np.allclose(spectrum, reference, atol=1e-9)
         positive = reference[reference > 1e-15]
         assert vec[part] == pytest.approx(
             float(-(positive * np.log2(positive)).sum()), abs=1e-9
         )
+        rank = len(positive)
+        flat = np.allclose(positive, 1.0 / rank, atol=1e-9)
+        # exact bits for flat rank 2^s; flat rank 3 goes to the eigensolver
+        assert isinstance(spectrum, Fraction) == (flat and rank & (rank - 1) == 0)
+        if isinstance(spectrum, Fraction):
+            assert 2**spectrum == rank
+            continue
+        assert np.allclose(spectrum, reference, atol=1e-9)
+        # blocks of cuts change nothing: the cut's Gram, on its cheaper side,
+        # diagonalized alone
+        size = math.prod(dims[p] for p in part.members)
+        side = part if size * size <= state.dim else part.complement()
+        assert np.array_equal(spectrum, hermitian_eigenvalues(reduced_gram(state, side)))
 
 
-def count_solver_calls(monkeypatch):
-    # the package re-exports a function named `entropy`, so reach the module
-    # through sys.modules
-    module = sys.modules["entkit.entropy"]
-    calls = []
-    original = module.hermitian_eigenvalues
-
-    def counting(matrix):
-        calls.append(np.shape(matrix))
-        return original(matrix)
-
-    monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
-    return calls
+@pytest.fixture
+def solver_calls(record_calls):
+    """The shape of every eigensolver call the entropy module makes."""
+    return record_calls("hermitian_eigenvalues", "entkit.entropy", record=np.shape)
 
 
 @pytest.mark.parametrize(
@@ -207,8 +230,8 @@ def count_solver_calls(monkeypatch):
     ],
     ids=["cat5", "eprs4", "codeword5"],
 )
-def test_exact_vector_combinatorial_without_solver(monkeypatch, state, formula):
-    calls = count_solver_calls(monkeypatch)
+def test_exact_vector_combinatorial_without_solver(solver_calls, state, formula):
+    calls = solver_calls
     exact = exact_entropy_vector(state)
     assert list(exact) == canonical_partitions(state.num_parties)
     for part, value in exact.items():
@@ -217,14 +240,15 @@ def test_exact_vector_combinatorial_without_solver(monkeypatch, state, formula):
     assert calls == []
 
 
-def test_flat_cuts_never_reach_the_solver(monkeypatch):
-    calls = count_solver_calls(monkeypatch)
+def test_flat_cuts_never_reach_the_solver(solver_calls):
+    calls = solver_calls
     vec = entropy_vector(cat_state(6))
     assert all(value == 1.0 for _, value in vec.entries())
     assert calls == []
-    # control: a generic 8-qubit state needs one stacked call per Gram size
+    # control: a generic 8-qubit state needs one stacked call per block of
+    # same-size cuts; the 35 half cuts' 16x16 Grams split at 2^13 entries
     entropy_vector(random_pure_state((2,) * 8, np.random.default_rng(3)))
-    assert sorted(calls) == [(8, 2, 2), (28, 4, 4), (35, 16, 16), (56, 8, 8)]
+    assert sorted(calls) == [(3, 16, 16), (8, 2, 2), (28, 4, 4), (32, 16, 16), (56, 8, 8)]
 
 
 def test_exact_vector_names_the_first_numeric_cut():
@@ -311,10 +335,12 @@ def test_entropy_vector_of_a_stack_is_the_weighted_sum():
         entropy_vector(states[0], [1.0])
 
 
-def test_held_back_eigensolver_batches_are_bounded(monkeypatch):
-    calls = count_solver_calls(monkeypatch)
+def test_held_back_eigensolver_batches_are_bounded(monkeypatch, solver_calls):
+    calls = solver_calls
     states, stack = mixed_stack((2, 2, 2, 2, 2), 12)
     weights = [1.0 / len(states)] * len(states)
+    whole_single = cut_spectra(states[0])
+    calls.clear()
     whole = entropy_vector(stack, weights)
     assert sorted(calls) == [(20, 2, 2), (40, 4, 4)]  # one block per Gram size
     calls.clear()
@@ -323,10 +349,8 @@ def test_held_back_eigensolver_batches_are_bounded(monkeypatch):
     # a block holds at most 64 entries, or one cut's rows when they alone are more
     assert len(calls) > 2 and all(n * d * d <= max(64, len(stack) * d * d) for n, d, _ in calls)
     assert split == whole
-    # a single state holds its Grams back up to a bound of its own
-    whole = cut_spectra(states[0])
+    # a single state is a stack of one under the same bound
     calls.clear()
-    monkeypatch.setattr(sys.modules["entkit.entropy"], "_PENDING_ENTRIES", 8)
     split = cut_spectra(states[0])
-    assert len(calls) > 2 and all(n * d * d < 8 + d * d for n, d, _ in calls)
-    assert all(np.array_equal(whole[part], split[part]) for part in whole)
+    assert len(calls) > 2 and all(n * d * d <= max(64, d * d) for n, d, _ in calls)
+    assert all(np.array_equal(whole_single[part], split[part]) for part in whole_single)

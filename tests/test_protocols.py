@@ -792,16 +792,8 @@ def monotonicity_verdict(check, result):
     return None
 
 
-def test_stacked_check_matches_per_branch_check_on_haar_branches(monkeypatch):
-    entropy_module = sys.modules["entkit.entropy"]
-    solver_calls = []
-    original = entropy_module.hermitian_eigenvalues
-
-    def counting(matrix):
-        solver_calls.append(np.shape(matrix))
-        return original(matrix)
-
-    monkeypatch.setattr(entropy_module, "hermitian_eigenvalues", counting)
+def test_stacked_check_matches_per_branch_check_on_haar_branches(record_calls):
+    solver_calls = record_calls("hermitian_eigenvalues", "entkit.entropy", record=np.shape)
     verdicts = []
     for seed in range(24):
         fake = haar_fake_run(seed)
@@ -831,31 +823,17 @@ def test_stacked_check_matches_per_branch_check_on_haar_branches(monkeypatch):
     assert any(v is None for v in verdicts) and any(v is not None for v in verdicts)
 
 
-def counting_wrapper(monkeypatch, module_name, name):
-    module = sys.modules[module_name]
-    calls = []
-    original = getattr(module, name)
-
-    def counting(first, *args):
-        calls.append(first)
-        return original(first, *args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
+def first_argument(first, *rest):
+    return first
 
 
-def test_check_forms_one_stacked_gram_per_cut(monkeypatch):
+def test_check_forms_one_stacked_gram_per_cut(record_calls):
     entropy_module = sys.modules["entkit.entropy"]
-    grams = []
-    original = entropy_module.reduced_gram
-
-    def recording(state, keep):
-        grams.append((state.shape, tuple(keep.members)))
-        return original(state, keep)
-
-    monkeypatch.setattr(entropy_module, "reduced_gram", recording)
-    blocks = counting_wrapper(monkeypatch, "entkit.entropy", "flat_spectrum_rank")
-    solver = counting_wrapper(monkeypatch, "entkit.entropy", "hermitian_eigenvalues")
+    grams = record_calls(
+        "reduced_gram", "entkit.entropy", record=lambda state, keep: (state.shape, tuple(keep.members))
+    )
+    blocks = record_calls("flat_spectrum_rank", "entkit.entropy", record=first_argument)
+    solver = record_calls("hermitian_eigenvalues", "entkit.entropy", record=first_argument)
     run(cat_to_epr(8, 0, 1), cat_state(8))
     assert solver == []
     # each canonical cut's Gram, on its cheaper side, once for the input and
@@ -889,8 +867,8 @@ def test_check_peak_memory_is_bounded():
     assert peak <= 1_432_264
 
 
-def test_each_discard_makes_one_stacked_eigensystem_call(monkeypatch):
-    calls = counting_wrapper(monkeypatch, "entkit.protocols", "hermitian_eigensystem")
+def test_each_discard_makes_one_stacked_eigensystem_call(record_calls):
+    calls = record_calls("hermitian_eigensystem", "entkit.protocols", record=first_argument)
     steps = eprs_to_cat(4, 0)
     run(steps, eprs_to_cat_input(4, 0))
     assert sum(isinstance(step, DiscardSubsystem) for step in steps) == 3

@@ -1,6 +1,5 @@
 """Majorization, convertibility verdicts, and the separability/NPT witness."""
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -210,19 +209,8 @@ def test_classify_2ghz_vs_3epr():
     assert result.verdict is ComparisonVerdict.INCOMPARABLE
 
 
-def test_classify_builds_each_entropy_vector_once(monkeypatch):
-    # the package re-exports a function named `entropy`, so reach the
-    # modules through sys.modules
-    entropy_module = sys.modules["entkit.entropy"]
-    calls = []
-    original = entropy_module.cut_spectra
-
-    def counting(state):
-        calls.append(state)
-        return original(state)
-
-    monkeypatch.setattr(entropy_module, "cut_spectra", counting)
-    monkeypatch.setattr(sys.modules["entkit.reducibility"], "cut_spectra", counting)
+def test_classify_builds_each_entropy_vector_once(record_calls):
+    calls = record_calls("cut_spectra", "entkit.entropy", "entkit.reducibility")
 
     # entropies cross: decided from the two vectors alone
     result = classify_states(eprs_graph(3, [(0, 1)]), eprs_graph(3, [(1, 2)]))
@@ -238,16 +226,8 @@ def test_classify_builds_each_entropy_vector_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_ghz_epr_witness_computes_each_states_spectra_once(monkeypatch):
-    calls = []
-    original = sys.modules["entkit.entropy"].cut_spectra
-
-    def counting(state):
-        calls.append(state)
-        return original(state)
-
-    monkeypatch.setattr(sys.modules["entkit.entropy"], "cut_spectra", counting)
-    monkeypatch.setattr(sys.modules["entkit.reducibility"], "cut_spectra", counting)
+def test_ghz_epr_witness_computes_each_states_spectra_once(record_calls):
+    calls = record_calls("cut_spectra", "entkit.entropy", "entkit.reducibility")
     report = ghz_epr_witness()
     assert report.verdict is ComparisonVerdict.INCOMPARABLE
     assert len(calls) == 2
