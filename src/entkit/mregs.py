@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .entropy import (
     EntropyVector,
@@ -71,7 +71,8 @@ def _snap(value) -> Fraction:
 
 
 def _as_row(num_parties: int, vector) -> tuple[Fraction, ...]:
-    """Normalize a state / mapping / sequence to an exact partition row."""
+    """A state's exact entropy vector, or a sequence of entries in canonical
+    partition order, as an exact partition row."""
     parts = canonical_partitions(num_parties)
     if isinstance(vector, PureState):
         if vector.num_parties != num_parties:
@@ -81,16 +82,6 @@ def _as_row(num_parties: int, vector) -> tuple[Fraction, ...]:
             )
         exact = exact_entropy_vector(vector)
         return tuple(exact[p] for p in parts)
-    if isinstance(vector, Mapping):
-        row = []
-        for p in parts:
-            if p in vector:
-                row.append(_snap(vector[p]))
-            elif p.members in vector:
-                row.append(_snap(vector[p.members]))
-            else:
-                raise ValueError(f"vector is missing partition {p.label}")
-        return tuple(row)
     row = tuple(_snap(x) for x in vector)
     if len(row) != len(parts):
         raise ValueError(

@@ -285,9 +285,6 @@ class ProtocolRun:
     def branch_fidelities(self, target: PureState) -> list[float]:
         return [fidelity(b.state, target) for b in self.branches]
 
-    def expected_fidelity(self, target: PureState) -> float:
-        return _expected(self.branches, self.branch_fidelities(target))
-
 
 def _expected(branches: Sequence[Branch], values: Sequence[float]) -> float:
     """The probability-weighted sum of one value per branch."""

@@ -21,10 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _ISENTROPY_TOL, _vector_from_spectra, cut_spectra
+from .entropy import _EIGENVALUE_FLOOR, _ISENTROPY_TOL, _vector_from_spectra, cut_spectra
 from .errors import InternalError
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
-from .schmidt import schmidt_decompose
 from .states import Partition, PureState, reduced_gram, refine_to_qubits
 
 __all__ = [
@@ -70,30 +69,34 @@ def majorizes(q: Sequence[float], p: Sequence[float]) -> bool:
     return True
 
 
-def bipartite_spectrum(state: PureState) -> np.ndarray:
-    """Squared Schmidt coefficients of a two-party state, descending."""
+def _two_party_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     if state.num_parties != 2:
         raise ValueError("need exactly two parties")
-    return schmidt_decompose(state, (0,)).spectrum()
+    return cut_spectra(state)
+
+
+def bipartite_spectrum(state: PureState) -> np.ndarray:
+    """Squared Schmidt coefficients of a two-party state above 1e-12, descending."""
+    (value,) = _two_party_spectra(state).values()
+    spectrum = _as_eigenvalues(value)
+    return spectrum[spectrum > _EIGENVALUE_FLOOR]
 
 
 def exact_bipartite_reducible(source: PureState, target: PureState) -> bool:
     """Whether `source` reaches `target` exactly by local steps and messages.
 
-    Holds precisely when the target's Schmidt spectrum majorizes the
-    source's. The two states may have different local dimensions.
+    Holds precisely when the pair is LU-equivalent or the target's Schmidt
+    spectrum majorizes the source's (the verdict of `_classify_bipartite`).
+    The two states may have different local dimensions.
     """
-    return majorizes(bipartite_spectrum(target), bipartite_spectrum(source))
+    verdict = _classify_bipartite(_two_party_spectra(source), _two_party_spectra(target)).verdict
+    return verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.REDUCIBLE_A_TO_B)
 
 
 def lu_equivalent_bipartite(a: PureState, b: PureState) -> bool:
     """Two-party local-unitary equivalence: Schmidt spectra equal within 1e-8."""
-    sa = list(bipartite_spectrum(a))
-    sb = list(bipartite_spectrum(b))
-    n = max(len(sa), len(sb))
-    sa += [0.0] * (n - len(sa))
-    sb += [0.0] * (n - len(sb))
-    return bool(max(abs(x - y) for x, y in zip(sa, sb)) <= _SPECTRUM_TOL)
+    verdict = _classify_bipartite(_two_party_spectra(a), _two_party_spectra(b)).verdict
+    return verdict is ComparisonVerdict.LU_EQUIVALENT
 
 
 class ComparisonVerdict(enum.Enum):
@@ -122,22 +125,29 @@ class Classification:
         return "; ".join(parts)
 
 
-def _classify_bipartite(a: PureState, b: PureState) -> Classification:
-    sa = bipartite_spectrum(a)
-    sb = bipartite_spectrum(b)
-    a_to_b = majorizes(sb, sa)
-    b_to_a = majorizes(sa, sb)
-    if a_to_b and b_to_a:
+def _classify_bipartite(
+    spectra_a: dict[Partition, Fraction | np.ndarray],
+    spectra_b: dict[Partition, Fraction | np.ndarray],
+) -> Classification:
+    """The two-party verdict from each state's `cut_spectra`.
+
+    Spectra equal within 1e-8 are LU-equivalent; otherwise the verdict is
+    one-way majorization within 1e-10 (mutual majorization at that
+    tolerance already implies equality within 1e-8).
+    """
+    if _partition_spectra_match(spectra_a, spectra_b) is None:
         return Classification(
             ComparisonVerdict.LU_EQUIVALENT,
             "equal Schmidt spectra, interconvertible both ways",
         )
-    if a_to_b:
+    (sa,) = map(_as_eigenvalues, spectra_a.values())
+    (sb,) = map(_as_eigenvalues, spectra_b.values())
+    if majorizes(sb, sa):
         return Classification(
             ComparisonVerdict.REDUCIBLE_A_TO_B,
             "target spectrum majorizes the source spectrum",
         )
-    if b_to_a:
+    if majorizes(sa, sb):
         return Classification(
             ComparisonVerdict.REDUCIBLE_B_TO_A,
             "source spectrum majorizes the target spectrum",
@@ -188,8 +198,9 @@ def _lu_align(a: PureState, b: PureState) -> list[np.ndarray] | None:
     Works in the canonical frame set by each party's marginal eigenbasis,
     which pins the unitaries down to diagonal phases; the phases are then
     propagated through the nonzero amplitudes. Only attempted for small
-    systems with nondegenerate marginals; any failure returns None (the
-    result is verified by fidelity before being trusted).
+    systems with nondegenerate marginals, whose spectra the caller has
+    already matched cut by cut; any failure returns None (the result is
+    verified by fidelity before being trusted).
     """
     if a.dims != b.dims:
         return None
@@ -200,9 +211,7 @@ def _lu_align(a: PureState, b: PureState) -> list[np.ndarray] | None:
     frames_b: list[np.ndarray] = []
     for party in range(m):
         ea, va = hermitian_eigensystem(reduced_gram(a, [party]))
-        eb, vb = hermitian_eigensystem(reduced_gram(b, [party]))
-        if np.max(np.abs(ea - eb)) > _SPECTRUM_TOL:
-            return None
+        _, vb = hermitian_eigensystem(reduced_gram(b, [party]))
         # eigenvalues come sorted descending; a near-zero gap means a
         # degenerate marginal and the eigenframe is not canonical
         if len(ea) > 1 and np.min(np.abs(np.diff(ea))) < _SPECTRUM_TOL:
@@ -210,27 +219,17 @@ def _lu_align(a: PureState, b: PureState) -> list[np.ndarray] | None:
         frames_a.append(va)
         frames_b.append(vb)
 
-    a_canon = _apply_party_unitaries(a, [v.conj().T for v in frames_a]).amplitudes
-    b_canon = _apply_party_unitaries(b, [v.conj().T for v in frames_b]).amplitudes
+    a_canon = _apply_party_unitaries(a, [v.conj().T for v in frames_a]).as_tensor()
+    b_canon = _apply_party_unitaries(b, [v.conj().T for v in frames_b]).as_tensor()
     if np.max(np.abs(np.abs(a_canon) - np.abs(b_canon))) > 1e-7:
         return None
 
-    # the two canonical vectors can differ only by per-party phases now;
+    # the two canonical tensors can differ only by per-party phases now;
     # solve sum_p theta[p][i_p] = arg(a/b) over the common support
     dims = a.dims
-    support = [
-        idx for idx in range(len(b_canon)) if abs(b_canon[idx]) > 1e-8
-    ]
-    equations = []
-    for idx in support:
-        digits = []
-        rem = idx
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        phi = float(np.angle(a_canon[idx] / b_canon[idx]))
-        equations.append((tuple(digits), phi))
+    support = np.argwhere(np.abs(b_canon) > 1e-8)
+    ratios = a_canon[tuple(support.T)] / b_canon[tuple(support.T)]
+    equations = list(zip(map(tuple, support.tolist()), np.angle(ratios).tolist()))
 
     theta: list[dict[int, float]] = [dict() for _ in range(m)]
     for party in range(1, m):
@@ -383,9 +382,10 @@ def classify_states(a: PureState, b: PureState) -> Classification:
         raise ValueError("states must share the number of parties")
     if a.num_parties < 2:
         raise ValueError("need at least two parties")
+    spectra_a, spectra_b = cut_spectra(a), cut_spectra(b)
     if a.num_parties == 2:
-        return _classify_bipartite(a, b)
-    return _classify_from_spectra(a, b, cut_spectra(a), cut_spectra(b))
+        return _classify_bipartite(spectra_a, spectra_b)
+    return _classify_from_spectra(a, b, spectra_a, spectra_b)
 
 
 def _classify_from_spectra(
@@ -545,9 +545,8 @@ def ghz_epr_witness() -> GhzEprWitness:
 
     rho_bc = reduced_gram(cats, [1, 2])
     off_diag = _off_diagonal_max(rho_bc)
-    spectrum = [
-        float(x) for x in hermitian_eigenvalues(rho_bc) if x > 1e-12
-    ]
+    bc = _as_eigenvalues(spectra_c[Partition(3, (1, 2)).canonical()])
+    spectrum = bc[bc > _EIGENVALUE_FLOOR].tolist()
     rho_b = reduced_gram(cats, [1])
     rho_c = reduced_gram(cats, [2])
     dev_b = _maximally_mixed_deviation(rho_b)

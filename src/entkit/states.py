@@ -323,9 +323,11 @@ def reduced_gram(
     """The reduced state of the parties in `keep`: tr_rest |psi><psi|, the
     d x d Gram matrix M M^dag of the amplitudes reshaped to (d, rest).
 
-    This ndarray is the package's one reduced-state type, and this is the
-    package's one place that forms it: entropies, spectra and fidelities
-    all take it. `state` may also be a stack of states with shared dims, an
+    This ndarray is the package's one reduced-state type: entropies, spectra
+    and fidelities all take it. Three callers that also need the split
+    amplitude matrix M itself form M M^dag from it directly:
+    `schmidt_decompose`, `schmidt._factor_into_products` and
+    `protocols._discard`. `state` may also be a stack of states with shared dims, an
     array of shape (B, d1, ..., dm); the result is then the (B, d, d) stack
     of their reduced matrices.
     """

@@ -146,10 +146,35 @@ def test_schmidt_multiparty(capsys):
     assert "decomposable: yes" in out
 
 
+def test_schmidt_multiparty_csv(capsys):
+    code, out, _ = run_cli(capsys, "schmidt", "--state", "ghz", "--format", "csv")
+    assert code == 0
+    # the verdict table, a blank line, then the coefficient table
+    assert out == (
+        "decomposable,yes\n"
+        "reason,decomposition found\n"
+        "\n"
+        "index,coefficient,weight\n"
+        "0,0.707106781187,0.5\n"
+        "1,0.707106781187,0.5\n"
+    )
+
+
 def test_classify_verdict(capsys):
     code, out, _ = run_cli(capsys, "classify", "--a", "2ghz", "--b", "3epr")
     assert code == 0
     assert "Incomparable" in out
+
+
+def test_classify_csv_names_the_witness_partition(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--a", "epr(a,b,3)", "--b", "epr(b,c,3)", "--format", "csv"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "verdict,Incomparable"
+    assert lines[1].startswith('reason,"each state has a partition with strictly larger entropy')
+    assert lines[2:] == ["witness_partition,C"]
 
 
 def test_witness_text(capsys):

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entkit.builders import (
     cat_power,
@@ -91,6 +92,7 @@ def test_bipartite_verdicts():
 
     down = classify_states(epr_pair(), product)
     assert down.verdict is ComparisonVerdict.REDUCIBLE_A_TO_B
+    assert str(down) == "ReducibleAToB; target spectrum majorizes the source spectrum"
     up = classify_states(product, epr_pair())
     assert up.verdict is ComparisonVerdict.REDUCIBLE_B_TO_A
     same = classify_states(biased, biased)
@@ -129,6 +131,41 @@ def test_lu_equivalence_tolerance_is_fixed_between_1e_10_and_1e_6(shift, equival
     assert lu_equivalent_bipartite(schmidt_state(0.6), rotated) is equivalent
 
 
+@st.composite
+def _nearby_two_party_pairs(draw):
+    """Two Haar-rotated two-party states on (d, d), d = 2..4, whose Schmidt
+    weights differ only in one weight moved by eps in [1e-12, 1e-6]."""
+    d = draw(st.integers(2, 4))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)))
+    weights = raw / raw.sum()
+    eps = 10.0 ** draw(st.floats(-12.0, -6.0))
+    up, down = draw(st.permutations(range(d)))[:2]
+    moved = weights.copy()
+    moved[up] += eps
+    moved[down] -= eps
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rotated(w):
+        u, v = random_unitary(d, rng), random_unitary(d, rng)
+        return PureState((d, d), (u @ np.diag(np.sqrt(w)) @ v.T).reshape(-1))
+
+    return rotated(weights), rotated(moved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nearby_two_party_pairs())
+def test_two_party_verdicts_agree_on_nearby_spectra(pair):
+    a, b = pair
+    verdict = classify_states(a, b).verdict
+    equivalent = lu_equivalent_bipartite(a, b)
+    a_to_b, b_to_a = exact_bipartite_reducible(a, b), exact_bipartite_reducible(b, a)
+    assert (verdict is ComparisonVerdict.LU_EQUIVALENT) == equivalent
+    if equivalent:
+        assert a_to_b and b_to_a
+    assert (verdict is ComparisonVerdict.REDUCIBLE_A_TO_B) == (a_to_b and not b_to_a)
+    assert (verdict is ComparisonVerdict.REDUCIBLE_B_TO_A) == (b_to_a and not a_to_b)
+
+
 def test_classify_detects_local_unitary_equivalence():
     rng = np.random.default_rng(31)
     state = random_pure_state((2, 2, 2), rng)
@@ -164,6 +201,49 @@ def test_classify_dominance_direction_unknown():
     w = make_state((2, 2, 2), [("001", 1.0), ("010", 1.0), ("100", 1.0)])
     result = classify_states(cat_state(3), w)
     assert result.verdict is ComparisonVerdict.UNKNOWN
+
+
+def _diagonal_state(p) -> PureState:
+    """sum_i sqrt(p_i) |iii>: every cut has spectrum p."""
+    return make_state((3, 3, 3), {f"{i}{i}{i}": np.sqrt(x) for i, x in enumerate(p)})
+
+
+def test_classify_isospectral_entropies_with_different_spectra():
+    # (b, b, a) with b = (1 - a) / 2, a < 1/3, and the same 1.5-bit Shannon
+    # entropy as (1/2, 1/4, 1/4): H(b, b, a) rises on a in (0, 1/3], so
+    # bisection finds it
+    def shannon(a):
+        b = (1.0 - a) / 2
+        return -a * np.log2(a) - 2 * b * np.log2(b)
+
+    lo, hi = 1e-6, 1.0 / 3.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if shannon(mid) < 1.5 else (lo, mid)
+    a = (lo + hi) / 2
+    result = classify_states(
+        _diagonal_state([0.5, 0.25, 0.25]), _diagonal_state([(1 - a) / 2, (1 - a) / 2, a])
+    )
+    assert result.verdict is ComparisonVerdict.INCOMPARABLE
+    assert result.witness_partition.label == "A"
+    assert str(result) == (
+        "Incomparable; fully isentropic but marginal spectra differ across a "
+        "partition, which rules out local-unitary equivalence and with it any "
+        "reduction either way; witness partition A"
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_never_guesses_on_rotated_four_party_copies(seed):
+    rng = np.random.default_rng([seed, 41])
+    state = random_pure_state((2, 2, 2, 2), rng)
+    tensor = state.as_tensor()
+    for party in range(4):
+        tensor = np.moveaxis(
+            np.tensordot(random_unitary(2, rng), tensor, axes=([1], [party])), 0, party
+        )
+    result = classify_states(state, PureState(state.dims, tensor.reshape(-1)))
+    assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
 
 
 def test_classify_entropy_gap_incomparable():
@@ -223,6 +303,12 @@ def test_classify_builds_each_entropy_vector_once(record_calls):
     calls.clear()
     result = classify_states(cat_power(3, 2), eprs_complete(3))
     assert result.verdict is ComparisonVerdict.INCOMPARABLE
+    assert len(calls) == 2
+
+    # two parties: the verdict reads the same cut spectra
+    calls.clear()
+    result = classify_states(epr_pair(), make_state((2, 2), [("00", 1.0)]))
+    assert result.verdict is ComparisonVerdict.REDUCIBLE_A_TO_B
     assert len(calls) == 2
 
 
