@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
-from .states import Partition, PureState, canonical_partitions, reduced_gram
+from .linalg import _unchecked_eigenvalues, hermitian_eigenvalues
+from .states import Partition, PureState, _gram_axes, canonical_partitions
 
 __all__ = [
     "shannon_entropy",
@@ -40,22 +40,22 @@ _ISENTROPY_TOL = 1e-8
 _FLAT_TOL = 1e-9
 
 
-def shannon_entropy(probs: Sequence[float]) -> float:
-    """H(p) in bits with the 0*log(0) = 0 convention."""
-    total = 0.0
-    for p in probs:
-        if p < -_EIGENVALUE_FLOOR:
-            raise ValueError(f"negative probability {p}")
-        if p > _EIGENVALUE_FLOOR:
-            total -= p * math.log2(p)
-    return max(total, 0.0)
+def shannon_entropy(probs: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """H(p) in bits over the last axis (a float for one distribution), with
+    0 log 0 = 0 for |p| <= 1e-12; a more negative p raises."""
+    p = np.asarray(probs, dtype=float)
+    if (p < -_EIGENVALUE_FLOOR).any():
+        raise ValueError(f"negative probability {p.min()}")
+    p = np.where(p > _EIGENVALUE_FLOOR, p, 1.0)  # log2(1) = 0 drops the zeros
+    h = np.maximum(0.0 - (p * np.log2(p)).sum(axis=-1), 0.0)
+    return h if h.ndim else float(h)
 
 
 def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits of a reduced matrix
     (see `reduced_gram`)."""
     exact = exact_entropy(rho)
-    return _cut_entropy(hermitian_eigenvalues(rho) if exact is None else exact)
+    return shannon_entropy(hermitian_eigenvalues(rho)) if exact is None else float(exact)
 
 
 def flat_spectrum_rank(stack: np.ndarray) -> np.ndarray:
@@ -67,7 +67,11 @@ def flat_spectrum_rank(stack: np.ndarray) -> np.ndarray:
     come out 0. Every cut spectrum takes this test first: a block of cuts
     in `_cut_blocks`, or one matrix in `exact_entropy`.
     """
-    purity = _squared_norms(stack)
+    return _flat_ranks(stack, _squared_norms(stack))
+
+
+def _flat_ranks(stack: np.ndarray, purity: np.ndarray) -> np.ndarray:
+    """`flat_spectrum_rank` of a stack whose purities are already known."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ranks = np.rint(1.0 / purity)
         ranks[~(np.abs(ranks * purity - 1.0) <= _FLAT_TOL)] = 0.0
@@ -144,23 +148,34 @@ class EntropyVector:
         )
 
 
-# Gram entries per block of same-size cuts (128 KB): larger blocks save
-# little Python work and raise peak memory
+# amplitudes per Gram buffer and Gram entries per block (128 KB each, so
+# that they stay in L2): larger blocks save little work, raise peak memory
 _BLOCK_ENTRIES = 1 << 13
 
 
 @functools.cache
-def _cuts_by_size(dims: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, Partition], ...]], ...]:
+def _cuts_by_size(dims: tuple[int, ...]) -> tuple:
     """The canonical cuts of states on `dims` grouped by the size d of the
-    Gram matrix on their cheaper side: (d, ((canonical index, side), ...))."""
+    Gram matrix on their cheaper side: (d, ((canonical index, side, the
+    axes of a stack that bring that side first), ...))."""
     dim = math.prod(dims)
-    by_size: dict[int, list[tuple[int, Partition]]] = {}
+    by_size: dict[int, list] = {}
     for index, part in enumerate(canonical_partitions(len(dims))):
         size = math.prod(dims[p] for p in part.members)
         if size * size > dim:
             part, size = part.complement(), dim // size
-        by_size.setdefault(size, []).append((index, part))
+        by_size.setdefault(size, []).append((index, part, _gram_axes(len(dims), part.members, True)))
     return tuple((size, tuple(cuts)) for size, cuts in by_size.items())
+
+
+def _block_grams(stack: np.ndarray, block: tuple, size: int) -> np.ndarray:
+    """The (K B, d, d) Grams of K same-size cuts of a stack, cut-major: one
+    copy per cut into a (K, B, d, n) buffer, then one product."""
+    buf = np.empty((len(block), len(stack), size, stack[0].size // size), dtype=complex)
+    for k, (_, _, axes) in enumerate(block):
+        permuted = stack.transpose(axes)
+        buf[k].reshape(permuted.shape)[...] = permuted
+    return (buf @ buf.conj().swapaxes(-1, -2)).reshape(-1, size, size)
 
 
 def _cut_blocks(stack: np.ndarray):
@@ -168,26 +183,31 @@ def _cut_blocks(stack: np.ndarray):
     same-size cuts at a time: (indices, bits, others, spectra).
 
     A block holds the cuts whose cheaper side has the same Gram size d, at
-    most `_BLOCK_ENTRIES` Gram entries (a single cut when its (B, d, d)
-    stack alone is larger). `indices` are the cuts' canonical indices, and
-    row b of cut k is state b's reduced matrix. For a row whose spectrum is
-    flat of power-of-two rank 2^s, `bits[k, b]` is s; `others[k, b]` marks
-    every other row, and `spectra` holds their eigenvalues in row order,
-    sorted descending, from one eigensolver call.
+    most `_BLOCK_ENTRIES` Gram entries; its Grams are formed in buffers of
+    at most `_BLOCK_ENTRIES` amplitudes (either holds one cut when that cut
+    alone is larger). `indices` are the cuts' canonical indices, and row b
+    of cut k is state b's reduced matrix. For a row whose spectrum is flat
+    of power-of-two rank 2^s, `bits[k, b]` is s; `others[k, b]` marks every
+    other row, and `spectra` holds their eigenvalues in row order, sorted
+    descending, from one unchecked eigensolver call: the Grams are
+    Hermitian by construction, and a non-finite one raises by its purity.
     """
+    count = len(stack)
+    chunk = max(1, _BLOCK_ENTRIES // (count * stack[0].size))  # cuts per buffer
     for size, cuts in _cuts_by_size(stack.shape[1:]):
-        per_block = max(1, _BLOCK_ENTRIES // (len(stack) * size * size))
+        per_block = max(chunk, _BLOCK_ENTRIES // (count * size * size))
         for start in range(0, len(cuts), per_block):
             block = cuts[start : start + per_block]
-            grams = [reduced_gram(stack, side) for _, side in block]
+            grams = [_block_grams(stack, block[i : i + chunk], size) for i in range(0, len(block), chunk)]
             grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
-            mantissa, exponent = np.frexp(flat_spectrum_rank(grams))
+            purity = _squared_norms(grams)
+            if not np.isfinite(purity).all():
+                raise ValueError("stack has non-finite amplitudes (NaN or infinity)")
+            mantissa, exponent = np.frexp(_flat_ranks(grams, purity).reshape(-1, count))
             others = mantissa != 0.5
-            rest = grams if others.all() else grams[others]
-            spectra = hermitian_eigenvalues(rest) if len(rest) else ()
-            shape = (len(block), len(stack))
-            indices = [index for index, _ in block]
-            yield indices, (exponent - 1).reshape(shape), others.reshape(shape), spectra
+            rest = grams if others.all() else grams[others.ravel()]
+            spectra = _unchecked_eigenvalues(rest) if len(rest) else ()
+            yield [cut[0] for cut in block], exponent - 1, others, spectra
 
 
 def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
@@ -209,17 +229,16 @@ def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     return out
 
 
-def _cut_entropy(value: Fraction | np.ndarray) -> float:
-    if isinstance(value, np.ndarray):
-        return shannon_entropy([max(float(v), 0.0) for v in value])
-    return float(value)
-
-
 def _vector_from_spectra(num_parties: int, spectra: dict) -> EntropyVector:
-    """The entropy vector of the cut spectra that `cut_spectra` returned."""
-    return EntropyVector(
-        num_parties, {part: _cut_entropy(value) for part, value in spectra.items()}
-    )
+    """The entropy vector of `cut_spectra`, one `shannon_entropy` per length."""
+    values = {part: float(v) for part, v in spectra.items() if not isinstance(v, np.ndarray)}
+    by_length: dict[int, list[Partition]] = {}
+    for part, value in spectra.items():
+        if isinstance(value, np.ndarray):
+            by_length.setdefault(len(value), []).append(part)
+    for parts in by_length.values():
+        values.update(zip(parts, shannon_entropy([spectra[p] for p in parts]).tolist()))
+    return EntropyVector(num_parties, {part: values[part] for part in spectra})
 
 
 def entropy_vector(
@@ -230,30 +249,32 @@ def entropy_vector(
     `state` may also be a stack of states with shared dims, an array of
     shape (B, d1, ..., dm), with one weight per state: the result is the
     weighted sum of their entropy vectors, with branch probabilities as
-    weights the expected one. Either way the cut spectra come from
-    `_cut_blocks`, which `cut_spectra` reads for a single state as a stack
-    of one: a flat spectrum of rank 2^s is exactly s bits, and every other
-    cut takes the Shannon entropy of its eigenvalues. Each cut's sum runs
+    weights the expected one. A single state is a stack of one with weight
+    1. The cut spectra come from `_cut_blocks`, which skips the Hermiticity
+    check on the Grams it forms itself: a flat spectrum of rank 2^s is
+    exactly s bits, and every other cut takes the Shannon entropy of its
+    eigenvalues, one `shannon_entropy` call per block. Each cut's sum runs
     left to right over the states, so it equals the sum of the states' own
     vectors exactly.
     """
     if isinstance(state, PureState):
         if weights is not None:
             raise ValueError("weights apply to a stack of states only")
-        return _vector_from_spectra(state.num_parties, cut_spectra(state))
+        state, weights = state.as_tensor()[None], [1.0]
     if not len(state) or weights is None or len(weights) != len(state):
         raise ValueError("a stack needs at least one state and one weight per state")
     weights = np.asarray(weights, dtype=float)
     parts = canonical_partitions(state.ndim - 1)
-    values = dict.fromkeys(parts, 0.0)
-    # infinite rows give NaN Grams, which the eigensolver rejects
+    totals = [0.0] * len(parts)
+    # infinite rows give NaN Grams, which `_cut_blocks` rejects
     with np.errstate(invalid="ignore"):
         for indices, bits, others, spectra in _cut_blocks(state):
             entropies = bits.astype(float)
-            entropies[others] = [_cut_entropy(spectrum) for spectrum in spectra]
-            for index, row in zip(indices, entropies):
-                values[parts[index]] = sum((weights * row).tolist())
-    return EntropyVector(state.ndim - 1, values)
+            if len(spectra):
+                entropies[others] = shannon_entropy(spectra)
+            for index, total in zip(indices, map(sum, (entropies * weights).tolist())):
+                totals[index] = total
+    return EntropyVector(state.ndim - 1, dict(zip(parts, totals)))
 
 
 def single_party_entropies(state: PureState) -> list[float]:

@@ -1,10 +1,12 @@
 """Hermitian eigensolver: LAPACK's divide-and-conquer `eigh` behind one check.
 
-Every spectrum in the package comes through here, so the input contract is
-enforced once: square matrices (or a stack of equal-size ones) with finite
-entries, Hermitian within 1e-10 of each matrix's Frobenius norm. Results
-are sorted descending, which is the order Schmidt coefficients and
-majorization tests read them in.
+Every spectrum in the package comes through here. The public solvers
+enforce the input contract: square matrices (or a stack of equal-size
+ones) with finite entries, Hermitian within 1e-10 of each matrix's
+Frobenius norm. Only `entropy._cut_blocks` skips it, for the Grams M M^dag
+it forms, which are Hermitian by construction; it rejects non-finite ones
+by their purities. Results are sorted descending, which is the order
+Schmidt coefficients and majorization tests read them in.
 """
 from __future__ import annotations
 
@@ -52,4 +54,9 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues only, sorted descending; same input contract."""
-    return np.linalg.eigvalsh(_checked(matrix))[..., ::-1]
+    return _unchecked_eigenvalues(_checked(matrix))
+
+
+def _unchecked_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """`hermitian_eigenvalues` of a finite complex stack known Hermitian."""
+    return np.linalg.eigvalsh(stack)[..., ::-1]

@@ -145,7 +145,7 @@ class PureState:
             raise ValueError("state vector has (near-)zero norm")
         if abs(norm - 1.0) > _NORM_TOL:
             amps = amps / norm
-        amps = amps.copy()
+        amps = amps + 0.0  # a copy that turns -0.0 into 0.0, as state files load it
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -329,9 +329,11 @@ def reduced_gram(
     `schmidt_decompose`, `schmidt._factor_into_products` and
     `protocols._discard`. `state` may also be a stack of states with shared dims, an
     array of shape (B, d1, ..., dm); the result is then the (B, d, d) stack
-    of their reduced matrices.
+    of their reduced matrices, and a non-finite amplitude raises.
     """
     stacked = isinstance(state, np.ndarray)
+    if stacked and not np.isfinite(state).all():
+        raise ValueError("stack has non-finite amplitudes (NaN or infinity)")
     tensor = state if stacked else state.as_tensor()
     dims = tensor.shape[stacked:]
     members = _keep_indices(len(dims), keep)

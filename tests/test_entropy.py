@@ -17,6 +17,9 @@ from entkit.builders import (
 )
 from entkit.entropy import (
     PartitionAsymmetryError,
+    _cut_blocks,
+    _cuts_by_size,
+    _vector_from_spectra,
     cut_spectra,
     entropy,
     entropy_ratio_r21,
@@ -217,8 +220,18 @@ def test_cut_spectra_match_svd(dims):
 
 @pytest.fixture
 def solver_calls(record_calls):
-    """The shape of every eigensolver call the entropy module makes."""
-    return record_calls("hermitian_eigenvalues", "entkit.entropy", record=np.shape)
+    """The shape of every eigensolver call the block routine makes."""
+    return record_calls("_unchecked_eigenvalues", "entkit.entropy", record=np.shape)
+
+
+@pytest.fixture
+def buffer_calls(record_calls):
+    """(stack shape, cheaper sides) of every Gram buffer the block routine fills."""
+    return record_calls(
+        "_block_grams",
+        "entkit.entropy",
+        record=lambda stack, block, size: (stack.shape, [side for _, side, _ in block]),
+    )
 
 
 @pytest.mark.parametrize(
@@ -240,15 +253,19 @@ def test_exact_vector_combinatorial_without_solver(solver_calls, state, formula)
     assert calls == []
 
 
-def test_flat_cuts_never_reach_the_solver(solver_calls):
-    calls = solver_calls
+def test_flat_cuts_never_reach_the_solver(solver_calls, buffer_calls):
+    calls, buffers = solver_calls, buffer_calls
     vec = entropy_vector(cat_state(6))
     assert all(value == 1.0 for _, value in vec.entries())
     assert calls == []
     # control: a generic 8-qubit state needs one stacked call per block of
     # same-size cuts; the 35 half cuts' 16x16 Grams split at 2^13 entries
+    buffers.clear()
     entropy_vector(random_pure_state((2,) * 8, np.random.default_rng(3)))
     assert sorted(calls) == [(3, 16, 16), (8, 2, 2), (28, 4, 4), (32, 16, 16), (56, 8, 8)]
+    # a buffer holds at most 2^13 amplitudes, 32 cuts of 256: the 56
+    # three-party cuts' Grams come from two, 32 + 24
+    assert sorted(len(sides) for _, sides in buffers) == [3, 8, 24, 28, 32, 32]
 
 
 def test_exact_vector_names_the_first_numeric_cut():
@@ -335,22 +352,116 @@ def test_entropy_vector_of_a_stack_is_the_weighted_sum():
         entropy_vector(states[0], [1.0])
 
 
-def test_held_back_eigensolver_batches_are_bounded(monkeypatch, solver_calls):
-    calls = solver_calls
+def test_held_back_eigensolver_batches_are_bounded(monkeypatch, solver_calls, buffer_calls):
+    calls, buffers = solver_calls, buffer_calls
     states, stack = mixed_stack((2, 2, 2, 2, 2), 12)
     weights = [1.0 / len(states)] * len(states)
     whole_single = cut_spectra(states[0])
     calls.clear()
+    buffers.clear()
     whole = entropy_vector(stack, weights)
     assert sorted(calls) == [(20, 2, 2), (40, 4, 4)]  # one block per Gram size
+    assert len(buffers) == 2
     calls.clear()
+    buffers.clear()
     monkeypatch.setattr(sys.modules["entkit.entropy"], "_BLOCK_ENTRIES", 64)
     split = entropy_vector(stack, weights)
-    # a block holds at most 64 entries, or one cut's rows when they alone are more
+    # a block holds at most 64 Gram entries, or one cut's rows when they
+    # alone are more; a buffer at most 64 amplitudes, or one cut's
     assert len(calls) > 2 and all(n * d * d <= max(64, len(stack) * d * d) for n, d, _ in calls)
+    assert len(buffers) > 2 and all(len(sides) * stack.size <= max(64, stack.size) for _, sides in buffers)
     assert split == whole
     # a single state is a stack of one under the same bound
     calls.clear()
+    buffers.clear()
     split = cut_spectra(states[0])
     assert len(calls) > 2 and all(n * d * d <= max(64, d * d) for n, d, _ in calls)
+    assert len(buffers) > 2 and all(len(sides) * 32 <= 64 for _, sides in buffers)
     assert all(np.array_equal(whole_single[part], split[part]) for part in whole_single)
+
+
+def block_test_stack(dims, count, seed):
+    """`count` states on `dims`: Haar rows, with a cat row and a product row
+    among every four after the first."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for b in range(count):
+        flat = np.zeros(dims, dtype=complex)
+        flat[(0,) * len(dims)] = 1.0
+        if b % 4 == 1:
+            flat[tuple(d - 1 for d in dims)] = 1.0
+        rows.append(flat / np.linalg.norm(flat) if b % 4 in (1, 3) else random_pure_state(dims, rng).as_tensor())
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("count", [1, 7, 64])
+@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (2, 1, 3, 2), (2,) * 8, (32, 2, 2)])
+def test_block_spectra_match_the_per_cut_reference(dims, count):
+    # each cut alone: its Gram on the cheaper side, the flat test and the
+    # checked eigensolver on that cut's stack
+    stack = block_test_stack(dims, count, len(dims) * count)
+    parts = canonical_partitions(len(dims))
+    got = {}
+    for indices, bits, others, spectra in _cut_blocks(stack):
+        spectra = iter(spectra)
+        for index, cut_bits, cut_others in zip(indices, bits, others):
+            got[index] = (cut_bits[~cut_others].tolist(), [next(spectra).tobytes() for _ in range(cut_others.sum())])
+    assert sorted(got) == list(range(len(parts)))
+    sides = {index: side for _, cuts in _cuts_by_size(dims) for index, side, _ in cuts}
+    for index, part in enumerate(parts):
+        size = math.prod(dims[p] for p in part.members)
+        assert sides[index] == (part if size * size <= stack[0].size else part.complement())
+        grams = reduced_gram(stack, sides[index])
+        ranks = flat_spectrum_rank(grams)
+        flat = (ranks > 0) & (np.log2(np.maximum(ranks, 1)) % 1 == 0)
+        want = (np.log2(ranks[flat]).tolist(), [s.tobytes() for s in hermitian_eigenvalues(grams)[~flat]])
+        assert got[index] == want
+    if count > 1:  # the flat rows reach the flat test, not the solver
+        assert any(bits[~others].size for _, bits, others, _ in _cut_blocks(stack))
+    broken = stack.copy()
+    broken[count // 2].reshape(-1)[-1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        list(_cut_blocks(broken))
+
+
+# the cut spectra of states on these dims feed the entropy-route test below
+ENTROPY_SUM_DIMS = [(2,) * 6, (3, 3, 4, 2, 2), (2, 1, 3, 2), (3, 3, 3), (2, 3, 2, 2)]
+
+
+def test_every_entropy_route_gives_the_same_bits():
+    # a single state, a stack of one, `_vector_from_spectra` and
+    # `shannon_entropy` on each cut's spectrum; within 1e-14 of an fsum
+    states = [random_pure_state(dims, np.random.default_rng(seed)) for seed in range(12) for dims in ENTROPY_SUM_DIMS]
+    states += [cat_state(4), PureState((3, 1, 3), np.eye(3))]
+    checked = 0
+    for state in states:
+        spectra = cut_spectra(state)
+        routes = [
+            entropy_vector(state),
+            entropy_vector(state.as_tensor()[None], [1.0]),
+            _vector_from_spectra(state.num_parties, spectra),
+        ]
+        for part, spectrum in spectra.items():
+            values = [route.values[part] for route in routes]
+            if isinstance(spectrum, Fraction):
+                assert values == [float(spectrum)] * 3
+                continue
+            values.append(shannon_entropy(spectrum))
+            assert len({v.hex() for v in values}) == 1 and type(values[-1]) is float
+            positive = [float(p) for p in spectrum if p > 1e-12]
+            reference = max(-math.fsum(p * math.log2(p) for p in positive), 0.0)
+            assert abs(values[0] - reference) <= 1e-14
+            checked += 1
+    assert checked >= 500
+
+
+def test_shannon_entropy_rejects_negatives_and_drops_zeros():
+    with pytest.raises(ValueError, match="negative probability"):
+        shannon_entropy([0.5, 0.5 + 2e-12, -2e-12])
+    with pytest.raises(ValueError, match="negative probability"):
+        shannon_entropy([[0.5, 0.5], [1.0 + 1e-11, -1e-11]])
+    # 0 log 0 = 0, for exact zeros and anything within 1e-12 of zero
+    assert shannon_entropy([1.0, 0.0]).hex() == (0.0).hex()
+    assert shannon_entropy([0.5, 0.5, 0.0, 1e-13, -1e-13]) == 1.0
+    stacked = shannon_entropy([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.75, 0.25, 0.0]])
+    assert stacked.tolist() == [1.0, 0.0, shannon_entropy([0.75, 0.25])]

@@ -793,7 +793,7 @@ def monotonicity_verdict(check, result):
 
 
 def test_stacked_check_matches_per_branch_check_on_haar_branches(record_calls):
-    solver_calls = record_calls("hermitian_eigenvalues", "entkit.entropy", record=np.shape)
+    solver_calls = record_calls("_unchecked_eigenvalues", "entkit.entropy", record=np.shape)
     verdicts = []
     for seed in range(24):
         fake = haar_fake_run(seed)
@@ -829,11 +829,13 @@ def first_argument(first, *rest):
 
 def test_check_forms_one_stacked_gram_per_cut(record_calls):
     entropy_module = sys.modules["entkit.entropy"]
-    grams = record_calls(
-        "reduced_gram", "entkit.entropy", record=lambda state, keep: (state.shape, tuple(keep.members))
+    buffers = record_calls(
+        "_block_grams",
+        "entkit.entropy",
+        record=lambda stack, block, size: (stack.shape, [side.members for _, side, _ in block]),
     )
-    blocks = record_calls("flat_spectrum_rank", "entkit.entropy", record=first_argument)
-    solver = record_calls("hermitian_eigenvalues", "entkit.entropy", record=first_argument)
+    blocks = record_calls("_flat_ranks", "entkit.entropy", record=first_argument)
+    solver = record_calls("_unchecked_eigenvalues", "entkit.entropy", record=first_argument)
     run(cat_to_epr(8, 0, 1), cat_state(8))
     assert solver == []
     # each canonical cut's Gram, on its cheaper side, once for the input and
@@ -842,6 +844,7 @@ def test_check_forms_one_stacked_gram_per_cut(record_calls):
         part.members if len(part.members) <= 4 else part.complement().members
         for part in canonical_partitions(8)
     )
+    grams = [(shape, keep) for shape, block in buffers for keep in block]
     for rows in (1, 64):
         assert sorted(keep for shape, keep in grams if shape == (rows,) + (2,) * 8) == sides
     assert len(grams) == 2 * len(sides)
@@ -850,6 +853,12 @@ def test_check_forms_one_stacked_gram_per_cut(record_calls):
     assert len(blocks) < len(grams)
     assert all(b.size <= max(cap, 64 * b.shape[-1] ** 2) for b in blocks)
     assert any(b.size > cap for b in blocks) and any(len(b) > 64 for b in blocks)
+    # a buffer holds at most 2^13 amplitudes: the input's 127 cuts fill 6,
+    # and 64 branches of 256 amplitudes are above the cap, so each of their
+    # buffers holds a single cut
+    assert all(len(block) * shape[0] * 256 <= max(cap, shape[0] * 256) for shape, block in buffers)
+    assert sorted(len(block) for shape, block in buffers if shape[0] == 1) == [3, 8, 24, 28, 32, 32]
+    assert [len(block) for shape, block in buffers if shape[0] == 64] == [1] * len(sides)
 
 
 def test_check_peak_memory_is_bounded():

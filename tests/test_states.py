@@ -135,6 +135,26 @@ def test_partial_trace_product_state():
     assert np.linalg.norm(rho - expect) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_reduced_gram_rejects_a_stack_with_non_finite_amplitudes(bad):
+    # warnings are errors in this suite, so a RuntimeWarning from the product fails here
+    stack = np.stack([random_pure_state((2, 3), rng=seed).as_tensor() for seed in range(3)])
+    stack[1, 0, 2] = bad
+    for keep in ((0,), (1,)):
+        with pytest.raises(ValueError, match="stack has non-finite amplitudes"):
+            reduced_gram(stack, keep)
+    assert reduced_gram(stack[::2], (0,)).shape == (2, 2, 2)
+
+
+def test_reduced_gram_rejects_a_single_non_finite_state():
+    # a single state is a stack of one; a `PureState` cannot hold one at all
+    amps = np.array([0.6, 0.0, 0.0, np.inf])
+    with pytest.raises(ValueError, match="stack has non-finite amplitudes"):
+        reduced_gram(amps.reshape(1, 2, 2), (0,))
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        PureState((2, 2), amps)
+
+
 def einsum_trace(psi: PureState, keep) -> np.ndarray:
     """tr over the parties outside `keep` of |psi><psi|, as one explicit einsum:
     ket and bra share the traced indices and keep their own kept ones."""
@@ -311,6 +331,27 @@ def test_array_decoder_is_bit_identical_to_the_per_term_one(payload):
     labels = [("".join(map(str, b)), amp) for b, amp in pairs]
     assert decoded(make_state, payload["dims"], labels) == want
     assert decoded(make_state, payload["dims"], pairs) == want
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # normalizing turns the subnormal imaginary part into a signed zero
+        {"dims": [1], "terms": [{"basis": [0], "re": 2.0}, {"basis": [0], "im": -5e-324}]},
+        {"dims": [1], "terms": [{"basis": [0], "re": 1.0, "im": -0.0}]},
+        {"dims": [2], "terms": [{"basis": [1], "re": -0.0, "im": -1.0}]},
+    ],
+)
+def test_signed_zeros_round_trip_bit_identically(tmp_path, payload):
+    state = state_from_dict(payload)
+    path = str(tmp_path / "s.json")
+    save_state(state, path)
+    assert load_state(path).amplitudes.tobytes() == state.amplitudes.tobytes()
+    # every state holds +0.0 for a zero, however it was built
+    direct = PureState((2,), np.array([complex(-0.0, -0.0), complex(1.0, -0.0)]))
+    for amps in (state.amplitudes, direct.amplitudes):
+        parts = amps.view(float)
+        assert not np.signbit(parts[parts == 0]).any()
 
 
 @settings(max_examples=100, deadline=None)
