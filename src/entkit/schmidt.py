@@ -25,7 +25,6 @@ from .states import Partition, PureState, _keep_indices
 __all__ = [
     "SchmidtDecomposition",
     "schmidt_decompose",
-    "MOrthogonalForm",
     "MOrthogonalResult",
     "is_m_orthogonal",
     "cat_yield",
@@ -46,36 +45,35 @@ _RECONSTRUCTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Bipartite decomposition sum_i c_i |u_i>|v_i> across a cut.
+    """A state written as sum_i c_i |v_i^1>|v_i^2>...|v_i^k> over k groups
+    of its parties.
 
-    Coefficients are real, nonnegative, and sorted descending; the u and v
-    columns are orthonormal. `left_parties` lists the parties of the cut,
-    `right_parties` the rest, both ascending.
+    `parties[g]` lists the parties of tensor factor g, ascending, and
+    `vectors[g]` is the (their dimension, rank) matrix whose orthonormal
+    columns are that factor's kets. Coefficients are real and nonnegative;
+    the decompositions found here sort them descending. A cut's
+    decomposition has two groups, the cut side and then the rest; an
+    m-orthogonal form has one group per party.
     """
 
-    state: PureState
-    left_parties: tuple[int, ...]
-    right_parties: tuple[int, ...]
+    dims: tuple[int, ...]
+    parties: tuple[tuple[int, ...], ...]
     coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
+    vectors: tuple[np.ndarray, ...]
 
     @property
     def rank(self) -> int:
         return len(self.coefficients)
 
-    def spectrum(self) -> np.ndarray:
-        return self.coefficients**2
-
-    def reconstruct(self) -> PureState:
-        """Rebuild the state from the decomposition (original party order)."""
-        dims = self.state.dims
-        matrix = (self.left_vectors * self.coefficients) @ self.right_vectors.conj().T
-        left_dims = tuple(dims[p] for p in self.left_parties)
-        right_dims = tuple(dims[p] for p in self.right_parties)
-        t = matrix.reshape(left_dims + right_dims)
-        order = np.argsort(self.left_parties + self.right_parties)
-        return PureState(dims, t.transpose(order).reshape(-1))
+    def to_state(self) -> PureState:
+        """The state sum_i c_i |v_i^1>...|v_i^k>, parties in their original order."""
+        *head, last = self.vectors
+        t = self.coefficients[None]
+        for v in head:
+            t = (t[:, None] * v).reshape(-1, self.rank)
+        order = sum(self.parties, ())
+        t = (t @ last.T).reshape(tuple(self.dims[p] for p in order))
+        return PureState(self.dims, t.transpose(np.argsort(order)).reshape(-1))
 
 
 def schmidt_decompose(
@@ -83,9 +81,10 @@ def schmidt_decompose(
 ) -> SchmidtDecomposition:
     """Schmidt decomposition of a pure state across one cut.
 
-    Vectors on the cut side come from the reduced density matrix; the
-    matching vectors on the far side are read off the amplitude matrix, so
-    phases land entirely in the vectors and the coefficients stay real.
+    Kets on the cut side come from the reduced density matrix; the
+    matching kets on the far side are read off the amplitude matrix M as
+    M^T u_i^* / c_i, so phases land entirely in the vectors and the
+    coefficients stay real.
     """
     members = _keep_indices(state.num_parties, cut)
     rest = tuple(p for p in range(state.num_parties) if p not in members)
@@ -98,40 +97,9 @@ def schmidt_decompose(
     keep = eigenvalues > _COEFF_FLOOR
     coeffs = np.sqrt(eigenvalues[keep])
     left = vectors[:, keep]
-    right = (m.conj().T @ left) / coeffs
     return SchmidtDecomposition(
-        state=state,
-        left_parties=members,
-        right_parties=rest,
-        coefficients=coeffs,
-        left_vectors=left,
-        right_vectors=right,
+        state.dims, (members, rest), coeffs, (left, (m.T @ left.conj()) / coeffs)
     )
-
-
-@dataclass(frozen=True)
-class MOrthogonalForm:
-    """Explicit form sum_i c_i |e_i^1>...|e_i^m| with orthonormal vectors
-    per party. `party_vectors[p]` is a (dim_p, rank) column matrix."""
-
-    dims: tuple[int, ...]
-    coefficients: np.ndarray
-    party_vectors: tuple[np.ndarray, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients)
-
-    def to_state(self) -> PureState:
-        total = math.prod(self.dims)
-        amps = np.zeros(total, dtype=complex)
-        for i in range(self.rank):
-            term = self.coefficients[i]
-            vec = np.ones(1, dtype=complex)
-            for p in range(len(self.dims)):
-                vec = np.multiply.outer(vec, self.party_vectors[p][:, i]).reshape(-1)
-            amps += term * vec
-        return PureState(self.dims, amps)
 
 
 @dataclass(frozen=True)
@@ -141,62 +109,48 @@ class MOrthogonalResult:
     `decomposable` is True or False when certified either way; None means
     the test was inconclusive (this can happen when the squared
     coefficients are degenerate, where the canonical construction loses
-    its uniqueness). `form` carries the decomposition when found.
+    its uniqueness). `form` carries the decomposition when found, with one
+    group per party.
     """
 
     decomposable: bool | None
-    form: MOrthogonalForm | None
+    form: SchmidtDecomposition | None
     reason: str
 
     def __bool__(self) -> bool:
         return self.decomposable is True
 
 
-def _factor_into_products(
-    vector: np.ndarray, dims: Sequence[int]
-) -> tuple[list[np.ndarray] | None, str]:
-    """Split a multiparty vector into per-party unit vectors, or report why not.
+def _peel(ket: np.ndarray, dims: Sequence[int]) -> list[np.ndarray] | str:
+    """Split a multiparty ket into per-party unit kets, or say why not.
 
-    Peels one party at a time: the party's reduced state must be rank one
-    within tolerance, its principal vector is the factor, and the residual
-    carries on. The global phase is pushed into the first factor so the
-    product reproduces the vector exactly.
+    Peels one party at a time by Schmidt-decomposing the ket as a
+    (party, rest) state: the cut must be rank one within tolerance, its
+    near-side ket is the factor, and its far-side ket carries on, phase
+    included, so the product of the factors reproduces the ket.
     """
-    factors: list[np.ndarray] = []
-    residual = np.asarray(vector, dtype=complex)
-    shape = tuple(dims)
-    for axis, d in enumerate(shape[:-1]):
-        m = residual.reshape(d, -1)
-        eigenvalues, vectors = hermitian_eigensystem(m @ m.conj().T)
-        norm_sq = float(eigenvalues.sum())
-        if eigenvalues[0] < (1.0 - _RANK_ONE_TOL) * norm_sq:
-            return None, (
+    factors = []
+    for axis, d in enumerate(dims[:-1]):
+        sd = schmidt_decompose(PureState((d, ket.size // d), ket), (0,))
+        weights = sd.coefficients**2
+        if weights[0] < (1.0 - _RANK_ONE_TOL) * weights.sum():
+            return (
                 f"factor {axis} is entangled with the remainder "
-                f"(principal weight {eigenvalues[0] / norm_sq:.9f})"
+                f"(principal weight {weights[0] / weights.sum():.9f})"
             )
-        principal = vectors[:, 0]
-        factors.append(principal)
-        residual = principal.conj() @ m
-    last = residual.reshape(-1)
-    last_norm = np.linalg.norm(last)
-    factors.append(last / last_norm)
-
-    product = np.ones(1, dtype=complex)
-    for f in factors:
-        product = np.multiply.outer(product, f).reshape(-1)
-    overlap = np.vdot(product, np.asarray(vector, dtype=complex).reshape(-1))
-    factors[0] = factors[0] * (overlap / abs(overlap))
-    return factors, ""
+        factors.append(sd.vectors[0][:, 0])
+        ket = sd.vectors[1][:, 0]
+    return factors + [ket]
 
 
 def is_m_orthogonal(state: PureState) -> MOrthogonalResult:
     """Test whether a pure state admits an m-orthogonal decomposition.
 
     Decomposes across the {first party | rest} cut and tries to split each
-    right-hand vector into a product over the remaining parties, then
-    checks that each party's collected vectors are pairwise orthogonal. A
-    necessary condition is checked first: every partition must carry the
-    same entropy, which rejects most states immediately. When the squared
+    far-side ket into a product over the remaining parties, then checks
+    that each party's collected kets are pairwise orthogonal. A necessary
+    condition is checked first: every partition must carry the same
+    entropy, which rejects most states immediately. When the squared
     coefficients are degenerate and the construction fails, the result is
     inconclusive rather than negative, since a different basis of the
     degenerate subspace could still succeed.
@@ -220,65 +174,52 @@ def is_m_orthogonal(state: PureState) -> MOrthogonalResult:
             )
 
     sd = schmidt_decompose(state, (0,))
-    coeffs = sd.coefficients
-    spectrum = coeffs**2
-    degenerate = any(
-        abs(spectrum[i] - spectrum[j]) < _DEGENERACY_GAP
-        for i in range(len(spectrum))
-        for j in range(i + 1, len(spectrum))
-    )
-
     if m == 2:
-        form = MOrthogonalForm(
-            dims=state.dims,
-            coefficients=coeffs,
-            party_vectors=(sd.left_vectors, sd.right_vectors),
-        )
-        return MOrthogonalResult(True, form, "two parties always decompose")
+        return MOrthogonalResult(True, sd, "two parties always decompose")
+    degenerate = bool(np.any(np.diff(np.sort(sd.coefficients**2)) < _DEGENERACY_GAP))
 
-    rest_dims = state.dims[1:]
-    per_party: list[list[np.ndarray]] = [[] for _ in range(m - 1)]
+    branches = []
     for i in range(sd.rank):
-        factors, why = _factor_into_products(sd.right_vectors[:, i], rest_dims)
-        if factors is None:
+        factors = _peel(sd.vectors[1][:, i], state.dims[1:])
+        if isinstance(factors, str):
             if degenerate:
                 return MOrthogonalResult(
                     None,
                     None,
                     "inconclusive: degenerate coefficients and a non-product "
                     "branch; a rotated degenerate basis might still decompose "
-                    f"({why})",
+                    f"({factors})",
                 )
             return MOrthogonalResult(
-                False, None, f"branch {i} of the first-party cut: {why}"
+                False, None, f"branch {i} of the first-party cut: {factors}"
             )
-        for p, f in enumerate(factors):
-            per_party[p].append(f)
+        branches.append(factors)
 
-    for p, vectors in enumerate(per_party):
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                inner = abs(np.vdot(vectors[i], vectors[j]))
-                if inner > _ORTHOGONALITY_TOL:
-                    if degenerate:
-                        return MOrthogonalResult(
-                            None,
-                            None,
-                            "inconclusive: degenerate coefficients and "
-                            f"non-orthogonal vectors at party {p + 1} "
-                            f"(|<i|j>| = {inner:.3e})",
-                        )
-                    return MOrthogonalResult(
-                        False,
-                        None,
-                        f"party {p + 1} vectors for branches {i} and {j} are "
-                        f"not orthogonal (|<i|j>| = {inner:.3e})",
-                    )
+    vectors = (sd.vectors[0],) + tuple(np.column_stack(f) for f in zip(*branches))
+    for p, f in enumerate(vectors[1:], 1):
+        inners = abs(f.conj().T @ f)
+        clashes = np.argwhere(np.triu(inners > _ORTHOGONALITY_TOL, 1))
+        if len(clashes):
+            i, j = clashes[0]
+            inner = inners[i, j]
+            if degenerate:
+                return MOrthogonalResult(
+                    None,
+                    None,
+                    "inconclusive: degenerate coefficients and "
+                    f"non-orthogonal vectors at party {p} "
+                    f"(|<i|j>| = {inner:.3e})",
+                )
+            return MOrthogonalResult(
+                False,
+                None,
+                f"party {p} vectors for branches {i} and {j} are "
+                f"not orthogonal (|<i|j>| = {inner:.3e})",
+            )
 
-    party_vectors = (sd.left_vectors,) + tuple(
-        np.column_stack(vectors) for vectors in per_party
+    form = SchmidtDecomposition(
+        state.dims, tuple((p,) for p in range(m)), sd.coefficients, vectors
     )
-    form = MOrthogonalForm(state.dims, coeffs, party_vectors)
     overlap = abs(form.to_state().overlap(state)) ** 2
     if overlap < 1.0 - _RECONSTRUCTION_TOL:
         return MOrthogonalResult(

@@ -129,10 +129,7 @@ class PureState:
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"local dimensions must be positive, got {dims}")
         total = math.prod(dims)
-        if total > _DENSE_DIM_LIMIT:
-            raise ValueError(
-                f"total dimension {total} exceeds the dense representation limit"
-            )
+        _check_dense(total)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != total:
             raise ValueError(
@@ -186,12 +183,16 @@ class PureState:
         return f"PureState(dims={self.dims})"
 
 
+def _check_dense(total: int) -> None:
+    """Refuse a total dimension beyond the dense limit."""
+    if total > _DENSE_DIM_LIMIT:
+        raise ValueError(f"total dimension {total} exceeds the dense representation limit")
+
+
 def _dense_dims(dims: Sequence[int]) -> tuple[int, ...]:
     """`dims` as a tuple of ints, checked against the dense limit."""
     dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if total > _DENSE_DIM_LIMIT:
-        raise ValueError(f"total dimension {total} exceeds the dense limit")
+    _check_dense(math.prod(dims))
     return dims
 
 
@@ -323,13 +324,16 @@ def reduced_gram(
     """The reduced state of the parties in `keep`: tr_rest |psi><psi|, the
     d x d Gram matrix M M^dag of the amplitudes reshaped to (d, rest).
 
-    This ndarray is the package's one reduced-state type: entropies, spectra
-    and fidelities all take it. Three callers that also need the split
-    amplitude matrix M itself form M M^dag from it directly:
-    `schmidt_decompose`, `schmidt._factor_into_products` and
-    `protocols._discard`. `state` may also be a stack of states with shared dims, an
-    array of shape (B, d1, ..., dm); the result is then the (B, d, d) stack
-    of their reduced matrices, and a non-finite amplitude raises.
+    This ndarray is the package's one reduced-state type: `entropy`,
+    `fidelity` and `reducibility`'s local-unitary alignment, partial
+    transpose and witness tests take it. Cut spectra do not:
+    `entropy._block_grams` forms the Grams of a block of same-size cuts
+    with one product. Two callers that also need the split amplitude
+    matrix M itself form M M^dag from it directly: `schmidt_decompose`
+    and `protocols._discard`. `state` may also be a stack of states with
+    shared dims, an array of shape (B, d1, ..., dm); the result is then
+    the (B, d, d) stack of their reduced matrices, and a non-finite
+    amplitude raises.
     """
     stacked = isinstance(state, np.ndarray)
     if stacked and not np.isfinite(state).all():

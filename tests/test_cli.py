@@ -15,6 +15,7 @@ import pytest
 from conftest import MALFORMED_PROTOCOLS, MALFORMED_STATES
 
 from entkit.cli import _emit_csv, _emit_text_table, _fmt, main
+from entkit.states import PureState, random_unitary, save_state
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,20 @@ def test_schmidt_multiparty(capsys):
     code, out, _ = run_cli(capsys, "schmidt", "--state", "cat4")
     assert code == 0
     assert "decomposable: yes" in out
+
+
+def test_schmidt_complex_state_file(capsys, tmp_path):
+    # sqrt(.7)|000> + i sqrt(.3)|111>, locally rotated
+    rng = np.random.default_rng(5)
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[7] = np.sqrt(0.7), 1j * np.sqrt(0.3)
+    local = np.kron(np.kron(random_unitary(2, rng), random_unitary(2, rng)), random_unitary(2, rng))
+    path = str(tmp_path / "state.json")
+    save_state(PureState((2, 2, 2), local @ amps), path)
+    code, out, _ = run_cli(capsys, "schmidt", "--state", path)
+    assert code == 0
+    assert "decomposable: yes" in out
+    assert "reason: decomposition found" in out
 
 
 def test_schmidt_multiparty_csv(capsys):

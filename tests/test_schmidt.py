@@ -24,7 +24,13 @@ from entkit.schmidt import (
     is_m_orthogonal,
     schmidt_decompose,
 )
-from entkit.states import PureState, make_state, random_pure_state, random_unitary
+from entkit.states import (
+    PureState,
+    canonical_partitions,
+    make_state,
+    random_pure_state,
+    random_unitary,
+)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 2, 4), (2, 2, 2, 2)])
@@ -34,19 +40,36 @@ def test_schmidt_reconstructs(dims):
     for size in range(1, len(dims)):
         cut = tuple(range(size))
         d = schmidt_decompose(state, cut)
-        rebuilt = d.reconstruct()
+        rebuilt = d.to_state()
         assert abs(abs(rebuilt.overlap(state)) - 1.0) < 1e-9
         weights = d.coefficients**2
         assert abs(weights.sum() - 1.0) < 1e-9
 
 
+def test_every_cut_rebuilds_and_pins_the_ket_convention():
+    # both sides of every cut, most of which do not start at party 0: the
+    # far-side columns are kets, so <u_i (x) v_i|psi> is the coefficient
+    dims = (2, 3, 2, 2)
+    state = random_pure_state(dims, np.random.default_rng(23))
+    for part in canonical_partitions(len(dims)):
+        for side in (part, part.complement()):
+            d = schmidt_decompose(state, side)
+            near, far = d.parties
+            assert near == side.members and far == side.complement().members
+            assert np.max(np.abs(d.to_state().amplitudes - state.amplitudes)) < 1e-12
+            order = np.argsort(near + far)
+            shape = tuple(dims[p] for p in near + far)
+            for i, c in enumerate(d.coefficients):
+                ket = np.outer(d.vectors[0][:, i], d.vectors[1][:, i])
+                ket = ket.reshape(shape).transpose(order).reshape(-1)
+                assert abs(np.vdot(ket, state.amplitudes) - c) < 1e-12
+
+
 def test_schmidt_sides_orthonormal():
     state = random_pure_state((4, 6), np.random.default_rng(9))
     d = schmidt_decompose(state, (0,))
-    gram_l = d.left_vectors.conj().T @ d.left_vectors
-    gram_r = d.right_vectors.conj().T @ d.right_vectors
-    assert np.linalg.norm(gram_l - np.eye(d.rank)) < 1e-9
-    assert np.linalg.norm(gram_r - np.eye(d.rank)) < 1e-9
+    for v in d.vectors:
+        assert np.linalg.norm(v.conj().T @ v - np.eye(d.rank)) < 1e-9
 
 
 def test_schmidt_rank_product_state():
@@ -105,6 +128,46 @@ def test_random_state_rejected():
     state = random_pure_state((2, 2, 2), np.random.default_rng(12))
     result = is_m_orthogonal(state)
     assert result.decomposable is False
+
+
+def rotated_cat(coefficients, phases, m, rng) -> PureState:
+    """sum_i c_i e^{i phi_i} |i...i> on m parties, each then rotated by its
+    own Haar-random unitary."""
+    d = len(coefficients)
+    t = np.zeros((d,) * m, dtype=complex)
+    for i, (c, phi) in enumerate(zip(coefficients, phases)):
+        t[(i,) * m] = c * np.exp(1j * phi)
+    for p in range(m):
+        t = np.moveaxis(np.tensordot(random_unitary(d, rng), t, axes=([1], [p])), 0, p)
+    return PureState((d,) * m, t.reshape(-1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_complex_rotated_cats_decompose(m, d):
+    rng = np.random.default_rng(100 * m + d)
+    for _ in range(25):
+        c = np.sort(rng.uniform(0.1, 1.0, d))
+        while np.min(np.diff(c)) < 0.02:
+            c = np.sort(rng.uniform(0.1, 1.0, d))
+        c /= np.linalg.norm(c)
+        state = rotated_cat(c, rng.uniform(0, 2 * np.pi, d), m, rng)
+        result = is_m_orthogonal(state)
+        assert result.decomposable is True, result.reason
+        form = result.form
+        assert form.parties == tuple((p,) for p in range(m))
+        assert abs(form.to_state().overlap(state)) ** 2 >= 1.0 - 1e-9
+        assert np.max(np.abs(form.to_state().amplitudes - state.amplitudes)) < 1e-9
+        assert np.max(np.abs(form.coefficients - c[::-1])) < 1e-9
+        weights = c**2
+        assert abs(cat_yield(state) + float(np.sum(weights * np.log2(weights)))) < 1e-12
+
+
+def test_complex_two_party_form_reproduces_the_state():
+    state = make_state((2, 2), [("00", math.sqrt(0.7)), ("11", 1j * math.sqrt(0.3))])
+    result = is_m_orthogonal(state)
+    assert result.decomposable is True
+    assert np.max(np.abs(result.form.to_state().amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_cat_yield_values():
