@@ -130,13 +130,17 @@ class EntropyVector:
         return [(part, self.values[part]) for part in self.partitions()]
 
     def max_difference(self, other: "EntropyVector", size: int | None = None) -> float:
-        """Largest |S_X(self) - S_X(other)|, over cuts with |X| = size if given."""
+        """Largest |S_X(self) - S_X(other)|, over cuts with |X| = size if given
+        (1 <= size <= m - 1; X and its complement are one cut)."""
         if self.num_parties != other.num_parties:
             raise ValueError("entropy vectors span different party counts")
+        m = self.num_parties
+        if size is not None and not 1 <= size <= m - 1:
+            raise ValueError(f"cut size {size} is outside 1..{m - 1} for {m} parties")
         return max(
             abs(self.values[p] - other.values[p])
             for p in self.partitions()
-            if size is None or len(p.members) == size
+            if size is None or len(p.members) == min(size, m - size)
         )
 
     def dominates(self, other: "EntropyVector") -> bool:
@@ -155,22 +159,35 @@ _BLOCK_ENTRIES = 1 << 13
 
 @functools.cache
 def _cuts_by_size(dims: tuple[int, ...]) -> tuple:
-    """The canonical cuts of states on `dims` grouped by the size d of the
-    Gram matrix on their cheaper side: (d, ((canonical index, side, the
-    axes of a stack that bring that side first), ...))."""
-    dim = math.prod(dims)
-    by_size: dict[int, list] = {}
-    for index, part in enumerate(canonical_partitions(len(dims))):
+    """The canonical cuts of states on `dims`, one entry per distinct reduced
+    matrix, grouped by the size d of the Gram matrix on their cheaper side:
+    (d, ((canonical indices, side, the axes of a stack that bring that side
+    first), ...)).
+
+    Cuts whose cheaper sides hold the same parties of dimension > 1 share
+    one entry, with the first such cut's side: a dimension-1 party adds no
+    length to either axis of the split amplitude matrix, so their Grams are
+    the same matrix, byte for byte. A state with no dimension-1 party has
+    one index per entry.
+    """
+    dim, m = math.prod(dims), len(dims)
+    by_size: dict[int, dict[tuple[int, ...], tuple[list[int], Partition]]] = {}
+    for index, part in enumerate(canonical_partitions(m)):
         size = math.prod(dims[p] for p in part.members)
         if size * size > dim:
             part, size = part.complement(), dim // size
-        by_size.setdefault(size, []).append((index, part, _gram_axes(len(dims), part.members, True)))
-    return tuple((size, tuple(cuts)) for size, cuts in by_size.items())
+        kept = tuple(p for p in part.members if dims[p] > 1)
+        by_size.setdefault(size, {}).setdefault(kept, ([], part))[0].append(index)
+    return tuple(
+        (size, tuple((tuple(cuts), side, _gram_axes(m, side.members, True)) for cuts, side in entries.values()))
+        for size, entries in by_size.items()
+    )
 
 
 def _block_grams(stack: np.ndarray, block: tuple, size: int) -> np.ndarray:
-    """The (K B, d, d) Grams of K same-size cuts of a stack, cut-major: one
-    copy per cut into a (K, B, d, n) buffer, then one product."""
+    """The (K B, d, d) Grams of K same-size entries of `_cuts_by_size` of a
+    stack, entry-major: one copy per entry's side into a (K, B, d, n)
+    buffer, then one product."""
     buf = np.empty((len(block), len(stack), size, stack[0].size // size), dtype=complex)
     for k, (_, _, axes) in enumerate(block):
         permuted = stack.transpose(axes)
@@ -180,24 +197,28 @@ def _block_grams(stack: np.ndarray, block: tuple, size: int) -> np.ndarray:
 
 def _cut_blocks(stack: np.ndarray):
     """The cut spectra of a (B, d1, ..., dm) stack of states, one block of
-    same-size cuts at a time: (indices, bits, others, spectra).
+    same-size entries of `_cuts_by_size` at a time: (indices, bits, others,
+    spectra).
 
-    A block holds the cuts whose cheaper side has the same Gram size d, at
-    most `_BLOCK_ENTRIES` Gram entries; its Grams are formed in buffers of
-    at most `_BLOCK_ENTRIES` amplitudes (either holds one cut when that cut
-    alone is larger). `indices` are the cuts' canonical indices, and row b
-    of cut k is state b's reduced matrix. For a row whose spectrum is flat
-    of power-of-two rank 2^s, `bits[k, b]` is s; `others[k, b]` marks every
-    other row, and `spectra` holds their eigenvalues in row order, sorted
-    descending, from one unchecked eigensolver call: the Grams are
-    Hermitian by construction, and a non-finite one raises by its purity.
+    Each distinct reduced matrix is formed, flat-tested and diagonalized
+    once, for every cut that shares it. A block holds the entries whose
+    cheaper side has the same Gram size d, at most `_BLOCK_ENTRIES` Gram
+    entries; its Grams are formed in buffers of at most `_BLOCK_ENTRIES`
+    amplitudes (either holds one entry when that entry alone is larger).
+    `indices[k]` is the tuple of canonical indices of entry k's cuts, and
+    row b of entry k is state b's reduced matrix on each of them. For a row
+    whose spectrum is flat of power-of-two rank 2^s, `bits[k, b]` is s;
+    `others[k, b]` marks every other row, and `spectra` holds their
+    eigenvalues in row order, sorted descending, from one unchecked
+    eigensolver call: the Grams are Hermitian by construction, and a
+    non-finite one raises by its purity.
     """
     count = len(stack)
-    chunk = max(1, _BLOCK_ENTRIES // (count * stack[0].size))  # cuts per buffer
-    for size, cuts in _cuts_by_size(stack.shape[1:]):
+    chunk = max(1, _BLOCK_ENTRIES // (count * stack[0].size))  # entries per buffer
+    for size, entries in _cuts_by_size(stack.shape[1:]):
         per_block = max(chunk, _BLOCK_ENTRIES // (count * size * size))
-        for start in range(0, len(cuts), per_block):
-            block = cuts[start : start + per_block]
+        for start in range(0, len(entries), per_block):
+            block = entries[start : start + per_block]
             grams = [_block_grams(stack, block[i : i + chunk], size) for i in range(0, len(block), chunk)]
             grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
             purity = _squared_norms(grams)
@@ -207,26 +228,30 @@ def _cut_blocks(stack: np.ndarray):
             others = mantissa != 0.5
             rest = grams if others.all() else grams[others.ravel()]
             spectra = _unchecked_eigenvalues(rest) if len(rest) else ()
-            yield [cut[0] for cut in block], exponent - 1, others, spectra
+            yield [entry[0] for entry in block], exponent - 1, others, spectra
 
 
 def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     """The reduced spectrum across every canonical cut, in canonical order.
 
-    The state goes through `_cut_blocks` as a stack of one, so each cut's
-    Gram matrix is formed on its cheaper side and same-size cuts share one
-    flat-spectrum test and one eigensolver call. A flat spectrum of
-    power-of-two rank is reported as its exact entropy (a `Fraction`) and
-    never reaches the eigensolver; every other cut maps to its eigenvalues,
-    sorted descending.
+    The state goes through `_cut_blocks` as a stack of one, so each
+    distinct reduced matrix is formed once, on its cheaper side, and
+    same-size ones share one flat-spectrum test and one eigensolver call;
+    cuts that differ only by parties of dimension 1 fold into one matrix
+    and get the same value (for an eigenvalue array, the same object). A
+    flat spectrum of power-of-two rank is reported as its exact entropy (a
+    `Fraction`) and never reaches the eigensolver; every other cut maps to
+    its eigenvalues, sorted descending.
     """
     parts = canonical_partitions(state.num_parties)
-    out: dict[Partition, Fraction | np.ndarray] = dict.fromkeys(parts)
-    for indices, bits, others, spectra in _cut_blocks(state.as_tensor()[None]):
+    values: list[Fraction | np.ndarray | None] = [None] * len(parts)
+    for entries, bits, others, spectra in _cut_blocks(state.as_tensor()[None]):
         spectra = iter(spectra)
-        for index, s, other in zip(indices, bits[:, 0].tolist(), others[:, 0].tolist()):
-            out[parts[index]] = next(spectra) if other else Fraction(s)
-    return out
+        for indices, s, other in zip(entries, bits[:, 0].tolist(), others[:, 0].tolist()):
+            value = next(spectra) if other else Fraction(s)
+            for index in indices:
+                values[index] = value
+    return dict(zip(parts, values))
 
 
 def _vector_from_spectra(num_parties: int, spectra: dict) -> EntropyVector:
@@ -250,12 +275,13 @@ def entropy_vector(
     shape (B, d1, ..., dm), with one weight per state: the result is the
     weighted sum of their entropy vectors, with branch probabilities as
     weights the expected one. A single state is a stack of one with weight
-    1. The cut spectra come from `_cut_blocks`, which skips the Hermiticity
-    check on the Grams it forms itself: a flat spectrum of rank 2^s is
-    exactly s bits, and every other cut takes the Shannon entropy of its
-    eigenvalues, one `shannon_entropy` call per block. Each cut's sum runs
-    left to right over the states, so it equals the sum of the states' own
-    vectors exactly.
+    1. The cut spectra come from `_cut_blocks`, one per distinct reduced
+    matrix, and each sum is copied to every cut that shares the matrix.
+    `_cut_blocks` skips the Hermiticity check on the Grams it forms itself:
+    a flat spectrum of rank 2^s is exactly s bits, and every other cut
+    takes the Shannon entropy of its eigenvalues, one `shannon_entropy`
+    call per block. Each cut's sum runs left to right over the states, so
+    it equals the sum of the states' own vectors exactly.
     """
     if isinstance(state, PureState):
         if weights is not None:
@@ -268,12 +294,13 @@ def entropy_vector(
     totals = [0.0] * len(parts)
     # infinite rows give NaN Grams, which `_cut_blocks` rejects
     with np.errstate(invalid="ignore"):
-        for indices, bits, others, spectra in _cut_blocks(state):
+        for entries, bits, others, spectra in _cut_blocks(state):
             entropies = bits.astype(float)
             if len(spectra):
                 entropies[others] = shannon_entropy(spectra)
-            for index, total in zip(indices, map(sum, (entropies * weights).tolist())):
-                totals[index] = total
+            for indices, total in zip(entries, map(sum, (entropies * weights).tolist())):
+                for index in indices:
+                    totals[index] = total
     return EntropyVector(state.ndim - 1, dict(zip(parts, totals)))
 
 

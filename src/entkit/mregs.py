@@ -20,6 +20,9 @@ for labeled entropy rows. Inside the core, elimination scales each
 equation to Python ints and runs fraction-free, so the one solver
 `_solve_exact` serves the equality system, the left-kernel certificate of
 an inconsistent system and the lift of Farkas multipliers to a weighting.
+Every exact inner product (`_dot`: picking and re-checking a certificate,
+the residual of a mix) likewise sums Python ints over one common
+denominator and builds one `Fraction` at the end.
 The inequality half, x >= 0 over the solutions of the equality system, is
 one exact dictionary simplex (`_lexmin_mix`): it finds the mix, decides
 uniqueness and yields the Farkas multipliers.
@@ -27,6 +30,7 @@ uniqueness and yields the Farkas multipliers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -73,19 +77,18 @@ def _snap(value) -> Fraction:
 def _as_row(num_parties: int, vector) -> tuple[Fraction, ...]:
     """A state's exact entropy vector, or a sequence of entries in canonical
     partition order, as an exact partition row."""
-    parts = canonical_partitions(num_parties)
     if isinstance(vector, PureState):
         if vector.num_parties != num_parties:
             raise ValueError(
                 f"a {vector.num_parties}-party state where {num_parties} "
                 "parties are expected"
             )
-        exact = exact_entropy_vector(vector)
-        return tuple(exact[p] for p in parts)
+        return tuple(exact_entropy_vector(vector).values())  # canonical order
     row = tuple(_snap(x) for x in vector)
-    if len(row) != len(parts):
+    width = len(canonical_partitions(num_parties))
+    if len(row) != width:
         raise ValueError(
-            f"expected {len(parts)} entries for {num_parties} parties, got {len(row)}"
+            f"expected {width} entries for {num_parties} parties, got {len(row)}"
         )
     return row
 
@@ -109,7 +112,7 @@ class EntropyMatrix:
         for label, row in zip(self.labels, self.rows):
             if len(row) != width:
                 raise ValueError(f"row {label!r} has {len(row)} entries, expected {width}")
-            if any(x < 0 for x in row):
+            if any(x.numerator < 0 for x in row):
                 raise ValueError(f"row {label!r} has a negative entropy entry")
 
     @classmethod
@@ -177,11 +180,7 @@ def _solve_exact(
     rational elimination. Returns (particular solution, kernel basis), or
     None when the system is inconsistent.
     """
-    rows: list[list[int]] = []
-    for coeffs, b in zip(matrix, rhs):
-        entries = [*coeffs, b]
-        scale = lcm(*(x.denominator for x in entries))
-        rows.append([x.numerator * (scale // x.denominator) for x in entries])
+    rows = [_integer_scaled([*coeffs, b])[1] for coeffs, b in zip(matrix, rhs)]
     pivots: list[int] = []
     for col in range(n_cols):
         rank = len(pivots)
@@ -215,8 +214,7 @@ def _solve_exact(
 
 def _primitive_direction(direction: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational direction to coprime integers, first nonzero > 0."""
-    scale = lcm(*(x.denominator for x in direction))
-    ints = [int(x * scale) for x in direction]
+    ints = _integer_scaled(direction)[1]
     common = gcd(*ints)
     if common:
         ints = [x // common for x in ints]
@@ -360,8 +358,23 @@ def _feasible(
     return None, (w, reason, verified)
 
 
+def _integer_scaled(values: Sequence) -> tuple[int, list[int]]:
+    """A vector of ints or `Fraction`s as (s, n) with n = s * values in ints,
+    s the least common denominator (1 for an empty vector)."""
+    scale = lcm(*(x.denominator for x in values))
+    if scale == 1:
+        return 1, [x.numerator for x in values]
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    """The exact inner product of two vectors of ints or `Fraction`s: each is
+    scaled to Python ints over its common denominator, the products are
+    summed as ints, and one `Fraction` is built at the end (0 for empty
+    vectors)."""
+    scale_a, ints_a = _integer_scaled(a)
+    scale_b, ints_b = _integer_scaled(b)
+    return Fraction(sum(map(operator.mul, ints_a, ints_b)), scale_a * scale_b)
 
 
 def solve_coefficients(
@@ -385,10 +398,7 @@ def solve_coefficients(
         w, reason, verified = certificate
         return Infeasible(gens.labels, tuple(w), verified, reason)
     point, unique, kernel = mix
-    residual = Fraction(0)
-    for p in range(len(t)):
-        acc = sum(row[p] * x for row, x in zip(gens.rows, point))
-        residual = max(residual, abs(acc - t[p]))
+    residual = max(abs(_dot([row[p] for row in gens.rows], point) - t[p]) for p in range(len(t)))
     return CoefficientSolution(
         labels=gens.labels,
         coefficients=tuple(point),

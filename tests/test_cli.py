@@ -354,7 +354,9 @@ def test_concentrate_enumerates_type_classes_once(capsys, record_calls):
 
 
 # SHA-256 of stdout before the column-wise formatter; the coefficient sets
-# are perfbench's two- and three-letter sets
+# are perfbench's two- and three-letter sets. The `mregs-bounds` and
+# `coeffs` entries were taken before cuts of generators with dimension-1
+# parties shared one reduced matrix and exact sums moved to Python ints.
 STDOUT_SHA256 = {
     "concentrate --n 100 --coeffs 3/4,1/4 --format csv": "b69fcf932998dcee1e6beb7061c42e91e5a65f2fcc823d4da3377923d28b66c0",
     "concentrate --n 100 --coeffs 3/4,1/4 --format text": "b22610a012a5c68fe64f1e2048e5be47bdf1bca77ad5ebd174e418fc31faa1f1",
@@ -424,6 +426,20 @@ STDOUT_SHA256 = {
     "dilute --n 200 --k 60 --coeffs 1/3,1/3,1/3 --format text": "8fbaaf93be230770a9a44a7ab6da35b5c016587c21e740b54c4783fac0140a95",
     "concentrate --n 400 --coeffs 9/10,1/10 --format csv": "96de77c845492f485c1bd6d513ff9d890157d1c0d4d008418c2671dee71be7dc",
     "concentrate --n 400 --coeffs 9/10,1/10 --format text": "07ddb186dbf4d38c149925304a02656df9d735595cc374dd8b4f7b8042c1955c",
+    "mregs-bounds --m 3 --format csv": "fa0c7ca9eeb47026db0cb5327c52e64071681321195ea6b6db37633e9d48fe6d",
+    "mregs-bounds --m 3 --format text": "07277b5bede2750d50b9ee1a703ce4eea708013b8a6a8f17fb306018ef7d3f3b",
+    "mregs-bounds --m 4 --format csv": "d37a3e026d046423daac9def45b91e871584f6e995f112dd9509096c2ae47b40",
+    "mregs-bounds --m 4 --format text": "ffbcc41bd388547417e067c440851452f1cc4adf403d665c864f4808ee4aa12d",
+    "mregs-bounds --m 5 --format csv": "6f2d26216f8fdae1d256e57d5b4ee9dffc25c47429f6463d0e58cde358adbde1",
+    "mregs-bounds --m 5 --format text": "1db24dd1464716bcd92dd669390c0a9d3cbd7d5356c203c4091813b9e17c921b",
+    "mregs-bounds --m 6 --format csv": "e9f77d50dae37f787d4c621e7eb8004699fb01f8e34ae44155700970758c3bc8",
+    "mregs-bounds --m 6 --format text": "305e56c0a2ed3d9290dbb4ae0db182a2643a961d658ba4a807d7b3dcbc4e1a15",
+    "mregs-bounds --m 7 --format csv": "881d8d7c036b96ddc0d89caa48843c8d3e6f7e8dc131e701d9f65d40ee0f6b42",
+    "mregs-bounds --m 7 --format text": "877dc7095ed028335acc12da6a44c09de1cf646939a49ce16d7d4e0e29570a9e",
+    "coeffs --gens epr(a,b,3) epr(a,c,3) epr(b,c,3) ghz --target 2ghz --format csv": "0ec3a4fa55f6666df0ba4881ded96dfc180d96eecacd9b7ee1193f44291a77f2",
+    "coeffs --gens epr(a,b,3) epr(a,c,3) epr(b,c,3) ghz --target 2ghz --format text": "e8e6b5d66d58f610d36167e615e586dc99237a5ae84d2ed26ab818d5796abc97",
+    "coeffs --gens epr(a,b,5) epr(a,c,5) epr(a,d,5) epr(a,e,5) epr(b,c,5) epr(b,d,5) epr(b,e,5) epr(c,d,5) epr(c,e,5) epr(d,e,5) cat5 --target codeword5 --format csv": "117fe6cb31dd236eb8c45e5c099f709fea434ec04cc8f039e2e52030b3c5fffd",
+    "coeffs --gens epr(a,b,5) epr(a,c,5) epr(a,d,5) epr(a,e,5) epr(b,c,5) epr(b,d,5) epr(b,e,5) epr(c,d,5) epr(c,e,5) epr(d,e,5) cat5 --target codeword5 --format text": "79f9f9644d5179a12bc5740062fea86cfd7765621d39d3c41485ce87e05f0441",
 }
 
 

@@ -1,4 +1,5 @@
 """Entropy vectors: frozen values, purity symmetry, unitary invariance."""
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -129,6 +130,19 @@ def test_unitary_invariance():
     assert before.max_difference(after) < 1e-8
 
 
+def test_max_difference_by_cut_size_reads_either_side():
+    # sizes past m/2 name the same cuts as their complements
+    a = entropy_vector(random_pure_state((2, 3, 2, 2), np.random.default_rng(8)))
+    b = entropy_vector(random_pure_state((2, 3, 2, 2), np.random.default_rng(9)))
+    for size in (1, 2, 3):
+        want = max(abs(a[members] - b[members]) for members in itertools.combinations(range(4), size))
+        assert a.max_difference(b, size=size) == want == a.max_difference(b, size=4 - size)
+    assert a.max_difference(b) == max(a.max_difference(b, size=k) for k in (1, 2))
+    for size in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"cut size {size} is outside 1..3"):
+            a.max_difference(b, size=size)
+
+
 def test_single_party_entropies_cat_power():
     values = single_party_entropies(cat_power(3, 2))
     assert values == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
@@ -188,7 +202,11 @@ def svd_spectrum(state, members):
 FLAT_STATES = {(3, 1, 3): PureState((3, 1, 3), np.eye(3))}
 
 
-@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (3,) * 5, (2,) * 8, (2, 1, 3, 2), (3, 1, 3)])
+# dimension-1 parties in every position fold cuts into shared entries
+FOLDING_DIMS = [(2, 1, 3, 1, 2), (1, 2, 2), (2, 2, 1, 1, 1), (1, 1, 2, 2, 2), (1, 4, 1, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (3,) * 5, (2,) * 8, (2, 1, 3, 2), (3, 1, 3), *FOLDING_DIMS])
 def test_cut_spectra_match_svd(dims):
     state = FLAT_STATES.get(dims) or random_pure_state(dims, np.random.default_rng(len(dims) * 101))
     spectra = cut_spectra(state)
@@ -394,28 +412,50 @@ def block_test_stack(dims, count, seed):
     return np.stack(rows)
 
 
+def kept_parties(dims, side):
+    """The parties of dimension > 1 on one side of a cut."""
+    return tuple(p for p in side.members if dims[p] > 1)
+
+
 @pytest.mark.parametrize("count", [1, 7, 64])
-@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (2, 1, 3, 2), (2,) * 8, (32, 2, 2)])
-def test_block_spectra_match_the_per_cut_reference(dims, count):
-    # each cut alone: its Gram on the cheaper side, the flat test and the
+@pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (2, 1, 3, 2), (2,) * 8, (32, 2, 2), *FOLDING_DIMS])
+def test_block_spectra_match_the_per_cut_reference(buffer_calls, dims, count):
+    # each cut alone: its Gram on its own cheaper side, the flat test and the
     # checked eigensolver on that cut's stack
     stack = block_test_stack(dims, count, len(dims) * count)
     parts = canonical_partitions(len(dims))
-    got = {}
-    for indices, bits, others, spectra in _cut_blocks(stack):
+    got, seen = {}, []
+    for entries, bits, others, spectra in _cut_blocks(stack):
         spectra = iter(spectra)
-        for index, cut_bits, cut_others in zip(indices, bits, others):
-            got[index] = (cut_bits[~cut_others].tolist(), [next(spectra).tobytes() for _ in range(cut_others.sum())])
-    assert sorted(got) == list(range(len(parts)))
-    sides = {index: side for _, cuts in _cuts_by_size(dims) for index, side, _ in cuts}
+        for indices, cut_bits, cut_others in zip(entries, bits, others):
+            value = (cut_bits[~cut_others].tolist(), [next(spectra).tobytes() for _ in range(cut_others.sum())])
+            got.update(dict.fromkeys(indices, value))
+            seen += indices
+    formed = [kept_parties(dims, side) for _, sides in buffer_calls for side in sides]
+    assert sorted(seen) == list(range(len(parts)))
+    sides = {index: side for _, cuts in _cuts_by_size(dims) for indices, side, _ in cuts for index in indices}
+    own_sides = []
     for index, part in enumerate(parts):
         size = math.prod(dims[p] for p in part.members)
-        assert sides[index] == (part if size * size <= stack[0].size else part.complement())
-        grams = reduced_gram(stack, sides[index])
+        side = part if size * size <= stack[0].size else part.complement()
+        own_sides.append(kept_parties(dims, side))
+        # the entry's side holds the same parties of dimension > 1
+        assert kept_parties(dims, sides[index]) == own_sides[-1]
+        grams = reduced_gram(stack, side)
         ranks = flat_spectrum_rank(grams)
         flat = (ranks > 0) & (np.log2(np.maximum(ranks, 1)) % 1 == 0)
         want = (np.log2(ranks[flat]).tolist(), [s.tobytes() for s in hermitian_eigenvalues(grams)[~flat]])
         assert got[index] == want
+    # one Gram per distinct reduced matrix, and one per cut without
+    # dimension-1 parties
+    assert sorted(formed) == sorted(set(own_sides))
+    if 1 not in dims:
+        assert len(formed) == len(parts)
+    weights = np.random.default_rng(count).dirichlet(np.ones(count))
+    vectors = [entropy_vector(PureState(dims, row)) for row in stack]
+    stacked = entropy_vector(stack, weights)
+    for part in parts:
+        assert stacked.values[part] == sum(w * v.values[part] for w, v in zip(weights, vectors))
     if count > 1:  # the flat rows reach the flat test, not the solver
         assert any(bits[~others].size for _, bits, others, _ in _cut_blocks(stack))
     broken = stack.copy()

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entkit import mregs
 from entkit.builders import (
@@ -22,6 +23,7 @@ from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
     Infeasible,
+    _dot,
     _feasible,
     _lexmin_mix,
     _solve_exact,
@@ -620,6 +622,27 @@ def test_core_recheck_rejects_a_bad_weighting(monkeypatch):
     mix, (w, reason, verified) = _feasible([[1, 0], [0, 1]], [-1, 1])
     assert mix is None and w == [1, -1] and not verified
     assert reason == "the equality system is solvable only with negative coefficients"
+
+
+# ints and fractions of either sign; denominators reach past 2^64
+exact_entries = st.integers(-(2**70), 2**70) | st.fractions(max_denominator=2**80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_integer_dot_is_the_fraction_sum(data, size):
+    a = data.draw(st.lists(exact_entries, min_size=size, max_size=size))
+    b = data.draw(st.lists(exact_entries, min_size=size, max_size=size))
+    got = _dot(a, b)
+    assert type(got) is Fraction
+    assert got == sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def test_integer_dot_past_64_bit_denominators():
+    a = [Fraction(1, 2**64 + 1), Fraction(-3, 2**65), 7]
+    b = [Fraction(2**64 + 1, 5), 2**65, Fraction(-1, 3**41)]
+    assert _dot(a, b) == Fraction(1, 5) - 3 - Fraction(7, 3**41)
+    assert _dot([], []) == Fraction(0) and type(_dot([], [])) is Fraction
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
