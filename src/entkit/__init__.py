@@ -28,7 +28,6 @@ from .builders import (
     eprs_chain,
     eprs_complete,
     eprs_graph,
-    ghz_state,
     parse_named_state,
 )
 from .entropy import (
@@ -43,7 +42,6 @@ from .entropy import (
     exact_entropy_vector,
     exact_entropy_vector_of_factors,
     shannon_entropy,
-    single_party_entropies,
 )
 from .errors import InternalError
 from .mregs import (
@@ -87,7 +85,6 @@ from .reducibility import (
     classify_states,
     exact_bipartite_reducible,
     ghz_epr_witness,
-    is_npt_pair,
     lu_equivalent_bipartite,
     majorizes,
     ppt_minimum_eigenvalue,

@@ -25,7 +25,6 @@ from .states import PureState, load_state, make_state, tensor
 __all__ = [
     "epr_pair",
     "cat_state",
-    "ghz_state",
     "embedded_cat",
     "epr_between",
     "cat_power",
@@ -49,10 +48,6 @@ def cat_state(m: int) -> PureState:
     if m < 2:
         raise ValueError("a cat state needs at least two parties")
     return make_state((2,) * m, [((0,) * m, 1), ((1,) * m, 1)])
-
-
-def ghz_state() -> PureState:
-    return cat_state(3)
 
 
 def embedded_cat(num_parties: int, members: tuple[int, ...] | list[int]) -> PureState:
@@ -179,7 +174,7 @@ def parse_named_state(name_or_path: str) -> PureState:
     if name == "epr":
         return epr_pair()
     if name == "ghz":
-        return ghz_state()
+        return cat_state(3)
     if name == "3epr":
         return eprs_complete(3)
     if name == "codeword5":

@@ -292,6 +292,8 @@ def _cmd_coeffs(args) -> int:
     target = parse_named_state(args.target)
     result = solve_coefficients(gens, target)
     if isinstance(result, Infeasible):
+        if not result.verified:
+            raise InternalError("infeasibility certificate failed verification")
         meta: list[list] = [["status", "infeasible"], ["reason", result.reason]]
         _emit(args, meta)
         print()

@@ -24,7 +24,6 @@ __all__ = [
     "EntropyVector",
     "entropy_vector",
     "cut_spectra",
-    "single_party_entropies",
     "PartitionAsymmetryError",
     "entropy_ratio_r21",
     "flat_spectrum_rank",
@@ -302,11 +301,6 @@ def entropy_vector(
                 for index in indices:
                     totals[index] = total
     return EntropyVector(state.ndim - 1, dict(zip(parts, totals)))
-
-
-def single_party_entropies(state: PureState) -> list[float]:
-    vec = entropy_vector(state)
-    return [vec[(p,)] for p in range(state.num_parties)]
 
 
 class PartitionAsymmetryError(ValueError):

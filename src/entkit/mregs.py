@@ -98,7 +98,7 @@ class EntropyMatrix:
     """Labeled generators with one exact entropy row each.
 
     Rows are ordered by the canonical partitions of `num_parties`; all
-    entries must be nonnegative.
+    entries must be nonnegative ints or Fractions.
     """
 
     num_parties: int
@@ -112,7 +112,11 @@ class EntropyMatrix:
         for label, row in zip(self.labels, self.rows):
             if len(row) != width:
                 raise ValueError(f"row {label!r} has {len(row)} entries, expected {width}")
-            if any(x.numerator < 0 for x in row):
+            try:
+                negative = any(x.numerator < 0 for x in row)
+            except AttributeError:
+                raise ValueError(f"row {label!r}: entries must be ints or Fractions") from None
+            if negative:
                 raise ValueError(f"row {label!r} has a negative entropy entry")
 
     @classmethod

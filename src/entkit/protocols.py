@@ -698,10 +698,6 @@ class ProtocolBuilder:
         self._steps: list[ProtocolStep] = []
         self._outcome_sets: list[tuple[str, ...]] = []
 
-    @property
-    def num_parties(self) -> int:
-        return len(self._factors)
-
     def factor_dims(self, party: int) -> tuple[int, ...]:
         return tuple(self._factors[party])
 

@@ -28,14 +28,12 @@ from .states import Partition, PureState, reduced_gram, refine_to_qubits
 
 __all__ = [
     "majorizes",
-    "bipartite_spectrum",
     "exact_bipartite_reducible",
     "lu_equivalent_bipartite",
     "ComparisonVerdict",
     "Classification",
     "classify_states",
     "ppt_minimum_eigenvalue",
-    "is_npt_pair",
     "GhzEprWitness",
     "ghz_epr_witness",
 ]
@@ -55,31 +53,18 @@ def majorizes(q: Sequence[float], p: Sequence[float]) -> bool:
     """
     qs = sorted((float(x) for x in q), reverse=True)
     ps = sorted((float(x) for x in p), reverse=True)
-    if abs(sum(qs) - 1.0) > 1e-8 or abs(sum(ps) - 1.0) > 1e-8:
+    if not (abs(sum(qs) - 1.0) <= 1e-8 and abs(sum(ps) - 1.0) <= 1e-8):  # NaN fails this test
         raise ValueError("majorization needs normalized distributions")
     n = max(len(qs), len(ps))
     qs += [0.0] * (n - len(qs))
     ps += [0.0] * (n - len(ps))
-    acc_q = acc_p = 0.0
-    for i in range(n):
-        acc_q += qs[i]
-        acc_p += ps[i]
-        if acc_q < acc_p - _MAJORIZATION_TOL:
-            return False
-    return True
+    return bool(np.all(np.cumsum(qs) >= np.cumsum(ps) - _MAJORIZATION_TOL))
 
 
 def _two_party_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     if state.num_parties != 2:
         raise ValueError("need exactly two parties")
     return cut_spectra(state)
-
-
-def bipartite_spectrum(state: PureState) -> np.ndarray:
-    """Squared Schmidt coefficients of a two-party state above 1e-12, descending."""
-    (value,) = _two_party_spectra(state).values()
-    spectrum = _as_eigenvalues(value)
-    return spectrum[spectrum > _EIGENVALUE_FLOOR]
 
 
 def exact_bipartite_reducible(source: PureState, target: PureState) -> bool:
@@ -289,12 +274,6 @@ def ppt_minimum_eigenvalue(rho: np.ndarray) -> float:
     # transpose the second qubit: swap its bra and ket indices
     pt = t.transpose(0, 3, 2, 1).reshape(4, 4)
     return float(hermitian_eigenvalues(pt)[-1])
-
-
-def is_npt_pair(rho: np.ndarray) -> bool:
-    """Whether a two-qubit state fails the positive-partial-transpose test
-    by more than 1e-10 (for two qubits this is exactly entanglement)."""
-    return ppt_minimum_eigenvalue(rho) < -_NPT_TOL
 
 
 def _maximally_mixed_deviation(rho: np.ndarray) -> float:

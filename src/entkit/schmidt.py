@@ -178,20 +178,21 @@ def is_m_orthogonal(state: PureState) -> MOrthogonalResult:
         return MOrthogonalResult(True, sd, "two parties always decompose")
     degenerate = bool(np.any(np.diff(np.sort(sd.coefficients**2)) < _DEGENERACY_GAP))
 
+    def failed(negative: str, obstacle: str) -> MOrthogonalResult:
+        if degenerate:
+            return MOrthogonalResult(
+                None, None, f"inconclusive: degenerate coefficients and {obstacle}"
+            )
+        return MOrthogonalResult(False, None, negative)
+
     branches = []
     for i in range(sd.rank):
         factors = _peel(sd.vectors[1][:, i], state.dims[1:])
         if isinstance(factors, str):
-            if degenerate:
-                return MOrthogonalResult(
-                    None,
-                    None,
-                    "inconclusive: degenerate coefficients and a non-product "
-                    "branch; a rotated degenerate basis might still decompose "
-                    f"({factors})",
-                )
-            return MOrthogonalResult(
-                False, None, f"branch {i} of the first-party cut: {factors}"
+            return failed(
+                f"branch {i} of the first-party cut: {factors}",
+                "a non-product branch; a rotated degenerate basis might still "
+                f"decompose ({factors})",
             )
         branches.append(factors)
 
@@ -201,20 +202,10 @@ def is_m_orthogonal(state: PureState) -> MOrthogonalResult:
         clashes = np.argwhere(np.triu(inners > _ORTHOGONALITY_TOL, 1))
         if len(clashes):
             i, j = clashes[0]
-            inner = inners[i, j]
-            if degenerate:
-                return MOrthogonalResult(
-                    None,
-                    None,
-                    "inconclusive: degenerate coefficients and "
-                    f"non-orthogonal vectors at party {p} "
-                    f"(|<i|j>| = {inner:.3e})",
-                )
-            return MOrthogonalResult(
-                False,
-                None,
-                f"party {p} vectors for branches {i} and {j} are "
-                f"not orthogonal (|<i|j>| = {inner:.3e})",
+            inner = f"(|<i|j>| = {inners[i, j]:.3e})"
+            return failed(
+                f"party {p} vectors for branches {i} and {j} are not orthogonal {inner}",
+                f"non-orthogonal vectors at party {p} {inner}",
             )
 
     form = SchmidtDecomposition(

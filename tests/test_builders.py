@@ -13,10 +13,10 @@ from entkit.builders import (
     eprs_chain,
     eprs_complete,
     eprs_graph,
-    ghz_state,
     parse_named_state,
 )
 from entkit.entropy import entropy_vector
+from entkit.states import make_state
 
 
 def test_epr_pair_amplitudes():
@@ -36,7 +36,9 @@ def test_cat_state_support():
 
 
 def test_ghz_is_threeparty_cat():
-    assert abs(ghz_state().overlap(cat_state(3)) - 1.0) < 1e-12
+    ghz = parse_named_state("ghz")
+    assert ghz.dims == (2, 2, 2)
+    assert abs(ghz.overlap(make_state((2, 2, 2), [("000", 1), ("111", 1)])) - 1.0) < 1e-12
 
 
 def test_embedded_cat_leaves_spectators_trivial():

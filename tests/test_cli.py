@@ -240,6 +240,18 @@ def test_internal_fault_exits_3(capsys, monkeypatch):
     assert "expected a distillable pair" in err
 
 
+def test_coeffs_rejects_an_unverified_certificate(capsys, monkeypatch):
+    from entkit import cli
+    from entkit.mregs import Infeasible
+
+    unverified = Infeasible(("epr",), (Fraction(-1),), False, "forged")
+    monkeypatch.setattr(cli, "solve_coefficients", lambda gens, target: unverified)
+    code, out, err = run_cli(capsys, "coeffs", "--gens", "epr", "--target", "epr")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: infeasibility certificate failed verification\n"
+
+
 def test_run_protocol_with_target(capsys, tmp_path):
     from entkit.protocols import eprs_to_cat, eprs_to_cat_input, save_protocol
     from entkit.states import save_state

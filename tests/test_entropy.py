@@ -31,7 +31,6 @@ from entkit.entropy import (
     exact_entropy_vector_of_factors,
     flat_spectrum_rank,
     shannon_entropy,
-    single_party_entropies,
 )
 from entkit.linalg import hermitian_eigenvalues
 from entkit.states import (
@@ -144,7 +143,8 @@ def test_max_difference_by_cut_size_reads_either_side():
 
 
 def test_single_party_entropies_cat_power():
-    values = single_party_entropies(cat_power(3, 2))
+    vec = entropy_vector(cat_power(3, 2))
+    values = [vec[(p,)] for p in range(3)]
     assert values == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
 
 

@@ -1,7 +1,11 @@
 """Every exported name resolves. perfbench's tracer wraps functions by each
 module's `__all__`, so a stale export would drop out of the trace silently."""
+import ast
 import importlib
+import importlib.util
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,78 @@ def test_all_names_resolve(name):
 
 def test_every_module_is_checked():
     assert {"entkit.schmidt", "entkit.states", "entkit.protocols", "entkit.cli"} <= set(MODULES)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve():
+    # the tracer builds each metric on `layer.name` keys; a deleted or
+    # unexported name would leave its metric reading 0 or missing
+    tracer = _perfbench_tracer()
+    keys = {key for _, names in tracer.METRICS.values() for key in names} | set(tracer._OBSERVE)
+    assert keys
+    unresolved = []
+    for key in sorted(keys):
+        layer, name = key.split(".")
+        module = importlib.import_module(f"entkit.{layer}")
+        if not hasattr(module, name) or name not in module.__all__:
+            unresolved.append(key)
+    assert unresolved == []
+
+
+EIGENSOLVERS = {"hermitian_eigensystem", "hermitian_eigenvalues", "_unchecked_eigenvalues"}
+# the callers the README's eigensolver paragraph names; `linalg` is left out
+# because its public solvers call `_unchecked_eigenvalues` themselves
+README_EIGENSOLVER_CALLERS = {
+    "entropy._cut_blocks",
+    "entropy.entropy",
+    "protocols._discard",
+    "reducibility._lu_align",
+    "reducibility.ppt_minimum_eigenvalue",
+    "schmidt.schmidt_decompose",
+}
+
+
+def _eigensolver_callers() -> set[str]:
+    """`module.function` of every function in `src/entkit` whose own body
+    (nested functions excluded) calls an eigensolver."""
+    callers = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.stack = module, []
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in EIGENSOLVERS and self.stack:
+                callers.add(f"{self.module}.{self.stack[-1]}")
+            self.generic_visit(node)
+
+    for path in sorted((ROOT / "src" / "entkit").glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return callers
+
+
+def test_eigensolver_callers_are_the_readme_list():
+    callers = _eigensolver_callers()
+    assert {c for c in callers if not c.startswith("linalg.")} == README_EIGENSOLVER_CALLERS
+    assert {c for c in callers if c.startswith("linalg.")} == {"linalg.hermitian_eigenvalues"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unnamed = [
+        c for c in sorted(README_EIGENSOLVER_CALLERS)
+        if not re.search(rf"`(\w+\.)?{re.escape(c.split('.')[1])}`", readme)
+    ]
+    assert unnamed == []

@@ -191,6 +191,11 @@ def test_entropy_matrix_rejects_negative_entries():
         )
 
 
+def test_entropy_matrix_rejects_float_entries():
+    with pytest.raises(ValueError, match="row 'x': entries must be ints or Fractions"):
+        EntropyMatrix(2, ("x",), ((0.5,),))
+
+
 def test_solver_snaps_close_floats():
     gens = epr_matrix(3)
     sol = solve_coefficients(gens, [1.0, 1.0, 1.0])

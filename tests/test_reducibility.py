@@ -15,15 +15,15 @@ from entkit.builders import (
 from entkit.reducibility import (
     Classification,
     ComparisonVerdict,
+    _npt_cross_pair,
     classify_states,
     exact_bipartite_reducible,
     ghz_epr_witness,
-    is_npt_pair,
     lu_equivalent_bipartite,
     majorizes,
     ppt_minimum_eigenvalue,
 )
-from entkit.states import PureState, make_state, random_pure_state, random_unitary
+from entkit.states import PureState, make_state, random_pure_state, random_unitary, reduced_gram
 
 
 def random_spectrum(rng, max_len=6):
@@ -65,6 +65,43 @@ def test_majorization_basics():
     assert majorizes([0.5, 0.5], [0.5, 0.5])
 
 
+@st.composite
+def _near_tie_distributions(draw):
+    """A distribution p of 1..6 entries and a copy q with one amount t moved
+    between two entries, t at or near the 1e-10 tolerance (or anywhere in
+    [1e-12, 1e-2]), so prefix sums differ by about the tolerance."""
+    n = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    p = [x / sum(raw) for x in raw]
+    t = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e-10]),
+            st.floats(0.9e-10, 1.1e-10),
+            st.floats(1e-12, 1e-2),
+        )
+    )
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n))
+    q = p + [0.0]  # room for a longer q
+    q[i] -= min(t, q[i])
+    q[j] += min(t, p[i])
+    if draw(st.booleans()):
+        q, p = p, q
+    return q, p
+
+
+@settings(max_examples=600, deadline=None)
+@given(_near_tie_distributions())
+def test_majorization_matches_prefix_loop_on_near_ties(pair):
+    q, p = pair
+    assert majorizes(q, p) == majorizes_oracle(q, p)
+
+
+@pytest.mark.parametrize("q, p", [([float("nan"), 1.0], [1.0]), ([1.0], [float("nan")])])
+def test_majorization_rejects_nan(q, p):
+    with pytest.raises(ValueError, match="normalized"):
+        majorizes(q, p)
+
+
 def test_exact_bipartite_reducible_epr_to_product():
     product = make_state((2, 2), [("00", 1.0)])
     assert exact_bipartite_reducible(epr_pair(), product)
@@ -77,10 +114,8 @@ def test_mutual_reducibility_iff_equal_spectra():
         a = random_pure_state((3, 3), rng)
         b = random_pure_state((3, 3), rng)
         mutual = exact_bipartite_reducible(a, b) and exact_bipartite_reducible(b, a)
-        from entkit.reducibility import bipartite_spectrum
-
-        sa = bipartite_spectrum(a)
-        sb = bipartite_spectrum(b)
+        sa = np.linalg.svd(a.as_tensor(), compute_uv=False) ** 2
+        sb = np.linalg.svd(b.as_tensor(), compute_uv=False) ** 2
         same = max(abs(x - y) for x, y in zip(sa, sb)) < 1e-8
         assert mutual == same
 
@@ -258,13 +293,19 @@ def test_classify_entropy_gap_incomparable():
 def test_ppt_epr_value():
     rho = np.outer(epr_pair().amplitudes, epr_pair().amplitudes.conj())
     assert ppt_minimum_eigenvalue(rho) == pytest.approx(-0.5, abs=1e-12)
-    assert is_npt_pair(rho)
+    qubits, eig = _npt_cross_pair(epr_pair(), 0, 1)
+    assert qubits == (0, 1) and eig == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ppt_separable_state_stays_positive():
     rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
     assert ppt_minimum_eigenvalue(rho) >= -1e-12
-    assert not is_npt_pair(rho)
+    # a purification on a third party C has rho as its A,B reduction
+    purified = make_state(
+        (2, 2, 4), [((i >> 1, i & 1, i), np.sqrt(w)) for i, w in enumerate([0.4, 0.1, 0.3, 0.2])]
+    )
+    assert np.allclose(reduced_gram(purified, [0, 1]), rho, atol=1e-12)
+    assert _npt_cross_pair(purified, 0, 1) is None
 
 
 def test_ghz_epr_witness_report():

@@ -105,6 +105,10 @@ def test_w_state_not_decomposable():
     w = make_state((2, 2, 2), [("001", 1.0), ("010", 1.0), ("100", 1.0)])
     result = is_m_orthogonal(w)
     assert result.decomposable is False
+    assert result.reason == (
+        "branch 0 of the first-party cut: factor 0 is entangled with the "
+        "remainder (principal weight 0.500000000)"
+    )
 
 
 def test_two_cat_copies_decompose():
@@ -122,6 +126,39 @@ def test_rotated_cat_copies_inconclusive():
     rotated = PureState(state.dims, tensorized.reshape(-1))
     result = is_m_orthogonal(rotated)
     assert result.decomposable is None
+    assert result.reason == (
+        "inconclusive: degenerate coefficients and a non-product branch; a "
+        "rotated degenerate basis might still decompose (factor 0 is entangled "
+        "with the remainder (principal weight 0.480439121))"
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, decomposable, reason",
+    [
+        (
+            (0.6, 0.4),
+            False,
+            "party 2 vectors for branches 0 and 1 are not orthogonal (|<i|j>| = 1.000e-05)",
+        ),
+        (
+            (0.5, 0.5),
+            None,
+            "inconclusive: degenerate coefficients and non-orthogonal vectors at "
+            "party 2 (|<i|j>| = 1.000e-05)",
+        ),
+    ],
+)
+def test_product_branches_with_overlapping_vectors(weights, decomposable, reason):
+    # sqrt(w0)|0>|0>|c0> + sqrt(w1)|1>|1>|c1> with <c0|c1> = 1e-5: every
+    # branch is a product and every entropy agrees to about 1e-10, so only
+    # the orthogonality check at party C can fail
+    eps = 1e-5
+    t = np.zeros((2, 2, 2))
+    t[0, 0] = math.sqrt(weights[0]) * np.array([1.0, 0.0])
+    t[1, 1] = math.sqrt(weights[1]) * np.array([eps, math.sqrt(1 - eps**2)])
+    result = is_m_orthogonal(PureState((2, 2, 2), t.reshape(-1)))
+    assert (result.decomposable, result.form, result.reason) == (decomposable, None, reason)
 
 
 def test_random_state_rejected():
