@@ -22,6 +22,17 @@ they touch, not as matrices on the whole party: a step may declare the
 party's current `factor_dims` and the factors `on` which it acts, and the
 simulator contracts the small operator over those axes of the state.
 
+Operators are checked once, when a step is built or loaded: their shape
+against the step's placement, each unitary and conditioned matrix for
+being an isometry, each measurement for Hermitian, idempotent projectors
+that sum to the identity; a failed check is a ValueError, and
+`protocol_from_list` names the step. `run` checks only what depends on
+the state, and raises ProtocolError for a step on a party the state does
+not have, factors that do not multiply to the party's current dimension,
+a reached transcript with no table entry, a discard of factors that are
+not in a product state, a step after which every branch was pruned,
+probability drift, and (EntropyMonotonicityError) entropy growth.
+
 Every branch shares the same dims after every step, so the branch set is
 one complex array of shape (B, dim), with a probability vector and a list
 of transcripts. A local map is one contraction over all B rows; a
@@ -85,8 +96,7 @@ __all__ = [
 ]
 
 _PRUNE_THRESHOLD = 1e-14
-_ISOMETRY_TOL = 1e-9
-_PROJECTOR_TOL = 1e-9
+_OPERATOR_TOL = 1e-9  # isometries and projectors
 _DISCARD_PURITY_TOL = 1e-9
 _PROBABILITY_TOL = 1e-9
 _ENTROPY_GAIN_TOL = 1e-8
@@ -121,22 +131,48 @@ def _step_fields(cls: type) -> tuple[tuple[str, bool], ...]:
     return tuple((f.name, f.default is MISSING) for f in fields(cls))
 
 
-def _freeze_placement(step) -> None:
-    """Normalize an operator step's placement fields, `factor_dims` and the
-    fields after it, to ints. Without `factor_dims` a step acts on the
-    whole party, and the other placement fields must be unset."""
-    names = [name for name, _ in _step_fields(type(step))]
-    placement = names[names.index("factor_dims") + 1 :]
+def _place(step, ops: Sequence[np.ndarray]) -> None:
+    """Normalize an operator step's placement fields to ints, work out where
+    the step acts and check every operator's shape against it. The layout is
+    kept as `step.layout`, outside the dataclass fields, so a protocol file
+    does not hold it. Without `factor_dims` a step acts on the whole party,
+    one factor of its first operator's input dimension, and the other
+    placement fields must be unset."""
+    if not ops:
+        raise ValueError("a step needs at least one operator")
+    placement = [name for name in ("on", "out_dims", "insert_at") if hasattr(step, name)]
     if step.factor_dims is None:
         if any(getattr(step, n) is not None for n in placement):
             raise ValueError(f"{', '.join(map(repr, placement))} need 'factor_dims'")
-        return
-    object.__setattr__(step, "factor_dims", tuple(int(d) for d in step.factor_dims))
-    for name in placement:
-        value = getattr(step, name)
-        if value is not None:
-            value = int(value) if name == "insert_at" else tuple(int(i) for i in value)
-            object.__setattr__(step, name, value)
+        shape = ops[0].shape
+        factors, out_dims = shape[-1:], shape[:1] if isinstance(step, LocalUnitary) else None
+    else:
+        object.__setattr__(step, "factor_dims", tuple(int(d) for d in step.factor_dims))
+        for name in placement:
+            value = getattr(step, name)
+            if value is not None:
+                value = int(value) if name == "insert_at" else tuple(int(i) for i in value)
+                object.__setattr__(step, name, value)
+        factors, out_dims = step.factor_dims, getattr(step, "out_dims", None)
+    layout = _factor_layout(factors, step.on, out_dims, getattr(step, "insert_at", None), ops)
+    object.__setattr__(step, "layout", layout)
+
+
+def _off(deviations: np.ndarray, layout: _FactorLayout) -> list[bool]:
+    """Whether each of a stack of deviations of operators on a step's
+    factors exceeds the tolerance in Frobenius norm. Tensoring with the
+    identity on the untouched factors (dimension u) multiplies the norm by
+    sqrt(u), so dividing the tolerance by sqrt(u) makes the check on the
+    small operator exactly as strict as the same check on the party-space
+    matrix. A deviation that is not finite is beyond it too."""
+    return (~(_squared_norms(deviations) <= _OPERATOR_TOL**2 / layout.untouched)).tolist()
+
+
+def _check_isometries(ops: Sequence[np.ndarray], layout: _FactorLayout) -> None:
+    """Check operators of one shape for being isometries, as one stack."""
+    stack = np.array(ops)
+    if any(_off(stack.conj().swapaxes(1, 2) @ stack - np.eye(stack.shape[2]), layout)):
+        raise ValueError("matrix is not an isometry within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +183,8 @@ class LocalUnitary:
     `factor_dims` (the party's current factorization, most significant
     first) it acts only on the factors listed in `on`, in the matrix's own
     input order, and emits factors of `out_dims` (default: the consumed
-    ones); `expand_factor_op` says where the emitted factors land.
+    ones); `expand_factor_op` says where the emitted factors land. Every
+    operator step keeps its placement as `layout` (see `_place`).
     """
 
     party: int
@@ -159,7 +196,8 @@ class LocalUnitary:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        _freeze_placement(self)
+        _place(self, (self.matrix,))
+        _check_isometries((self.matrix,), self.layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +227,18 @@ class LocalMeasurement:
             # a protocol file joins a transcript's labels with ',' (see `_field_to_json`)
             if not label or "," in label:
                 raise ValueError(f"outcome label {label!r} must be nonempty and free of ','")
-        _freeze_placement(self)
+        _place(self, self.projectors)
+        # one stack of deviations: each P - P^dag, each P^2 - P, then sum(P) - I
+        p = np.array(self.projectors)
+        complete = p.sum(axis=0, keepdims=True) - np.eye(p.shape[1])
+        off = _off(np.concatenate([p - p.conj().swapaxes(1, 2), p @ p - p, complete]), self.layout)
+        for outcome, not_hermitian, not_idempotent in zip(self.outcomes, off, off[len(p) :]):
+            if not_hermitian:
+                raise ValueError(f"projector for outcome {outcome!r} is not Hermitian")
+            if not_idempotent:
+                raise ValueError(f"projector for outcome {outcome!r} is not idempotent")
+        if off[-1]:
+            raise ValueError("measurement projectors do not sum to the identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +246,8 @@ class ConditionedUnitary:
     """Unitary on one party chosen by the full classical transcript so far.
 
     Placement as for `LocalMeasurement`. Equal matrices in the table share
-    one array, so each distinct one is checked once per run.
+    one array, so each distinct one is checked once, and `run` applies it
+    once to all the branches it serves.
     """
 
     party: int
@@ -213,7 +263,8 @@ class ConditionedUnitary:
             mat = distinct.setdefault((mat.shape, mat.tobytes()), mat)
             frozen[tuple(str(o) for o in key)] = mat
         object.__setattr__(self, "table", frozen)
-        _freeze_placement(self)
+        _place(self, tuple(distinct.values()))
+        _check_isometries(tuple(distinct.values()), self.layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,65 +343,6 @@ def _expected(branches: Sequence[Branch], values: Sequence[float]) -> float:
     return sum(b.probability * v for b, v in zip(branches, values))
 
 
-def _step_layout(step, dims: tuple[int, ...], where: str) -> _FactorLayout:
-    """Resolve where a non-discard step acts on its party's current space."""
-    dim = dims[step.party]
-    if step.factor_dims is None:
-        out_dims = None
-        if isinstance(step, LocalUnitary) and step.matrix.ndim == 2:
-            out_dims = (step.matrix.shape[0],)
-        return _factor_layout((dim,), None, out_dims, None)
-    if math.prod(step.factor_dims) != dim:
-        raise ProtocolError(
-            f"{where}: declared factors {step.factor_dims} do not multiply to "
-            f"the party dimension {dim}"
-        )
-    try:
-        return _factor_layout(
-            step.factor_dims, step.on, getattr(step, "out_dims", None), getattr(step, "insert_at", None)
-        )
-    except ValueError as exc:
-        raise ProtocolError(f"{where}: {exc}") from exc
-
-
-def _check_shape(op: np.ndarray, layout: _FactorLayout, where: str) -> None:
-    if op.shape != layout.shape:
-        raise ProtocolError(
-            f"{where}: operator of shape {op.shape} does not act on factors "
-            f"{list(layout.on)} of {list(layout.factors)}; expected {layout.shape}"
-        )
-
-
-# The checks below run on the small operator. Tensoring with the identity on
-# the untouched factors (dimension u) multiplies every Frobenius norm they
-# take by sqrt(u), so dividing the tolerance by sqrt(u) makes each check
-# exactly as strict as the same check on the party-space matrix.
-
-
-def _check_isometry(op: np.ndarray, layout: _FactorLayout, where: str) -> None:
-    if op.ndim != 2 or op.shape[0] < op.shape[1]:
-        raise ProtocolError(f"{where}: matrix of shape {op.shape} cannot be an isometry")
-    _check_shape(op, layout, where)
-    gram = op.conj().T @ op
-    tol = _ISOMETRY_TOL / math.sqrt(layout.untouched)
-    if np.linalg.norm(gram - np.eye(op.shape[1])) > tol:
-        raise ProtocolError(f"{where}: matrix is not an isometry within tolerance")
-
-
-def _validate_measurement(step: LocalMeasurement, layout: _FactorLayout, where: str) -> None:
-    tol = _PROJECTOR_TOL / math.sqrt(layout.untouched)
-    total = np.zeros(layout.shape, dtype=complex)
-    for proj, outcome in zip(step.projectors, step.outcomes):
-        _check_shape(proj, layout, f"{where}, outcome {outcome!r}")
-        if np.linalg.norm(proj - proj.conj().T) > tol:
-            raise ProtocolError(f"projector for outcome {outcome!r} is not Hermitian")
-        if np.linalg.norm(proj @ proj - proj) > tol:
-            raise ProtocolError(f"projector for outcome {outcome!r} is not idempotent")
-        total += proj
-    if np.linalg.norm(total - np.eye(len(total))) > tol:
-        raise ProtocolError("measurement projectors do not sum to the identity")
-
-
 def _row_chunks(num_rows: int, dim: int) -> list[slice]:
     """Slices of branch rows holding about `_CHUNK_AMPS` amplitudes each."""
     per = max(1, _CHUNK_AMPS // dim)
@@ -391,9 +383,9 @@ def _normalize_rows(amps: np.ndarray) -> None:
         amps /= np.where(off, norms, 1.0)[:, None]
 
 
-def _condition(step: ConditionedUnitary, layout: _FactorLayout, transcripts, where: str) -> list:
-    """Each distinct table matrix, checked once, with the branch rows it
-    acts on (None for all of them)."""
+def _condition(step: ConditionedUnitary, transcripts, where: str) -> list:
+    """Each distinct table matrix with the branch rows it acts on (None for
+    all of them)."""
     groups: dict[int, tuple[np.ndarray, list[int]]] = {}
     for row, transcript in enumerate(transcripts):
         mat = step.table.get(transcript)
@@ -402,15 +394,8 @@ def _condition(step: ConditionedUnitary, layout: _FactorLayout, transcripts, whe
                 f"{where}: incomplete conditioning table, no entry for "
                 f"transcript {transcript!r}"
             )
-        if id(mat) not in groups:
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ProtocolError(f"{where}: conditioned matrices must be square")
-            _check_isometry(mat, layout, where)
-            groups[id(mat)] = (mat, [])
-        groups[id(mat)][1].append(row)
-    if len(groups) == 1:
-        return [(mat, None) for mat, _ in groups.values()]
-    return [(mat, np.array(rows)) for mat, rows in groups.values()]
+        groups.setdefault(id(mat), (mat, []))[1].append(row)
+    return [(mat, None if len(groups) == 1 else np.array(rows)) for mat, rows in groups.values()]
 
 
 def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray):
@@ -418,11 +403,6 @@ def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray):
     and one stacked eigensystem call on the discarded factors' Grams.
     Returns the new dims and rows."""
     party = step.party
-    if math.prod(step.factor_dims) != dims[party]:
-        raise ProtocolError(
-            f"declared factors {step.factor_dims} do not multiply to the "
-            f"party dimension {dims[party]}"
-        )
     d_disc = math.prod(step.factor_dims[i] for i in step.discard)
     # one axis per factor of the party; the discarded ones move to the front
     # and everything else keeps its order, which is the layout after the step
@@ -464,12 +444,6 @@ def run(
     is recorded and must stay below 1e-9. With `check_entropy`, the
     partial-entropy monotonicity assertion runs over every partition.
     """
-    for step in steps:
-        if not isinstance(step, tuple(_TYPE_NAMES)):
-            raise ProtocolError(f"unknown protocol step {step!r}")
-        if step.party < 0 or step.party >= state.num_parties:
-            raise ProtocolError(f"step references party {step.party}, state has {state.num_parties}")
-
     # the branch set: row i of `amps` is branch i's state, all on `dims`
     dims = state.dims
     amps = state.amplitudes.reshape(1, -1)
@@ -478,15 +452,25 @@ def run(
     stats = []
     for index, step in enumerate(steps):
         where = f"step {index} ({type(step).__name__})"
+        if not isinstance(step, tuple(_TYPE_NAMES)):
+            raise ProtocolError(f"{where}: unknown protocol step {step!r}")
+        if not 0 <= step.party < len(dims):
+            raise ProtocolError(f"{where}: step references party {step.party}, state has {len(dims)}")
+        discard = isinstance(step, DiscardSubsystem)
+        factors = step.factor_dims if discard else step.layout.factors
+        if math.prod(factors) != dims[step.party]:
+            raise ProtocolError(
+                f"{where}: factors {list(factors)} do not multiply to the "
+                f"party dimension {dims[step.party]}"
+            )
         pruned, pruned_mass = 0, 0.0
-        if isinstance(step, DiscardSubsystem):
+        if discard:
             dims, amps = _discard(step, dims, amps)
         else:
-            layout = _step_layout(step, dims, where)
+            layout = step.layout
             new_dims = dims[: step.party] + (math.prod(layout.new_factors),) + dims[step.party + 1 :]
             size = math.prod(new_dims)
             if isinstance(step, LocalMeasurement):
-                _validate_measurement(step, layout, where)
                 # row b * K + k holds branch b after outcome k
                 k = len(step.projectors)
                 out = _empty_rows((len(amps), k), size)
@@ -502,10 +486,9 @@ def run(
                     transcripts = list(itertools.compress(transcripts, kept.tolist()))
             else:
                 if isinstance(step, LocalUnitary):
-                    _check_isometry(step.matrix, layout, where)
                     groups = [(step.matrix, None)]
                 else:
-                    groups = _condition(step, layout, transcripts, where)
+                    groups = _condition(step, transcripts, where)
                 out = _empty_rows((len(amps),), size)
                 for mat, rows in groups:
                     _apply_to_rows(mat, layout, step.party, dims, amps, out, rows)
@@ -571,8 +554,10 @@ def _factor_layout(
     on: Sequence[int] | None = None,
     out_dims: Sequence[int] | None = None,
     insert_at: int | None = None,
+    ops: Sequence[np.ndarray] = (),
 ) -> _FactorLayout:
-    """The placement rule of `expand_factor_op`, before any operator is seen."""
+    """The placement rule of `expand_factor_op`; each of `ops` must have the
+    shape it gives."""
     factors = tuple(int(d) for d in factor_dims)
     n = len(factors)
     on = tuple(range(n)) if on is None else tuple(int(i) for i in on)
@@ -582,6 +567,8 @@ def _factor_layout(
         raise ValueError("factor index out of range")
     in_dims = tuple(factors[i] for i in on)
     out = in_dims if out_dims is None else tuple(int(d) for d in out_dims)
+    if any(d < 1 for d in factors + out):
+        raise ValueError("factor dimensions must be positive")
     rest = tuple(i for i in range(n) if i not in on)
     # axes after the contraction: the emitted factors, then the untouched ones
     axis = {slot: len(out) + j for j, slot in enumerate(rest)}
@@ -603,10 +590,17 @@ def _factor_layout(
         out_order = before + tuple(range(len(out))) + after
         emitted = tuple(range(len(before), len(before) + len(out)))
     mid_shape = out + tuple(factors[i] for i in rest)
+    shape = (math.prod(out), math.prod(in_dims))
+    for op in ops:
+        if op.shape != shape:
+            raise ValueError(
+                f"operator of shape {op.shape} does not act on factors "
+                f"{list(on)} of {list(factors)}; expected {shape}"
+            )
     return _FactorLayout(
         factors=factors,
         on=on,
-        shape=(math.prod(out), math.prod(in_dims)),
+        shape=shape,
         untouched=math.prod(factors[i] for i in rest),
         new_factors=tuple(mid_shape[a] for a in out_order),
         emitted=emitted,
@@ -614,13 +608,6 @@ def _factor_layout(
         mid_shape=mid_shape,
         out_order=out_order,
     )
-
-
-def _as_operator(op, layout: _FactorLayout) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    if op.shape != layout.shape:
-        raise ValueError(f"operator shape {op.shape} does not match {layout.shape}")
-    return op
 
 
 def _apply_factor_op(op: np.ndarray, tensor: np.ndarray, layout: _FactorLayout) -> np.ndarray:
@@ -650,8 +637,8 @@ def expand_factor_op(
     consumed factor sat, or, with an empty `on`, at `insert_at` (default:
     appended). Returns the full party-space matrix and the new factor list.
     """
-    layout = _factor_layout(factor_dims, on, out_dims, insert_at)
-    op = _as_operator(op, layout)
+    op = np.asarray(op, dtype=complex)
+    layout = _factor_layout(factor_dims, on, out_dims, insert_at, (op,))
     d = math.prod(layout.factors)
     identity = np.eye(d, dtype=complex).reshape(layout.factors + (d,))
     full = _apply_factor_op(op, identity, layout)
@@ -714,6 +701,22 @@ class ProtocolBuilder:
             raise ValueError("regrouped factors must preserve the local dimension")
         self._factors[party] = new
 
+    def _placement(self, party: int, on: Sequence[int] | None) -> tuple:
+        """The party's current factors, and `on` with None read as all of them."""
+        factors = tuple(self._factors[party])
+        return factors, tuple(range(len(factors))) if on is None else on
+
+    def _add(self, *steps: ProtocolStep) -> None:
+        """Append built steps and take the party factors they leave."""
+        for step in steps:
+            self._steps.append(step)
+            if isinstance(step, DiscardSubsystem):
+                self._factors[step.party] = [d for i, d in enumerate(step.factor_dims) if i not in step.discard]
+            else:
+                self._factors[step.party] = list(step.layout.new_factors)
+            if isinstance(step, LocalMeasurement):
+                self._outcome_sets.append(step.outcomes)
+
     def unitary(
         self,
         party: int,
@@ -724,13 +727,9 @@ class ProtocolBuilder:
     ) -> list[int]:
         """Apply an operator to some of a party's factors (see
         `expand_factor_op`); returns the slot of each factor it emits."""
-        layout = _factor_layout(self._factors[party], on, out_dims, insert_at)
-        op = _as_operator(matrix, layout)
-        self._steps.append(
-            LocalUnitary(party, op, layout.factors, layout.on, out_dims, insert_at)
-        )
-        self._factors[party] = list(layout.new_factors)
-        return list(layout.emitted)
+        step = LocalUnitary(party, matrix, *self._placement(party, on), out_dims, insert_at)
+        self._add(step)
+        return list(step.layout.emitted)
 
     def add_ancilla(
         self, party: int, vector: Sequence[complex], insert_at: int | None = None
@@ -740,13 +739,7 @@ class ProtocolBuilder:
         norm = np.linalg.norm(column)
         if norm < 1e-12:
             raise ValueError("ancilla state must be nonzero")
-        self.unitary(
-            party,
-            column / norm,
-            on=[],
-            out_dims=[column.shape[0]],
-            insert_at=insert_at,
-        )
+        self.unitary(party, column / norm, on=[], out_dims=[column.shape[0]], insert_at=insert_at)
 
     def measure(
         self,
@@ -755,12 +748,7 @@ class ProtocolBuilder:
         outcomes: Sequence[str],
         on: Sequence[int] | None = None,
     ) -> None:
-        layout = _factor_layout(self._factors[party], on)
-        projs = tuple(_as_operator(proj, layout) for proj in projectors)
-        self._steps.append(
-            LocalMeasurement(party, projs, tuple(outcomes), layout.factors, layout.on)
-        )
-        self._outcome_sets.append(tuple(str(o) for o in outcomes))
+        self._add(LocalMeasurement(party, tuple(projectors), tuple(outcomes), *self._placement(party, on)))
 
     def conditioned(
         self,
@@ -769,21 +757,11 @@ class ProtocolBuilder:
         on: Sequence[int] | None = None,
     ) -> None:
         """Add a unitary chosen by the transcript, tabulated over all of them."""
-        layout = _factor_layout(self._factors[party], on)
-        table = {
-            transcript: _as_operator(matrix_for(transcript), layout)
-            for transcript in itertools.product(*self._outcome_sets)
-        }
-        self._steps.append(ConditionedUnitary(party, table, layout.factors, layout.on))
+        table = {transcript: matrix_for(transcript) for transcript in itertools.product(*self._outcome_sets)}
+        self._add(ConditionedUnitary(party, table, *self._placement(party, on)))
 
     def discard(self, party: int, factor_indices: Sequence[int]) -> None:
-        indices = tuple(sorted(int(i) for i in factor_indices))
-        self._steps.append(
-            DiscardSubsystem(party, tuple(self._factors[party]), indices)
-        )
-        self._factors[party] = [
-            d for i, d in enumerate(self._factors[party]) if i not in indices
-        ]
+        self._add(DiscardSubsystem(party, tuple(self._factors[party]), tuple(factor_indices)))
 
     def move_factors(self, party: int, order: Sequence[int]) -> None:
         """Permute a party's factors into `order` (old indices, new order),
@@ -839,12 +817,7 @@ class ProtocolBuilder:
             return mat
 
         for index, (party, factor) in enumerate(receivers):
-            fix_phase = index == 0
-            self.conditioned(
-                party,
-                lambda t, fp=fix_phase: correction(t, fp),
-                on=[factor],
-            )
+            self.conditioned(party, lambda t, fp=index == 0: correction(t, fp), on=[factor])
         self.discard(sender, [payload, leg])
 
     def povm(
@@ -859,7 +832,9 @@ class ProtocolBuilder:
         The Kraus operators (square, summing to identity as sum K^dag K)
         are bundled into an isometry onto an appended ancilla, the ancilla
         is measured in its computational basis, and then discarded. Each
-        branch is left in the corresponding post-measurement state.
+        branch is left in the corresponding post-measurement state. The
+        isometry is checked as every unitary step is, which is the check
+        that the Kraus operators resolve the identity.
         """
         ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
         if not ops:
@@ -867,9 +842,6 @@ class ProtocolBuilder:
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("Kraus operators must be square and same-sized")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.linalg.norm(total - np.eye(d)) > _ISOMETRY_TOL:
-            raise ValueError("Kraus operators do not resolve the identity")
         n_out = len(ops)
         if outcomes is None:
             outcomes = [str(i) for i in range(n_out)]
@@ -877,14 +849,16 @@ class ProtocolBuilder:
         iso = np.zeros((d * n_out, d), dtype=complex)
         for i, k in enumerate(ops):
             iso[i::n_out, :] = k
-        on = list(range(len(self._factors[party]))) if on is None else list(on)
-        in_dims = [self._factors[party][i] for i in on]
-        if math.prod(in_dims) != d:
-            raise ValueError("Kraus dimension does not match the selected factors")
-        ancilla = self.unitary(party, iso, on=on, out_dims=in_dims + [n_out])[-1]
+        factors, on = self._placement(party, on)
+        # every step is built, and so checked, before the builder changes
+        dilate = LocalUnitary(party, iso, factors, on, [factors[i] for i in on] + [n_out])
+        after, ancilla = dilate.layout.new_factors, dilate.layout.emitted[-1:]
         basis_projs = [np.diag(row) for row in np.eye(n_out, dtype=complex)]
-        self.measure(party, basis_projs, list(outcomes), on=[ancilla])
-        self.discard(party, [ancilla])
+        self._add(
+            dilate,
+            LocalMeasurement(party, basis_projs, outcomes, after, ancilla),
+            DiscardSubsystem(party, after, ancilla),
+        )
 
 
 # --- named protocols ---------------------------------------------------------
@@ -917,6 +891,15 @@ def cat_to_epr(m: int, i: int, j: int) -> list[ProtocolStep]:
     return builder.steps()
 
 
+def _others(m: int, center: int) -> list[int]:
+    """The parties besides the center of an `eprs_to_cat` protocol."""
+    if m < 2:
+        raise ValueError("need at least two parties")
+    if not 0 <= center < m:
+        raise ValueError("center out of range")
+    return [p for p in range(m) if p != center]
+
+
 def eprs_to_cat_input(m: int, center: int = 0) -> PureState:
     """Input for `eprs_to_cat`: EPR pairs from `center` to every other party,
     with an m-qubit cat state prepared locally at the center.
@@ -928,18 +911,12 @@ def eprs_to_cat_input(m: int, center: int = 0) -> PureState:
     from .builders import cat_state, epr_pair  # local import to avoid a cycle
     from .states import permute_parties, tensor
 
-    if m < 2:
-        raise ValueError("need at least two parties")
-    if not 0 <= center < m:
-        raise ValueError("center out of range")
-    others = [p for p in range(m) if p != center]
+    others = _others(m, center)
     acc = PureState((2**m,), cat_state(m).amplitudes)
-    for position, _ in enumerate(others):
-        acc = tensor(acc, epr_pair(), {0: 0, 1: 1 + position})
-    # party 0 of `acc` is the center; move it to its global slot
+    # party 0 of `acc` is the center, 1 + i the i-th other; `perm` puts each in its slot
     perm = [0] * m
-    perm[center] = 0
     for position, other in enumerate(others):
+        acc = tensor(acc, epr_pair(), {0: 0, 1: 1 + position})
         perm[other] = 1 + position
     return permute_parties(acc, perm)
 
@@ -951,11 +928,7 @@ def eprs_to_cat(m: int, center: int = 0) -> list[ProtocolStep]:
     qubit 0 and teleports cat qubit 1+i to the i-th other party through
     their shared EPR pair. All 4^(m-1) branches end in the exact cat state.
     """
-    if m < 2:
-        raise ValueError("need at least two parties")
-    if not 0 <= center < m:
-        raise ValueError("center out of range")
-    others = [p for p in range(m) if p != center]
+    others = _others(m, center)
     layout: list[list[int]] = [[2] for _ in range(m)]
     layout[center] = [2] * m + [2] * (m - 1)
     builder = ProtocolBuilder(layout)
@@ -1006,7 +979,11 @@ def _ranking_permutation(probs: Sequence[float], n: int) -> np.ndarray:
     return np.eye(len(strings), dtype=complex)[ranked]
 
 
-def _normalize_coefficients(coefficients: Sequence[float]) -> np.ndarray:
+def _dilution_args(coefficients: Sequence[float], n: int, k: int, num_parties: int) -> tuple:
+    """Check the arguments every dilution function takes. Returns the
+    normalized coefficients, the party count, the register size r, the
+    c = n log2(r) qubits of the n-copy register, and the c - k of them that
+    do not fit the cat budget."""
     coeffs = np.asarray([float(c) for c in coefficients], dtype=float)
     if len(coeffs) < 2:
         raise ValueError("need at least two coefficients")
@@ -1021,7 +998,16 @@ def _normalize_coefficients(coefficients: Sequence[float]) -> np.ndarray:
             "the coefficient count must be a power of two so the register "
             "splits into qubits; see dilution_fidelity for other ranks"
         )
-    return coeffs
+    m = int(num_parties)
+    if m < 2:
+        raise ValueError("need at least two parties")
+    if n < 1:
+        raise ValueError("need at least one copy")
+    r = len(coeffs)
+    c = n * (r.bit_length() - 1)
+    if not 0 <= k <= c:
+        raise ValueError(f"cat budget must lie in 0..{c} for this target")
+    return coeffs, m, r, c, c - k
 
 
 def dilution_input(
@@ -1033,11 +1019,7 @@ def dilution_input(
     from .builders import cat_state
     from .states import tensor
 
-    coeffs = _normalize_coefficients(coefficients)
-    m = int(num_parties)
-    if m < 2:
-        raise ValueError("need at least two parties")
-    r = len(coeffs)
+    coeffs, m, r, _, _ = _dilution_args(coefficients, n, k, num_parties)
     pair = np.zeros(r * r, dtype=complex)
     for i, c in enumerate(coeffs):
         pair[i * r + i] = c
@@ -1065,17 +1047,7 @@ def dilution_protocol(
     pads with fresh zero qubits and inverts the ranking locally, which
     works because each receives the same bit pattern through the cats.
     """
-    coeffs = _normalize_coefficients(coefficients)
-    m = int(num_parties)
-    if m < 2:
-        raise ValueError("need at least two parties")
-    if n < 1:
-        raise ValueError("need at least one copy")
-    r = len(coeffs)
-    c = n * (r.bit_length() - 1)
-    if not 0 <= k <= c:
-        raise ValueError(f"cat budget must lie in 0..{c} for this target")
-    junk = c - k
+    coeffs, m, r, c, junk = _dilution_args(coefficients, n, k, num_parties)
 
     layout: list[list[int]] = [[r, r] * n + [2] * k]
     layout += [[2] * k for _ in range(m - 1)]
@@ -1095,12 +1067,8 @@ def dilution_protocol(
         d_junk = 2**junk
         keep = np.zeros((d_junk, d_junk), dtype=complex)
         keep[0, 0] = 1.0
-        builder.measure(
-            0,
-            [keep, np.eye(d_junk) - keep],
-            ["ok", "overflow"],
-            on=[names.index(f"bit{i}") for i in range(junk)],
-        )
+        junk_bits = [names.index(f"bit{i}") for i in range(junk)]
+        builder.measure(0, [keep, np.eye(d_junk) - keep], ["ok", "overflow"], on=junk_bits)
 
     for t in range(k):
         payload = names.index(f"bit{junk + t}")
@@ -1111,9 +1079,7 @@ def dilution_protocol(
 
     for p in range(1, m):
         if junk:
-            zeros = np.zeros(2**junk)
-            zeros[0] = 1.0
-            builder.add_ancilla(p, zeros, insert_at=0)
+            builder.add_ancilla(p, np.eye(2**junk)[0], insert_at=0)
         builder.regroup(p, [2] * c)
         builder.unitary(p, perm.conj().T)
         builder.regroup(p, [r] * n)
@@ -1131,15 +1097,11 @@ def dilution_end_to_end(
     """Run dilution and score every branch against the exact n-copy target."""
     from .states import tensor
 
-    coeffs = _normalize_coefficients(coefficients)
-    m = int(num_parties)
+    coeffs, m, r, _, junk = _dilution_args(coefficients, n, k, num_parties)
     state = dilution_input(coeffs, n, k, m)
     steps = dilution_protocol(coeffs, n, k, m)
     result = run(steps, state)
 
-    r = len(coeffs)
-    c = n * (r.bit_length() - 1)
-    junk = c - k
     target = SchmidtDecomposition(
         (r,) * m, tuple((p,) for p in range(m)), coeffs, (np.eye(r),) * m
     ).to_state()
@@ -1147,9 +1109,7 @@ def dilution_end_to_end(
     for _ in range(1, n):
         reference = tensor(reference, target, {p: p for p in range(m)})
     if junk:
-        pad = np.zeros(2**junk, dtype=complex)
-        pad[0] = 1.0
-        reference = tensor(reference, PureState((2**junk,), pad), {0: 0})
+        reference = tensor(reference, PureState((2**junk,), np.eye(2**junk)[0]), {0: 0})
 
     fidelities = result.branch_fidelities(reference)
     fit = [(b, f) for b, f in zip(result.branches, fidelities) if junk == 0 or b.transcript[0] == "ok"]

@@ -219,15 +219,14 @@ def test_run_protocol(capsys, tmp_path):
 
 
 def test_invalid_protocol_is_domain_error(capsys, tmp_path):
-    from entkit.protocols import hadamard_projectors, protocol_to_list, LocalMeasurement
-
-    plus, _ = hadamard_projectors()
+    # one projector onto |+>: a measurement that is not complete
+    plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(protocol_to_list([LocalMeasurement(0, (plus,), ("+",))])))
+    path.write_text(json.dumps([{"type": "measurement", "party": 0, "projectors": [plus], "outcomes": ["+"]}]))
     code, out, err = run_cli(capsys, "run-protocol", "--state", "epr", "--protocol", str(path))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: protocol step 0 (measurement): ")
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch):

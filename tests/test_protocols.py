@@ -1,5 +1,6 @@
 """Branch-exact protocol simulation: teleportation, cat/EPR conversions,
 dilution end to end, and the entropy-monotonicity assertion."""
+import hashlib
 import itertools
 import json
 import math
@@ -158,13 +159,9 @@ def test_eprs_to_cat(m, center):
 
 
 def test_measurement_projectors_must_be_complete():
-    builder = ProtocolBuilder([[2], [2]])
     plus, minus = hadamard_projectors()
-    with pytest.raises(ProtocolError):
-        run(
-            [LocalMeasurement(0, (plus,), ("+",))],
-            epr_pair(),
-        )
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        LocalMeasurement(0, (plus,), ("+",))
 
 
 @pytest.mark.parametrize("label", ["a,b", ""])
@@ -258,7 +255,32 @@ def test_povm_requires_identity_resolution():
         builder.povm(0, [np.eye(2), X])
 
 
+def test_a_failed_povm_leaves_the_builder_unchanged():
+    builder = ProtocolBuilder([[2], [2]])
+    builder.unitary(0, H)
+    before = builder.steps()
+    kraus = [np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * X]
+    with pytest.raises(ValueError, match="one outcome label per projector"):
+        builder.povm(0, kraus, outcomes=["a"])
+    assert builder.steps() == before
+    assert builder.factor_dims(0) == (2,)
+    builder.povm(0, kraus, outcomes=["a", "b"])
+    assert len(builder.steps()) == len(before) + 3
+    assert builder.factor_dims(0) == (2,)
+
+
 # --- dilution end to end --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (1, -1), (1, 5)])
+def test_dilution_functions_reject_the_same_arguments(n, k):
+    # no copy, a negative cat budget, and a budget above the register's one qubit
+    messages = set()
+    for build in (dilution_input, dilution_protocol, dilution_end_to_end):
+        with pytest.raises(ValueError) as excinfo:
+            build([1, 1], n, k)
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1
 
 
 def test_dilution_end_to_end_exact_budget():
@@ -336,6 +358,67 @@ def test_protocol_roundtrip_through_json(tmp_path):
         assert a.transcript == b.transcript
         assert a.probability == pytest.approx(b.probability, abs=1e-12)
         assert abs(abs(a.state.overlap(b.state)) - 1.0) < 1e-12
+
+
+# SHA-256 of `save_protocol` output; a change to what the builders store
+# (the placement fields above all) or to the file encoding shows here
+PINNED_FILES = [
+    pytest.param(lambda: cat_to_epr(5, 0, 4), "89b80197410539b1fd28a2a8733bb06b54eccd01711788fea036278fbb0822e6", id="cat_to_epr-5-0-4"),
+    pytest.param(lambda: eprs_to_cat(4, 1), "fd0c4e5506b143e83aae3ab9cd8841ea92d39d730f63cc8ec41f5ac8751e7e01", id="eprs_to_cat-4-1"),
+    pytest.param(
+        lambda: dilution_protocol([np.sqrt(0.75), np.sqrt(0.25)], 2, 1, 3),
+        "9307af92d0f461f57dc80e8b8aeedc24df24fae84ac9c14de058f51fb2267284",
+        id="dilution-n2-k1-m3",
+    ),
+    pytest.param(
+        lambda: dilution_protocol([np.sqrt(0.25), np.sqrt(0.75)], 3, 2, 2),
+        "1149733bbf72d81146b802da2f7f756e47b5d52f1d4b4918cbccb20f8174c083",
+        id="dilution-n3-k2-m2",
+    ),
+    pytest.param(lambda: povm_case()[0], "b360df7aff6f1e86ae30d74dd3809e734eef87ff1e1687fe88b759613aa5fb1c", id="povm"),
+]
+
+
+@pytest.mark.parametrize("make, digest", PINNED_FILES)
+def test_saved_protocol_files_are_pinned(tmp_path, make, digest):
+    path = tmp_path / "p.json"
+    save_protocol(make(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+_I2 = [[1, 0], [0, 1]]
+
+# (bad step, what its error says); each check an operator step makes when
+# it is built
+BAD_OPERATOR_STEPS = [
+    ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [2, 2], "on": [0, 1]}, "operator of shape (2, 2) does not act on factors [0, 1] of [2, 2]; expected (4, 4)"),
+    ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [2], "on": [1]}, "factor index out of range"),
+    ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [0, 2], "on": [1]}, "factor dimensions must be positive"),
+    ({"type": "unitary", "party": 0, "matrix": [[]]}, "factor dimensions must be positive"),
+    ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [2, 2], "on": [0, 0]}, "duplicate factor index"),
+    ({"type": "unitary", "party": 0, "matrix": [[1], [0]], "factor_dims": [2], "on": [], "out_dims": [2], "insert_at": 5}, "insert_at out of range"),
+    ({"type": "unitary", "party": 0, "matrix": [[1, 0]]}, "matrix is not an isometry"),
+    ({"type": "unitary", "party": 0, "matrix": [[1, 0], [0, 2]]}, "matrix is not an isometry"),
+    ({"type": "unitary", "party": 0, "matrix": [[float("nan"), 0], [0, 1]]}, "matrix is not an isometry"),
+    ({"type": "measurement", "party": 0, "projectors": [_I2, [[1]]], "outcomes": ["a", "b"]}, "operator of shape (1, 1) does not act"),
+    ({"type": "measurement", "party": 0, "projectors": [[[1, 1], [0, 0]], [[0, -1], [0, 1]]], "outcomes": ["a", "b"]}, "projector for outcome 'a' is not Hermitian"),
+    ({"type": "measurement", "party": 0, "projectors": [[[0.5, 0], [0, 0]], [[0.5, 0], [0, 1]]], "outcomes": ["a", "b"]}, "projector for outcome 'a' is not idempotent"),
+    ({"type": "measurement", "party": 0, "projectors": [[[1, 0], [0, 0]]], "outcomes": ["a"]}, "measurement projectors do not sum to the identity"),
+    ({"type": "measurement", "party": 0, "projectors": [], "outcomes": []}, "a step needs at least one operator"),
+    ({"type": "conditioned", "party": 0, "table": {}}, "a step needs at least one operator"),
+    ({"type": "conditioned", "party": 0, "table": {"": [[1, 0], [0, 1], [0, 0]]}}, "operator of shape (3, 2) does not act"),
+    # checked although no branch can reach the transcript "b"
+    ({"type": "conditioned", "party": 0, "table": {"a": _I2, "b": [[1, 0], [0, 2]]}}, "matrix is not an isometry"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_OPERATOR_STEPS)
+def test_each_operator_check_names_the_step_of_a_bad_file(tmp_path, bad, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([{"type": "unitary", "party": 0, "matrix": _I2}, bad]))
+    with pytest.raises(ValueError) as excinfo:
+        load_protocol(str(path))
+    assert str(excinfo.value).startswith(f"protocol step 1 ({bad['type']}): {message}")
 
 
 def test_protocol_list_roundtrip_preserves_step_count():
@@ -585,15 +668,24 @@ def test_growth_past_the_dense_limit_raises_before_allocating():
 OFF_BY = [(1e-11, False), (0.5e-9, True)]
 
 
-def perturbed_steps(eps):
+def perturbed_steps(eps, dense):
+    """Builders of four steps that are off by `eps`: on the small operators
+    with their placement, or on the operators' party-space expansions."""
     near_projector = np.diag([1.0, eps]).astype(complex)
     near_unitary = np.diag([1.0, 1.0 + eps / 2]).astype(complex)
+    near_isometry = np.vstack([near_unitary, np.zeros((2, 2))])
     factors = (2, 8)
+
+    def op(matrix, out_dims=None):
+        return expand_factor_op(matrix, factors, (0,), out_dims)[0] if dense else matrix
+
+    at = {} if dense else {"factor_dims": factors, "on": (0,)}
+    grow = {} if dense else dict(at, out_dims=(4,))
     return [
-        LocalMeasurement(0, (near_projector, np.diag([0.0, 1.0])), ("0", "1"), factors, (0,)),
-        LocalUnitary(0, near_unitary, factors, (0,)),
-        ConditionedUnitary(0, {("0",): near_unitary, ("1",): np.eye(2)}, factors, (0,)),
-        LocalUnitary(0, np.vstack([near_unitary, np.zeros((2, 2))]), factors, (0,), (4,)),
+        lambda: LocalMeasurement(0, (op(near_projector), op(np.diag([0.0, 1.0]))), ("0", "1"), **at),
+        lambda: LocalUnitary(0, op(near_unitary), **at),
+        lambda: ConditionedUnitary(0, {("0",): op(near_unitary), ("1",): op(np.eye(2))}, **at),
+        lambda: LocalUnitary(0, op(near_isometry, (4,)), **grow),
     ]
 
 
@@ -601,17 +693,18 @@ def perturbed_steps(eps):
 @pytest.mark.parametrize("which", range(4))
 def test_small_operator_checks_are_as_strict_as_dense(eps, rejected, which):
     state = random_pure_state((16, 2), np.random.default_rng(5))
-    steps = [perturbed_steps(eps)[which]]
-    if which == 2:
-        # the conditioned step needs a transcript: measure exactly first
-        exact = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        steps.insert(0, LocalMeasurement(0, exact, ("0", "1"), (2, 8), (0,)))
-    for steps in (steps, dense_steps(steps)):
+    for dense in (False, True):
+        build = perturbed_steps(eps, dense)[which]
         if rejected:
-            with pytest.raises(ProtocolError):
-                run(steps, state, check_entropy=False)
-        else:
-            run(steps, state, check_entropy=False)
+            with pytest.raises(ValueError):
+                build()
+            continue
+        steps = [build()]
+        if which == 2:
+            # the conditioned step needs a transcript: measure exactly first
+            exact = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+            steps.insert(0, LocalMeasurement(0, exact, ("0", "1"), (2, 8), (0,)))
+        run(steps, state, check_entropy=False)
 
 
 # --- batched simulator against a per-branch reference ---------------------------
@@ -662,21 +755,15 @@ def _reference_discard_branch(state, step):
 
 
 def reference_run(steps, state, prune_threshold=1e-14):
-    from entkit.protocols import _check_isometry, _step_layout, _validate_measurement
-
     branches = [(1.0, state, ())]
-    for index, step in enumerate(steps):
-        where = f"step {index} ({type(step).__name__})"
+    for step in steps:
         new_branches = []
-        if not isinstance(step, DiscardSubsystem):
-            layout = _step_layout(step, branches[0][1].dims, where)
+        layout = getattr(step, "layout", None)
         if isinstance(step, LocalUnitary):
-            _check_isometry(step.matrix, layout, where)
             for prob, psi, transcript in branches:
                 dims, vec = _reference_apply_local(psi, step.party, step.matrix, layout)
                 new_branches.append((prob, PureState(dims, vec), transcript))
         elif isinstance(step, LocalMeasurement):
-            _validate_measurement(step, layout, where)
             for prob, psi, transcript in branches:
                 for proj, outcome in zip(step.projectors, step.outcomes):
                     dims, vec = _reference_apply_local(psi, step.party, proj, layout)
@@ -687,7 +774,6 @@ def reference_run(steps, state, prune_threshold=1e-14):
         elif isinstance(step, ConditionedUnitary):
             for prob, psi, transcript in branches:
                 mat = step.table[transcript]
-                _check_isometry(mat, layout, where)
                 dims, vec = _reference_apply_local(psi, step.party, mat, layout)
                 new_branches.append((prob, PureState(dims, vec), transcript))
         else:
