@@ -35,12 +35,10 @@ from .entropy import (
     PartitionAsymmetryError,
     cut_spectra,
     entropy,
-    entropy_ratio_r21,
     entropy_vector,
     exact_entropy,
     exact_entropy_ratio_r21,
     exact_entropy_vector,
-    exact_entropy_vector_of_factors,
     shannon_entropy,
 )
 from .errors import InternalError
@@ -83,9 +81,7 @@ from .reducibility import (
     ComparisonVerdict,
     GhzEprWitness,
     classify_states,
-    exact_bipartite_reducible,
     ghz_epr_witness,
-    lu_equivalent_bipartite,
     majorizes,
     ppt_minimum_eigenvalue,
 )
@@ -94,9 +90,7 @@ from .schmidt import (
     SchmidtDecomposition,
     cat_yield,
     concentration_yield_distribution,
-    dilution_fidelity,
     dilution_retained_types,
-    expected_concentration_yield,
     is_m_orthogonal,
     schmidt_decompose,
 )

@@ -25,11 +25,9 @@ __all__ = [
     "entropy_vector",
     "cut_spectra",
     "PartitionAsymmetryError",
-    "entropy_ratio_r21",
     "flat_spectrum_rank",
     "exact_entropy",
     "exact_entropy_vector",
-    "exact_entropy_vector_of_factors",
     "exact_entropy_ratio_r21",
 ]
 
@@ -312,41 +310,18 @@ class PartitionAsymmetryError(ValueError):
         self.unequal = unequal
 
 
-def _symmetric_level(
-    values: dict[Partition, float | Fraction], num_parties: int, size: int, tol: float
-) -> float | Fraction:
-    """The common S_X over |X| = size, or raise with every such S_X listed.
-
-    Callers pass tol = 0 for exact `Fraction` entropies.
-    """
+def _symmetric_level(values: dict[Partition, Fraction], num_parties: int, size: int) -> Fraction:
+    """The common exact S_X over |X| = size, or raise with every such S_X listed."""
     levels = []
     for members in itertools.combinations(range(num_parties), size):
         part = Partition(num_parties, members)
         levels.append((part.label, values[part.canonical()]))
-    spread = max(v for _, v in levels) - min(v for _, v in levels)
-    if spread > tol:
+    if len({v for _, v in levels}) > 1:
         raise PartitionAsymmetryError(
             f"size-{size} partition entropies are not all equal",
             [(label, float(v)) for label, v in levels],
         )
     return levels[0][1]
-
-
-def entropy_ratio_r21(state: PureState) -> float:
-    """S_AB / S_A for partition-symmetric states of m >= 3 parties.
-
-    Requires all single-party entropies equal and all two-party entropies
-    equal (within 1e-8); otherwise raises PartitionAsymmetryError naming
-    the unequal partitions.
-    """
-    if state.num_parties < 3:
-        raise ValueError("r21 needs at least three parties")
-    values = entropy_vector(state).values
-    s1 = _symmetric_level(values, state.num_parties, 1, _ISENTROPY_TOL)
-    s2 = _symmetric_level(values, state.num_parties, 2, _ISENTROPY_TOL)
-    if s1 <= _ISENTROPY_TOL:
-        raise ValueError("r21 undefined: single-party entropy is zero")
-    return s2 / s1
 
 
 # --- exact-rational entropy vectors -----------------------------------------
@@ -363,55 +338,12 @@ def exact_entropy_vector(state: PureState) -> dict[Partition, Fraction]:
     return values
 
 
-def exact_entropy_vector_of_factors(
-    num_parties: int,
-    factors: Iterable[tuple[PureState, Sequence[int]]],
-) -> dict[Partition, Fraction]:
-    """Exact entropy vector of a tensor product given per-factor states.
-
-    Each factor is a small pure state together with the global parties it
-    occupies (in its own party order). Partial entropy is additive over
-    tensor factors, so each canonical cut sums, factor by factor, the exact
-    entropy of the factor's own cut inside it, read from the factor's
-    `cut_spectra` (taken once per factor). This sidesteps ever
-    materializing the (possibly huge) joint state.
-    """
-    factor_list = [
-        (state, tuple(int(p) for p in parties)) for state, parties in factors
-    ]
-    for state, parties in factor_list:
-        if len(parties) != state.num_parties:
-            raise ValueError("factor party list does not match its party count")
-        if len(set(parties)) != len(parties):
-            raise ValueError("factor parties must be distinct")
-        if any(p < 0 or p >= num_parties for p in parties):
-            raise ValueError("factor party out of range")
-    # a one-party factor has no cut, so it adds 0 everywhere
-    spectra = [cut_spectra(state) if state.num_parties > 1 else {} for state, _ in factor_list]
-    values: dict[Partition, Fraction] = {}
-    for part in canonical_partitions(num_parties):
-        inside = set(part.members)
-        total = Fraction(0)
-        for (state, parties), factor in zip(factor_list, spectra):
-            local = tuple(idx for idx, p in enumerate(parties) if p in inside)
-            if not local or len(local) == state.num_parties:
-                continue
-            value = factor[Partition(state.num_parties, local).canonical()]
-            if not isinstance(value, Fraction):
-                raise ValueError(
-                    f"factor on {parties} has no exact entropy across {part.label}"
-                )
-            total += value
-        values[part] = total
-    return values
-
-
 def exact_entropy_ratio_r21(
     vec: dict[Partition, Fraction], num_parties: int
 ) -> Fraction:
     """Exact S_AB / S_A from an exact entropy vector of a symmetric state."""
-    s1 = _symmetric_level(vec, num_parties, 1, 0)
-    s2 = _symmetric_level(vec, num_parties, 2, 0)
+    s1 = _symmetric_level(vec, num_parties, 1)
+    s2 = _symmetric_level(vec, num_parties, 2)
     if s1 == 0:
         raise ValueError("r21 undefined: single-party entropy is zero")
     return s2 / s1

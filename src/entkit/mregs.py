@@ -41,7 +41,6 @@ from .entropy import (
     entropy_vector,
     exact_entropy_ratio_r21,
     exact_entropy_vector,
-    exact_entropy_vector_of_factors,
 )
 from .errors import InternalError
 from .states import PureState, canonical_partitions, party_letters
@@ -567,33 +566,22 @@ def r21_table() -> list[R21Row]:
     Cat states sit at 1 for every m; complete EPR graphs at 2(m-2)/(m-1);
     the five-qubit codeword at 2. All ratios are computed from the states
     in exact arithmetic: cats and the codeword densely, each complete EPR
-    graph through entropy additivity over its pair factors, so no graph
-    state is ever built.
+    graph as the sum of the exact vectors of its embedded pairs
+    (`epr_between`), since partial entropy is additive over tensor
+    factors, so no graph state is ever built.
     """
-    from .builders import cat_state, codeword5, complete_graph_edges, epr_pair
+    from .builders import cat_state, codeword5
 
     rows: list[R21Row] = []
     for m in (3, 4, 5, 6):
         cat_vec = exact_entropy_vector(cat_state(m))
-        rows.append(
-            R21Row(m, f"cat{m}", exact_entropy_ratio_r21(cat_vec, m))
-        )
-        edges = complete_graph_edges(m)
-        epr_vec = exact_entropy_vector_of_factors(
-            m, [(epr_pair(), edge) for edge in edges]
-        )
-        rows.append(
-            R21Row(
-                m,
-                f"{len(edges)} eprs",
-                exact_entropy_ratio_r21(epr_vec, m),
-            )
-        )
+        rows.append(R21Row(m, f"cat{m}", exact_entropy_ratio_r21(cat_vec, m)))
+        pairs = [exact_entropy_vector(state) for _, state in _epr_generators(m)]
+        epr_vec = {part: sum(vec[part] for vec in pairs) for part in pairs[0]}
+        rows.append(R21Row(m, f"{len(pairs)} eprs", exact_entropy_ratio_r21(epr_vec, m)))
         if m == 5:
             code_vec = exact_entropy_vector(codeword5())
-            rows.append(
-                R21Row(5, "codeword5", exact_entropy_ratio_r21(code_vec, 5))
-            )
+            rows.append(R21Row(5, "codeword5", exact_entropy_ratio_r21(code_vec, 5)))
     return rows
 
 

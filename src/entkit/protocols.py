@@ -25,13 +25,14 @@ simulator contracts the small operator over those axes of the state.
 Operators are checked once, when a step is built or loaded: their shape
 against the step's placement, each unitary and conditioned matrix for
 being an isometry, each measurement for Hermitian, idempotent projectors
-that sum to the identity; a failed check is a ValueError, and
-`protocol_from_list` names the step. `run` checks only what depends on
-the state, and raises ProtocolError for a step on a party the state does
-not have, factors that do not multiply to the party's current dimension,
-a reached transcript with no table entry, a discard of factors that are
-not in a product state, a step after which every branch was pruned,
-probability drift, and (EntropyMonotonicityError) entropy growth.
+that sum to the identity; a failed check, like a negative party, is a
+ValueError, and `protocol_from_list` names the step. `run` checks only
+what depends on the state, and raises ProtocolError for a step on a party
+the state does not have, factors that do not multiply to the party's
+current dimension, a reached transcript with no table entry, a discard of
+factors that are not in a product state, a step after which every branch
+was pruned, probability drift, and (EntropyMonotonicityError) entropy
+growth.
 
 Every branch shares the same dims after every step, so the branch set is
 one complex array of shape (B, dim), with a probability vector and a list
@@ -131,6 +132,12 @@ def _step_fields(cls: type) -> tuple[tuple[str, bool], ...]:
     return tuple((f.name, f.default is MISSING) for f in fields(cls))
 
 
+def _check_party(party: int) -> None:
+    """Refuse a negative party; `run` checks that the party exists."""
+    if party < 0:
+        raise ValueError(f"party must be nonnegative, not {party}")
+
+
 def _place(step, ops: Sequence[np.ndarray]) -> None:
     """Normalize an operator step's placement fields to ints, work out where
     the step acts and check every operator's shape against it. The layout is
@@ -138,6 +145,7 @@ def _place(step, ops: Sequence[np.ndarray]) -> None:
     does not hold it. Without `factor_dims` a step acts on the whole party,
     one factor of its first operator's input dimension, and the other
     placement fields must be unset."""
+    _check_party(step.party)
     if not ops:
         raise ValueError("a step needs at least one operator")
     placement = [name for name in ("on", "out_dims", "insert_at") if hasattr(step, name)]
@@ -282,6 +290,7 @@ class DiscardSubsystem:
     discard: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_party(self.party)
         object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
         object.__setattr__(self, "discard", tuple(sorted(int(i) for i in self.discard)))
         if not self.discard:
@@ -454,7 +463,7 @@ def run(
         where = f"step {index} ({type(step).__name__})"
         if not isinstance(step, tuple(_TYPE_NAMES)):
             raise ProtocolError(f"{where}: unknown protocol step {step!r}")
-        if not 0 <= step.party < len(dims):
+        if step.party >= len(dims):
             raise ProtocolError(f"{where}: step references party {step.party}, state has {len(dims)}")
         discard = isinstance(step, DiscardSubsystem)
         factors = step.factor_dims if discard else step.layout.factors
@@ -669,54 +678,79 @@ def bell_projectors() -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _all_or_nothing(method):
+    """Make a `ProtocolBuilder` method leave the builder as it found it
+    when it raises, however many steps it had added by then."""
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        saved = list(self._steps), list(self._factors), list(self._outcome_sets)
+        try:
+            return method(self, *args, **kwargs)
+        except BaseException:
+            self._steps, self._factors, self._outcome_sets = saved
+            raise
+
+    return wrapper
+
+
 class ProtocolBuilder:
     """Assemble protocol steps while tracking each party's subsystem layout.
 
     Each step stores the small operator together with the party's factor
     list at that point and the factors it acts on, so operators,
     measurements, and discards can be addressed to individual subsystems
-    without ever forming a party-space matrix.
+    without ever forming a party-space matrix. A method that raises, for
+    a bad argument or a step that fails its checks, leaves the builder
+    unchanged; a party outside the builder's raises `ValueError`.
     """
 
     def __init__(self, factor_dims: Sequence[Sequence[int]]):
-        self._factors: list[list[int]] = [[int(d) for d in group] for group in factor_dims]
+        self._factors: list[tuple[int, ...]] = [tuple(int(d) for d in group) for group in factor_dims]
         if not self._factors:
             raise ValueError("need at least one party")
         self._steps: list[ProtocolStep] = []
         self._outcome_sets: list[tuple[str, ...]] = []
 
     def factor_dims(self, party: int) -> tuple[int, ...]:
-        return tuple(self._factors[party])
+        """The party's current factors; every method reads a party here."""
+        if not 0 <= party < len(self._factors):
+            raise ValueError(f"party {party} out of range for {len(self._factors)} parties")
+        return self._factors[party]
 
     def party_dim(self, party: int) -> int:
-        return math.prod(self._factors[party])
+        return math.prod(self.factor_dims(party))
 
     def steps(self) -> list[ProtocolStep]:
         return list(self._steps)
 
+    @_all_or_nothing
     def regroup(self, party: int, new_factor_dims: Sequence[int]) -> None:
         """Re-declare a party's factor structure (no physical operation)."""
-        new = [int(d) for d in new_factor_dims]
+        new = tuple(int(d) for d in new_factor_dims)
+        if any(d < 1 for d in new):
+            raise ValueError("factor dimensions must be positive")
         if math.prod(new) != self.party_dim(party):
             raise ValueError("regrouped factors must preserve the local dimension")
         self._factors[party] = new
 
     def _placement(self, party: int, on: Sequence[int] | None) -> tuple:
         """The party's current factors, and `on` with None read as all of them."""
-        factors = tuple(self._factors[party])
+        factors = self.factor_dims(party)
         return factors, tuple(range(len(factors))) if on is None else on
 
-    def _add(self, *steps: ProtocolStep) -> None:
-        """Append built steps and take the party factors they leave."""
-        for step in steps:
-            self._steps.append(step)
-            if isinstance(step, DiscardSubsystem):
-                self._factors[step.party] = [d for i, d in enumerate(step.factor_dims) if i not in step.discard]
-            else:
-                self._factors[step.party] = list(step.layout.new_factors)
-            if isinstance(step, LocalMeasurement):
-                self._outcome_sets.append(step.outcomes)
+    def _add(self, step: ProtocolStep) -> None:
+        """Append a built step and take the party factors it leaves."""
+        self._steps.append(step)
+        if isinstance(step, DiscardSubsystem):
+            kept = (d for i, d in enumerate(step.factor_dims) if i not in step.discard)
+            self._factors[step.party] = tuple(kept)
+        else:
+            self._factors[step.party] = step.layout.new_factors
+        if isinstance(step, LocalMeasurement):
+            self._outcome_sets.append(step.outcomes)
 
+    @_all_or_nothing
     def unitary(
         self,
         party: int,
@@ -731,6 +765,7 @@ class ProtocolBuilder:
         self._add(step)
         return list(step.layout.emitted)
 
+    @_all_or_nothing
     def add_ancilla(
         self, party: int, vector: Sequence[complex], insert_at: int | None = None
     ) -> None:
@@ -741,6 +776,7 @@ class ProtocolBuilder:
             raise ValueError("ancilla state must be nonzero")
         self.unitary(party, column / norm, on=[], out_dims=[column.shape[0]], insert_at=insert_at)
 
+    @_all_or_nothing
     def measure(
         self,
         party: int,
@@ -750,6 +786,7 @@ class ProtocolBuilder:
     ) -> None:
         self._add(LocalMeasurement(party, tuple(projectors), tuple(outcomes), *self._placement(party, on)))
 
+    @_all_or_nothing
     def conditioned(
         self,
         party: int,
@@ -757,17 +794,20 @@ class ProtocolBuilder:
         on: Sequence[int] | None = None,
     ) -> None:
         """Add a unitary chosen by the transcript, tabulated over all of them."""
+        placement = self._placement(party, on)
         table = {transcript: matrix_for(transcript) for transcript in itertools.product(*self._outcome_sets)}
-        self._add(ConditionedUnitary(party, table, *self._placement(party, on)))
+        self._add(ConditionedUnitary(party, table, *placement))
 
+    @_all_or_nothing
     def discard(self, party: int, factor_indices: Sequence[int]) -> None:
-        self._add(DiscardSubsystem(party, tuple(self._factors[party]), tuple(factor_indices)))
+        self._add(DiscardSubsystem(party, self.factor_dims(party), tuple(factor_indices)))
 
+    @_all_or_nothing
     def move_factors(self, party: int, order: Sequence[int]) -> None:
         """Permute a party's factors into `order` (old indices, new order),
         one swap of neighbouring factors per step."""
         new_order = [int(i) for i in order]
-        if sorted(new_order) != list(range(len(self._factors[party]))):
+        if sorted(new_order) != list(range(len(self.factor_dims(party)))):
             raise ValueError("order must list every factor exactly once")
         slots = list(range(len(new_order)))
         for target, factor in enumerate(new_order):
@@ -778,13 +818,16 @@ class ProtocolBuilder:
                 self.unitary(party, swap, on=[j - 1, j], out_dims=[b, a])
                 slots[j - 1], slots[j] = slots[j], slots[j - 1]
 
+    @_all_or_nothing
     def bell_measure(self, party: int, first: int, second: int) -> None:
         """Bell-basis measurement of two qubit factors of one party."""
+        labels, projs = zip(*bell_projectors())
+        # the measurement checks both factor indices; a failed check below undoes it
+        self.measure(party, projs, labels, on=[first, second])
         if self._factors[party][first] != 2 or self._factors[party][second] != 2:
             raise ValueError("Bell measurement needs two qubit factors")
-        labels, projs = zip(*bell_projectors())
-        self.measure(party, projs, labels, on=[first, second])
 
+    @_all_or_nothing
     def teleport(
         self,
         sender: int,
@@ -820,6 +863,7 @@ class ProtocolBuilder:
             self.conditioned(party, lambda t, fp=index == 0: correction(t, fp), on=[factor])
         self.discard(sender, [payload, leg])
 
+    @_all_or_nothing
     def povm(
         self,
         party: int,
@@ -850,15 +894,12 @@ class ProtocolBuilder:
         for i, k in enumerate(ops):
             iso[i::n_out, :] = k
         factors, on = self._placement(party, on)
-        # every step is built, and so checked, before the builder changes
-        dilate = LocalUnitary(party, iso, factors, on, [factors[i] for i in on] + [n_out])
-        after, ancilla = dilate.layout.new_factors, dilate.layout.emitted[-1:]
+        if not all(0 <= i < len(factors) for i in on):
+            raise ValueError("factor index out of range")
+        ancilla = self.unitary(party, iso, on, [factors[i] for i in on] + [n_out])[-1:]
         basis_projs = [np.diag(row) for row in np.eye(n_out, dtype=complex)]
-        self._add(
-            dilate,
-            LocalMeasurement(party, basis_projs, outcomes, after, ancilla),
-            DiscardSubsystem(party, after, ancilla),
-        )
+        self.measure(party, basis_projs, outcomes, on=ancilla)
+        self.discard(party, ancilla)
 
 
 # --- named protocols ---------------------------------------------------------
@@ -996,7 +1037,8 @@ def _dilution_args(coefficients: Sequence[float], n: int, k: int, num_parties: i
     if len(coeffs) & (len(coeffs) - 1):
         raise ValueError(
             "the coefficient count must be a power of two so the register "
-            "splits into qubits; see dilution_fidelity for other ranks"
+            "splits into qubits; see dilution_retained_types or the dilute "
+            "command for other ranks"
         )
     m = int(num_parties)
     if m < 2:

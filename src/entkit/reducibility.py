@@ -28,8 +28,6 @@ from .states import Partition, PureState, reduced_gram, refine_to_qubits
 
 __all__ = [
     "majorizes",
-    "exact_bipartite_reducible",
-    "lu_equivalent_bipartite",
     "ComparisonVerdict",
     "Classification",
     "classify_states",
@@ -59,29 +57,6 @@ def majorizes(q: Sequence[float], p: Sequence[float]) -> bool:
     qs += [0.0] * (n - len(qs))
     ps += [0.0] * (n - len(ps))
     return bool(np.all(np.cumsum(qs) >= np.cumsum(ps) - _MAJORIZATION_TOL))
-
-
-def _two_party_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
-    if state.num_parties != 2:
-        raise ValueError("need exactly two parties")
-    return cut_spectra(state)
-
-
-def exact_bipartite_reducible(source: PureState, target: PureState) -> bool:
-    """Whether `source` reaches `target` exactly by local steps and messages.
-
-    Holds precisely when the pair is LU-equivalent or the target's Schmidt
-    spectrum majorizes the source's (the verdict of `_classify_bipartite`).
-    The two states may have different local dimensions.
-    """
-    verdict = _classify_bipartite(_two_party_spectra(source), _two_party_spectra(target)).verdict
-    return verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.REDUCIBLE_A_TO_B)
-
-
-def lu_equivalent_bipartite(a: PureState, b: PureState) -> bool:
-    """Two-party local-unitary equivalence: Schmidt spectra equal within 1e-8."""
-    verdict = _classify_bipartite(_two_party_spectra(a), _two_party_spectra(b)).verdict
-    return verdict is ComparisonVerdict.LU_EQUIVALENT
 
 
 class ComparisonVerdict(enum.Enum):

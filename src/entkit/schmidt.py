@@ -30,8 +30,6 @@ __all__ = [
     "cat_yield",
     "TypeBranch",
     "concentration_yield_distribution",
-    "expected_concentration_yield",
-    "dilution_fidelity",
     "dilution_retained_types",
 ]
 
@@ -357,26 +355,9 @@ def concentration_yield_distribution(
     ]
 
 
-def expected_concentration_yield(probs: Sequence[float], n: int) -> float:
-    """Expected cat states from concentrating n copies (fractional bits)."""
-    return _mean_yield(concentration_yield_distribution(probs, n))
-
-
 def _mean_yield(branches: Sequence[TypeBranch]) -> float:
     """The expected `yield_bits` of `concentration_yield_distribution` branches."""
     return sum(b.probability * b.yield_bits for b in branches)
-
-
-def dilution_fidelity(probs: Sequence[float], n: int, k: int) -> float:
-    """Best fidelity for building n copies from k cat states by truncation.
-
-    The 2^k most probable strings of the n-fold product distribution are
-    kept (whole type classes while they fit, then part of the next); the
-    achievable squared overlap with the true n-copy state is the kept
-    probability mass. Nondecreasing in k, reaching 1 once 2^k covers the
-    full support.
-    """
-    return _retained_fidelity(dilution_retained_types(probs, n, k))
 
 
 def _retained_fidelity(rows: Sequence[tuple[tuple[int, ...], float, int, int]]) -> float:
@@ -387,8 +368,16 @@ def _retained_fidelity(rows: Sequence[tuple[tuple[int, ...], float, int, int]]) 
 def dilution_retained_types(
     probs: Sequence[float], n: int, k: int
 ) -> list[tuple[tuple[int, ...], float, int, int]]:
-    """Breakdown of `dilution_fidelity`: (counts, per-string probability,
-    class size, strings kept) per type, in the greedy order."""
+    """Which strings a dilution of n copies from k cat states keeps, by
+    truncation: (counts, per-string probability, class size, strings kept)
+    per type, in the greedy order.
+
+    The 2^k most probable strings of the n-fold product distribution are
+    kept (whole type classes while they fit, then part of the next); the
+    best fidelity with the true n-copy state is the kept probability mass
+    (`_retained_fidelity` of these rows). It is nondecreasing in k and
+    reaches 1 once 2^k covers the full support.
+    """
     if k < 0:
         raise ValueError("cat budget must be nonnegative")
     types = sorted(_type_classes(probs, n), key=lambda t: (-t[1], t[0]))

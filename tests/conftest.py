@@ -115,6 +115,20 @@ MALFORMED_PROTOCOLS = [
         [{"type": "unitary", "party": 0, "matrix": [[1]], "factor_dims": [2], "on": [], "insert_at": False}],
         "protocol step 0 (unitary): field 'insert_at': expected an integer",
     ),
+    # a party is nonnegative when a step is loaded; `run` checks it exists
+    ([{"type": "unitary", "party": -1, "matrix": [[1]]}], "protocol step 0 (unitary): party must be nonnegative, not -1"),
+    (
+        [{"type": "measurement", "party": -2, "projectors": [[[1]]], "outcomes": ["0"]}],
+        "protocol step 0 (measurement): party must be nonnegative, not -2",
+    ),
+    (
+        [_UNITARY, {"type": "conditioned", "party": -1, "table": {"": [[1]]}}],
+        "protocol step 1 (conditioned): party must be nonnegative, not -1",
+    ),
+    (
+        [_UNITARY, {"type": "discard", "party": -1, "factor_dims": [2, 1], "discard": [1]}],
+        "protocol step 1 (discard): party must be nonnegative, not -1",
+    ),
     # matrix entries are numbers or [re, im] pairs of numbers
     ([{"type": "unitary", "party": 0, "matrix": [[True]]}], "protocol step 0 (unitary): field 'matrix': matrix entry True"),
     ([{"type": "unitary", "party": 0, "matrix": [[[1, False]]]}], "protocol step 0 (unitary): field 'matrix': matrix entry"),

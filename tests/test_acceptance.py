@@ -38,10 +38,15 @@ from entkit.protocols import (
 )
 from entkit.reducibility import (
     ComparisonVerdict,
-    exact_bipartite_reducible,
+    classify_states,
     ghz_epr_witness,
 )
-from entkit.schmidt import dilution_fidelity, expected_concentration_yield
+from entkit.schmidt import (
+    _mean_yield,
+    _retained_fidelity,
+    concentration_yield_distribution,
+    dilution_retained_types,
+)
 from entkit.states import (
     PureState,
     canonical_partitions,
@@ -202,7 +207,7 @@ def test_criterion_5_concentration_asymptotics():
     target = 0.8112781244591328
     gaps = []
     for n in (25, 50, 100, 200, 400):
-        per_copy = expected_concentration_yield(p, n) / n
+        per_copy = _mean_yield(concentration_yield_distribution(p, n)) / n
         gaps.append(target - per_copy)
     elapsed = time.perf_counter() - start
     assert abs(gaps[-1]) <= 0.02
@@ -217,7 +222,7 @@ def test_criterion_5_concentration_asymptotics():
 def test_criterion_6_dilution():
     p = [0.75, 0.25]
     for n in (1, 2, 5):
-        values = [dilution_fidelity(p, n, k) for k in range(0, n + 2)]
+        values = [_retained_fidelity(dilution_retained_types(p, n, k)) for k in range(0, n + 2)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     coeffs = [math.sqrt(0.75), math.sqrt(0.25)]
@@ -267,11 +272,12 @@ def test_criterion_7_majorization_oracle():
             spectrum_b = list(spectrum_a)  # force some equal-spectrum pairs
         a = state_with_spectrum(spectrum_a)
         b = state_with_spectrum(spectrum_b)
-        got = exact_bipartite_reducible(a, b)
+        verdict = classify_states(a, b).verdict
+        forward = verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.REDUCIBLE_A_TO_B)
         # reducible a -> b iff b's spectrum majorizes a's
-        assert got == partial_sum_oracle(spectrum_a, spectrum_b)
-        forward = got
-        backward = exact_bipartite_reducible(b, a)
+        assert forward == partial_sum_oracle(spectrum_a, spectrum_b)
+        verdict = classify_states(b, a).verdict
+        backward = verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.REDUCIBLE_A_TO_B)
         size = max(len(spectrum_a), len(spectrum_b))
         pa = spectrum_a + [0.0] * (size - len(spectrum_a))
         pb = spectrum_b + [0.0] * (size - len(spectrum_b))

@@ -10,7 +10,9 @@ import pytest
 from entkit.builders import (
     cat_power,
     cat_state,
+    chain_edges,
     codeword5,
+    complete_graph_edges,
     epr_between,
     epr_pair,
     eprs_chain,
@@ -23,12 +25,10 @@ from entkit.entropy import (
     _vector_from_spectra,
     cut_spectra,
     entropy,
-    entropy_ratio_r21,
     entropy_vector,
     exact_entropy,
     exact_entropy_ratio_r21,
     exact_entropy_vector,
-    exact_entropy_vector_of_factors,
     flat_spectrum_rank,
     shannon_entropy,
 )
@@ -75,20 +75,13 @@ def test_codeword_entropy_vector():
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_r21_closed_form_for_complete_graphs(m):
-    got = entropy_ratio_r21(eprs_complete(m))
-    assert got == pytest.approx(2 * (m - 2) / (m - 1), abs=1e-12)
     exact = exact_entropy_ratio_r21(exact_entropy_vector(eprs_complete(m)), m)
     assert exact == Fraction(2 * (m - 2), m - 1)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_r21_is_one_for_cats(m):
-    assert entropy_ratio_r21(cat_state(m)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_r21_rejects_asymmetric_states():
-    with pytest.raises(PartitionAsymmetryError):
-        entropy_ratio_r21(eprs_chain(4))
+    assert exact_entropy_ratio_r21(exact_entropy_vector(cat_state(m)), m) == 1
 
 
 def test_exact_r21_names_the_unequal_partitions():
@@ -148,34 +141,19 @@ def test_single_party_entropies_cat_power():
     assert values == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
 
 
-def test_exact_vector_of_factors_matches_dense():
-    # three EPR pairs laid out across four parties, dense route vs additive route
-    factors = [
-        (epr_pair(), (0, 1)),
-        (epr_pair(), (1, 2)),
-        (epr_pair(), (2, 3)),
-    ]
-    additive = exact_entropy_vector_of_factors(4, factors)
-    dense = exact_entropy_vector(eprs_chain(4))
-    assert additive == dense
-
-
-def test_exact_vector_of_factors_embedded_pair():
-    additive = exact_entropy_vector_of_factors(3, [(epr_pair(), (0, 2))])
-    dense = exact_entropy_vector(epr_between(3, 0, 2))
-    assert additive == dense
-
-
-def test_exact_vector_of_factors_names_a_factor_without_exact_entropy(record_calls):
-    haar = random_pure_state((2, 2), np.random.default_rng(8))
-    with pytest.raises(ValueError, match=r"factor on \(1, 3\) has no exact entropy across B$"):
-        exact_entropy_vector_of_factors(4, [(epr_pair(), (0, 2)), (haar, (1, 3))])
-    # a one-party factor has no cut: it adds 0 and is never split into partitions
-    calls = record_calls("canonical_partitions", "entkit.entropy")
-    lone = PureState((3,), [0.6, 0.8, 0])
-    additive = exact_entropy_vector_of_factors(3, [(epr_pair(), (0, 2)), (lone, (1,))])
-    assert additive == exact_entropy_vector(epr_between(3, 0, 2))
-    assert calls and (1,) not in calls
+@pytest.mark.parametrize(
+    "m, edges, dense",
+    [
+        (4, chain_edges(4), eprs_chain),
+        (3, complete_graph_edges(3), eprs_complete),
+        (4, complete_graph_edges(4), eprs_complete),
+    ],
+)
+def test_exact_vectors_of_embedded_pairs_add_up_to_the_dense_graph(m, edges, dense):
+    # partial entropy is additive over tensor factors; `r21_table` sums these
+    pairs = [exact_entropy_vector(epr_between(m, i, j)) for i, j in edges]
+    summed = {part: sum(vec[part] for vec in pairs) for part in pairs[0]}
+    assert summed == exact_entropy_vector(dense(m))
 
 
 def test_entropy_vector_dominance():

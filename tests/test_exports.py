@@ -26,6 +26,94 @@ def test_every_module_is_checked():
     assert {"entkit.schmidt", "entkit.states", "entkit.protocols", "entkit.cli"} <= set(MODULES)
 
 
+# the package's public surface; an export added or removed shows in this list
+PUBLIC_NAMES = [
+    "Branch",
+    "Classification",
+    "CoefficientSolution",
+    "ComparisonVerdict",
+    "ConditionedUnitary",
+    "DilutionReport",
+    "DiscardSubsystem",
+    "EntropyMatrix",
+    "EntropyMonotonicityError",
+    "EntropyVector",
+    "GhzEprWitness",
+    "Infeasible",
+    "InternalError",
+    "LocalMeasurement",
+    "LocalUnitary",
+    "MOrthogonalResult",
+    "MregsBound",
+    "Partition",
+    "PartitionAsymmetryError",
+    "ProtocolBuilder",
+    "ProtocolError",
+    "ProtocolRun",
+    "PureState",
+    "SchmidtDecomposition",
+    "StepStats",
+    "bell_projectors",
+    "canonical_partitions",
+    "cat_power",
+    "cat_state",
+    "cat_to_epr",
+    "cat_yield",
+    "chain_edges",
+    "classify_states",
+    "codeword5",
+    "complete_graph_edges",
+    "concentration_yield_distribution",
+    "cut_spectra",
+    "dilution_end_to_end",
+    "dilution_input",
+    "dilution_protocol",
+    "dilution_retained_types",
+    "egs_check",
+    "embedded_cat",
+    "entropy",
+    "entropy_vector",
+    "epr_between",
+    "epr_pair",
+    "eprs_chain",
+    "eprs_complete",
+    "eprs_graph",
+    "eprs_to_cat",
+    "eprs_to_cat_input",
+    "exact_entropy",
+    "exact_entropy_ratio_r21",
+    "exact_entropy_vector",
+    "fidelity",
+    "ghz_epr_witness",
+    "hadamard_projectors",
+    "is_m_orthogonal",
+    "load_protocol",
+    "load_state",
+    "majorizes",
+    "make_state",
+    "mregs_lower_bound",
+    "parse_named_state",
+    "permute_parties",
+    "ppt_minimum_eigenvalue",
+    "r21_table",
+    "random_pure_state",
+    "random_unitary",
+    "reduced_gram",
+    "run",
+    "save_protocol",
+    "save_state",
+    "schmidt_decompose",
+    "shannon_entropy",
+    "solve_coefficients",
+    "tensor",
+]
+
+
+def test_the_public_surface_is_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert entkit.__all__ == PUBLIC_NAMES
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

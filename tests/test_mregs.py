@@ -17,8 +17,9 @@ from entkit.builders import (
     embedded_cat,
     epr_between,
     eprs_chain,
+    eprs_complete,
 )
-from entkit.entropy import entropy_vector
+from entkit.entropy import entropy_vector, exact_entropy_ratio_r21, exact_entropy_vector
 from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
@@ -167,6 +168,14 @@ def test_r21_table_exact():
     assert got[(6, "cat6")] == 1
     assert got[(6, "15 eprs")] == Fraction(8, 5)
     assert len(rows) == 9
+
+
+def test_r21_epr_rows_match_the_dense_graphs_and_the_closed_form():
+    # the rows sum the embedded pairs' vectors; the dense graph state is the oracle
+    rows = {r.num_parties: r.ratio for r in r21_table() if r.label.endswith(" eprs")}
+    assert rows == {m: Fraction(2 * (m - 2), m - 1) for m in (3, 4, 5, 6)}
+    for m in (3, 4):
+        assert rows[m] == exact_entropy_ratio_r21(exact_entropy_vector(eprs_complete(m)), m)
 
 
 def test_egs_check():

@@ -10,6 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MALFORMED_PROTOCOLS, random_protocol
 
@@ -269,6 +270,95 @@ def test_a_failed_povm_leaves_the_builder_unchanged():
     assert builder.factor_dims(0) == (2,)
 
 
+# --- a builder method that raises changes nothing ------------------------------
+
+
+def _builder_in_use() -> ProtocolBuilder:
+    """Three parties with factors (2, 2), (2,) and (4, 1), after one
+    measurement, so a failed call has steps, factors and an outcome set
+    it could disturb."""
+    builder = ProtocolBuilder([[2, 2], [2], [4, 1]])
+    builder.measure(1, hadamard_projectors(), ["+", "-"])
+    return builder
+
+
+_KRAUS = [np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * X]
+
+
+def _bad_calls(party: int, slot: int) -> dict[str, list[tuple]]:
+    """Arguments each mutating `ProtocolBuilder` method must refuse on
+    `_builder_in_use()`, given a party it does not have and a factor index
+    that no party has."""
+    plus, minus = hadamard_projectors()
+    return {
+        "unitary": [(party, X), (0, X, [slot]), (0, X, [0, 0]), (0, X, [0, 1]), (0, [[1, 0], [0, 2]], [0]), (2, X)],
+        # party 0 has the slots 0..2 to insert at; `slot` may be 2
+        "add_ancilla": [(party, [1, 0]), (0, [0, 0]), (0, [1, 0], slot + 1 if slot > 0 else slot)],
+        "measure": [(party, [plus, minus], "+-"), (0, [plus, minus], "+-", [slot]), (0, [plus], "+", [0]), (0, [plus, minus], "+", [0])],
+        "conditioned": [(party, lambda t: X), (0, lambda t: X, [slot]), (0, lambda t: np.eye(3), [0])],
+        "discard": [(party, [0]), (0, [slot]), (0, [])],
+        "regroup": [(party, [2]), (0, [-2, -2]), (0, [2]), (0, [2, 0, 2])],
+        "move_factors": [(party, [0]), (0, [0]), (0, [1, 1]), (0, [slot, 0])],
+        "bell_measure": [(party, 0, 1), (0, 0, slot), (0, slot, 1), (0, 0, 0), (2, 0, 1)],
+        "teleport": [
+            (party, 0, 1, [(1, 0)]),
+            (0, 0, 1, []),
+            (0, 0, 1, [(party, 0)]),
+            (0, 0, 1, [(1, slot)]),
+            (0, 0, 1, [(1, 0), (2, 0)]),  # a four-level leg takes no qubit correction
+            (0, slot, 1, [(1, 0)]),
+        ],
+        "povm": [(party, _KRAUS), (0, _KRAUS, None, [slot]), (0, _KRAUS, ["a"], [0]), (0, [np.eye(2), X], None, [0]), (0, [])],
+    }
+
+
+@st.composite
+def _bad_builder_calls(draw):
+    party = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=3)))
+    slot = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=2)))
+    calls = _bad_calls(party, slot)
+    name = draw(st.sampled_from(sorted(calls)))
+    return name, draw(st.sampled_from(calls[name]))
+
+
+def test_the_bad_calls_cover_every_mutating_builder_method():
+    readers = {"factor_dims", "party_dim", "steps"}
+    public = {name for name in vars(ProtocolBuilder) if not name.startswith("_")}
+    assert set(_bad_calls(-1, 2)) == public - readers
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bad_builder_calls())
+def test_a_builder_method_that_raises_leaves_the_builder_unchanged(call):
+    name, args = call
+    builder = _builder_in_use()
+    steps, factors = builder.steps(), [builder.factor_dims(p) for p in range(3)]
+    with pytest.raises(ValueError):
+        getattr(builder, name)(*args)
+    assert builder.steps() == steps  # steps compare by identity
+    assert [builder.factor_dims(p) for p in range(3)] == factors
+    # the outcome sets a conditioned step tabulates over are unchanged too
+    seen = []
+    builder.conditioned(0, lambda t: seen.append(t) or np.eye(2), on=[0])
+    assert seen == [("+",), ("-",)]
+
+
+def test_a_failed_teleport_leaves_no_measurement_behind():
+    builder = ProtocolBuilder([[2, 2], [2]])
+    with pytest.raises(ValueError, match="factor index out of range"):
+        builder.teleport(0, 0, 1, [(1, 5)])
+    assert builder.steps() == []
+    assert builder.factor_dims(0) == (2, 2)
+
+
+@pytest.mark.parametrize("party", [-1, 2])
+def test_builder_readers_refuse_a_party_outside_the_builder(party):
+    builder = ProtocolBuilder([[2, 2], [2]])
+    for read in (builder.factor_dims, builder.party_dim):
+        with pytest.raises(ValueError, match=f"party {party} out of range for 2 parties"):
+            read(party)
+
+
 # --- dilution end to end --------------------------------------------------------
 
 
@@ -297,10 +387,10 @@ def test_dilution_end_to_end_two_copies():
 
 
 def test_dilution_end_to_end_truncated_matches_combinatorics():
-    from entkit.schmidt import dilution_fidelity
+    from entkit.schmidt import _retained_fidelity, dilution_retained_types
 
     report = dilution_end_to_end([np.sqrt(0.75), np.sqrt(0.25)], n=2, k=1, num_parties=2)
-    expected = dilution_fidelity([0.75, 0.25], 2, 1)
+    expected = _retained_fidelity(dilution_retained_types([0.75, 0.25], 2, 1))
     assert report.success_fidelity == pytest.approx(expected, abs=1e-9)
 
 
@@ -330,11 +420,11 @@ def dilution_cases():
 
 @pytest.mark.parametrize("coeffs, n, k, parties", dilution_cases())
 def test_dilution_end_to_end_matches_type_class_fidelity(coeffs, n, k, parties):
-    from entkit.schmidt import dilution_fidelity
+    from entkit.schmidt import _retained_fidelity, dilution_retained_types
 
     report = dilution_end_to_end(coeffs, n=n, k=k, num_parties=parties)
     weights = np.asarray(coeffs) ** 2
-    expected = dilution_fidelity(weights / weights.sum(), n, k)
+    expected = _retained_fidelity(dilution_retained_types(weights / weights.sum(), n, k))
     assert report.success_fidelity == pytest.approx(expected, abs=1e-9)
     register_qubits = n * (len(coeffs).bit_length() - 1)
     if k == register_qubits:

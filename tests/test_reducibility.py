@@ -17,9 +17,7 @@ from entkit.reducibility import (
     ComparisonVerdict,
     _npt_cross_pair,
     classify_states,
-    exact_bipartite_reducible,
     ghz_epr_witness,
-    lu_equivalent_bipartite,
     majorizes,
     ppt_minimum_eigenvalue,
 )
@@ -102,18 +100,12 @@ def test_majorization_rejects_nan(q, p):
         majorizes(q, p)
 
 
-def test_exact_bipartite_reducible_epr_to_product():
-    product = make_state((2, 2), [("00", 1.0)])
-    assert exact_bipartite_reducible(epr_pair(), product)
-    assert not exact_bipartite_reducible(product, epr_pair())
-
-
 def test_mutual_reducibility_iff_equal_spectra():
     rng = np.random.default_rng(5)
     for _ in range(50):
         a = random_pure_state((3, 3), rng)
         b = random_pure_state((3, 3), rng)
-        mutual = exact_bipartite_reducible(a, b) and exact_bipartite_reducible(b, a)
+        mutual = classify_states(a, b).verdict is ComparisonVerdict.LU_EQUIVALENT
         sa = np.linalg.svd(a.as_tensor(), compute_uv=False) ** 2
         sb = np.linalg.svd(b.as_tensor(), compute_uv=False) ** 2
         same = max(abs(x - y) for x, y in zip(sa, sb)) < 1e-8
@@ -142,16 +134,16 @@ def test_bipartite_verdicts():
     assert crossing.verdict is ComparisonVerdict.INCOMPARABLE
 
 
-def test_lu_equivalent_bipartite():
+def test_two_party_lu_equivalence():
     rng = np.random.default_rng(21)
     state = random_pure_state((3, 3), rng)
     u = random_unitary(3, rng)
     v = random_unitary(3, rng)
     mat = state.as_tensor()
     rotated = PureState((3, 3), (u @ mat @ v.T).reshape(-1))
-    assert lu_equivalent_bipartite(state, rotated) is True
+    assert classify_states(state, rotated).verdict is ComparisonVerdict.LU_EQUIVALENT
     other = random_pure_state((3, 3), rng)
-    assert lu_equivalent_bipartite(state, other) is False
+    assert classify_states(state, other).verdict is not ComparisonVerdict.LU_EQUIVALENT
 
 
 @pytest.mark.parametrize("shift, equivalent", [(1e-6, False), (1e-10, True)])
@@ -163,7 +155,8 @@ def test_lu_equivalence_tolerance_is_fixed_between_1e_10_and_1e_6(shift, equival
     u, v = random_unitary(2, rng), random_unitary(2, rng)
     shifted = schmidt_state(0.6 + shift).as_tensor()
     rotated = PureState((2, 2), (u @ shifted @ v.T).reshape(-1))
-    assert lu_equivalent_bipartite(schmidt_state(0.6), rotated) is equivalent
+    verdict = classify_states(schmidt_state(0.6), rotated).verdict
+    assert (verdict is ComparisonVerdict.LU_EQUIVALENT) is equivalent
 
 
 @st.composite
@@ -187,18 +180,20 @@ def _nearby_two_party_pairs(draw):
     return rotated(weights), rotated(moved)
 
 
+_SWAPPED = {
+    ComparisonVerdict.REDUCIBLE_A_TO_B: ComparisonVerdict.REDUCIBLE_B_TO_A,
+    ComparisonVerdict.REDUCIBLE_B_TO_A: ComparisonVerdict.REDUCIBLE_A_TO_B,
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_nearby_two_party_pairs())
 def test_two_party_verdicts_agree_on_nearby_spectra(pair):
+    # swapping the states swaps the one-way verdicts and keeps the others
     a, b = pair
-    verdict = classify_states(a, b).verdict
-    equivalent = lu_equivalent_bipartite(a, b)
-    a_to_b, b_to_a = exact_bipartite_reducible(a, b), exact_bipartite_reducible(b, a)
-    assert (verdict is ComparisonVerdict.LU_EQUIVALENT) == equivalent
-    if equivalent:
-        assert a_to_b and b_to_a
-    assert (verdict is ComparisonVerdict.REDUCIBLE_A_TO_B) == (a_to_b and not b_to_a)
-    assert (verdict is ComparisonVerdict.REDUCIBLE_B_TO_A) == (b_to_a and not a_to_b)
+    forward, backward = classify_states(a, b).verdict, classify_states(b, a).verdict
+    for verdict in ComparisonVerdict:
+        assert (forward is verdict) == (backward is _SWAPPED.get(verdict, verdict))
 
 
 def test_classify_detects_local_unitary_equivalence():

@@ -15,12 +15,12 @@ from entkit.schmidt import (
     _FLOAT_OVERFLOW,
     TypeBranch,
     _log2_int,
+    _mean_yield,
+    _retained_fidelity,
     _type_classes,
     cat_yield,
     concentration_yield_distribution,
-    dilution_fidelity,
     dilution_retained_types,
-    expected_concentration_yield,
     is_m_orthogonal,
     schmidt_decompose,
 )
@@ -225,9 +225,7 @@ def test_concentration_small_n_by_hand():
     assert table[(1, 1)].yield_bits == pytest.approx(1.0, abs=1e-12)
     assert table[(1, 1)].yield_floor == 1
     assert table[(2, 0)].yield_floor == 0
-    assert expected_concentration_yield([0.75, 0.25], 2) == pytest.approx(
-        6 / 16, abs=1e-12
-    )
+    assert _mean_yield(branches) == pytest.approx(6 / 16, abs=1e-12)
 
 
 def test_concentration_probabilities_sum_to_one():
@@ -407,7 +405,7 @@ def test_concentration_gap_shrinks():
     p = [0.75, 0.25]
     target = 0.8112781244591328
     gaps = [
-        target - expected_concentration_yield(p, n) / n for n in (25, 50, 100, 200)
+        target - _mean_yield(concentration_yield_distribution(p, n)) / n for n in (25, 50, 100, 200)
     ]
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -416,7 +414,7 @@ def test_concentration_gap_shrinks():
 def test_dilution_fidelity_monotone_in_k():
     p = [0.75, 0.25]
     for n in (1, 2, 5, 9):
-        values = [dilution_fidelity(p, n, k) for k in range(0, n + 2)]
+        values = [_retained_fidelity(dilution_retained_types(p, n, k)) for k in range(0, n + 2)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -424,14 +422,15 @@ def test_dilution_fidelity_monotone_in_k():
 def test_dilution_fidelity_endpoints():
     p = [0.75, 0.25]
     # k=0 keeps only the single most likely string
-    assert dilution_fidelity(p, 2, 0) == pytest.approx(0.5625, abs=1e-12)
-    assert dilution_fidelity(p, 2, 1) == pytest.approx(0.75, abs=1e-12)
-    assert dilution_fidelity(p, 2, 2) == pytest.approx(1.0, abs=1e-12)
+    assert _retained_fidelity(dilution_retained_types(p, 2, 0)) == pytest.approx(0.5625, abs=1e-12)
+    assert _retained_fidelity(dilution_retained_types(p, 2, 1)) == pytest.approx(0.75, abs=1e-12)
+    assert _retained_fidelity(dilution_retained_types(p, 2, 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dilution_fidelity_uniform_counts_strings():
     # uniform weights: fidelity is simply (strings kept) / (total strings)
-    assert dilution_fidelity([0.5, 0.5], 4, 2) == pytest.approx(0.25, abs=1e-12)
+    fidelity = _retained_fidelity(dilution_retained_types([0.5, 0.5], 4, 2))
+    assert fidelity == pytest.approx(0.25, abs=1e-12)
 
 
 def test_dilution_retained_types_budget():
@@ -449,8 +448,6 @@ def test_dilution_rejects_bad_copy_count_and_budget(n, k):
     p = [0.75, 0.25]
     with pytest.raises(ValueError):
         dilution_retained_types(p, n, k)
-    with pytest.raises(ValueError):
-        dilution_fidelity(p, n, k)
 
 
 @pytest.mark.parametrize("cut", [(7,), (-1,)])
