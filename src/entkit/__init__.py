@@ -34,7 +34,6 @@ from .entropy import (
     EntropyVector,
     PartitionAsymmetryError,
     cut_spectra,
-    entropy,
     entropy_vector,
     exact_entropy,
     exact_entropy_ratio_r21,

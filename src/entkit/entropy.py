@@ -15,12 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import _unchecked_eigenvalues, hermitian_eigenvalues
+from .linalg import _unchecked_eigenvalues
 from .states import Partition, PureState, _gram_axes, canonical_partitions
 
 __all__ = [
     "shannon_entropy",
-    "entropy",
     "EntropyVector",
     "entropy_vector",
     "cut_spectra",
@@ -46,13 +45,6 @@ def shannon_entropy(probs: Sequence[float] | np.ndarray) -> float | np.ndarray:
     p = np.where(p > _EIGENVALUE_FLOOR, p, 1.0)  # log2(1) = 0 drops the zeros
     h = np.maximum(0.0 - (p * np.log2(p)).sum(axis=-1), 0.0)
     return h if h.ndim else float(h)
-
-
-def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -tr(rho log2 rho) in bits of a reduced matrix
-    (see `reduced_gram`)."""
-    exact = exact_entropy(rho)
-    return shannon_entropy(hermitian_eigenvalues(rho)) if exact is None else float(exact)
 
 
 def flat_spectrum_rank(stack: np.ndarray) -> np.ndarray:
@@ -95,7 +87,7 @@ def exact_entropy(rho: np.ndarray) -> Fraction | None:
     allows it.
 
     Flat spectra of power-of-two rank r = 2^s have entropy exactly s bits;
-    anything else returns None and callers fall back to floating point.
+    anything else returns None.
     """
     r = int(flat_spectrum_rank(rho[None])[0])
     if not r or r & (r - 1):
@@ -193,9 +185,10 @@ def _block_grams(stack: np.ndarray, block: tuple, size: int) -> np.ndarray:
 
 
 def _cut_blocks(stack: np.ndarray):
-    """The cut spectra of a (B, d1, ..., dm) stack of states, one block of
-    same-size entries of `_cuts_by_size` at a time: (indices, bits, others,
-    spectra).
+    """The partial entropies and cut spectra of a (B, d1, ..., dm) stack of
+    states, one block of same-size entries of `_cuts_by_size` at a time:
+    (indices, entropies, others, spectra). Every partial entropy in the
+    package comes from here.
 
     Each distinct reduced matrix is formed, flat-tested and diagonalized
     once, for every cut that shares it. A block holds the entries whose
@@ -204,10 +197,11 @@ def _cut_blocks(stack: np.ndarray):
     amplitudes (either holds one entry when that entry alone is larger).
     `indices[k]` is the tuple of canonical indices of entry k's cuts, and
     row b of entry k is state b's reduced matrix on each of them. For a row
-    whose spectrum is flat of power-of-two rank 2^s, `bits[k, b]` is s;
-    `others[k, b]` marks every other row, and `spectra` holds their
-    eigenvalues in row order, sorted descending, from one unchecked
-    eigensolver call: the Grams are Hermitian by construction, and a
+    whose spectrum is flat of power-of-two rank 2^s, `entropies[k, b]` is
+    exactly s bits; `others[k, b]` marks every other row, and `spectra`
+    holds their eigenvalues in row order, sorted descending, from one
+    unchecked eigensolver call, and their entropies from one
+    `shannon_entropy` call: the Grams are Hermitian by construction, and a
     non-finite one raises by its purity.
     """
     count = len(stack)
@@ -223,9 +217,13 @@ def _cut_blocks(stack: np.ndarray):
                 raise ValueError("stack has non-finite amplitudes (NaN or infinity)")
             mantissa, exponent = np.frexp(_flat_ranks(grams, purity).reshape(-1, count))
             others = mantissa != 0.5
+            entropies = exponent - 1.0
             rest = grams if others.all() else grams[others.ravel()]
-            spectra = _unchecked_eigenvalues(rest) if len(rest) else ()
-            yield [entry[0] for entry in block], exponent - 1, others, spectra
+            spectra = ()
+            if len(rest):
+                spectra = _unchecked_eigenvalues(rest)
+                entropies[others] = shannon_entropy(spectra)
+            yield [entry[0] for entry in block], entropies, others, spectra
 
 
 def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
@@ -240,27 +238,23 @@ def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     `Fraction`) and never reaches the eigensolver; every other cut maps to
     its eigenvalues, sorted descending.
     """
+    return _spectra_and_entropies(state)[0]
+
+
+def _spectra_and_entropies(state: PureState) -> tuple[dict[Partition, Fraction | np.ndarray], list[float]]:
+    """`cut_spectra` of one state and its partial entropies in the same
+    (canonical) order, the values of its `entropy_vector`, from one pass of
+    `_cut_blocks`."""
     parts = canonical_partitions(state.num_parties)
-    values: list[Fraction | np.ndarray | None] = [None] * len(parts)
-    for entries, bits, others, spectra in _cut_blocks(state.as_tensor()[None]):
-        spectra = iter(spectra)
-        for indices, s, other in zip(entries, bits[:, 0].tolist(), others[:, 0].tolist()):
-            value = next(spectra) if other else Fraction(s)
+    spectra: list[Fraction | np.ndarray | None] = [None] * len(parts)
+    values = [0.0] * len(parts)
+    for entries, entropies, others, block in _cut_blocks(state.as_tensor()[None]):
+        block = iter(block)
+        for indices, value, other in zip(entries, entropies[:, 0].tolist(), others[:, 0].tolist()):
+            spectrum = next(block) if other else Fraction(int(value))
             for index in indices:
-                values[index] = value
-    return dict(zip(parts, values))
-
-
-def _vector_from_spectra(num_parties: int, spectra: dict) -> EntropyVector:
-    """The entropy vector of `cut_spectra`, one `shannon_entropy` per length."""
-    values = {part: float(v) for part, v in spectra.items() if not isinstance(v, np.ndarray)}
-    by_length: dict[int, list[Partition]] = {}
-    for part, value in spectra.items():
-        if isinstance(value, np.ndarray):
-            by_length.setdefault(len(value), []).append(part)
-    for parts in by_length.values():
-        values.update(zip(parts, shannon_entropy([spectra[p] for p in parts]).tolist()))
-    return EntropyVector(num_parties, {part: values[part] for part in spectra})
+                spectra[index], values[index] = spectrum, value
+    return dict(zip(parts, spectra)), values
 
 
 def entropy_vector(
@@ -272,13 +266,10 @@ def entropy_vector(
     shape (B, d1, ..., dm), with one weight per state: the result is the
     weighted sum of their entropy vectors, with branch probabilities as
     weights the expected one. A single state is a stack of one with weight
-    1. The cut spectra come from `_cut_blocks`, one per distinct reduced
+    1. The entropies come from `_cut_blocks`, one per distinct reduced
     matrix, and each sum is copied to every cut that shares the matrix.
-    `_cut_blocks` skips the Hermiticity check on the Grams it forms itself:
-    a flat spectrum of rank 2^s is exactly s bits, and every other cut
-    takes the Shannon entropy of its eigenvalues, one `shannon_entropy`
-    call per block. Each cut's sum runs left to right over the states, so
-    it equals the sum of the states' own vectors exactly.
+    Each cut's sum runs left to right over the states, so it equals the
+    sum of the states' own vectors exactly.
     """
     if isinstance(state, PureState):
         if weights is not None:
@@ -291,10 +282,7 @@ def entropy_vector(
     totals = [0.0] * len(parts)
     # infinite rows give NaN Grams, which `_cut_blocks` rejects
     with np.errstate(invalid="ignore"):
-        for entries, bits, others, spectra in _cut_blocks(state):
-            entropies = bits.astype(float)
-            if len(spectra):
-                entropies[others] = shannon_entropy(spectra)
+        for entries, entropies, _, _ in _cut_blocks(state):
             for indices, total in zip(entries, map(sum, (entropies * weights).tolist())):
                 for index in indices:
                     totals[index] = total

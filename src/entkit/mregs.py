@@ -36,6 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
+from .builders import cat_state, codeword5, embedded_cat, epr_between
 from .entropy import (
     EntropyVector,
     entropy_vector,
@@ -415,8 +416,6 @@ def solve_coefficients(
 
 
 def _epr_generators(m: int) -> list[tuple[str, PureState]]:
-    from .builders import epr_between
-
     out = []
     for i, j in itertools.combinations(range(m), 2):
         label = "epr:" + party_letters([i, j])
@@ -425,8 +424,6 @@ def _epr_generators(m: int) -> list[tuple[str, PureState]]:
 
 
 def _default_probes(m: int) -> list[tuple[str, PureState]]:
-    from .builders import cat_state, codeword5, embedded_cat
-
     if m == 5:
         return [("cat5", cat_state(5)), ("codeword5", codeword5())]
     if m == 6:
@@ -570,8 +567,6 @@ def r21_table() -> list[R21Row]:
     (`epr_between`), since partial entropy is additive over tensor
     factors, so no graph state is ever built.
     """
-    from .builders import cat_state, codeword5
-
     rows: list[R21Row] = []
     for m in (3, 4, 5, 6):
         cat_vec = exact_entropy_vector(cat_state(m))

@@ -43,13 +43,15 @@ table matrix once, to the rows whose transcript selects it; a discard
 checks purity and finds each row's product factor with one stacked Gram
 and one stacked eigensystem call. Rows are processed in slices of about
 4096 amplitudes, so the transient copies stay small. `PureState` objects
-are built only for the returned branches. The monotonicity check runs
-`entropy.entropy_vector` once on the branch stack and once on the input
-as a stack of one; both test and diagonalize Grams in blocks of same-size
-cuts. Its cost is arithmetic: forming each cut's (B, d, d) Grams, and the
-flat-spectrum test, which squares each Gram, O(B d^3) per cut. With 256
-branches and Grams up to 32 x 32, `cat_to_epr(10, 0, 1)` takes about 3.0 s
-with the check on a shared 2-core host and a few hundredths without.
+are built only for the returned branches, and each row is normalized
+by the routine `PureState` uses. The monotonicity check runs
+`entropy.entropy_vector` once on the simulator's own rows, in the order
+the branches are returned, and once on the input as a stack of one; both
+test and diagonalize Grams in blocks of same-size cuts. Its cost is
+arithmetic: forming each cut's (B, d, d) Grams, and the flat-spectrum
+test, which squares each Gram, O(B d^3) per cut. With 256 branches and
+Grams up to 32 x 32, `cat_to_epr(10, 0, 1)` takes about 3.0 s with the
+check on a shared 2-core host and a few hundredths without.
 """
 from __future__ import annotations
 
@@ -57,15 +59,17 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .builders import cat_state, epr_pair
 from .entropy import _squared_norms, entropy_vector
 from .linalg import hermitian_eigensystem
 from .schmidt import SchmidtDecomposition
-from .states import _NORM_TOL, PureState, _check_dense, fidelity
+from .states import PureState, _check_dense, _normalize_rows, fidelity, permute_parties, tensor
 
 __all__ = [
     "LocalUnitary",
@@ -132,10 +136,16 @@ def _step_fields(cls: type) -> tuple[tuple[str, bool], ...]:
     return tuple((f.name, f.default is MISSING) for f in fields(cls))
 
 
-def _check_party(party: int) -> None:
-    """Refuse a negative party; `run` checks that the party exists."""
+def _check_party(party: int) -> int:
+    """The party as a Python int, from any integer type; a bool is refused,
+    as the protocol-file loader refuses it, and so is a negative party.
+    `run` checks that the party exists."""
+    if isinstance(party, bool):
+        raise ValueError(f"expected an integer, not {party!r}")
+    party = operator.index(party)
     if party < 0:
         raise ValueError(f"party must be nonnegative, not {party}")
+    return party
 
 
 def _place(step, ops: Sequence[np.ndarray]) -> None:
@@ -145,7 +155,7 @@ def _place(step, ops: Sequence[np.ndarray]) -> None:
     does not hold it. Without `factor_dims` a step acts on the whole party,
     one factor of its first operator's input dimension, and the other
     placement fields must be unset."""
-    _check_party(step.party)
+    object.__setattr__(step, "party", _check_party(step.party))
     if not ops:
         raise ValueError("a step needs at least one operator")
     placement = [name for name in ("on", "out_dims", "insert_at") if hasattr(step, name)]
@@ -290,8 +300,8 @@ class DiscardSubsystem:
     discard: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_party(self.party)
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
+        object.__setattr__(self, "party", _check_party(self.party))
+        object.__setattr__(self, "factor_dims", _positive_factors(self.factor_dims))
         object.__setattr__(self, "discard", tuple(sorted(int(i) for i in self.discard)))
         if not self.discard:
             raise ValueError("discard list must be nonempty")
@@ -377,19 +387,6 @@ def _empty_rows(lead: tuple[int, ...], size: int) -> np.ndarray:
     `PureState` does, a total dimension beyond the dense limit."""
     _check_dense(size)
     return np.empty(lead + (size,), dtype=complex)
-
-
-def _normalize_rows(amps: np.ndarray) -> None:
-    """Rescale in place every branch row whose norm is off by more than
-    the `PureState` tolerance, with `PureState`'s checks."""
-    norms = np.sqrt(_squared_norms(amps))
-    if not np.isfinite(norms).all():
-        raise ValueError("state vector has non-finite amplitudes (NaN or infinity)")
-    if (norms < _NORM_TOL).any():
-        raise ValueError("state vector has (near-)zero norm")
-    off = np.abs(norms - 1.0) > _NORM_TOL
-    if off.any():
-        amps /= np.where(off, norms, 1.0)[:, None]
 
 
 def _condition(step: ConditionedUnitary, transcripts, where: str) -> list:
@@ -504,32 +501,29 @@ def run(
             dims, amps = new_dims, out
         if not len(amps):
             raise ProtocolError(f"{where}: every branch fell below the pruning threshold")
-        _normalize_rows(amps)
+        _normalize_rows(amps, np.sqrt(_squared_norms(amps)).tolist())
         stats.append(StepStats(len(amps), pruned, pruned_mass))
 
     total = sum(probs.tolist())
     drift = abs(1.0 - total)
     if drift > _PROBABILITY_TOL:
         raise ProtocolError(f"branch probabilities sum to {total:.12g}")
-    probs = probs.tolist()
+    order = sorted(range(len(transcripts)), key=transcripts.__getitem__)
+    amps = amps[order]
+    probs = [p / total for p in probs[order].tolist()]
     branches = tuple(
-        Branch(probs[i] / total, PureState(dims, amps[i]), transcripts[i])
-        for i in sorted(range(len(transcripts)), key=transcripts.__getitem__)
+        Branch(p, PureState(dims, row), transcripts[i]) for p, row, i in zip(probs, amps, order)
     )
-    del amps  # the branches hold their own copies
-    result = ProtocolRun(state, branches, drift, tuple(stats))
     if check_entropy and state.num_parties >= 2:
-        _assert_entropy_monotone(result)
-    return result
+        _assert_entropy_monotone(state, amps.reshape((-1,) + dims), probs)
+    return ProtocolRun(state, branches, drift, tuple(stats))
 
 
-def _assert_entropy_monotone(result: ProtocolRun) -> None:
-    """No cut's probability-weighted branch entropy may exceed the input's.
-    The branches share dims, so they are one stack; the input is a stack of one."""
-    before = entropy_vector(result.input_state)
-    branches = result.branches
-    stack = np.stack([b.state.as_tensor() for b in branches])
-    after = entropy_vector(stack, [b.probability for b in branches])
+def _assert_entropy_monotone(state: PureState, rows: np.ndarray, probs: Sequence[float]) -> None:
+    """No cut's probability-weighted entropy over a (B, d1, ..., dm) stack
+    of branch rows may exceed the input state's; the input is a stack of one."""
+    before = entropy_vector(state)
+    after = entropy_vector(rows, probs)
     for part in before.partitions():
         if after.values[part] > before.values[part] + _ENTROPY_GAIN_TOL:
             raise EntropyMonotonicityError(part.label, before.values[part], after.values[part])
@@ -558,6 +552,14 @@ class _FactorLayout:
     out_order: tuple[int, ...]
 
 
+def _positive_factors(dims: Sequence[int]) -> tuple[int, ...]:
+    """A party's factor dimensions as ints; refuses any below 1."""
+    factors = tuple(int(d) for d in dims)
+    if any(d < 1 for d in factors):
+        raise ValueError("factor dimensions must be positive")
+    return factors
+
+
 def _factor_layout(
     factor_dims: Sequence[int],
     on: Sequence[int] | None = None,
@@ -567,7 +569,7 @@ def _factor_layout(
 ) -> _FactorLayout:
     """The placement rule of `expand_factor_op`; each of `ops` must have the
     shape it gives."""
-    factors = tuple(int(d) for d in factor_dims)
+    factors = _positive_factors(factor_dims)
     n = len(factors)
     on = tuple(range(n)) if on is None else tuple(int(i) for i in on)
     if len(set(on)) != len(on):
@@ -575,9 +577,7 @@ def _factor_layout(
     if any(i < 0 or i >= n for i in on):
         raise ValueError("factor index out of range")
     in_dims = tuple(factors[i] for i in on)
-    out = in_dims if out_dims is None else tuple(int(d) for d in out_dims)
-    if any(d < 1 for d in factors + out):
-        raise ValueError("factor dimensions must be positive")
+    out = in_dims if out_dims is None else _positive_factors(out_dims)
     rest = tuple(i for i in range(n) if i not in on)
     # axes after the contraction: the emitted factors, then the untouched ones
     axis = {slot: len(out) + j for j, slot in enumerate(rest)}
@@ -706,7 +706,7 @@ class ProtocolBuilder:
     """
 
     def __init__(self, factor_dims: Sequence[Sequence[int]]):
-        self._factors: list[tuple[int, ...]] = [tuple(int(d) for d in group) for group in factor_dims]
+        self._factors: list[tuple[int, ...]] = [_positive_factors(group) for group in factor_dims]
         if not self._factors:
             raise ValueError("need at least one party")
         self._steps: list[ProtocolStep] = []
@@ -727,9 +727,7 @@ class ProtocolBuilder:
     @_all_or_nothing
     def regroup(self, party: int, new_factor_dims: Sequence[int]) -> None:
         """Re-declare a party's factor structure (no physical operation)."""
-        new = tuple(int(d) for d in new_factor_dims)
-        if any(d < 1 for d in new):
-            raise ValueError("factor dimensions must be positive")
+        new = _positive_factors(new_factor_dims)
         if math.prod(new) != self.party_dim(party):
             raise ValueError("regrouped factors must preserve the local dimension")
         self._factors[party] = new
@@ -949,9 +947,6 @@ def eprs_to_cat_input(m: int, center: int = 0) -> PureState:
     (legs ordered by the other party's index); every other party holds one
     qubit.
     """
-    from .builders import cat_state, epr_pair  # local import to avoid a cycle
-    from .states import permute_parties, tensor
-
     others = _others(m, center)
     acc = PureState((2**m,), cat_state(m).amplitudes)
     # party 0 of `acc` is the center, 1 + i the i-th other; `perm` puts each in its slot
@@ -1058,9 +1053,6 @@ def dilution_input(
     """Starting state for `dilution_protocol`: the first party holds n
     local copies of the target (own share plus a to-be-shared register
     per copy) and one leg of each of k shared cat states."""
-    from .builders import cat_state
-    from .states import tensor
-
     coeffs, m, r, _, _ = _dilution_args(coefficients, n, k, num_parties)
     pair = np.zeros(r * r, dtype=complex)
     for i, c in enumerate(coeffs):
@@ -1137,8 +1129,6 @@ def dilution_end_to_end(
     coefficients: Sequence[float], n: int, k: int, num_parties: int = 3
 ) -> DilutionReport:
     """Run dilution and score every branch against the exact n-copy target."""
-    from .states import tensor
-
     coeffs, m, r, _, junk = _dilution_args(coefficients, n, k, num_parties)
     state = dilution_input(coeffs, n, k, m)
     steps = dilution_protocol(coeffs, n, k, m)

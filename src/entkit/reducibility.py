@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _EIGENVALUE_FLOOR, _ISENTROPY_TOL, _vector_from_spectra, cut_spectra
+from .builders import cat_power, eprs_complete
+from .entropy import _EIGENVALUE_FLOOR, _ISENTROPY_TOL, EntropyVector, _spectra_and_entropies
 from .errors import InternalError
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .states import Partition, PureState, reduced_gram, refine_to_qubits
@@ -336,22 +337,23 @@ def classify_states(a: PureState, b: PureState) -> Classification:
         raise ValueError("states must share the number of parties")
     if a.num_parties < 2:
         raise ValueError("need at least two parties")
-    spectra_a, spectra_b = cut_spectra(a), cut_spectra(b)
+    read_a, read_b = _spectra_and_entropies(a), _spectra_and_entropies(b)
     if a.num_parties == 2:
-        return _classify_bipartite(spectra_a, spectra_b)
-    return _classify_from_spectra(a, b, spectra_a, spectra_b)
+        return _classify_bipartite(read_a[0], read_b[0])
+    return _classify_from_spectra(a, b, read_a, read_b)
 
 
 def _classify_from_spectra(
     a: PureState,
     b: PureState,
-    spectra_a: dict[Partition, Fraction | np.ndarray],
-    spectra_b: dict[Partition, Fraction | np.ndarray],
+    read_a: tuple[dict[Partition, Fraction | np.ndarray], list[float]],
+    read_b: tuple[dict[Partition, Fraction | np.ndarray], list[float]],
 ) -> Classification:
-    """`classify_states` for three or more parties, given each state's
-    `cut_spectra`."""
-    vec_a = _vector_from_spectra(a.num_parties, spectra_a)
-    vec_b = _vector_from_spectra(b.num_parties, spectra_b)
+    """`classify_states` for three or more parties, given each state's cut
+    spectra and partial entropies (`entropy._spectra_and_entropies`)."""
+    (spectra_a, entropies_a), (spectra_b, entropies_b) = read_a, read_b
+    vec_a = EntropyVector(a.num_parties, dict(zip(spectra_a, entropies_a)))
+    vec_b = EntropyVector(b.num_parties, dict(zip(spectra_b, entropies_b)))
 
     if vec_a.max_difference(vec_b, size=1) > _ISENTROPY_TOL:
         a_dom = vec_a.dominates(vec_b)
@@ -487,15 +489,10 @@ def ghz_epr_witness() -> GhzEprWitness:
     protocol can bridge that. The returned report carries the computed
     evidence; `render()` formats it.
     """
-    from .builders import cat_power, eprs_complete
-
     cats = cat_power(3, 2)
     eprs = eprs_complete(3)
-
-    spectra_c = cut_spectra(cats)
-    spectra_e = cut_spectra(eprs)
-    vec_c = _vector_from_spectra(cats.num_parties, spectra_c)
-    vec_e = _vector_from_spectra(eprs.num_parties, spectra_e)
+    read_c, read_e = _spectra_and_entropies(cats), _spectra_and_entropies(eprs)
+    spectra_c = read_c[0]
 
     rho_bc = reduced_gram(cats, [1, 2])
     off_diag = _off_diagonal_max(rho_bc)
@@ -512,10 +509,10 @@ def ghz_epr_witness() -> GhzEprWitness:
         raise InternalError("expected a distillable pair between B and C")
     _, eig = found
 
-    classified = _classify_from_spectra(cats, eprs, spectra_c, spectra_e)
+    classified = _classify_from_spectra(cats, eprs, read_c, read_e)
     return GhzEprWitness(
-        entropy_vector_cats=[(p.label, v) for p, v in vec_c.entries()],
-        entropy_vector_eprs=[(p.label, v) for p, v in vec_e.entries()],
+        entropy_vector_cats=[(p.label, v) for p, v in zip(*read_c)],
+        entropy_vector_eprs=[(p.label, v) for p, v in zip(*read_e)],
         cats_bc_offdiagonal_max=off_diag,
         cats_bc_nonzero_spectrum=spectrum,
         cats_b_marginal_deviation=dev_b,

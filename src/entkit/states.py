@@ -130,19 +130,13 @@ class PureState:
             raise ValueError(f"local dimensions must be positive, got {dims}")
         total = math.prod(dims)
         _check_dense(total)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a copy
         if amps.size != total:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {total}"
             )
-        norm = float(np.linalg.norm(amps))
-        if not math.isfinite(norm):
-            raise ValueError("state vector has non-finite amplitudes (NaN or infinity)")
-        if norm < _NORM_TOL:
-            raise ValueError("state vector has (near-)zero norm")
-        if abs(norm - 1.0) > _NORM_TOL:
-            amps = amps / norm
-        amps = amps + 0.0  # a copy that turns -0.0 into 0.0, as state files load it
+        _normalize_rows(amps[None], [float(np.linalg.norm(amps))])
+        amps += 0.0  # turns -0.0 into 0.0, as state files load it
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -181,6 +175,20 @@ class PureState:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PureState(dims={self.dims})"
+
+
+def _normalize_rows(amps: np.ndarray, norms: Sequence[float]) -> None:
+    """Rescale in place each row of a (B, n) array of state vectors whose
+    norm, one float per row in `norms`, is off by more than `_NORM_TOL`;
+    refuse non-finite amplitudes and a (near-)zero norm. Every `PureState`
+    and every branch row of `protocols.run` is normalized here."""
+    if not all(map(math.isfinite, norms)):
+        raise ValueError("state vector has non-finite amplitudes (NaN or infinity)")
+    low, high = min(norms), max(norms)
+    if low < _NORM_TOL:
+        raise ValueError("state vector has (near-)zero norm")
+    if high - 1.0 > _NORM_TOL or 1.0 - low > _NORM_TOL:
+        amps /= np.array([n if abs(n - 1.0) > _NORM_TOL else 1.0 for n in norms])[:, None]
 
 
 def _check_dense(total: int) -> None:
@@ -324,9 +332,9 @@ def reduced_gram(
     """The reduced state of the parties in `keep`: tr_rest |psi><psi|, the
     d x d Gram matrix M M^dag of the amplitudes reshaped to (d, rest).
 
-    This ndarray is the package's one reduced-state type: `entropy`,
-    `fidelity` and `reducibility`'s local-unitary alignment, partial
-    transpose and witness tests take it. Cut spectra do not:
+    This ndarray is the package's one reduced-state type: `fidelity` and
+    `reducibility`'s local-unitary alignment, partial transpose and
+    witness tests take it. Cut spectra and partial entropies do not:
     `entropy._block_grams` forms the Grams of a block of same-size cuts
     with one product. Two callers that also need the split amplitude
     matrix M itself form M M^dag from it directly: `schmidt_decompose`

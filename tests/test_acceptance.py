@@ -19,7 +19,8 @@ from entkit.builders import (
     epr_pair,
     eprs_complete,
 )
-from entkit.entropy import entropy, entropy_vector
+from entkit.entropy import entropy_vector, shannon_entropy
+from entkit.linalg import hermitian_eigenvalues
 from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
@@ -297,8 +298,8 @@ def test_criterion_8_entropy_properties():
         dims = tuple(int(rng.integers(2, 4)) for _ in range(m))
         state = random_pure_state(dims, rng)
         for part in canonical_partitions(m):
-            s_x = entropy(reduced_gram(state, part.members))
-            s_rest = entropy(reduced_gram(state, part.complement().members))
+            s_x = shannon_entropy(hermitian_eigenvalues(reduced_gram(state, part.members)))
+            s_rest = shannon_entropy(hermitian_eigenvalues(reduced_gram(state, part.complement().members)))
             assert abs(s_x - s_rest) <= 1e-9
 
     for _ in range(25):

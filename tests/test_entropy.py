@@ -22,9 +22,8 @@ from entkit.entropy import (
     PartitionAsymmetryError,
     _cut_blocks,
     _cuts_by_size,
-    _vector_from_spectra,
+    _spectra_and_entropies,
     cut_spectra,
-    entropy,
     entropy_vector,
     exact_entropy,
     exact_entropy_ratio_r21,
@@ -63,7 +62,7 @@ def test_ghz_entropy_vector_all_ones():
 
 def test_epr_pair_entropy():
     gram = reduced_gram(epr_pair(), (0,))
-    assert entropy(gram) == pytest.approx(1.0, abs=1e-12)
+    assert shannon_entropy(hermitian_eigenvalues(gram)) == pytest.approx(1.0, abs=1e-12)
     assert exact_entropy(gram) == Fraction(1)
 
 
@@ -99,8 +98,8 @@ def test_purity_symmetry_random_states():
         dims = tuple(int(rng.integers(2, 4)) for _ in range(m))
         state = random_pure_state(dims, rng)
         for part in canonical_partitions(m):
-            s_x = entropy(reduced_gram(state, part.members))
-            s_rest = entropy(reduced_gram(state, part.complement().members))
+            s_x = shannon_entropy(hermitian_eigenvalues(reduced_gram(state, part.members)))
+            s_rest = shannon_entropy(hermitian_eigenvalues(reduced_gram(state, part.complement().members)))
             assert abs(s_x - s_rest) < 1e-9
 
 
@@ -398,15 +397,17 @@ def kept_parties(dims, side):
 @pytest.mark.parametrize("count", [1, 7, 64])
 @pytest.mark.parametrize("dims", [(3, 3, 4, 2, 2), (2, 1, 3, 2), (2,) * 8, (32, 2, 2), *FOLDING_DIMS])
 def test_block_spectra_match_the_per_cut_reference(buffer_calls, dims, count):
-    # each cut alone: its Gram on its own cheaper side, the flat test and the
-    # checked eigensolver on that cut's stack
+    # each cut alone: its Gram on its own cheaper side, the flat test, the
+    # checked eigensolver on that cut's stack and `shannon_entropy` of each
+    # spectrum
     stack = block_test_stack(dims, count, len(dims) * count)
     parts = canonical_partitions(len(dims))
     got, seen = {}, []
-    for entries, bits, others, spectra in _cut_blocks(stack):
+    for entries, entropies, others, spectra in _cut_blocks(stack):
         spectra = iter(spectra)
-        for indices, cut_bits, cut_others in zip(entries, bits, others):
-            value = (cut_bits[~cut_others].tolist(), [next(spectra).tobytes() for _ in range(cut_others.sum())])
+        for indices, cut_entropies, cut_others in zip(entries, entropies, others):
+            eigenvalues = [next(spectra).tobytes() for _ in range(cut_others.sum())]
+            value = (cut_entropies[~cut_others].tolist(), eigenvalues, cut_entropies[cut_others].tolist())
             got.update(dict.fromkeys(indices, value))
             seen += indices
     formed = [kept_parties(dims, side) for _, sides in buffer_calls for side in sides]
@@ -422,7 +423,12 @@ def test_block_spectra_match_the_per_cut_reference(buffer_calls, dims, count):
         grams = reduced_gram(stack, side)
         ranks = flat_spectrum_rank(grams)
         flat = (ranks > 0) & (np.log2(np.maximum(ranks, 1)) % 1 == 0)
-        want = (np.log2(ranks[flat]).tolist(), [s.tobytes() for s in hermitian_eigenvalues(grams)[~flat]])
+        eigenvalues = hermitian_eigenvalues(grams)[~flat]
+        want = (
+            np.log2(ranks[flat]).tolist(),
+            [s.tobytes() for s in eigenvalues],
+            [shannon_entropy(s) for s in eigenvalues],
+        )
         assert got[index] == want
     # one Gram per distinct reduced matrix, and one per cut without
     # dimension-1 parties
@@ -435,7 +441,7 @@ def test_block_spectra_match_the_per_cut_reference(buffer_calls, dims, count):
     for part in parts:
         assert stacked.values[part] == sum(w * v.values[part] for w, v in zip(weights, vectors))
     if count > 1:  # the flat rows reach the flat test, not the solver
-        assert any(bits[~others].size for _, bits, others, _ in _cut_blocks(stack))
+        assert any(entropies[~others].size for _, entropies, others, _ in _cut_blocks(stack))
     broken = stack.copy()
     broken[count // 2].reshape(-1)[-1] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
@@ -447,20 +453,21 @@ ENTROPY_SUM_DIMS = [(2,) * 6, (3, 3, 4, 2, 2), (2, 1, 3, 2), (3, 3, 3), (2, 3, 2
 
 
 def test_every_entropy_route_gives_the_same_bits():
-    # a single state, a stack of one, `_vector_from_spectra` and
-    # `shannon_entropy` on each cut's spectrum; within 1e-14 of an fsum
+    # a single state, a stack of one, the one-pass reader
+    # `_spectra_and_entropies` and `shannon_entropy` on each cut's spectrum;
+    # within 1e-14 of an fsum
     states = [random_pure_state(dims, np.random.default_rng(seed)) for seed in range(12) for dims in ENTROPY_SUM_DIMS]
     states += [cat_state(4), PureState((3, 1, 3), np.eye(3))]
     checked = 0
     for state in states:
-        spectra = cut_spectra(state)
+        spectra, entropies = _spectra_and_entropies(state)
         routes = [
-            entropy_vector(state),
-            entropy_vector(state.as_tensor()[None], [1.0]),
-            _vector_from_spectra(state.num_parties, spectra),
+            entropy_vector(state).values,
+            entropy_vector(state.as_tensor()[None], [1.0]).values,
+            dict(zip(spectra, entropies)),
         ]
         for part, spectrum in spectra.items():
-            values = [route.values[part] for route in routes]
+            values = [route[part] for route in routes]
             if isinstance(spectrum, Fraction):
                 assert values == [float(spectrum)] * 3
                 continue

@@ -71,7 +71,6 @@ PUBLIC_NAMES = [
     "dilution_retained_types",
     "egs_check",
     "embedded_cat",
-    "entropy",
     "entropy_vector",
     "epr_between",
     "epr_pair",
@@ -144,7 +143,6 @@ EIGENSOLVERS = {"hermitian_eigensystem", "hermitian_eigenvalues", "_unchecked_ei
 # because its public solvers call `_unchecked_eigenvalues` themselves
 README_EIGENSOLVER_CALLERS = {
     "entropy._cut_blocks",
-    "entropy.entropy",
     "protocols._discard",
     "reducibility._lu_align",
     "reducibility.ppt_minimum_eigenvalue",
@@ -152,9 +150,9 @@ README_EIGENSOLVER_CALLERS = {
 }
 
 
-def _eigensolver_callers() -> set[str]:
+def _callers(names: set[str]) -> set[str]:
     """`module.function` of every function in `src/entkit` whose own body
-    (nested functions excluded) calls an eigensolver."""
+    (nested functions excluded) calls one of `names`."""
     callers = set()
 
     class Visitor(ast.NodeVisitor):
@@ -168,7 +166,7 @@ def _eigensolver_callers() -> set[str]:
 
         def visit_Call(self, node):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in EIGENSOLVERS and self.stack:
+            if name in names and self.stack:
                 callers.add(f"{self.module}.{self.stack[-1]}")
             self.generic_visit(node)
 
@@ -178,7 +176,7 @@ def _eigensolver_callers() -> set[str]:
 
 
 def test_eigensolver_callers_are_the_readme_list():
-    callers = _eigensolver_callers()
+    callers = _callers(EIGENSOLVERS)
     assert {c for c in callers if not c.startswith("linalg.")} == README_EIGENSOLVER_CALLERS
     assert {c for c in callers if c.startswith("linalg.")} == {"linalg.hermitian_eigenvalues"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -187,3 +185,9 @@ def test_eigensolver_callers_are_the_readme_list():
         if not re.search(rf"`(\w+\.)?{re.escape(c.split('.')[1])}`", readme)
     ]
     assert unnamed == []
+
+
+def test_partial_entropies_come_from_the_block_routine():
+    # every partial entropy is a `shannon_entropy` of `_cut_blocks`' spectra;
+    # `cat_yield` is the entropy of Schmidt weights, not of a cut spectrum
+    assert _callers({"shannon_entropy"}) == {"entropy._cut_blocks", "schmidt.cat_yield"}

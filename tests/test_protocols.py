@@ -211,20 +211,29 @@ def test_unitary_preserves_entropy_vector():
 
 
 def test_monotonicity_assertion_fires_on_fabricated_increase():
-    from entkit.protocols import ProtocolRun, _assert_entropy_monotone
-
     product = make_state((2, 2), [("00", 1.0)])
-    fake = ProtocolRun(product, [Branch(1.0, epr_pair(), ())], 0.0)
     with pytest.raises(EntropyMonotonicityError):
-        _assert_entropy_monotone(fake)
+        _assert_entropy_monotone(product, epr_pair().as_tensor()[None], [1.0])
 
 
 def test_monotonicity_accepts_decrease():
-    from entkit.protocols import ProtocolRun, _assert_entropy_monotone
-
     product = make_state((2, 2), [("00", 1.0)])
-    fine = ProtocolRun(epr_pair(), [Branch(1.0, product, ())], 0.0)
-    _assert_entropy_monotone(fine)
+    _assert_entropy_monotone(epr_pair(), product.as_tensor()[None], [1.0])
+
+
+def test_run_checks_its_own_rows_in_the_returned_order(record_calls):
+    # outcomes listed against sorted order, so the simulator's rows come out
+    # reordered; the check must read them as the returned branches hold them
+    calls = record_calls("entropy_vector", "entkit.entropy", "entkit.protocols")
+    state = random_pure_state((2, 2, 2), np.random.default_rng(31))
+    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    steps = [LocalMeasurement(0, (one, zero), ("1", "0")), LocalMeasurement(2, (one, zero), ("b", "a"))]
+    result = run(steps, state)
+    assert [b.transcript for b in result.branches] == [("0", "a"), ("0", "b"), ("1", "a"), ("1", "b")]
+    (before,), (rows, probs) = calls
+    assert before is state
+    assert np.array_equal(rows, np.stack([b.state.as_tensor() for b in result.branches]))
+    assert probs == [b.probability for b in result.branches]
 
 
 def test_random_protocols_satisfy_monotonicity():
@@ -349,6 +358,37 @@ def test_a_failed_teleport_leaves_no_measurement_behind():
         builder.teleport(0, 0, 1, [(1, 5)])
     assert builder.steps() == []
     assert builder.factor_dims(0) == (2, 2)
+
+
+def test_builder_refuses_nonpositive_factors():
+    for factor_dims in ([[-2, -2]], [[2], [0, 2]]):
+        with pytest.raises(ValueError, match="factor dimensions must be positive"):
+            ProtocolBuilder(factor_dims)
+    # a party with no factors has dimension 1, as after discarding all of them
+    builder = ProtocolBuilder([[2], [2]])
+    builder.discard(1, [0])
+    assert ProtocolBuilder([[2], []]).party_dim(1) == builder.party_dim(1) == 1
+
+
+def test_numpy_integer_parties_are_stored_as_ints_and_round_trip(tmp_path):
+    plus, minus = hadamard_projectors()
+    steps = [
+        LocalUnitary(np.int64(0), X),
+        LocalMeasurement(np.int32(1), (plus, minus), ("+", "-")),
+        ConditionedUnitary(np.uint8(0), {("+",): X, ("-",): np.eye(2)}),
+        DiscardSubsystem(np.int64(1), (2, 1), (1,)),
+    ]
+    builder = ProtocolBuilder([[2], [2]])
+    builder.unitary(np.int64(1), X)
+    steps += builder.steps()
+    assert [(s.party, type(s.party)) for s in steps] == [(0, int), (1, int), (0, int), (1, int), (1, int)]
+    path = str(tmp_path / "p.json")
+    save_protocol(steps, path)
+    loaded = load_protocol(path)
+    assert protocol_to_list(loaded) == json.loads(json.dumps(protocol_to_list(steps)))
+    for build in (lambda: LocalUnitary(True, X), lambda: DiscardSubsystem(True, (2,), (0,))):
+        with pytest.raises(ValueError, match="expected an integer, not True"):
+            build()
 
 
 @pytest.mark.parametrize("party", [-1, 2])
@@ -960,6 +1000,12 @@ def haar_fake_run(seed):
     return ProtocolRun(start, tuple(branches), 0.0)
 
 
+def stacked_check(result):
+    """`run`'s check on a run's branches, stacked in branch order."""
+    rows = np.stack([b.state.as_tensor() for b in result.branches])
+    _assert_entropy_monotone(result.input_state, rows, [b.probability for b in result.branches])
+
+
 def monotonicity_verdict(check, result):
     try:
         check(result)
@@ -974,7 +1020,7 @@ def test_stacked_check_matches_per_branch_check_on_haar_branches(record_calls):
     for seed in range(24):
         fake = haar_fake_run(seed)
         solver_calls.clear()
-        got = monotonicity_verdict(_assert_entropy_monotone, fake)
+        got = monotonicity_verdict(stacked_check, fake)
         # every cut of every Haar branch went through the stacked eigensolver fallback
         cuts = 2 ** (len(fake.input_state.dims) - 1) - 1
         haar = sum(b.transcript[0].isdigit() for b in fake.branches)
@@ -1042,10 +1088,12 @@ def test_check_peak_memory_is_bounded():
     # cut, before cuts were grouped into blocks (numpy 2.4, Python 3.11); the
     # block cap keeps the check at or below it
     result = run(cat_to_epr(8, 0, 1), cat_state(8), check_entropy=False)
-    _assert_entropy_monotone(result)
+    rows = np.stack([b.state.as_tensor() for b in result.branches])
+    probs = [b.probability for b in result.branches]
+    _assert_entropy_monotone(result.input_state, rows, probs)
     tracemalloc.start()
     try:
-        _assert_entropy_monotone(result)
+        _assert_entropy_monotone(result.input_state, rows, probs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

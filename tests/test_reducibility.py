@@ -326,7 +326,7 @@ def test_classify_2ghz_vs_3epr():
 
 
 def test_classify_builds_each_entropy_vector_once(record_calls):
-    calls = record_calls("cut_spectra", "entkit.entropy", "entkit.reducibility")
+    calls = record_calls("_spectra_and_entropies", "entkit.entropy", "entkit.reducibility")
 
     # entropies cross: decided from the two vectors alone
     result = classify_states(eprs_graph(3, [(0, 1)]), eprs_graph(3, [(1, 2)]))
@@ -349,7 +349,7 @@ def test_classify_builds_each_entropy_vector_once(record_calls):
 
 
 def test_ghz_epr_witness_computes_each_states_spectra_once(record_calls):
-    calls = record_calls("cut_spectra", "entkit.entropy", "entkit.reducibility")
+    calls = record_calls("_spectra_and_entropies", "entkit.entropy", "entkit.reducibility")
     report = ghz_epr_witness()
     assert report.verdict is ComparisonVerdict.INCOMPARABLE
     assert len(calls) == 2
