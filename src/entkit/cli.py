@@ -5,7 +5,10 @@ eprs5, chain4, 2ghz, codeword5, ...) or from a JSON state file, computes
 with the library, and prints a report. Output is deterministic for fixed
 flags: tables come out in canonical partition order, floats with 12
 significant digits, exact rationals as p/q. `--format csv` swaps the
-human-readable text for machine-friendly CSV on stdout.
+human-readable text for machine-friendly CSV on stdout, quoted as Python's
+`csv` module quotes by default (minimal quoting: a cell is quoted when it
+holds a comma, a quote or a newline, or is the only cell of its row and
+empty), each row ending in a newline.
 
 Exit codes: 0 on success, 1 when the inputs are well-formed but the
 computation rejects them (bad state file, impossible request), 2 on usage
@@ -73,8 +76,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _text_columns(rows: list[list]) -> list[list[str]]:
-    """Cell text of rectangular `rows`, column by column.
+def _text_columns(columns) -> list[list[str]]:
+    """Cell text of equal-length `columns`, column by column.
 
     A column whose cells share one exact type from `_CELL_TEXT` maps that
     type's formatter over itself; any other column goes through `_fmt` cell
@@ -82,38 +85,69 @@ def _text_columns(rows: list[list]) -> list[list[str]]:
     formatter saves one `_fmt` call per cell, about a fifth of the time a
     long CSV table takes to write.
     """
-    columns = []
-    for column in zip(*rows):
+    text = []
+    for column in columns:
         kinds = set(map(type, column))
         plain = _CELL_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        columns.append(list(map(plain or _fmt, column)))
-    return columns
+        text.append(list(map(plain or _fmt, column)))
+    return text
 
 
-def _emit_csv(rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(map(_fmt, rows[0]))
-    for start in range(1, len(rows), _CSV_BLOCK):
-        writer.writerows(zip(*_text_columns(rows[start : start + _CSV_BLOCK])))
+def _write_csv(cells: list[list[str]]) -> None:
+    """Write rows of cell text, given column by column, as CSV lines.
+
+    The rows are joined with "," and "\\n" when no cell holds a comma, a
+    quote, "\\r" or "\\n" (the join's counts of "," and "\\n" show any) and
+    no row is one empty cell, which csv.writer writes as "". csv.writer's
+    minimal quoting leaves such a block as the join writes it; any other
+    block goes through csv.writer.
+    """
+    rows = len(cells[0])
+    block = "\n".join(map(",".join, zip(*cells)))
+    if (
+        block.count(",") == (len(cells) - 1) * rows
+        and block.count("\n") == rows - 1
+        and '"' not in block
+        and "\r" not in block
+        and (len(cells) > 1 or "" not in cells[0])
+    ):
+        sys.stdout.write(block + "\n")
+    else:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(zip(*cells))
 
 
-def _emit_text_table(rows: list[list]) -> None:
-    columns = [[_fmt(cell)] for cell in rows[0]]
-    for column, body in zip(columns, _text_columns(rows[1:])):
-        column += body
+def _emit_csv(header: list, columns) -> None:
+    _write_csv([[_fmt(cell)] for cell in header])
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        _write_csv(_text_columns([c[start : start + _CSV_BLOCK] for c in columns]))
+
+
+def _emit_text_table(header: list, columns) -> None:
     padded = []
-    for column in columns:
+    for name, body in zip(header, _text_columns(columns)):
+        column = [_fmt(name), *body]
         width = max(map(len, column))
         padded.append([cell.ljust(width) for cell in column])
-    for row in zip(*padded):
-        print("  ".join(row).rstrip())
+    print("\n".join("  ".join(row).rstrip() for row in zip(*padded)))
+
+
+def _emit_columns(args, header: list, columns) -> None:
+    """Write a table given as a header and one sequence of cells per column."""
+    if args.format == "csv":
+        _emit_csv(header, columns)
+    else:
+        _emit_text_table(header, columns)
 
 
 def _emit(args, rows: list[list]) -> None:
-    if args.format == "csv":
-        _emit_csv(rows)
-    else:
-        _emit_text_table(rows)
+    """Write a table given as a header row and body rows of its width."""
+    _emit_columns(args, rows[0], [list(c) for c in zip(*rows[1:])] or [[] for _ in rows[0]])
+
+
+def _count_labels(counts, n: int) -> list[str]:
+    """The "c1:c2:..." label of each row, from one column of counts per letter."""
+    text = [str(c) for c in range(n + 1)]
+    return list(map(":".join, zip(*(map(text.__getitem__, column) for column in counts))))
 
 
 def _parse_weights(text: str) -> list[float]:
@@ -173,15 +207,14 @@ def _cmd_schmidt(args) -> int:
     )
     rows = None if result.form is None else _coefficient_rows(result.form.coefficients)
     if args.format == "csv":
-        _emit_csv([["decomposable", status], ["reason", result.reason]])
+        _emit(args, [["decomposable", status], ["reason", result.reason]])
         if rows is not None:
             print()
-            _emit_csv(rows)
     else:
         print(f"decomposable: {status}")
         print(f"reason: {result.reason}")
-        if rows is not None:
-            _emit_text_table(rows)
+    if rows is not None:
+        _emit(args, rows)
     return 0
 
 
@@ -221,7 +254,7 @@ def _cmd_ghz_epr_witness(args) -> int:
         ["cats_marginal_product_deviation", report.cats_marginal_product_deviation]
     )
     rows.append(["eprs_bc_ppt_eigenvalue", report.eprs_bc_ppt_eigenvalue])
-    _emit_csv(rows)
+    _emit(args, rows)
     return 0
 
 
@@ -248,20 +281,20 @@ def _cmd_run_protocol(args) -> int:
 
 def _cmd_concentrate(args) -> int:
     probs = _parse_weights(args.coeffs)
-    branches = concentration_yield_distribution(probs, args.n)
-    rows: list[list] = [["counts", "probability", "yield_bits", "cats_extracted"]]
-    for branch in branches:
-        rows.append(
-            [
-                ":".join(map(str, branch.counts)),
-                branch.probability,
-                branch.yield_bits,
-                branch.yield_floor,
-            ]
-        )
-    _emit(args, rows)
+    table = concentration_yield_distribution(probs, args.n)
+    columns = table.columns
+    _emit_columns(
+        args,
+        ["counts", "probability", "yield_bits", "cats_extracted"],
+        [
+            _count_labels(columns.counts, args.n),
+            columns.probability,
+            columns.yield_bits,
+            columns.yield_floor,
+        ],
+    )
     if args.format == "text":
-        expected = _mean_yield(branches)
+        expected = _mean_yield(table)
         print(f"expected yield: {_fmt(expected)} bits ({_fmt(expected / args.n)} per copy)")
     return 0
 
@@ -275,10 +308,12 @@ def _cmd_dilute(args) -> int:
     ]
     _emit(args, summary)
     print()
-    rows: list[list] = [["counts", "per_string_probability", "class_size", "strings_kept"]]
-    for counts, per_string, size, kept in retained:
-        rows.append([":".join(map(str, counts)), per_string, size, kept])
-    _emit(args, rows)
+    counts, per_string, sizes, kept = retained.columns
+    _emit_columns(
+        args,
+        ["counts", "per_string_probability", "class_size", "strings_kept"],
+        [_count_labels(counts, args.n), per_string, sizes, kept],
+    )
     return 0
 
 
@@ -328,7 +363,7 @@ def _cmd_mregs_bounds(args) -> int:
     for probe in result.probes:
         rows.append(["probe", probe.label, "infeasible" if probe.infeasible else "feasible"])
     rows.append(["bound", "", result.bound])
-    _emit_csv(rows)
+    _emit(args, rows)
     return 0
 
 

@@ -12,9 +12,12 @@ type-class counting.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "is_m_orthogonal",
     "cat_yield",
     "TypeBranch",
+    "TypeTable",
     "concentration_yield_distribution",
     "dilution_retained_types",
 ]
@@ -264,15 +268,62 @@ def _heads(tables, counts, rest, head, base):
         base = base * (rest - c) // (c + 1)
 
 
-def _type_classes(probs: Sequence[float], n: int):
-    """(counts, per-string probability, class size) of every type class of
-    n-letter strings with nonzero probability, counts in lexicographic order.
+def _binomial_row(r: int) -> list[int]:
+    """C(r, j) for j = 0..r, by C(r, j + 1) = C(r, j) (r - j) / (j + 1)."""
+    row = [1]
+    for j in range(r):
+        row.append(row[-1] * (r - j) // (j + 1))
+    return row
+
+
+def _pascal(n: int) -> list[list[int]]:
+    """Rows 0..n of Pascal's triangle."""
+    rows = [[1]]
+    for _ in range(n):
+        row = rows[-1]
+        rows.append([1, *map(operator.add, row, row[1:]), 1])
+    return rows
+
+
+class TypeTable(Sequence):
+    """A table with one row per type class, held column by column.
+
+    `columns` holds one column per row field, in field order, except that
+    the counts field is one column per letter. `len`, indexing and
+    iteration build each row as `row(counts, *other cells)`, so rows unpack
+    as tuples; comparing a table with a list of rows is not supported.
+    """
+
+    def __init__(self, columns: tuple, row=lambda *cells: cells) -> None:
+        self.columns = columns
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self.columns[1])
+
+    def __iter__(self):
+        counts, *cells = self.columns
+        return map(self._row, zip(*counts), *cells)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        counts, *cells = self.columns
+        return self._row(tuple(c[index] for c in counts), *(c[index] for c in cells))
+
+
+def _type_classes(probs: Sequence[float], n: int) -> TypeTable:
+    """Every type class of n-letter strings with nonzero probability, counts
+    in lexicographic order: a table of (counts, per-string probability,
+    class size) rows whose columns are one list of counts per letter, a
+    float array and a list of exact ints.
 
     Each letter gets a table of its powers 0..n. The counts of all letters
-    but the last two are chosen in lexicographic order; for each choice, an
-    inner loop walks the last two counts (j, rest - j), multiplies the
-    per-string factors in letter order, and advances the exact class size
-    by the binomial recurrence.
+    but the last two (a head) are chosen in lexicographic order, and each
+    head starts a block of rows over the last two counts (j, rest - j).
+    A block's per-string column is head * a[j] * b[rest - j], the letters'
+    factors multiplied in letter order, and its sizes are the head's
+    multinomial times C(rest, j).
 
     A class that uses a zero-probability letter is skipped. A class whose
     per-string probability underflows to 0.0, or whose size float() cannot
@@ -292,32 +343,50 @@ def _type_classes(probs: Sequence[float], n: int):
         raise ValueError("need at least one copy")
     p = [x / total for x in p]
     if len(p) == 1:  # p == [1.0]
-        yield (n,), 1.0, 1
-        return
+        return TypeTable((([n],), np.ones(1), [1]))
     powers = [[pow(x, c) for c in range(n + 1)] for x in p]
-    zero = [i for i, x in enumerate(p) if x == 0.0]
-    lost: list[float] = []
-    a, b = powers[-2:]
-    for counts, rest, head, size in _heads(powers[:-2], (), n, 1, 1):
-        for j in range(rest + 1):
-            full = counts + (j, rest - j)
-            per_string = head * a[j] * b[rest - j]
-            if per_string != 0.0 and size < _FLOAT_OVERFLOW:
-                yield full, per_string, size
-            elif not any(full[i] for i in zero):
-                lost.append(
-                    _log2_int(size) + sum(c * math.log2(x) for c, x in zip(full, p) if c)
+    a, b = np.array(powers[-2:])
+    heads = list(_heads(powers[:-2], (), n, 1, 1))
+    # C(rest, j) by rest: two letters need row n alone, more need every row
+    binomials = _pascal(n) if len(heads) > 1 else {n: _binomial_row(n)}
+    counts: list[list[int]] = [[] for _ in p]
+    blocks = []
+    sizes: list[int] = []
+    largest = 0
+    for head_counts, rest, head, base in heads:
+        for column, c in zip(counts, head_counts):
+            column += itertools.repeat(c, rest + 1)
+        counts[-2] += range(rest + 1)
+        counts[-1] += range(rest, -1, -1)
+        blocks.append(head * a[: rest + 1] * b[rest::-1])
+        row = binomials[rest]
+        sizes += row if base == 1 else map(base.__mul__, row)
+        largest = max(largest, base * row[rest // 2])
+
+    per_string = np.concatenate(blocks)
+    keep = per_string != 0.0
+    if largest >= _FLOAT_OVERFLOW:
+        keep &= [size < _FLOAT_OVERFLOW for size in sizes]
+    if not keep.all():
+        zero = [i for i, x in enumerate(p) if x == 0.0]
+        log2_lost = [
+            _log2_int(size) + sum(c * math.log2(x) for c, x in zip(full, p) if c)
+            for full, size, kept in zip(zip(*counts), sizes, keep.tolist())
+            if not kept and not any(full[i] for i in zero)
+        ]
+        if log2_lost:
+            top = max(log2_lost)
+            mass = top + math.log2(sum(2.0 ** (x - top) for x in log2_lost))
+            if mass >= _LOST_MASS_LOG2:
+                raise ValueError(
+                    f"n = {n} is past the float range: type classes of total "
+                    f"probability {2.0 ** mass:.3g} have a per-string probability "
+                    "below the least float or more strings than the largest float"
                 )
-            size = size * (rest - j) // (j + 1)
-    if lost:
-        top = max(lost)
-        mass = top + math.log2(sum(2.0 ** (x - top) for x in lost))
-        if mass >= _LOST_MASS_LOG2:
-            raise ValueError(
-                f"n = {n} is past the float range: type classes of total "
-                f"probability {2.0 ** mass:.3g} have a per-string probability "
-                "below the least float or more strings than the largest float"
-            )
+        counts = [list(itertools.compress(c, keep)) for c in counts]
+        per_string = per_string[keep]
+        sizes = list(itertools.compress(sizes, keep))
+    return TypeTable((tuple(counts), per_string, sizes))
 
 
 class TypeBranch(NamedTuple):
@@ -335,58 +404,75 @@ class TypeBranch(NamedTuple):
     yield_floor: int
 
 
-def concentration_yield_distribution(
-    probs: Sequence[float], n: int
-) -> list[TypeBranch]:
+def concentration_yield_distribution(probs: Sequence[float], n: int) -> TypeTable:
     """Outcome distribution of concentrating n copies by type measurement.
 
     Everyone holding n copies of a shared distribution measures the type
     (the count profile of the n letters); each outcome leaves a uniform
     superposition over a type class of size `multinomial(n, counts)`,
     worth log2 of that size in cat states, of which floor(log2) are
-    extractable as whole ones. Branches come back in lexicographic order
-    of their count profiles.
+    extractable as whole ones. The result is a `TypeTable` with one
+    `TypeBranch` row per class, in lexicographic order of the count
+    profiles; its `columns` is a `TypeBranch` of columns.
     """
-    return [
-        TypeBranch(
-            counts, float(size) * per_string, size, _log2_int(size), size.bit_length() - 1
-        )
-        for counts, per_string, size in _type_classes(probs, n)
-    ]
+    counts, per_string, sizes = _type_classes(probs, n).columns
+    float_sizes = np.array(sizes, dtype=float)  # float(size) of each size
+    floor = np.fromiter(map(int.bit_length, sizes), int, len(sizes)) - 1
+    # log2 of each size as `_log2_int` takes it: past 2^53 the size is
+    # scaled into [1, 2) by its power of two, which ldexp does exactly
+    shift = np.where(floor > 52, floor, 0)
+    scaled = np.ldexp(float_sizes, -shift).tolist()
+    bits = shift + np.fromiter(map(math.log2, scaled), float, len(scaled))
+    columns = TypeBranch(
+        counts, (float_sizes * per_string).tolist(), sizes, bits.tolist(), floor.tolist()
+    )
+    return TypeTable(columns, TypeBranch)
 
 
-def _mean_yield(branches: Sequence[TypeBranch]) -> float:
-    """The expected `yield_bits` of `concentration_yield_distribution` branches."""
-    return sum(b.probability * b.yield_bits for b in branches)
+def _mean_yield(table: TypeTable) -> float:
+    """The expected `yield_bits` of a `concentration_yield_distribution` table."""
+    columns = table.columns
+    return sum(map(operator.mul, columns.probability, columns.yield_bits))
 
 
-def _retained_fidelity(rows: Sequence[tuple[tuple[int, ...], float, int, int]]) -> float:
-    """The kept probability mass of `dilution_retained_types` rows."""
-    return min(sum(per_string * take for _, per_string, _, take in rows), 1.0)
+def _retained_fidelity(table: TypeTable) -> float:
+    """The kept probability mass of a `dilution_retained_types` table."""
+    _, per_string, _, kept = table.columns
+    return min(sum(map(operator.mul, per_string, kept)), 1.0)
 
 
-def dilution_retained_types(
-    probs: Sequence[float], n: int, k: int
-) -> list[tuple[tuple[int, ...], float, int, int]]:
+def dilution_retained_types(probs: Sequence[float], n: int, k: int) -> TypeTable:
     """Which strings a dilution of n copies from k cat states keeps, by
-    truncation: (counts, per-string probability, class size, strings kept)
-    per type, in the greedy order.
+    truncation: a `TypeTable` with one (counts, per-string probability,
+    class size, strings kept) row per type, in the greedy order.
 
     The 2^k most probable strings of the n-fold product distribution are
     kept (whole type classes while they fit, then part of the next); the
     best fidelity with the true n-copy state is the kept probability mass
-    (`_retained_fidelity` of these rows). It is nondecreasing in k and
-    reaches 1 once 2^k covers the full support.
+    (`_retained_fidelity` of this table). It is nondecreasing in k and
+    reaches 1 once 2^k covers the full support; a budget past the number
+    of strings keeps what that number keeps.
     """
     if k < 0:
         raise ValueError("cat budget must be nonnegative")
-    types = sorted(_type_classes(probs, n), key=lambda t: (-t[1], t[0]))
-    budget = 1 << k
-    rows = []
-    for counts, per_string, size in types:
-        take = min(size, budget)
-        rows.append((counts, per_string, size, take))
+    counts, per_string, sizes = _type_classes(probs, n).columns
+    strings = len(counts) ** n  # every n-letter string, zero-probability ones too
+    budget = 1 << k if k < strings.bit_length() else strings
+    # a stable sort keeps equal per-string probabilities in count order
+    order = np.argsort(-per_string, kind="stable").tolist()
+    kept = []
+    for i in order:
+        take = min(sizes[i], budget)
+        kept.append(take)
         budget -= take
         if budget == 0:
             break
-    return rows
+    order = order[: len(kept)]
+    return TypeTable(
+        (
+            tuple([c[i] for i in order] for c in counts),
+            per_string[order].tolist(),
+            [sizes[i] for i in order],
+            kept,
+        )
+    )

@@ -60,6 +60,7 @@ class Partition:
     side is the complement. Two partitions describe the same cut iff one's
     members are the other's complement; `canonical()` picks the class
     representative (fewer members, ties going to the side without party 0).
+    Its hash is the hash of (num_parties, members), taken once.
     """
 
     num_parties: int
@@ -68,6 +69,7 @@ class Partition:
     def __post_init__(self) -> None:
         members = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_hash", hash((self.num_parties, members)))
         if self.num_parties < 2:
             raise ValueError("a partition needs at least two parties")
         if not members:
@@ -76,6 +78,9 @@ class Partition:
             raise ValueError("partition side must be a proper subset of the parties")
         if members[0] < 0 or members[-1] >= self.num_parties:
             raise ValueError(f"party index out of range in {members}")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def complement(self) -> "Partition":
         other = tuple(p for p in range(self.num_parties) if p not in self.members)

@@ -1,5 +1,6 @@
 """The command-line surface: every subcommand, both formats, exit codes,
 and byte-identical reruns."""
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,10 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import MALFORMED_PROTOCOLS, MALFORMED_STATES
 
-from entkit.cli import _emit_csv, _emit_text_table, _fmt, main
+from entkit.cli import _CSV_BLOCK, _emit_csv, _emit_text_table, _fmt, main
 from entkit.states import PureState, random_unitary, save_state
 
 
@@ -109,7 +111,7 @@ def test_column_wise_emitters_match_the_per_cell_ones(capsys, emit, reference, b
     rows = _mixed_table(body_rows)
     reference(rows)
     want = capsys.readouterr().out.split("\n")
-    emit(rows)
+    emit(rows[0], [list(c) for c in zip(*rows[1:])] or [[] for _ in rows[0]])
     got = capsys.readouterr().out.split("\n")
     # the first differing line, not a diff of thousands
     assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
@@ -350,18 +352,79 @@ def test_dilute(capsys):
 
 
 def test_dilute_enumerates_type_classes_once(capsys, record_calls):
-    calls = record_calls("dilution_retained_types", "entkit.schmidt", "entkit.cli")
+    tables = record_calls("dilution_retained_types", "entkit.schmidt", "entkit.cli")
+    classes = record_calls("_type_classes", "entkit.schmidt")
     code, out, _ = run_cli(capsys, "dilute", "--n", "6", "--k", "3", "--coeffs", "2/3,1/3")
     assert code == 0
-    assert len(calls) == 1
+    assert len(tables) == 1 and len(classes) == 1
 
 
 def test_concentrate_enumerates_type_classes_once(capsys, record_calls):
-    calls = record_calls("concentration_yield_distribution", "entkit.schmidt", "entkit.cli")
+    tables = record_calls("concentration_yield_distribution", "entkit.schmidt", "entkit.cli")
+    classes = record_calls("_type_classes", "entkit.schmidt")
     code, out, _ = run_cli(capsys, "concentrate", "--n", "6", "--coeffs", "2/3,1/3")
     assert code == 0
     assert "expected yield:" in out
-    assert len(calls) == 1
+    assert len(tables) == 1 and len(classes) == 1
+
+
+def test_dilute_budget_past_every_string_keeps_every_class(capsys):
+    code, out, err = run_cli(
+        capsys, "dilute", "--n", "3", "--k", "100000000000", "--coeffs", "1/2,1/2", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    code, every, _ = run_cli(capsys, "dilute", "--n", "3", "--k", "3", "--coeffs", "1/2,1/2", "--format", "csv")
+    assert code == 0
+    summary, table = out.split("\n\n")
+    assert table == every.split("\n\n")[1]
+    assert summary == "n,k,classical_bits,fidelity\n3,100000000000,200000000000,1"
+
+
+_TEXT = st.lists(st.sampled_from(["a", " ", ",", '"', "\r", "\n", "x\ty", "é"]), max_size=4).map("".join)
+_CELLS = st.one_of(
+    _TEXT,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 0.0]),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.fractions(max_denominator=50),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rectangular body whose columns are each of one cell
+    strategy or of any mix, some spanning more than one CSV block."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([0, 1, 2, 5, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]))
+    columns = []
+    for _ in range(width):
+        cells = draw(st.sampled_from([_TEXT, st.floats(), st.integers(0, 300), _CELLS]))
+        # one drawn sample repeated, so long columns stay cheap to draw
+        sample = draw(st.lists(cells, min_size=1, max_size=8))
+        columns.append([sample[i % len(sample)] for i in range(rows)])
+    return draw(st.lists(_TEXT, min_size=width, max_size=width)), columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+@example((["a"], [["x,y"]]))
+@example((["a", "b"], [[1.5, 2.5], ['say "hi"', "x"]]))
+@example((["a", "b"], [["x\ny"] * (_CSV_BLOCK + 1), [1] * (_CSV_BLOCK + 1)]))
+@example((["a"], [["x", "", "y"]]))
+@example((["a", ""], [["x\r", "y"], ["", ""]]))
+def test_emit_csv_matches_csv_writer(table):
+    header, columns = table
+    want, got = io.StringIO(), io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(map(_reference_fmt, header))
+    writer.writerows([_reference_fmt(x) for x in row] for row in zip(*columns))
+    with contextlib.redirect_stdout(got):
+        _emit_csv(header, columns)
+    got, want = got.getvalue().split("\n"), want.getvalue().split("\n")
+    # the first differing line: a diff of a long table takes pytest minutes
+    assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
+    assert len(got) == len(want)
 
 
 # SHA-256 of stdout before the column-wise formatter; the coefficient sets
@@ -437,6 +500,21 @@ STDOUT_SHA256 = {
     "dilute --n 200 --k 60 --coeffs 1/3,1/3,1/3 --format text": "8fbaaf93be230770a9a44a7ab6da35b5c016587c21e740b54c4783fac0140a95",
     "concentrate --n 400 --coeffs 9/10,1/10 --format csv": "96de77c845492f485c1bd6d513ff9d890157d1c0d4d008418c2671dee71be7dc",
     "concentrate --n 400 --coeffs 9/10,1/10 --format text": "07ddb186dbf4d38c149925304a02656df9d735595cc374dd8b4f7b8042c1955c",
+    # taken before the tables were built column-wise: four and five
+    # letters, a zero letter, classes dropped past the float range, and two
+    # dilutions whose budget ends inside a class
+    "concentrate --n 30 --coeffs 2/5,1/5,1/5,1/5 --format csv": "9778bb673cc9a9876473fc023ba9ed281a5a322b31662b783cae6c231882f4d3",
+    "concentrate --n 30 --coeffs 2/5,1/5,1/5,1/5 --format text": "9527c54e3eb309b2c80d2eb84a4b714bc96a43d0f1a6fc587c3451ee0c7b6b91",
+    "concentrate --n 16 --coeffs 1/3,1/4,1/6,1/6,1/12 --format csv": "c379afe38a269ff8c34e41ff500fcf69e805c9effe31b063c7a47fce1c735713",
+    "concentrate --n 16 --coeffs 1/3,1/4,1/6,1/6,1/12 --format text": "2452b3242d1c2e3b420a67d4c55b125180671845d9c8feb6a978bbb9fad6058c",
+    "concentrate --n 50 --coeffs 1/2,1/2,0 --format csv": "a050abab909852fcb298173f7feb5ef348f3c4e719f4cdfdc3c7b32496b50483",
+    "concentrate --n 50 --coeffs 1/2,1/2,0 --format text": "6492df9498738687fdc4b16faf466ceaa7c1fceffd24b37f4e20df0e61f0f413",
+    "concentrate --n 2000 --coeffs 0.999,0.001 --format csv": "887231400396a430b1bd2c608c19c84191089c86fd8602acdd86a2d8d72d3233",
+    "concentrate --n 2000 --coeffs 0.999,0.001 --format text": "88a0689c815b1c597f5af458a455496c226a23c69f11b8a82d888add93c647e0",
+    "dilute --n 40 --k 20 --coeffs 1/2,1/3,1/6 --format csv": "0ac4a5ca9d2ba93a50282b59340d8fe92f94b5e714fd2b0144aaf9d171b9f15f",
+    "dilute --n 40 --k 20 --coeffs 1/2,1/3,1/6 --format text": "4adeb900c05434c2c6f7f609eca6d39e1bfa8723df59ec2cb1926c759ff725ac",
+    "dilute --n 12 --k 7 --coeffs 2/5,1/5,1/5,1/5 --format csv": "86704fb70fe0e5c8c78748d0bcc0695f0db2a34b7e2808b62da93cba4f378e66",
+    "dilute --n 12 --k 7 --coeffs 2/5,1/5,1/5,1/5 --format text": "438928654a1c6bef56066d5e49aea00046e4087f6652f8922a83aa9fafade191",
     "mregs-bounds --m 3 --format csv": "fa0c7ca9eeb47026db0cb5327c52e64071681321195ea6b6db37633e9d48fe6d",
     "mregs-bounds --m 3 --format text": "07277b5bede2750d50b9ee1a703ce4eea708013b8a6a8f17fb306018ef7d3f3b",
     "mregs-bounds --m 4 --format csv": "d37a3e026d046423daac9def45b91e871584f6e995f112dd9509096c2ae47b40",

@@ -345,16 +345,33 @@ def _weights_and_copies(draw):
 def test_type_classes_bit_identical_to_the_per_class_enumerator(case, k):
     probs, n = case
     want = list(_reference_type_classes(probs, n))
-    got = list(_type_classes(probs, n))
-    assert [c for c, _, _ in got] == [c for c, _, _ in want]
-    assert [p.hex() for _, p, _ in got] == [p.hex() for _, p, _ in want]
-    assert [s for _, _, s in got] == [s for _, _, s in want]
+    counts, per_string, sizes = _type_classes(probs, n).columns
+    assert list(zip(*counts)) == [c for c, _, _ in want]
+    assert [p.hex() for p in per_string.tolist()] == [p.hex() for _, p, _ in want]
+    assert sizes == [s for _, _, s in want]
     branches = concentration_yield_distribution(probs, n)
     assert all(type(b) is TypeBranch for b in branches)
+    assert list(zip(*branches.columns.counts)) == [c for c, _, _ in want]
     assert [_bits(b) for b in branches] == [_bits(r) for r in _reference_concentration(probs, n)]
-    assert [_bits(r) for r in dilution_retained_types(probs, n, k)] == [
-        _bits(r) for r in _reference_dilution(probs, n, k)
-    ]
+    assert all(type(x) is float for x in branches.columns.probability + branches.columns.yield_bits)
+    retained = dilution_retained_types(probs, n, k)
+    assert [_bits(r) for r in retained] == [_bits(r) for r in _reference_dilution(probs, n, k)]
+    assert all(type(x) is float for x in retained.columns[1])
+
+
+def test_tables_index_and_unpack_like_row_lists():
+    branches = concentration_yield_distribution([0.5, 0.3, 0.2], 4)
+    rows = list(branches)
+    assert len(branches) == len(rows) == 15
+    assert [branches[i] for i in range(-15, 15)] == rows + rows
+    assert branches[2:7:2] == rows[2:7:2]
+    with pytest.raises(IndexError):
+        branches[15]
+    counts, probability, size, yield_bits, yield_floor = branches[-1]
+    assert (counts, size, yield_floor) == ((4, 0, 0), 1, 0)
+    retained = dilution_retained_types([0.5, 0.3, 0.2], 4, 3)
+    assert [len(row) for row in retained] == [4] * len(retained)
+    assert sum(kept for _, _, _, kept in retained) == 8
 
 
 def test_type_branch_is_an_immutable_named_tuple():

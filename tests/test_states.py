@@ -85,6 +85,24 @@ def test_canonical_partitions_match_brute_force(m):
     assert all(part.canonical() == part for part in parts)
 
 
+@pytest.mark.parametrize("m", range(3, 7))
+def test_partition_hash_is_its_fields_hash_and_order_is_unchanged(m):
+    sides = [
+        Partition(m, members)
+        for size in range(1, m)
+        for members in itertools.combinations(range(m), size)
+    ]
+    assert all(hash(p) == hash((p.num_parties, p.members)) for p in sides)
+    # the same hash for the same cut however its members are spelled
+    assert hash(Partition(m, (m - 1, 0, 0))) == hash(Partition(m, (0, m - 1)))
+    assert Partition(m, (m - 1, 0)) == Partition(m, (0, m - 1))
+    assert Partition(m, (0,)) != Partition(m + 1, (0,))
+    assert sorted(sides, reverse=True) == sorted(
+        sides, key=lambda p: (p.num_parties, p.members), reverse=True
+    )
+    assert list({p: None for p in reversed(sides)}) == sides[::-1]
+
+
 def test_canonical_partitions_returns_a_fresh_list():
     first = canonical_partitions(4)
     expected = list(first)
