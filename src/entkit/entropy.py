@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import _unchecked_eigenvalues
-from .states import Partition, PureState, _gram_axes, canonical_partitions
+from .states import Partition, PureState, _gram_axes, _keep_indices, canonical_partitions
 
 __all__ = [
     "shannon_entropy",
@@ -108,7 +108,9 @@ class EntropyVector:
             raise ValueError("entropy vector must cover exactly the canonical partitions")
 
     def __getitem__(self, key: Partition | Iterable[int]) -> float:
-        if not isinstance(key, Partition):
+        if isinstance(key, Partition):
+            _keep_indices(self.num_parties, key)  # refuses another party count
+        else:
             key = Partition(self.num_parties, tuple(key))
         return self.values[key.canonical()]
 

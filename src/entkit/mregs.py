@@ -134,10 +134,6 @@ class EntropyMatrix:
             self.rows + (_as_row(self.num_parties, vector),),
         )
 
-    @property
-    def num_generators(self) -> int:
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class CoefficientSolution:
@@ -502,14 +498,16 @@ def mregs_lower_bound(m: int) -> MregsBound:
     bound = baseline
     results: list[ProbeResult] = []
     for label, state in _default_probes(m):
-        verdict = solve_coefficients(gens, state)
+        # the probe's exact entropy row, computed once for both calls
+        row = _as_row(m, state)
+        verdict = solve_coefficients(gens, row)
         if isinstance(verdict, Infeasible):
             if not verdict.verified:
                 raise InternalError(
                     f"certificate for probe {label!r} failed verification"
                 )
             bound += 1
-            gens = gens.with_generator(label, state)
+            gens = gens.with_generator(label, row)
             results.append(
                 ProbeResult(label, True, verdict.certificate, verdict.reason)
             )

@@ -22,17 +22,20 @@ they touch, not as matrices on the whole party: a step may declare the
 party's current `factor_dims` and the factors `on` which it acts, and the
 simulator contracts the small operator over those axes of the state.
 
-Operators are checked once, when a step is built or loaded: their shape
-against the step's placement, each unitary and conditioned matrix for
-being an isometry, each measurement for Hermitian, idempotent projectors
-that sum to the identity; a failed check, like a negative party, is a
-ValueError, and `protocol_from_list` names the step. `run` checks only
-what depends on the state, and raises ProtocolError for a step on a party
-the state does not have, factors that do not multiply to the party's
-current dimension, a reached transcript with no table entry, a discard of
-factors that are not in a product state, a step after which every branch
-was pruned, probability drift, and (EntropyMonotonicityError) entropy
-growth.
+Every step is placed once, when it is built or loaded, by one rule
+(`_factor_layout`: integer placement values, distinct factor indices in
+range, positive dimensions); a discard is placed as an operator that
+consumes the dropped factors and emits none. Operators are checked then
+too: their shape against the step's placement, each unitary and
+conditioned matrix for being an isometry, each measurement for
+Hermitian, idempotent projectors that sum to the identity; a failed
+check, like a negative party, is a ValueError, and `protocol_from_list`
+names the step. `run` checks only what depends on the state, and raises
+ProtocolError for a step on a party the state does not have, factors
+that do not multiply to the party's current dimension, a reached
+transcript with no table entry, a discard of factors that are not in a
+product state, a step after which every branch was pruned, probability
+drift, and (EntropyMonotonicityError) entropy growth.
 
 Every branch shares the same dims after every step, so the branch set is
 one complex array of shape (B, dim), with a probability vector and a list
@@ -136,13 +139,19 @@ def _step_fields(cls: type) -> tuple[tuple[str, bool], ...]:
     return tuple((f.name, f.default is MISSING) for f in fields(cls))
 
 
+def _integer(value) -> int:
+    """A placement value (a party, a factor dimension or index, `insert_at`)
+    as a Python int, from any integer type. A bool, a float or a string is
+    refused, not rounded or cast, in built steps and protocol files alike."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"expected an integer, not {value!r}")
+    return operator.index(value)
+
+
 def _check_party(party: int) -> int:
-    """The party as a Python int, from any integer type; a bool is refused,
-    as the protocol-file loader refuses it, and so is a negative party.
-    `run` checks that the party exists."""
-    if isinstance(party, bool):
-        raise ValueError(f"expected an integer, not {party!r}")
-    party = operator.index(party)
+    """The party as a Python int (see `_integer`); a negative party is
+    refused. `run` checks that the party exists."""
+    party = _integer(party)
     if party < 0:
         raise ValueError(f"party must be nonnegative, not {party}")
     return party
@@ -165,11 +174,10 @@ def _place(step, ops: Sequence[np.ndarray]) -> None:
         shape = ops[0].shape
         factors, out_dims = shape[-1:], shape[:1] if isinstance(step, LocalUnitary) else None
     else:
-        object.__setattr__(step, "factor_dims", tuple(int(d) for d in step.factor_dims))
-        for name in placement:
+        for name in ("factor_dims", *placement):
             value = getattr(step, name)
             if value is not None:
-                value = int(value) if name == "insert_at" else tuple(int(i) for i in value)
+                value = _integer(value) if name == "insert_at" else tuple(map(_integer, value))
                 object.__setattr__(step, name, value)
         factors, out_dims = step.factor_dims, getattr(step, "out_dims", None)
     layout = _factor_layout(factors, step.on, out_dims, getattr(step, "insert_at", None), ops)
@@ -291,8 +299,10 @@ class DiscardSubsystem:
 
     `factor_dims` declares the factorization of the party's current local
     dimension (most significant first); `discard` lists the factor indices
-    to drop. The dropped factors must be in a product state with the rest
-    of the system on every branch; otherwise the step fails.
+    to drop, stored sorted. Its `layout` places it as an operator that
+    consumes them and emits none. The dropped factors must be in a product
+    state with the rest of the system on every branch; otherwise the step
+    fails.
     """
 
     party: int
@@ -301,14 +311,13 @@ class DiscardSubsystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "party", _check_party(self.party))
-        object.__setattr__(self, "factor_dims", _positive_factors(self.factor_dims))
-        object.__setattr__(self, "discard", tuple(sorted(int(i) for i in self.discard)))
-        if not self.discard:
+        discard = tuple(sorted(map(_integer, self.discard)))
+        if not discard:
             raise ValueError("discard list must be nonempty")
-        if len(set(self.discard)) != len(self.discard):
-            raise ValueError("duplicate factor index in discard list")
-        if any(i < 0 or i >= len(self.factor_dims) for i in self.discard):
-            raise ValueError("discard index out of range")
+        layout = _factor_layout(self.factor_dims, discard, out_dims=())
+        object.__setattr__(self, "factor_dims", layout.factors)
+        object.__setattr__(self, "discard", discard)
+        object.__setattr__(self, "layout", layout)
 
 
 ProtocolStep = Union[LocalUnitary, LocalMeasurement, ConditionedUnitary, DiscardSubsystem]
@@ -349,9 +358,6 @@ class ProtocolRun:
     branches: tuple[Branch, ...]
     probability_drift: float
     step_stats: tuple[StepStats, ...] = ()
-
-    def total_probability(self) -> float:
-        return sum(b.probability for b in self.branches)
 
     def branch_fidelities(self, target: PureState) -> list[float]:
         return [fidelity(b.state, target) for b in self.branches]
@@ -404,16 +410,16 @@ def _condition(step: ConditionedUnitary, transcripts, where: str) -> list:
     return [(mat, None if len(groups) == 1 else np.array(rows)) for mat, rows in groups.values()]
 
 
-def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray):
+def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
     """Drop product factors from every branch row: one stacked purity check
     and one stacked eigensystem call on the discarded factors' Grams.
-    Returns the new dims and rows."""
-    party = step.party
-    d_disc = math.prod(step.factor_dims[i] for i in step.discard)
+    Returns the new rows."""
+    party, layout = step.party, step.layout
+    d_disc = layout.shape[1]
     # one axis per factor of the party; the discarded ones move to the front
     # and everything else keeps its order, which is the layout after the step
-    shape = dims[:party] + step.factor_dims + dims[party + 1 :]
-    discarded = [1 + party + i for i in step.discard]
+    shape = dims[:party] + layout.factors + dims[party + 1 :]
+    discarded = [1 + party + i for i in layout.on]
     chunks = _row_chunks(len(amps), amps.shape[1])
 
     def split(chunk: slice) -> np.ndarray:
@@ -435,7 +441,7 @@ def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray):
     out = np.empty((len(amps), amps.shape[1] // d_disc), dtype=complex)
     for chunk in chunks:
         out[chunk] = (principal[chunk] @ split(chunk))[:, 0]
-    return dims[:party] + (dims[party] // d_disc,) + dims[party + 1 :], out
+    return out
 
 
 def run(
@@ -462,43 +468,40 @@ def run(
             raise ProtocolError(f"{where}: unknown protocol step {step!r}")
         if step.party >= len(dims):
             raise ProtocolError(f"{where}: step references party {step.party}, state has {len(dims)}")
-        discard = isinstance(step, DiscardSubsystem)
-        factors = step.factor_dims if discard else step.layout.factors
-        if math.prod(factors) != dims[step.party]:
+        layout = step.layout
+        if math.prod(layout.factors) != dims[step.party]:
             raise ProtocolError(
-                f"{where}: factors {list(factors)} do not multiply to the "
+                f"{where}: factors {list(layout.factors)} do not multiply to the "
                 f"party dimension {dims[step.party]}"
             )
+        new_dims = dims[: step.party] + (math.prod(layout.new_factors),) + dims[step.party + 1 :]
+        size = math.prod(new_dims)
         pruned, pruned_mass = 0, 0.0
-        if discard:
-            dims, amps = _discard(step, dims, amps)
+        if isinstance(step, DiscardSubsystem):
+            out = _discard(step, dims, amps)
+        elif isinstance(step, LocalMeasurement):
+            # row b * K + k holds branch b after outcome k
+            k = len(step.projectors)
+            out = _empty_rows((len(amps), k), size)
+            for i, proj in enumerate(step.projectors):
+                _apply_to_rows(proj, layout, step.party, dims, amps, out[:, i])
+            out = out.reshape(-1, size)
+            probs = (probs[:, None] * np.reshape(_squared_norms(out), (-1, k))).reshape(-1)
+            transcripts = [t + (o,) for t in transcripts for o in step.outcomes]
+            kept = ~(probs < _PRUNE_THRESHOLD)
+            if not kept.all():
+                pruned, pruned_mass = int(len(kept) - kept.sum()), float(probs[~kept].sum())
+                out, probs = out[kept], probs[kept]
+                transcripts = list(itertools.compress(transcripts, kept.tolist()))
         else:
-            layout = step.layout
-            new_dims = dims[: step.party] + (math.prod(layout.new_factors),) + dims[step.party + 1 :]
-            size = math.prod(new_dims)
-            if isinstance(step, LocalMeasurement):
-                # row b * K + k holds branch b after outcome k
-                k = len(step.projectors)
-                out = _empty_rows((len(amps), k), size)
-                for i, proj in enumerate(step.projectors):
-                    _apply_to_rows(proj, layout, step.party, dims, amps, out[:, i])
-                out = out.reshape(-1, size)
-                probs = (probs[:, None] * np.reshape(_squared_norms(out), (-1, k))).reshape(-1)
-                transcripts = [t + (o,) for t in transcripts for o in step.outcomes]
-                kept = ~(probs < _PRUNE_THRESHOLD)
-                if not kept.all():
-                    pruned, pruned_mass = int(len(kept) - kept.sum()), float(probs[~kept].sum())
-                    out, probs = out[kept], probs[kept]
-                    transcripts = list(itertools.compress(transcripts, kept.tolist()))
+            if isinstance(step, LocalUnitary):
+                groups = [(step.matrix, None)]
             else:
-                if isinstance(step, LocalUnitary):
-                    groups = [(step.matrix, None)]
-                else:
-                    groups = _condition(step, transcripts, where)
-                out = _empty_rows((len(amps),), size)
-                for mat, rows in groups:
-                    _apply_to_rows(mat, layout, step.party, dims, amps, out, rows)
-            dims, amps = new_dims, out
+                groups = _condition(step, transcripts, where)
+            out = _empty_rows((len(amps),), size)
+            for mat, rows in groups:
+                _apply_to_rows(mat, layout, step.party, dims, amps, out, rows)
+        dims, amps = new_dims, out
         if not len(amps):
             raise ProtocolError(f"{where}: every branch fell below the pruning threshold")
         _normalize_rows(amps, np.sqrt(_squared_norms(amps)).tolist())
@@ -553,8 +556,8 @@ class _FactorLayout:
 
 
 def _positive_factors(dims: Sequence[int]) -> tuple[int, ...]:
-    """A party's factor dimensions as ints; refuses any below 1."""
-    factors = tuple(int(d) for d in dims)
+    """A party's factor dimensions as ints (see `_integer`); refuses any below 1."""
+    factors = tuple(map(_integer, dims))
     if any(d < 1 for d in factors):
         raise ValueError("factor dimensions must be positive")
     return factors
@@ -571,11 +574,11 @@ def _factor_layout(
     shape it gives."""
     factors = _positive_factors(factor_dims)
     n = len(factors)
-    on = tuple(range(n)) if on is None else tuple(int(i) for i in on)
+    on = tuple(range(n)) if on is None else tuple(map(_integer, on))
     if len(set(on)) != len(on):
-        raise ValueError("duplicate factor index in `on`")
+        raise ValueError(f"duplicate factor index in {list(on)}")
     if any(i < 0 or i >= n for i in on):
-        raise ValueError("factor index out of range")
+        raise ValueError(f"factor index out of range in {list(on)} for factors {list(factors)}")
     in_dims = tuple(factors[i] for i in on)
     out = in_dims if out_dims is None else _positive_factors(out_dims)
     rest = tuple(i for i in range(n) if i not in on)
@@ -591,7 +594,7 @@ def _factor_layout(
         if on:
             anchor = min(on)
         else:
-            anchor = n if insert_at is None else int(insert_at)
+            anchor = n if insert_at is None else _integer(insert_at)
             if anchor < 0 or anchor > n:
                 raise ValueError("insert_at out of range")
         before = tuple(axis[slot] for slot in rest if slot < anchor)
@@ -684,11 +687,11 @@ def _all_or_nothing(method):
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        saved = list(self._steps), list(self._factors), list(self._outcome_sets)
+        saved = list(self._steps), list(self._factors)
         try:
             return method(self, *args, **kwargs)
         except BaseException:
-            self._steps, self._factors, self._outcome_sets = saved
+            self._steps, self._factors = saved
             raise
 
     return wrapper
@@ -710,10 +713,10 @@ class ProtocolBuilder:
         if not self._factors:
             raise ValueError("need at least one party")
         self._steps: list[ProtocolStep] = []
-        self._outcome_sets: list[tuple[str, ...]] = []
 
     def factor_dims(self, party: int) -> tuple[int, ...]:
         """The party's current factors; every method reads a party here."""
+        party = _integer(party)
         if not 0 <= party < len(self._factors):
             raise ValueError(f"party {party} out of range for {len(self._factors)} parties")
         return self._factors[party]
@@ -740,13 +743,11 @@ class ProtocolBuilder:
     def _add(self, step: ProtocolStep) -> None:
         """Append a built step and take the party factors it leaves."""
         self._steps.append(step)
-        if isinstance(step, DiscardSubsystem):
-            kept = (d for i, d in enumerate(step.factor_dims) if i not in step.discard)
-            self._factors[step.party] = tuple(kept)
-        else:
-            self._factors[step.party] = step.layout.new_factors
-        if isinstance(step, LocalMeasurement):
-            self._outcome_sets.append(step.outcomes)
+        self._factors[step.party] = step.layout.new_factors
+
+    def _outcome_sets(self) -> list[tuple[str, ...]]:
+        """The outcome labels of each measurement so far, in order."""
+        return [step.outcomes for step in self._steps if isinstance(step, LocalMeasurement)]
 
     @_all_or_nothing
     def unitary(
@@ -793,7 +794,7 @@ class ProtocolBuilder:
     ) -> None:
         """Add a unitary chosen by the transcript, tabulated over all of them."""
         placement = self._placement(party, on)
-        table = {transcript: matrix_for(transcript) for transcript in itertools.product(*self._outcome_sets)}
+        table = {transcript: matrix_for(transcript) for transcript in itertools.product(*self._outcome_sets())}
         self._add(ConditionedUnitary(party, table, *placement))
 
     @_all_or_nothing
@@ -804,7 +805,7 @@ class ProtocolBuilder:
     def move_factors(self, party: int, order: Sequence[int]) -> None:
         """Permute a party's factors into `order` (old indices, new order),
         one swap of neighbouring factors per step."""
-        new_order = [int(i) for i in order]
+        new_order = list(map(_integer, order))
         if sorted(new_order) != list(range(len(self.factor_dims(party)))):
             raise ValueError("order must list every factor exactly once")
         slots = list(range(len(new_order)))
@@ -845,7 +846,7 @@ class ProtocolBuilder:
         if not receivers:
             raise ValueError("teleport needs at least one receiver")
         self.bell_measure(sender, payload, leg)
-        position = len(self._outcome_sets) - 1
+        position = len(self._outcome_sets()) - 1
 
         def correction(transcript: tuple[str, ...], fix_phase: bool) -> np.ndarray:
             outcome = transcript[position]
@@ -891,10 +892,9 @@ class ProtocolBuilder:
         iso = np.zeros((d * n_out, d), dtype=complex)
         for i, k in enumerate(ops):
             iso[i::n_out, :] = k
-        factors, on = self._placement(party, on)
-        if not all(0 <= i < len(factors) for i in on):
-            raise ValueError("factor index out of range")
-        ancilla = self.unitary(party, iso, on, [factors[i] for i in on] + [n_out])[-1:]
+        placed = _factor_layout(self.factor_dims(party), on)
+        out_dims = [placed.factors[i] for i in placed.on] + [n_out]
+        ancilla = self.unitary(party, iso, placed.on, out_dims)[-1:]
         basis_projs = [np.diag(row) for row in np.eye(n_out, dtype=complex)]
         self.measure(party, basis_projs, outcomes, on=ancilla)
         self.discard(party, ancilla)
@@ -968,13 +968,10 @@ def eprs_to_cat(m: int, center: int = 0) -> list[ProtocolStep]:
     layout: list[list[int]] = [[2] for _ in range(m)]
     layout[center] = [2] * m + [2] * (m - 1)
     builder = ProtocolBuilder(layout)
-    # name the center's factors so positions survive the discards
-    names = [f"cat{q}" for q in range(m)] + [f"leg{p}" for p in others]
     for position, other in enumerate(others):
-        payload = names.index(f"cat{1 + position}")
-        leg = names.index(f"leg{other}")
-        builder.teleport(center, payload, leg, receivers=[(other, 0)])
-        names = [x for x in names if x not in (f"cat{1 + position}", f"leg{other}")]
+        # each earlier teleport dropped its cat qubit and its leg: cat qubit
+        # 1 + position is factor 1, and its leg follows the m - position cats left
+        builder.teleport(center, 1, m - position, receivers=[(other, 0)])
     return builder.steps()
 
 
@@ -1174,8 +1171,8 @@ def dilution_end_to_end(
 # accepted as real). Unitary, measurement and conditioned entries may add
 # "factor_dims" and "on" (and a unitary "out_dims" and "insert_at"); without
 # them the step acts on the whole party. Parties, dimensions and factor
-# indices are JSON integers. Keys a step type does not have are ignored,
-# and a null value leaves its field unset.
+# indices are JSON integers (`_integer`). Keys a step type does not have
+# are ignored, and a null value leaves its field unset.
 
 # JSON numbers as `json` decodes them; types are compared exactly, since
 # bool is a subclass of int
@@ -1202,12 +1199,6 @@ def _matrix_from_json(payload) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _json_int(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, not {value!r}")
-    return value
-
-
 def _field_to_json(name: str, value):
     if name == "matrix":
         return _matrix_to_json(value)
@@ -1221,7 +1212,7 @@ def _field_to_json(name: str, value):
 def _field_from_json(name: str, value):
     """A field's value from its file entry."""
     if name in ("party", "insert_at"):
-        return _json_int(value)
+        return _integer(value)
     if name == "matrix":
         return _matrix_from_json(value)
     if name == "projectors":
@@ -1234,7 +1225,7 @@ def _field_from_json(name: str, value):
         return tuple(value)
     if type(value) is not list:
         raise ValueError(f"expected a list of integers, not {value!r}")
-    return tuple(map(_json_int, value))
+    return tuple(map(_integer, value))
 
 
 def protocol_to_list(steps: Sequence[ProtocolStep]) -> list[dict]:

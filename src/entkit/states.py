@@ -171,13 +171,6 @@ class PureState:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def drop_trivial_parties(self) -> "PureState":
-        """Remove parties of local dimension 1 (keeps at least one party)."""
-        keep = tuple(d for d in self.dims if d > 1)
-        if not keep:
-            keep = (1,)
-        return PureState(keep, self.amplitudes)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PureState(dims={self.dims})"
 

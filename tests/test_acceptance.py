@@ -135,7 +135,7 @@ def test_criterion_3_exact_protocols_and_monotonicity():
         steps = random_protocol(rng)
         state = random_pure_state((2, 2, 2), rng)
         outcome = run(steps, state, check_entropy=True)
-        assert abs(outcome.total_probability() - 1.0) <= 1e-9
+        assert abs(sum(b.probability for b in outcome.branches) - 1.0) <= 1e-9
     _verdict(
         3,
         f"{checked_branches} conversion branches at 1e-9, entropy"

@@ -334,6 +334,13 @@ def test_zero_non_finite_and_empty_stacks():
         entropy_vector(stack[:0], [])
 
 
+def test_a_partition_of_another_party_count_is_refused_by_name():
+    vec = entropy_vector(cat_state(3))
+    assert vec[Partition(3, (0,))] == vec[(0,)]
+    with pytest.raises(ValueError, match="partition refers to a different number of parties"):
+        vec[Partition(4, (0,))]
+
+
 def test_entropy_vector_of_a_stack_is_the_weighted_sum():
     states, stack = mixed_stack((2, 2, 3), 5)
     weights = np.random.default_rng(6).dirichlet(np.ones(len(states)))

@@ -150,9 +150,10 @@ README_EIGENSOLVER_CALLERS = {
 }
 
 
-def _callers(names: set[str]) -> set[str]:
+def _callers(names: set[str], match=lambda call: True) -> set[str]:
     """`module.function` of every function in `src/entkit` whose own body
-    (nested functions excluded) calls one of `names`."""
+    (nested functions excluded) calls one of `names`, in a call `match`
+    accepts."""
     callers = set()
 
     class Visitor(ast.NodeVisitor):
@@ -166,7 +167,7 @@ def _callers(names: set[str]) -> set[str]:
 
         def visit_Call(self, node):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in names and self.stack:
+            if name in names and self.stack and match(node):
                 callers.add(f"{self.module}.{self.stack[-1]}")
             self.generic_visit(node)
 
@@ -191,3 +192,12 @@ def test_partial_entropies_come_from_the_block_routine():
     # every partial entropy is a `shannon_entropy` of `_cut_blocks`' spectra;
     # `cat_yield` is the entropy of Schmidt weights, not of a cut spectrum
     assert _callers({"shannon_entropy"}) == {"entropy._cut_blocks", "schmidt.cat_yield"}
+
+
+def test_only_run_tells_a_discard_from_an_operator_step():
+    # every step carries a factor layout, so reading or updating a party's
+    # factors needs no discard case; only the simulator's dispatch has one
+    def names_discard(call):
+        return any(getattr(node, "id", None) == "DiscardSubsystem" for node in ast.walk(call.args[1]))
+
+    assert _callers({"isinstance"}, names_discard) == {"protocols.run"}

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entkit import mregs
+from entkit import entropy, mregs
 from entkit.builders import (
     cat_state,
     codeword5,
@@ -142,6 +142,16 @@ def test_lower_bounds(m, expected):
     for probe in result.probes:
         if probe.infeasible:
             assert probe.certificate is not None
+
+
+def test_lower_bound_computes_each_exact_entropy_row_once(monkeypatch):
+    # one block pass per EPR generator and one per probe: a counted probe's
+    # row is not computed again when it joins the generators
+    passes = []
+    blocks = entropy._cut_blocks
+    monkeypatch.setattr(entropy, "_cut_blocks", lambda stack: passes.append(1) or blocks(stack))
+    result = mregs_lower_bound(6)
+    assert len(passes) == result.baseline + len(result.probes) == 31
 
 
 def test_lower_bound_trace_mentions_ratio():
@@ -347,7 +357,7 @@ def eprs_and_embedded_cats(m):
 
 def test_wide_kernel_mix_over_eprs_and_embedded_cats():
     gens = eprs_and_embedded_cats(5)
-    assert gens.num_generators == 26
+    assert len(gens.labels) == 26
     target = [sum(column) for column in zip(*gens.rows)]
     _, kernel = _solve_exact(list(zip(*gens.rows)), target, 26)
     assert len(kernel) == 11
@@ -364,7 +374,7 @@ def test_wide_kernel_mix_over_eprs_and_embedded_cats():
 def test_scale_mixes_over_eprs_and_embedded_cats():
     for m, size, budget in ((6, 57, 1.0), (7, 120, 10.0)):
         gens = eprs_and_embedded_cats(m)
-        assert gens.num_generators == size
+        assert len(gens.labels) == size
         target = [sum(column) for column in zip(*gens.rows)]
         start = time.perf_counter()
         sol = solve_coefficients(gens, target)
@@ -671,6 +681,6 @@ def test_feasibility_matches_highs_on_mixes(m):
         outcome = solve_coefficients(gens, target)
         feasible = isinstance(outcome, CoefficientSolution)
         assert feasible or outcome.verified
-        assert feasible == highs_feasible(list(zip(*gens.rows)), target, gens.num_generators)
+        assert feasible == highs_feasible(list(zip(*gens.rows)), target, len(gens.labels))
         verdicts.add(feasible)
     assert verdicts == {True, False}

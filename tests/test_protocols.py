@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -114,9 +115,9 @@ def test_teleportation_exact():
     assert len(outcome.branches) == 4
     for branch in outcome.branches:
         assert branch.probability == pytest.approx(0.25, abs=1e-12)
-        received = branch.state.drop_trivial_parties()
-        got = received if received.num_parties == 1 else branch.state
-        overlap = abs(np.vdot(got.amplitudes, payload.amplitudes))
+        # the sender's party is left with dimension 1, the receiver's holds the payload
+        assert branch.state.dims == (1, 2)
+        overlap = abs(np.vdot(branch.state.amplitudes, payload.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -138,7 +139,7 @@ def test_cat_to_epr_all_pairs(m):
     for i, j in itertools.combinations(range(m), 2):
         outcome = run(cat_to_epr(m, i, j), cat_state(m))
         assert len(outcome.branches) == 2 ** (m - 2)
-        assert outcome.total_probability() == pytest.approx(1.0, abs=1e-9)
+        assert sum(b.probability for b in outcome.branches) == pytest.approx(1.0, abs=1e-9)
         target_gram = reduced_gram(epr_between(m, i, j), (i, j))
         for branch in outcome.branches:
             got = reduced_gram(branch.state, (i, j))
@@ -185,7 +186,7 @@ def test_probabilities_renormalized():
     plus, minus = hadamard_projectors()
     builder.measure(0, [plus, minus], ["+", "-"])
     outcome = run(builder.steps(), epr_pair())
-    assert outcome.total_probability() == pytest.approx(1.0, abs=1e-12)
+    assert sum(b.probability for b in outcome.branches) == pytest.approx(1.0, abs=1e-12)
     assert outcome.probability_drift < 1e-9
 
 
@@ -242,7 +243,7 @@ def test_random_protocols_satisfy_monotonicity():
         steps = random_protocol(rng)
         state = random_pure_state((2, 2, 2), rng)
         outcome = run(steps, state, check_entropy=True)
-        assert outcome.total_probability() == pytest.approx(1.0, abs=1e-9)
+        assert sum(b.probability for b in outcome.branches) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- POVM ---------------------------------------------------------------------
@@ -370,18 +371,20 @@ def test_builder_refuses_nonpositive_factors():
     assert ProtocolBuilder([[2], []]).party_dim(1) == builder.party_dim(1) == 1
 
 
-def test_numpy_integer_parties_are_stored_as_ints_and_round_trip(tmp_path):
+def test_numpy_integer_placement_values_are_stored_as_ints_and_round_trip(tmp_path):
     plus, minus = hadamard_projectors()
     steps = [
-        LocalUnitary(np.int64(0), X),
+        LocalUnitary(np.int64(0), X, factor_dims=np.array([2, 1]), on=np.array([0])),
         LocalMeasurement(np.int32(1), (plus, minus), ("+", "-")),
         ConditionedUnitary(np.uint8(0), {("+",): X, ("-",): np.eye(2)}),
-        DiscardSubsystem(np.int64(1), (2, 1), (1,)),
+        DiscardSubsystem(np.int64(1), np.array([2, 1]), np.array([1])),
     ]
     builder = ProtocolBuilder([[2], [2]])
     builder.unitary(np.int64(1), X)
     steps += builder.steps()
     assert [(s.party, type(s.party)) for s in steps] == [(0, int), (1, int), (0, int), (1, int), (1, int)]
+    placed = steps[0].factor_dims + steps[0].on + steps[3].factor_dims + steps[3].discard
+    assert [(v, type(v)) for v in placed] == [(2, int), (1, int), (0, int), (2, int), (1, int), (1, int)]
     path = str(tmp_path / "p.json")
     save_protocol(steps, path)
     loaded = load_protocol(path)
@@ -389,6 +392,61 @@ def test_numpy_integer_parties_are_stored_as_ints_and_round_trip(tmp_path):
     for build in (lambda: LocalUnitary(True, X), lambda: DiscardSubsystem(True, (2,), (0,))):
         with pytest.raises(ValueError, match="expected an integer, not True"):
             build()
+
+
+def _integer_rule_calls(value) -> dict[str, list]:
+    """For each step type, `expand_factor_op` and each `ProtocolBuilder`
+    method, calls that pass `value` as one placement value (a party, a
+    factor dimension or index, or `insert_at`) and are valid otherwise."""
+    plus, minus = hadamard_projectors()
+    builder = ProtocolBuilder([[2, 2], [2]])
+    ket = [[1], [0]]
+    return {
+        "LocalUnitary": [
+            lambda: LocalUnitary(value, X),
+            lambda: LocalUnitary(0, X, factor_dims=(2, 2), on=(value,)),
+            lambda: LocalUnitary(0, X, factor_dims=(value, 2), on=(1,)),
+            lambda: LocalUnitary(0, ket, factor_dims=(2,), on=(), out_dims=(value,)),
+            lambda: LocalUnitary(0, ket, factor_dims=(2,), on=(), out_dims=(2,), insert_at=value),
+        ],
+        "LocalMeasurement": [lambda: LocalMeasurement(0, (plus, minus), "+-", factor_dims=(2, 2), on=(value,))],
+        "ConditionedUnitary": [lambda: ConditionedUnitary(0, {(): X}, factor_dims=(2, 2), on=(value,))],
+        "DiscardSubsystem": [
+            lambda: DiscardSubsystem(value, (2, 2), (0,)),
+            lambda: DiscardSubsystem(0, (2, 2), (value,)),
+            lambda: DiscardSubsystem(0, (value, 2), (1,)),
+        ],
+        "expand_factor_op": [lambda: expand_factor_op(X, (2, 2), on=(value,))],
+        "ProtocolBuilder": [lambda: ProtocolBuilder([[value, 2]])],
+        "factor_dims": [lambda: builder.factor_dims(value)],
+        "party_dim": [lambda: builder.party_dim(value)],
+        "regroup": [lambda: builder.regroup(0, [value, 4])],
+        "unitary": [lambda: builder.unitary(value, X), lambda: builder.unitary(0, X, on=[value])],
+        "add_ancilla": [lambda: builder.add_ancilla(0, [1, 0], insert_at=value)],
+        "measure": [lambda: builder.measure(0, [plus, minus], "+-", on=[value])],
+        "conditioned": [lambda: builder.conditioned(0, lambda t: X, on=[value])],
+        "discard": [lambda: builder.discard(0, [value])],
+        "move_factors": [lambda: builder.move_factors(0, [value, 0])],
+        "bell_measure": [lambda: builder.bell_measure(0, value, 1)],
+        "teleport": [lambda: builder.teleport(0, value, 1, [(1, 0)]), lambda: builder.teleport(0, 0, 1, [(1, value)])],
+        "povm": [lambda: builder.povm(0, _KRAUS, on=[value])],
+    }
+
+
+def test_the_integer_rule_calls_cover_every_step_type_and_builder_method():
+    public = {name for name in vars(ProtocolBuilder) if not name.startswith("_")} - {"steps"}
+    steps = {cls.__name__ for cls in (LocalUnitary, LocalMeasurement, ConditionedUnitary, DiscardSubsystem)}
+    assert set(_integer_rule_calls(0)) == public | steps | {"ProtocolBuilder", "expand_factor_op"}
+
+
+@pytest.mark.parametrize("value", [0.7, 1.6, 2.9, True, np.bool_(False), "0", np.float64(1.0)])
+def test_built_steps_refuse_a_non_integer_placement_value(value):
+    # a protocol file refuses these values (MALFORMED_PROTOCOLS); a step or
+    # builder call refuses them too, rather than rounding or casting them
+    for calls in _integer_rule_calls(value).values():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"expected an integer, not {re.escape(repr(value))}"):
+                call()
 
 
 @pytest.mark.parametrize("party", [-1, 2])
@@ -518,9 +576,8 @@ def test_saved_protocol_files_are_pinned(tmp_path, make, digest):
 
 _I2 = [[1, 0], [0, 1]]
 
-# (bad step, what its error says); each check an operator step makes when
-# it is built
-BAD_OPERATOR_STEPS = [
+# (bad step, what its error says); each check a step makes when it is built
+BAD_STEPS = [
     ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [2, 2], "on": [0, 1]}, "operator of shape (2, 2) does not act on factors [0, 1] of [2, 2]; expected (4, 4)"),
     ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [2], "on": [1]}, "factor index out of range"),
     ({"type": "unitary", "party": 0, "matrix": _I2, "factor_dims": [0, 2], "on": [1]}, "factor dimensions must be positive"),
@@ -539,11 +596,16 @@ BAD_OPERATOR_STEPS = [
     ({"type": "conditioned", "party": 0, "table": {"": [[1, 0], [0, 1], [0, 0]]}}, "operator of shape (3, 2) does not act"),
     # checked although no branch can reach the transcript "b"
     ({"type": "conditioned", "party": 0, "table": {"a": _I2, "b": [[1, 0], [0, 2]]}}, "matrix is not an isometry"),
+    # a discard is placed by the same rule, so its messages name no operator field
+    ({"type": "discard", "party": 0, "factor_dims": [2, 2], "discard": [1, 1]}, "duplicate factor index in [1, 1]"),
+    ({"type": "discard", "party": 0, "factor_dims": [2, 2], "discard": [2]}, "factor index out of range in [2] for factors [2, 2]"),
+    ({"type": "discard", "party": 0, "factor_dims": [2, 0], "discard": [0]}, "factor dimensions must be positive"),
+    ({"type": "discard", "party": 0, "factor_dims": [2, 2], "discard": []}, "discard list must be nonempty"),
 ]
 
 
-@pytest.mark.parametrize("bad, message", BAD_OPERATOR_STEPS)
-def test_each_operator_check_names_the_step_of_a_bad_file(tmp_path, bad, message):
+@pytest.mark.parametrize("bad, message", BAD_STEPS)
+def test_each_step_check_names_the_step_of_a_bad_file(tmp_path, bad, message):
     path = tmp_path / "p.json"
     path.write_text(json.dumps([{"type": "unitary", "party": 0, "matrix": _I2}, bad]))
     with pytest.raises(ValueError) as excinfo:
