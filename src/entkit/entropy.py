@@ -177,13 +177,24 @@ def _cuts_by_size(dims: tuple[int, ...]) -> tuple:
 
 def _block_grams(stack: np.ndarray, block: tuple, size: int) -> np.ndarray:
     """The (K B, d, d) Grams of K same-size entries of `_cuts_by_size` of a
-    stack, entry-major: one copy per entry's side into a (K, B, d, n)
-    buffer, then one product."""
-    buf = np.empty((len(block), len(stack), size, stack[0].size // size), dtype=complex)
+    stack, entry-major, in the stack's dtype: one copy per entry's side into
+    a (K, B, d, n) buffer, then one product."""
+    buf = np.empty((len(block), len(stack), size, stack[0].size // size), dtype=stack.dtype)
     for k, (_, _, axes) in enumerate(block):
         permuted = stack.transpose(axes)
         buf[k].reshape(permuted.shape)[...] = permuted
     return (buf @ buf.conj().swapaxes(-1, -2)).reshape(-1, size, size)
+
+
+def _arithmetic_groups(stack: np.ndarray) -> list:
+    """(rows, their stack) per arithmetic: float64 for rows with no nonzero
+    imaginary part (-0.0 is zero), else complex128, where the purity of a
+    row with a NaN or infinite imaginary part rejects it."""
+    stack = stack.astype(complex, copy=False)
+    complex_rows = stack.reshape(len(stack), -1).imag.any(axis=1)
+    if len(set(complex_rows.tolist())) == 1:
+        return [(slice(None), stack if complex_rows[0] else stack.real)]
+    return [(~complex_rows, stack[~complex_rows].real), (complex_rows, stack[complex_rows])]
 
 
 def _cut_blocks(stack: np.ndarray):
@@ -205,25 +216,39 @@ def _cut_blocks(stack: np.ndarray):
     unchecked eigensolver call, and their entropies from one
     `shannon_entropy` call: the Grams are Hermitian by construction, and a
     non-finite one raises by its purity.
+
+    Rows with no imaginary part are reduced in real arithmetic, at about half
+    the cost, the others in complex arithmetic: per row, so a row gets the
+    same bits in any stack as alone, and a mixed stack makes each call twice.
     """
     count = len(stack)
+    groups = _arithmetic_groups(stack)
     chunk = max(1, _BLOCK_ENTRIES // (count * stack[0].size))  # entries per buffer
     for size, entries in _cuts_by_size(stack.shape[1:]):
         per_block = max(chunk, _BLOCK_ENTRIES // (count * size * size))
         for start in range(0, len(entries), per_block):
             block = entries[start : start + per_block]
-            grams = [_block_grams(stack, block[i : i + chunk], size) for i in range(0, len(block), chunk)]
-            grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
-            purity = _squared_norms(grams)
-            if not np.isfinite(purity).all():
-                raise ValueError("stack has non-finite amplitudes (NaN or infinity)")
-            mantissa, exponent = np.frexp(_flat_ranks(grams, purity).reshape(-1, count))
-            others = mantissa != 0.5
-            entropies = exponent - 1.0
-            rest = grams if others.all() else grams[others.ravel()]
-            spectra = ()
-            if len(rest):
-                spectra = _unchecked_eigenvalues(rest)
+            parts = []
+            for rows, sub in groups:
+                grams = [_block_grams(sub, block[i : i + chunk], size) for i in range(0, len(block), chunk)]
+                grams = grams[0] if len(grams) == 1 else np.concatenate(grams)
+                purity = _squared_norms(grams)
+                if not np.isfinite(purity).all():
+                    raise ValueError("stack has non-finite amplitudes (NaN or infinity)")
+                mantissa, exponent = np.frexp(_flat_ranks(grams, purity).reshape(len(block), -1))
+                others = mantissa != 0.5
+                rest = grams if others.all() else grams[others.ravel()]
+                parts.append((rows, exponent - 1.0, others, _unchecked_eigenvalues(rest) if len(rest) else ()))
+            _, entropies, others, spectra = parts[0]
+            if len(parts) > 1:  # both arithmetics: each row in its place
+                entropies, others = np.empty((len(block), count)), np.empty((len(block), count), dtype=bool)
+                for rows, part_entropies, part_others, _ in parts:
+                    entropies[:, rows], others[:, rows] = part_entropies, part_others
+                slots = (np.cumsum(others) - 1).reshape(others.shape)  # row order in `spectra`
+                spectra = np.empty((others.sum(), size))
+                for rows, _, part_others, values in parts:
+                    spectra[slots[:, rows][part_others]] = np.reshape(values, (-1, size))
+            if len(spectra):
                 entropies[others] = shannon_entropy(spectra)
             yield [entry[0] for entry in block], entropies, others, spectra
 
@@ -231,14 +256,14 @@ def _cut_blocks(stack: np.ndarray):
 def cut_spectra(state: PureState) -> dict[Partition, Fraction | np.ndarray]:
     """The reduced spectrum across every canonical cut, in canonical order.
 
-    The state goes through `_cut_blocks` as a stack of one, so each
-    distinct reduced matrix is formed once, on its cheaper side, and
-    same-size ones share one flat-spectrum test and one eigensolver call;
-    cuts that differ only by parties of dimension 1 fold into one matrix
-    and get the same value (for an eigenvalue array, the same object). A
-    flat spectrum of power-of-two rank is reported as its exact entropy (a
-    `Fraction`) and never reaches the eigensolver; every other cut maps to
-    its eigenvalues, sorted descending.
+    The state goes through `_cut_blocks` as a stack of one, so each distinct
+    reduced matrix is formed once, on its cheaper side, in real arithmetic
+    if the state has no imaginary part, and same-size ones share one
+    flat-spectrum test and one eigensolver call; cuts that differ only by
+    parties of dimension 1 fold into one matrix and get the same value (for
+    an eigenvalue array, the same object). A flat spectrum of power-of-two
+    rank is reported as its exact entropy (a `Fraction`) and never reaches
+    the eigensolver; every other cut maps to its eigenvalues, descending.
     """
     return _spectra_and_entropies(state)[0]
 

@@ -58,5 +58,6 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def _unchecked_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """`hermitian_eigenvalues` of a finite complex stack known Hermitian."""
+    """`hermitian_eigenvalues` of a finite stack known Hermitian: real
+    symmetric (LAPACK's real solver) or complex Hermitian."""
     return np.linalg.eigvalsh(stack)[..., ::-1]

@@ -62,7 +62,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping, Sequence, Union
 
@@ -72,7 +71,7 @@ from .builders import cat_state, epr_pair
 from .entropy import _squared_norms, entropy_vector
 from .linalg import hermitian_eigensystem
 from .schmidt import SchmidtDecomposition
-from .states import PureState, _check_dense, _normalize_rows, fidelity, permute_parties, tensor
+from .states import PureState, _check_dense, _integer, _normalize_rows, fidelity, permute_parties, tensor
 
 __all__ = [
     "LocalUnitary",
@@ -137,15 +136,6 @@ class EntropyMonotonicityError(ProtocolError):
 def _step_fields(cls: type) -> tuple[tuple[str, bool], ...]:
     """(name, required) for each dataclass field of a step class, in order."""
     return tuple((f.name, f.default is MISSING) for f in fields(cls))
-
-
-def _integer(value) -> int:
-    """A placement value (a party, a factor dimension or index, `insert_at`)
-    as a Python int, from any integer type. A bool, a float or a string is
-    refused, not rounded or cast, in built steps and protocol files alike."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"expected an integer, not {value!r}")
-    return operator.index(value)
 
 
 def _check_party(party: int) -> int:
@@ -571,16 +561,35 @@ def _factor_layout(
     ops: Sequence[np.ndarray] = (),
 ) -> _FactorLayout:
     """The placement rule of `expand_factor_op`; each of `ops` must have the
-    shape it gives."""
-    factors = _positive_factors(factor_dims)
+    shape it gives. The rule is cached on its arguments as ints (see
+    `_integer`; a bool or float key would pass as the int it equals). An
+    error is not cached, and a layout is frozen, so steps share it."""
+    layout = _placement(
+        _positive_factors(factor_dims),
+        None if on is None else tuple(map(_integer, on)),
+        None if out_dims is None else _positive_factors(out_dims),
+        None if insert_at is None else _integer(insert_at),
+    )
+    for op in ops:
+        if op.shape != layout.shape:
+            raise ValueError(
+                f"operator of shape {op.shape} does not act on factors "
+                f"{list(layout.on)} of {list(layout.factors)}; expected {layout.shape}"
+            )
+    return layout
+
+
+@functools.cache
+def _placement(factors: tuple, on: tuple | None, out: tuple | None, insert_at: int | None) -> _FactorLayout:
+    """`_factor_layout` without the operator check, on int arguments."""
     n = len(factors)
-    on = tuple(range(n)) if on is None else tuple(map(_integer, on))
+    on = tuple(range(n)) if on is None else on
     if len(set(on)) != len(on):
         raise ValueError(f"duplicate factor index in {list(on)}")
     if any(i < 0 or i >= n for i in on):
         raise ValueError(f"factor index out of range in {list(on)} for factors {list(factors)}")
     in_dims = tuple(factors[i] for i in on)
-    out = in_dims if out_dims is None else _positive_factors(out_dims)
+    out = in_dims if out is None else out
     rest = tuple(i for i in range(n) if i not in on)
     # axes after the contraction: the emitted factors, then the untouched ones
     axis = {slot: len(out) + j for j, slot in enumerate(rest)}
@@ -594,7 +603,7 @@ def _factor_layout(
         if on:
             anchor = min(on)
         else:
-            anchor = n if insert_at is None else _integer(insert_at)
+            anchor = n if insert_at is None else insert_at
             if anchor < 0 or anchor > n:
                 raise ValueError("insert_at out of range")
         before = tuple(axis[slot] for slot in rest if slot < anchor)
@@ -602,17 +611,10 @@ def _factor_layout(
         out_order = before + tuple(range(len(out))) + after
         emitted = tuple(range(len(before), len(before) + len(out)))
     mid_shape = out + tuple(factors[i] for i in rest)
-    shape = (math.prod(out), math.prod(in_dims))
-    for op in ops:
-        if op.shape != shape:
-            raise ValueError(
-                f"operator of shape {op.shape} does not act on factors "
-                f"{list(on)} of {list(factors)}; expected {shape}"
-            )
     return _FactorLayout(
         factors=factors,
         on=on,
-        shape=shape,
+        shape=(math.prod(out), math.prod(in_dims)),
         untouched=math.prod(factors[i] for i in rest),
         new_factors=tuple(mid_shape[a] for a in out_order),
         emitted=emitted,

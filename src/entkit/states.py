@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -47,6 +48,17 @@ _TERM_FLOOR = 1e-14
 _DENSE_DIM_LIMIT = 1 << 21
 
 
+def _integer(value) -> int:
+    """A party index or a protocol placement value (a factor dimension or
+    index, `insert_at`) as a Python int, from any integer type. A bool, a
+    float or a string is refused, not rounded or cast."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"expected an integer, not {value!r}")
+    return operator.index(value)
+
+
 def party_letters(parties: Iterable[int]) -> str:
     """Render party indices as letters: (0, 2) -> 'AC'."""
     return "".join(chr(ord("A") + p) for p in sorted(parties))
@@ -67,7 +79,7 @@ class Partition:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(set(self.members)))
+        members = tuple(sorted(set(map(_integer, self.members))))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_hash", hash((self.num_parties, members)))
         if self.num_parties < 2:
@@ -309,7 +321,7 @@ def _keep_indices(
         if keep.num_parties != state_parties:
             raise ValueError("partition refers to a different number of parties")
         return keep.members
-    members = tuple(sorted(set(int(p) for p in keep)))
+    members = tuple(sorted(set(map(_integer, keep))))
     if not members:
         raise ValueError("must keep at least one party")
     if members[0] < 0 or members[-1] >= state_parties:

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -537,6 +538,75 @@ def test_type_class_tables_are_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def _save_pinned_files(directory) -> None:
+    """The files `FILE_STDOUT_SHA256` reads: one saved protocol of each
+    perfbench `branches` job class with its input and target, and two
+    seeded real states whose cuts are not flat."""
+    from entkit.builders import cat_state
+    from entkit.protocols import cat_to_epr, eprs_to_cat, eprs_to_cat_input, save_protocol
+
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    for m in range(5, 9):
+        save_state(cat_state(m), str(directory / f"cat{m}.json"))
+        save_protocol(cat_to_epr(m, 1, 3), str(directory / f"c2e_{m}.json"))
+        # an EPR pair on parties 1 and 3, every other party in |+>
+        amps = np.einsum("a,bd,c->abcd", plus, np.eye(2) / np.sqrt(2.0), plus).reshape(-1)
+        for _ in range(m - 4):
+            amps = np.kron(amps, plus)
+        save_state(PureState((2,) * m, amps), str(directory / f"epr{m}.json"))
+    for m in range(3, 6):
+        save_state(cat_state(m), str(directory / f"cat{m}.json"))
+        save_protocol(eprs_to_cat(m, 1), str(directory / f"e2c_{m}.json"))
+        save_state(eprs_to_cat_input(m, 1), str(directory / f"e2c_in_{m}.json"))
+    for name, dims, seed in (("real5", (2,) * 5, 2501), ("real_mixed", (3, 3, 4, 2, 2), 2502)):
+        amps = np.random.default_rng(seed).standard_normal(math.prod(dims))
+        save_state(PureState(dims, amps / np.linalg.norm(amps)), str(directory / f"{name}.json"))
+
+
+# SHA-256 of stdout on saved files, taken before real branch stacks were
+# reduced in real arithmetic; a `.json` argument names a file that
+# `_save_pinned_files` writes
+FILE_STDOUT_SHA256 = {
+    "entropy-table --state real5.json --format csv": "7d727b4f79f65012aa00729601aa75135a5adea985e8e325e8921edc21725d48",
+    "entropy-table --state real5.json --format text": "0b16e2da3c205974eac501e7081ba0975c422c31700ff820c22378356336bbb2",
+    "entropy-table --state real_mixed.json --format csv": "615d87d8d6a908f9f9e39f2feea95fb025c372b75ae3b26f811a07816c1572b8",
+    "entropy-table --state real_mixed.json --format text": "a21842b3572475558564980d1ef156680cbd261265b06db1c506db6ac911ac6e",
+    "run-protocol --state cat5.json --protocol c2e_5.json --target epr5.json --format csv": "225dd666f7e0468cd675563776d9164c77f76936f6d5ee43b9def5a6e90d4c2f",
+    "run-protocol --state cat5.json --protocol c2e_5.json --target epr5.json --format text": "9c75d5f5441c92d83e45197b62c3793cecc08fd07ce1a1a2a61cb4097ae7d5c2",
+    "run-protocol --state cat6.json --protocol c2e_6.json --target epr6.json --format csv": "a9b6bf94e54197aab24054fef813b00c693ed9641475a406e0c3ce163cbb7ca5",
+    "run-protocol --state cat6.json --protocol c2e_6.json --target epr6.json --format text": "0752c06ebe730c5813f29e4a00ac84f62d50043a8342790e6f4c839281d1866b",
+    "run-protocol --state cat7.json --protocol c2e_7.json --target epr7.json --format csv": "494a75df0b4a036f83087abe4be822c3807efaf0ede44d656ce615a5bed922ab",
+    "run-protocol --state cat7.json --protocol c2e_7.json --target epr7.json --format text": "979b0f2d78dcf7665bdf474f34048a08ede8afeed9f3c70e5bce7249f03a7d9d",
+    "run-protocol --state cat8.json --protocol c2e_8.json --target epr8.json --format csv": "06db17b4a619513ae4d0f5dc9ba63c0ee685b12030e44e42e626791522055901",
+    "run-protocol --state cat8.json --protocol c2e_8.json --target epr8.json --format text": "a472da5010b34cca51a5209b8efcc76f27d9cf8629f00f9e82982e20c192933d",
+    "run-protocol --state e2c_in_3.json --protocol e2c_3.json --target cat3.json --format csv": "fc6b0f6af27765279a6259b0d5f7f96a1dd8d9e04ef116da9fd458bac31b8576",
+    "run-protocol --state e2c_in_3.json --protocol e2c_3.json --target cat3.json --format text": "93b45988737bd797c2ff7b63fac7a749d24cdaf602b960f3a309911008fe799c",
+    "run-protocol --state e2c_in_4.json --protocol e2c_4.json --target cat4.json --format csv": "e04251b33a0f9ebfa57cc8f5ce13028c97448d05220f6bf262fc4f289dfde5b1",
+    "run-protocol --state e2c_in_4.json --protocol e2c_4.json --target cat4.json --format text": "4c33c6e51fdd254eccd3a25ff36b2bd2b7b646e35dc5adf5e47c97212e58dbb1",
+    "run-protocol --state e2c_in_5.json --protocol e2c_5.json --target cat5.json --format csv": "f0bad839197c3b72add4ff9f2788dbd3a6987412f9f5506a0d291e31df694da0",
+    "run-protocol --state e2c_in_5.json --protocol e2c_5.json --target cat5.json --format text": "026fc937d0cb9060212575965e89ec82dc35241ab6278614a1e730e025d9fb75",
+    "schmidt --state real5.json --format csv": "2c1d8e089eb3ba38cc5d0e59286342bbf49a2536ef7b44592922e0f6d6b31566",
+    "schmidt --state real5.json --format text": "ecc52cea07706ec8dbfa8bdc0b669d3d40bd8b77bf1f63861864e119f7a3b43f",
+    "schmidt --state real_mixed.json --format csv": "e017143c34a10f1497bc997e06d05dd985fb36be2e082f494dc32596f9d7356f",
+    "schmidt --state real_mixed.json --format text": "79d33e8560546b08c4a92647a3ffd9f9d0c8f7eeac3fd99c2978b940b1b2b5f1",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("pinned")
+    _save_pinned_files(directory)
+    return directory
+
+
+@pytest.mark.parametrize("argv", sorted(FILE_STDOUT_SHA256))
+def test_saved_file_outputs_are_byte_identical(capsys, pinned_files, argv):
+    args = [str(pinned_files / a) if a.endswith(".json") else a for a in argv.split()]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FILE_STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize(

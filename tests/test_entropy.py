@@ -363,7 +363,8 @@ def test_held_back_eigensolver_batches_are_bounded(monkeypatch, solver_calls, bu
     buffers.clear()
     whole = entropy_vector(stack, weights)
     assert sorted(calls) == [(20, 2, 2), (40, 4, 4)]  # one block per Gram size
-    assert len(buffers) == 2
+    # one buffer per Gram size and arithmetic: the flat rows are real
+    assert sorted((shape[0], len(sides)) for shape, sides in buffers) == [(2, 5), (2, 10), (4, 5), (4, 10)]
     calls.clear()
     buffers.clear()
     monkeypatch.setattr(sys.modules["entkit.entropy"], "_BLOCK_ENTRIES", 64)
@@ -437,11 +438,13 @@ def test_block_spectra_match_the_per_cut_reference(buffer_calls, dims, count):
             [shannon_entropy(s) for s in eigenvalues],
         )
         assert got[index] == want
-    # one Gram per distinct reduced matrix, and one per cut without
-    # dimension-1 parties
-    assert sorted(formed) == sorted(set(own_sides))
+    # one Gram per distinct reduced matrix and arithmetic, and one per cut
+    # and arithmetic without dimension-1 parties: past the first (Haar)
+    # row, the stack holds real flat rows too
+    arithmetics = 1 if count == 1 else 2
+    assert sorted(formed) == sorted(list(set(own_sides)) * arithmetics)
     if 1 not in dims:
-        assert len(formed) == len(parts)
+        assert len(formed) == arithmetics * len(parts)
     weights = np.random.default_rng(count).dirichlet(np.ones(count))
     vectors = [entropy_vector(PureState(dims, row)) for row in stack]
     stacked = entropy_vector(stack, weights)
@@ -453,6 +456,121 @@ def test_block_spectra_match_the_per_cut_reference(buffer_calls, dims, count):
     broken[count // 2].reshape(-1)[-1] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         list(_cut_blocks(broken))
+
+
+# --- real rows in real arithmetic ----------------------------------------------
+
+
+@pytest.fixture
+def gram_dtypes(record_calls):
+    """The dtype of every Gram buffer the block routine fills."""
+    return record_calls("_block_grams", "entkit.entropy", record=lambda stack, block, size: stack.dtype)
+
+
+def svd_spectra(row, dims):
+    """Per canonical cut, the squared singular values of the complex
+    amplitude matrix split across it, largest first."""
+    tensor = np.asarray(row, dtype=complex).reshape(dims)
+    spectra = []
+    for part in canonical_partitions(len(dims)):
+        rest = tuple(p for p in range(len(dims)) if p not in part.members)
+        split = tensor.transpose(part.members + rest).reshape(math.prod(dims[p] for p in part.members), -1)
+        spectra.append(np.linalg.svd(split, compute_uv=False) ** 2)
+    return spectra
+
+
+def svd_entropy(spectrum):
+    p = spectrum[spectrum > 1e-12]
+    return -math.fsum(p * np.log2(p))
+
+
+def real_stack(dims, count, rng):
+    """Real Gaussian rows, with a real cat row and a product row among them."""
+    rows = rng.standard_normal((count, math.prod(dims)))
+    if count > 2:
+        rows[1] = 0.0
+        rows[1, 0] = rows[1, -1] = 1.0
+        rows[2] = 0.0
+        rows[2, -1] = -1.0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows.astype(complex).reshape((count,) + dims)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_real_stacks_match_an_svd_oracle(gram_dtypes, seed):
+    rng = np.random.default_rng([seed, 25])
+    m = int(rng.integers(2, 7))
+    dims = tuple(int(d) for d in rng.choice([1, 2, 2, 3, 4], m))
+    while math.prod(dims) > 256:
+        dims = dims[:-1]
+    count = int(rng.integers(1, 17))
+    stack = real_stack(dims, count, rng)
+    weights = rng.dirichlet(np.ones(count))
+    oracle = [svd_spectra(row, dims) for row in stack]
+    got = entropy_vector(stack, weights)
+    parts = canonical_partitions(len(dims))
+    for index, part in enumerate(parts):
+        want = math.fsum(w * svd_entropy(spectra[index]) for w, spectra in zip(weights, oracle))
+        assert abs(got.values[part] - want) <= 1e-12
+    for row, spectra in zip(stack, oracle):
+        # the SVD gives one value per dimension of the cheaper side, as the
+        # Gram there does
+        for want, spectrum in zip(spectra, cut_spectra(PureState(dims, row)).values()):
+            if isinstance(spectrum, Fraction):
+                # a flat cut matches exactly: 2^s equal weights, s bits
+                rank = int(np.sum(want > 1e-12))
+                assert np.allclose(want[:rank], 1.0 / rank, atol=1e-12) and 2**spectrum == rank
+            else:
+                assert np.allclose(spectrum, want, atol=1e-12, rtol=0)
+    if count > 2:  # the cat and product rows are flat on every cut
+        for b in (1, 2):
+            read = entropy_vector(stack, one_hot(count, b))
+            assert read.values == {part: float(round(svd_entropy(oracle[b][i]))) for i, part in enumerate(parts)}
+    # every Gram of these stacks was formed in real arithmetic
+    assert set(gram_dtypes) == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 4, 2, 2), (2, 1, 3, 2)])
+def test_a_real_row_gets_its_own_bits_beside_complex_rows(gram_dtypes, dims):
+    rng = np.random.default_rng(len(dims))
+    real = real_stack(dims, 6, rng)
+    rows = [real[0], random_pure_state(dims, rng).as_tensor(), real[3], real[1], random_pure_state(dims, rng).as_tensor(), real[4]]
+    stack = np.stack(rows)
+    alone = [entropy_vector(PureState(dims, row)) for row in rows]
+    gram_dtypes.clear()
+    for b, vector in enumerate(alone):
+        assert entropy_vector(stack, one_hot(len(rows), b)).values == vector.values
+    assert set(gram_dtypes) == {np.dtype(float), np.dtype(complex)}
+
+
+def test_a_negative_zero_imaginary_part_counts_as_real(gram_dtypes):
+    rows = real_stack((3, 2, 2), 5, np.random.default_rng(7))
+    signed = rows.copy()
+    signed.imag = -0.0
+    assert np.signbit(signed.imag).all() and not np.signbit(rows.imag).any()
+    weights = [0.2] * 5
+    assert entropy_vector(signed, weights) == entropy_vector(rows, weights) == entropy_vector(rows.real, weights)
+    assert set(gram_dtypes) == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_non_finite_real_row_still_raises(gram_dtypes, bad, dtype):
+    stack = real_stack((2, 3, 2), 4, np.random.default_rng(3)).real.astype(dtype)
+    stack[3].reshape(-1)[4] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        list(_cut_blocks(stack))
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy_vector(stack, [0.25] * 4)
+    assert set(gram_dtypes) == {np.dtype(float)}
+    if dtype is complex:
+        # a non-finite imaginary part sends its row to complex arithmetic,
+        # where its purity rejects it
+        stack[3].reshape(-1)[4] = complex(0.0, bad)
+        gram_dtypes.clear()
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy_vector(stack, [0.25] * 4)
+        assert np.dtype(complex) in gram_dtypes
 
 
 # the cut spectra of states on these dims feed the entropy-route test below

@@ -28,6 +28,7 @@ from entkit.protocols import (
     ProtocolRun,
     StepStats,
     _assert_entropy_monotone,
+    _factor_layout,
     bell_projectors,
     cat_to_epr,
     dilution_end_to_end,
@@ -211,10 +212,21 @@ def test_unitary_preserves_entropy_vector():
     assert before.max_difference(after) < 1e-10
 
 
-def test_monotonicity_assertion_fires_on_fabricated_increase():
+def test_monotonicity_assertion_fires_on_fabricated_increase(record_calls):
+    # real rows, as `run` leaves a real protocol's branches: complex, with no
+    # imaginary part, so reduced in real arithmetic
+    dtypes = record_calls("_block_grams", "entkit.entropy", record=lambda stack, block, size: stack.dtype)
     product = make_state((2, 2), [("00", 1.0)])
     with pytest.raises(EntropyMonotonicityError):
         _assert_entropy_monotone(product, epr_pair().as_tensor()[None], [1.0])
+    # two branches, each gaining a pair across A|BC
+    pairs = [make_state((2, 2, 2), [("000", 1.0), (bits, 1.0)]) for bits in ("110", "101")]
+    rows = np.stack([pair.as_tensor() for pair in pairs])
+    assert rows.dtype == complex and not rows.imag.any()
+    with pytest.raises(EntropyMonotonicityError) as raised:
+        _assert_entropy_monotone(make_state((2, 2, 2), [("000", 1.0)]), rows, [0.5, 0.5])
+    assert (raised.value.partition_label, raised.value.before, raised.value.after) == ("A", 0.0, 1.0)
+    assert set(dtypes) == {np.dtype(float)}
 
 
 def test_monotonicity_accepts_decrease():
@@ -431,6 +443,29 @@ def _integer_rule_calls(value) -> dict[str, list]:
         "teleport": [lambda: builder.teleport(0, value, 1, [(1, 0)]), lambda: builder.teleport(0, 0, 1, [(1, value)])],
         "povm": [lambda: builder.povm(0, _KRAUS, on=[value])],
     }
+
+
+def test_factor_layouts_are_shared_and_only_the_rule_is_cached():
+    layout = _factor_layout((2, 2, 3), (2,), (3, 1))
+    # equal int arguments of any integer type share one frozen layout
+    assert _factor_layout([2, np.int64(2), 3], [np.int64(2)], [3, 1]) is layout
+    assert layout.shape == (3, 3) and layout.new_factors == (2, 2, 3, 1)
+    # a bool or float equal to a cached int is still refused
+    for bad in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"expected an integer, not {re.escape(repr(bad))}"):
+            _factor_layout((2, 2, 3), (bad,), (3, 1))
+    # an error is raised on every call, not cached as a result
+    for _ in range(2):
+        with pytest.raises(ValueError, match="factor index out of range"):
+            _factor_layout((2, 2, 3), (3,))
+    # the operator shape is checked on every call, against the shared layout
+    assert _factor_layout((2, 2, 3), (2,), (3, 1), ops=(np.ones((3, 3)),)) is layout
+    with pytest.raises(ValueError, match=r"does not act on factors \[2\] of \[2, 2, 3\]; expected \(3, 3\)"):
+        _factor_layout((2, 2, 3), (2,), (3, 1), ops=(np.ones((3, 3)), np.eye(2)))
+    # steps loaded twice from one file share their layouts
+    payload = protocol_to_list(eprs_to_cat(4, 1))
+    first, second = protocol_from_list(payload), protocol_from_list(payload)
+    assert all(a.layout is b.layout for a, b in zip(first, second))
 
 
 def test_the_integer_rule_calls_cover_every_step_type_and_builder_method():

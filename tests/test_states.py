@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ def test_reduced_gram_rejects_a_stack_with_non_finite_amplitudes(bad):
         with pytest.raises(ValueError, match="stack has non-finite amplitudes"):
             reduced_gram(stack, keep)
     assert reduced_gram(stack[::2], (0,)).shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [1.9, 0.5, True, np.bool_(True), "1", np.float64(1.0)])
+def test_a_non_integer_party_is_refused_by_name(bad):
+    cat = make_state((2, 2, 2), [("000", 1.0), ("111", 1.0)])
+    message = f"expected an integer, not {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        reduced_gram(cat, [bad])
+    with pytest.raises(ValueError, match=message):
+        reduced_gram(cat.as_tensor()[None], [0, bad])
+    with pytest.raises(ValueError, match=message):
+        Partition(3, (bad,))
+    with pytest.raises(ValueError, match=message):
+        Partition(3, (0, bad))
+    # numpy integers are integers, and are stored as ints
+    part = Partition(3, (np.int64(2), np.uint8(0)))
+    assert part.members == (0, 2) and all(type(p) is int for p in part.members)
+    assert part == Partition(3, (0, 2)) and hash(part) == hash(Partition(3, (0, 2)))
+    assert np.array_equal(reduced_gram(cat, [np.int64(1)]), reduced_gram(cat, [1]))
 
 
 def test_reduced_gram_rejects_a_single_non_finite_state():
