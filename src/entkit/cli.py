@@ -268,14 +268,14 @@ def _cmd_run_protocol(args) -> int:
         header.append("fidelity")
         fidelities = outcome.branch_fidelities(target)
     rows: list[list] = [header]
-    for i, branch in enumerate(outcome.branches):
-        row: list = [";".join(branch.transcript), branch.probability]
+    for i, (transcript, probability) in enumerate(zip(outcome.transcripts, outcome.probabilities)):
+        row: list = [";".join(transcript), probability]
         if target is not None:
             row.append(fidelities[i])
         rows.append(row)
     _emit(args, rows)
     if args.format == "text" and target is not None:
-        print(f"expected fidelity: {_fmt(_expected(outcome.branches, fidelities))}")
+        print(f"expected fidelity: {_fmt(_expected(outcome.probabilities, fidelities))}")
     return 0
 
 

@@ -45,19 +45,22 @@ below the pruning threshold; a conditioned unitary applies each distinct
 table matrix once, to the rows whose transcript selects it; a discard
 checks purity and finds each row's product factor with one stacked Gram
 and one stacked eigensystem call. Rows are processed in slices of about
-4096 amplitudes, so the transient copies stay small. `PureState` objects
-are built only for the returned branches, and each row is normalized
-by the routine `PureState` uses. The monotonicity check runs
-`entropy.entropy_vector` once on the simulator's own rows, in the order
-the branches are returned, and once on the input as a stack of one; both
-test and diagonalize Grams in blocks of same-size cuts. Its cost is
+4096 amplitudes, so the transient copies stay small; each is viewed as
+(rows, parties before, the party, parties after), so a step moves one
+axis. Each row is normalized by the routine `PureState` uses, and the
+returned `ProtocolRun` holds the rows themselves: a branch's `PureState`
+is built only when `ProtocolRun.branches` reads it. The monotonicity check
+runs `entropy.entropy_vector` once on the simulator's own rows, in the
+order the branches are returned, and once on the input as a stack of one;
+both test and diagonalize Grams in blocks of same-size cuts. Its cost is
 arithmetic: forming each cut's (B, d, d) Grams, and the flat-spectrum
 test, which squares each Gram, O(B d^3) per cut. With 256 branches and
-Grams up to 32 x 32, `cat_to_epr(10, 0, 1)` takes about 3.0 s with the
+Grams up to 32 x 32, `cat_to_epr(10, 0, 1)` takes about 1.3 s with the
 check on a shared 2-core host and a few hundredths without.
 """
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 import json
@@ -71,7 +74,7 @@ from .builders import cat_state, epr_pair
 from .entropy import _squared_norms, entropy_vector
 from .linalg import hermitian_eigensystem
 from .schmidt import SchmidtDecomposition
-from .states import PureState, _check_dense, _integer, _normalize_rows, fidelity, permute_parties, tensor
+from .states import PureState, _check_dense, _integer, _normalize_rows, permute_parties, tensor
 
 __all__ = [
     "LocalUnitary",
@@ -277,7 +280,7 @@ class ConditionedUnitary:
         for key, mat in dict(self.table).items():
             mat = np.asarray(mat, dtype=complex)
             mat = distinct.setdefault((mat.shape, mat.tobytes()), mat)
-            frozen[tuple(str(o) for o in key)] = mat
+            frozen[tuple(map(str, key))] = mat
         object.__setattr__(self, "table", frozen)
         _place(self, tuple(distinct.values()))
         _check_isometries(tuple(distinct.values()), self.layout)
@@ -339,23 +342,66 @@ class StepStats:
     pruned_mass: float  # their probability, before the final renormalization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolRun:
-    """All branches of a protocol applied to an input state, with one
-    `StepStats` per step."""
+    """All branches of a protocol applied to an input state, as the
+    simulator's arrays: branch i has probability `probabilities[i]`,
+    transcript `transcripts[i]` and, on `dims`, the normalized state in row
+    i of the read-only (B, dim) `rows`. Branches are sorted by transcript.
+    One `StepStats` per step. `branches` views the same branches as
+    `Branch` objects."""
 
     input_state: PureState
-    branches: tuple[Branch, ...]
+    dims: tuple[int, ...]
+    rows: np.ndarray
+    probabilities: tuple[float, ...]
+    transcripts: tuple[tuple[str, ...], ...]
     probability_drift: float
     step_stats: tuple[StepStats, ...] = ()
 
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=complex).view()
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @functools.cached_property
+    def branches(self) -> Sequence[Branch]:
+        return _BranchView(self.dims, self.rows, self.probabilities, self.transcripts)
+
     def branch_fidelities(self, target: PureState) -> list[float]:
-        return [fidelity(b.state, target) for b in self.branches]
+        """|<branch|target>|^2 for each branch, as `fidelity` gives it."""
+        if self.dims != target.dims:
+            raise ValueError(f"dimension mismatch: {self.dims} vs {target.dims}")
+        return [float(abs(complex(np.vdot(row, target.amplitudes))) ** 2) for row in self.rows]
 
 
-def _expected(branches: Sequence[Branch], values: Sequence[float]) -> float:
+class _BranchView(collections.abc.Sequence):
+    """A run's branches as `Branch` objects. Each is built on first access,
+    its state a `PureState` of its row, and kept; `len` builds none. The
+    view holds the run's arrays, not the run, so a run that has built its
+    view is still freed as soon as it is dropped."""
+
+    def __init__(self, dims, rows, probabilities, transcripts):
+        self._dims, self._rows = dims, rows
+        self._probabilities, self._transcripts = probabilities, transcripts
+        self._built: list[Branch | None] = [None] * len(rows)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        branch = self._built[index]
+        if branch is None:
+            state = PureState(self._dims, self._rows[index])
+            branch = self._built[index] = Branch(self._probabilities[index], state, self._transcripts[index])
+        return branch
+
+
+def _expected(probabilities: Sequence[float], values: Sequence[float]) -> float:
     """The probability-weighted sum of one value per branch."""
-    return sum(b.probability * v for b, v in zip(branches, values))
+    return sum(p * v for p, v in zip(probabilities, values))
 
 
 def _row_chunks(num_rows: int, dim: int) -> list[slice]:
@@ -367,15 +413,16 @@ def _row_chunks(num_rows: int, dim: int) -> list[slice]:
 def _apply_to_rows(op, layout: _FactorLayout, party: int, dims, amps, out, rows=None) -> None:
     """Write a checked operator on a party's factors, applied to the branch
     rows `rows` of `amps` (default: all), into the same rows of `out`."""
-    others = dims[:party] + dims[party + 1 :]
+    # each row as (parties before, the party, parties after)
+    before, after = math.prod(dims[:party]), math.prod(dims[party + 1 :])
     d_out = math.prod(layout.new_factors)
     for chunk in _row_chunks(len(amps) if rows is None else len(rows), amps.shape[1]):
         take = chunk if rows is None else rows[chunk]
         block = amps[take]
         n = len(block)
-        t = np.moveaxis(block.reshape((n,) + dims), party + 1, 0)
+        t = block.reshape(n, before, dims[party], after).transpose(2, 0, 1, 3)
         t = _apply_factor_op(op, t.reshape(layout.factors + (-1,)), layout)
-        out[take] = np.moveaxis(t.reshape((d_out, n) + others), 0, party + 1).reshape(n, -1)
+        out[take] = t.reshape(d_out, n, before, after).transpose(1, 2, 0, 3).reshape(n, -1)
 
 
 def _empty_rows(lead: tuple[int, ...], size: int) -> np.ndarray:
@@ -406,15 +453,17 @@ def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray) ->
     Returns the new rows."""
     party, layout = step.party, step.layout
     d_disc = layout.shape[1]
-    # one axis per factor of the party; the discarded ones move to the front
-    # and everything else keeps its order, which is the layout after the step
-    shape = dims[:party] + layout.factors + dims[party + 1 :]
-    discarded = [1 + party + i for i in layout.on]
+    # each row as (parties before, the party's factors, parties after); the
+    # discarded factors move to the front and everything else keeps its
+    # order, which is the layout after the step
+    n = len(layout.factors)
+    shape = (math.prod(dims[:party]),) + layout.factors + (math.prod(dims[party + 1 :]),)
+    kept = [i for i in range(n) if i not in layout.on]
+    axes = (0, *(2 + i for i in layout.on), 1, *(2 + i for i in kept), n + 2)
     chunks = _row_chunks(len(amps), amps.shape[1])
 
     def split(chunk: slice) -> np.ndarray:
-        block = amps[chunk].reshape((-1,) + shape)
-        block = np.moveaxis(block, discarded, range(1, 1 + len(discarded)))
+        block = amps[chunk].reshape((-1,) + shape).transpose(axes)
         return block.reshape(len(block), d_disc, -1)
 
     grams = np.empty((len(amps), d_disc, d_disc), dtype=complex)
@@ -504,12 +553,10 @@ def run(
     order = sorted(range(len(transcripts)), key=transcripts.__getitem__)
     amps = amps[order]
     probs = [p / total for p in probs[order].tolist()]
-    branches = tuple(
-        Branch(p, PureState(dims, row), transcripts[i]) for p, row, i in zip(probs, amps, order)
-    )
     if check_entropy and state.num_parties >= 2:
         _assert_entropy_monotone(state, amps.reshape((-1,) + dims), probs)
-    return ProtocolRun(state, branches, drift, tuple(stats))
+    transcripts = tuple(map(transcripts.__getitem__, order))
+    return ProtocolRun(state, dims, amps, tuple(probs), transcripts, drift, tuple(stats))
 
 
 def _assert_entropy_monotone(state: PureState, rows: np.ndarray, probs: Sequence[float]) -> None:
@@ -1143,8 +1190,12 @@ def dilution_end_to_end(
         reference = tensor(reference, PureState((2**junk,), np.eye(2**junk)[0]), {0: 0})
 
     fidelities = result.branch_fidelities(reference)
-    fit = [(b, f) for b, f in zip(result.branches, fidelities) if junk == 0 or b.transcript[0] == "ok"]
-    success_p = sum(b.probability for b, _ in fit)
+    fit = [
+        (p, f)
+        for p, t, f in zip(result.probabilities, result.transcripts, fidelities)
+        if junk == 0 or t[0] == "ok"
+    ]
+    success_p = sum(p for p, _ in fit)
     if success_p <= 0:
         raise ProtocolError("no branch fit the cat budget")
     return DilutionReport(
@@ -1155,8 +1206,8 @@ def dilution_end_to_end(
         run=result,
         target=reference,
         success_probability=success_p,
-        success_fidelity=sum(b.probability * f for b, f in fit) / success_p,
-        expected_fidelity=_expected(result.branches, fidelities),
+        success_fidelity=sum(p * f for p, f in fit) / success_p,
+        expected_fidelity=_expected(result.probabilities, fidelities),
     )
 
 
@@ -1170,11 +1221,13 @@ def dilution_end_to_end(
 #   {"type": "conditioned", "party": 0, "table": {"+,-": [[...]]}}
 #   {"type": "discard", "party": 0, "factor_dims": [2, 2], "discard": [0]}
 # Matrix entries are [re, im] pairs of JSON numbers (bare numbers are
-# accepted as real). Unitary, measurement and conditioned entries may add
-# "factor_dims" and "on" (and a unitary "out_dims" and "insert_at"); without
-# them the step acts on the whole party. Parties, dimensions and factor
-# indices are JSON integers (`_integer`). Keys a step type does not have
-# are ignored, and a null value leaves its field unset.
+# accepted as real); a field's matrices of pairs alone, all of one shape,
+# are decoded in one numpy call (`_matrix_stack`). Unitary, measurement and
+# conditioned entries may add "factor_dims" and "on" (and a unitary
+# "out_dims" and "insert_at"); without them the step acts on the whole
+# party. Parties, dimensions and factor indices are JSON integers
+# (`_integer`). Keys a step type does not have are ignored, and a null
+# value leaves its field unset.
 
 # JSON numbers as `json` decodes them; types are compared exactly, since
 # bool is a subclass of int
@@ -1201,6 +1254,28 @@ def _matrix_from_json(payload) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _matrix_stack(payloads) -> np.ndarray | None:
+    """A list of matrix payloads as one (K, rows, cols) complex array,
+    decoded in one numpy call, when every matrix is a list of rows of
+    [re, im] lists of JSON numbers and all have one shape; None for anything
+    else, which `_matrix_from_json` then decodes or refuses entry by entry."""
+    if type(payloads) is not list:
+        return None
+    shape, level = [len(payloads)], payloads
+    for _ in range(3):  # the matrices, their rows, the rows' entries: lists of one length
+        if set(map(type, level)) != {list} or len(lengths := set(map(len, level))) != 1:
+            return None
+        shape += lengths
+        level = list(itertools.chain.from_iterable(level))
+    if shape[-1] != 2 or not set(map(type, level)) <= set(_JSON_NUMBERS):
+        return None
+    try:
+        parts = np.fromiter(level, float, len(level))
+    except OverflowError:  # an int beyond the float range
+        return None
+    return parts.view(complex).reshape(shape[:-1])
+
+
 def _field_to_json(name: str, value):
     if name == "matrix":
         return _matrix_to_json(value)
@@ -1216,11 +1291,16 @@ def _field_from_json(name: str, value):
     if name in ("party", "insert_at"):
         return _integer(value)
     if name == "matrix":
-        return _matrix_from_json(value)
+        stack = _matrix_stack([value])
+        return _matrix_from_json(value) if stack is None else stack[0]
     if name == "projectors":
-        return tuple(_matrix_from_json(p) for p in value)
+        stack = _matrix_stack(value)
+        return tuple(_matrix_from_json(p) for p in value) if stack is None else tuple(stack)
     if name == "table":
-        return {tuple(key.split(",")) if key else (): _matrix_from_json(mat) for key, mat in value.items()}
+        stack = _matrix_stack(list(value.values())) if type(value) is dict else None
+        if stack is None:
+            return {tuple(key.split(",")) if key else (): _matrix_from_json(mat) for key, mat in value.items()}
+        return {tuple(key.split(",")) if key else (): mat for key, mat in zip(value, stack)}
     if name == "outcomes":
         if type(value) is not list or not all(type(label) is str for label in value):
             raise ValueError(f"expected a list of strings, not {value!r}")

@@ -49,9 +49,10 @@ _DENSE_DIM_LIMIT = 1 << 21
 
 
 def _integer(value) -> int:
-    """A party index or a protocol placement value (a factor dimension or
-    index, `insert_at`) as a Python int, from any integer type. A bool, a
-    float or a string is refused, not rounded or cast."""
+    """A party index, a state's local dimension or a protocol placement
+    value (a factor dimension or index, `insert_at`) as a Python int, from
+    any integer type. A bool, a float or a string is refused, not rounded or
+    cast."""
     if type(value) is int:
         return value
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
@@ -142,7 +143,7 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(_integer, self.dims))
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"local dimensions must be positive, got {dims}")
         total = math.prod(dims)
@@ -208,8 +209,9 @@ def _check_dense(total: int) -> None:
 
 
 def _dense_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    """`dims` as a tuple of ints, checked against the dense limit."""
-    dims = tuple(int(d) for d in dims)
+    """`dims` as a tuple of ints (see `_integer`), checked against the
+    dense limit."""
+    dims = tuple(map(_integer, dims))
     _check_dense(math.prod(dims))
     return dims
 
@@ -406,9 +408,10 @@ def random_pure_state(
 ) -> PureState:
     """Haar-random pure state with the given local dimensions."""
     rng = np.random.default_rng(rng)
-    total = math.prod(int(d) for d in dims)
+    dims = tuple(map(_integer, dims))
+    total = math.prod(dims)
     vec = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    return PureState(tuple(int(d) for d in dims), vec)
+    return PureState(dims, vec)
 
 
 def random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> np.ndarray:

@@ -281,10 +281,17 @@ def test_run_protocol_with_target(capsys, tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_run_protocol_text_scores_each_branch_once(capsys, record_calls, tmp_path):
-    from entkit.protocols import cat_to_epr, save_protocol
+def test_run_protocol_text_scores_each_branch_once(capsys, monkeypatch, tmp_path):
+    from entkit.protocols import ProtocolRun, cat_to_epr, save_protocol
 
-    calls = record_calls("fidelity", "entkit.protocols")
+    scored = []
+    original = ProtocolRun.branch_fidelities
+
+    def recording(self, target):
+        scored.append(original(self, target))
+        return scored[-1]
+
+    monkeypatch.setattr(ProtocolRun, "branch_fidelities", recording)
     path = str(tmp_path / "p.json")
     save_protocol(cat_to_epr(5, 0, 1), path)
     code, out, _ = run_cli(
@@ -292,7 +299,7 @@ def test_run_protocol_text_scores_each_branch_once(capsys, record_calls, tmp_pat
     )
     assert code == 0
     assert "expected fidelity:" in out
-    assert len(calls) == 8  # one per branch
+    assert [len(fidelities) for fidelities in scored] == [8]  # one call, one value per branch
 
 
 def assert_one_error_line(code, out, err, message):

@@ -1,5 +1,6 @@
 """Branch-exact protocol simulation: teleportation, cat/EPR conversions,
 dilution end to end, and the entropy-monotonicity assertion."""
+import gc
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import re
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -648,6 +650,52 @@ def test_each_step_check_names_the_step_of_a_bad_file(tmp_path, bad, message):
     assert str(excinfo.value).startswith(f"protocol step 1 ({bad['type']}): {message}")
 
 
+def test_a_run_builds_branch_states_only_when_they_are_read(monkeypatch, tmp_path, capsys):
+    from entkit.cli import main
+    from entkit.states import save_state
+
+    built = []
+    post_init = PureState.__post_init__
+    monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(self) or post_init(self))
+    state, steps = eprs_to_cat_input(4, 1), eprs_to_cat(4, 1)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("state", "protocol", "target")}
+    save_state(state, paths["state"])
+    save_protocol(steps, paths["protocol"])
+    save_state(cat_state(4), paths["target"])
+    built.clear()
+    argv = ["run-protocol", "--protocol", paths["protocol"], "--state", paths["state"], "--target", paths["target"]]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 64 + 1
+    # the input and the target, and no state per branch
+    assert [s.dims for s in built] == [state.dims, (2, 2, 2, 2)]
+
+    outcome = run(steps, state)
+    built.clear()
+    assert len(outcome.branches) == 64 and built == []
+    assert not outcome.rows.flags.writeable
+    first, second = list(outcome.branches), list(outcome.branches)
+    assert len(built) == 64 and all(isinstance(a, Branch) and a is b for a, b in zip(first, second))
+    assert outcome.branches[-1] is first[-1] and outcome.branches[2:5] == tuple(first[2:5])
+    for branch, p, t, row in zip(first, outcome.probabilities, outcome.transcripts, outcome.rows):
+        assert (branch.probability, branch.transcript) == (p, t)
+        assert branch.state.dims == outcome.dims
+        assert branch.state.amplitudes.tobytes() == PureState(outcome.dims, row).amplitudes.tobytes()
+
+
+def test_a_run_that_built_its_branches_is_freed_when_dropped():
+    # the view holds the run's arrays, not the run: no cycle for the
+    # collector to find, so a dropped run's rows and states go at once
+    outcome = run(cat_to_epr(4, 0, 1), cat_state(4))
+    assert len(list(outcome.branches)) == 4
+    dropped = weakref.ref(outcome)
+    gc.disable()
+    try:
+        del outcome
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_protocol_list_roundtrip_preserves_step_count():
     steps = eprs_to_cat(3, 0)
     payload = protocol_to_list(steps)
@@ -709,6 +757,98 @@ def test_malformed_protocol_names_the_entry(payload, message):
     with pytest.raises(ValueError) as excinfo:
         protocol_from_list(payload)
     assert str(excinfo.value).startswith(message)
+
+
+_P0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+_P1 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+_I2_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def matrix_field_payload(field, matrix):
+    """A protocol whose last step holds `matrix` in `field`: a unitary's
+    matrix, a measurement's second projector, or a conditioned step's
+    second table entry, after a measurement that makes the table's keys."""
+    measure = {"type": "measurement", "party": 0, "projectors": [_P0, _P1], "outcomes": ["0", "1"]}
+    if field == "matrix":
+        return [{"type": "unitary", "party": 0, "matrix": matrix}]
+    if field == "projectors":
+        return [dict(measure, projectors=[_P0, matrix])]
+    return [measure, {"type": "conditioned", "party": 0, "table": {"0": _I2_PAIRS, "1": matrix}}]
+
+
+_NOT_A_PAIR = "is not a number or an [re, im] pair of numbers"
+
+# one defect in a field's last matrix, and the error it has always given
+MATRIX_DEFECTS = [
+    pytest.param([[[1, 0], [0, 0]], [[0, 0], [True, 0]]], f"matrix entry [True, 0] {_NOT_A_PAIR}", id="bool"),
+    pytest.param([[[1, 0], ["0", 0]], [[0, 0], [1, 0]]], f"matrix entry ['0', 0] {_NOT_A_PAIR}", id="str"),
+    pytest.param([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]], f"matrix entry [1, 0, 0] {_NOT_A_PAIR}", id="triple"),
+    pytest.param(
+        [[[1, 0], [0, 0]], [[1, 0]]],
+        "setting an array element with a sequence. The requested array has an inhomogeneous "
+        "shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.",
+        id="ragged",
+    ),
+    pytest.param([[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]], "int too large to convert to float", id="huge"),
+]
+
+
+@pytest.mark.parametrize("field", ["matrix", "projectors", "table"])
+@pytest.mark.parametrize("bad, message", MATRIX_DEFECTS)
+def test_a_bad_matrix_entry_gives_the_same_error_in_every_field(field, bad, message):
+    payload = json.loads(json.dumps(matrix_field_payload(field, bad)))
+    with pytest.raises(ValueError) as excinfo:
+        protocol_from_list(payload)
+    where = f"protocol step {len(payload) - 1} ({payload[-1]['type']})"
+    assert str(excinfo.value) == f"{where}: field {field!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("matrix", "matrix is not an isometry within tolerance"),
+        ("projectors", "projector for outcome '1' is not Hermitian"),
+        ("table", "matrix is not an isometry within tolerance"),
+    ],
+)
+def test_a_nan_matrix_entry_is_refused_by_the_step_check(field, message):
+    payload = matrix_field_payload(field, [[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]])
+    with pytest.raises(ValueError) as excinfo:
+        protocol_from_list(payload)
+    assert str(excinfo.value) == f"protocol step {len(payload) - 1} ({payload[-1]['type']}): {message}"
+
+
+@pytest.mark.parametrize("field", ["matrix", "projectors", "table"])
+def test_a_matrix_mixing_numbers_and_pairs_loads_to_the_same_bits(field):
+    # the phase gate diag(1, -i), with signed zeros; a bare number is an
+    # entry with imaginary part 0.0
+    pairs = [[[1.0, 0.0], [0, 0.0]], [[-0.0, 0.0], [0.0, -1]]]
+    mixed = [[1.0, 0], [[-0.0, 0.0], [0.0, -1]]]
+    want = np.array([[complex(1.0, 0.0), complex(0, 0.0)], [complex(-0.0, 0.0), complex(0.0, -1)]])
+    if field == "projectors":
+        pairs, mixed = [[[0, 0.0], [-0.0, 0]], [[0, 0.0], [1, -0.0]]], [[0, [-0.0, 0]], [0, [1, -0.0]]]
+        want = np.array([[complex(0, 0.0), complex(-0.0, 0)], [complex(0, 0.0), complex(1, -0.0)]])
+    for matrix in (pairs, mixed):
+        step = protocol_from_list(matrix_field_payload(field, matrix))[-1]
+        got = step.matrix if field == "matrix" else step.projectors[1] if field == "projectors" else step.table[("1",)]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_one_call_decode_is_bit_identical_to_the_per_matrix_one():
+    from entkit.protocols import _matrix_from_json, _matrix_stack
+
+    values = [0.0, -0.0, 1, -3, 2**53 + 1, 2**70, -(2**64) - 1, 1e-300, 5e-324, 1.7976931348623157e308, 0.1, -2.5]
+    rng = np.random.default_rng(5)
+    payload = [
+        [[[values[i], values[j]] for i, j in rng.integers(len(values), size=(3, 2))] for _ in range(3)]
+        for _ in range(4)
+    ]
+    stack = _matrix_stack(payload)
+    assert stack.shape == (4, 3, 3) and stack.dtype == complex
+    assert stack.tobytes() == np.stack([_matrix_from_json(m) for m in payload]).tobytes()
+    # anything but lists of [re, im] lists of JSON numbers of one shape is left to the per-matrix path
+    for other in ([], [[]], [[[]]], [[[1, 0]], [[0, 1], [1, 0]]], [[[1, [0, 0]]]], [[(1, 0)]], [[[np.float64(1), 0]]]):
+        assert _matrix_stack([other]) is None
 
 
 # --- factor-local steps against their dense expansion ---------------------------
@@ -1008,8 +1148,9 @@ def reference_run(steps, state, prune_threshold=1e-14):
                 new_branches.append((prob, _reference_discard_branch(psi, step), transcript))
         branches = new_branches
     total = sum(prob for prob, _, _ in branches)
-    branches = sorted(((p / total, s, t) for p, s, t in branches), key=lambda b: b[2])
-    return ProtocolRun(state, tuple(Branch(p, s, t) for p, s, t in branches), abs(1.0 - total))
+    probs, states, transcripts = zip(*sorted(((p / total, s, t) for p, s, t in branches), key=lambda b: b[2]))
+    rows = np.stack([s.amplitudes for s in states])
+    return ProtocolRun(state, states[0].dims, rows, probs, transcripts, abs(1.0 - total))
 
 
 def reference_assert_entropy_monotone(result):
@@ -1085,8 +1226,9 @@ def haar_fake_run(seed):
     states = [(random_pure_state(dims, rng), (str(i),)) for i in range(count)]
     if seed // len(HAAR_DIMS) % 2:
         states += edge_rows(dims)
-    weights = rng.dirichlet(np.ones(len(states)))
-    branches = [Branch(float(w), state, t) for w, (state, t) in zip(weights, states)]
+    weights = tuple(map(float, rng.dirichlet(np.ones(len(states)))))
+    rows = np.stack([state.amplitudes for state, _ in states])
+    transcripts = tuple(t for _, t in states)
     if seed % 3 == 0:
         start = random_pure_state(dims, rng)
     else:
@@ -1094,7 +1236,7 @@ def haar_fake_run(seed):
         amps = np.zeros(math.prod(dims), dtype=complex)
         amps[0], amps[-1] = 1.0, rng.uniform(0.0, 1.5)
         start = PureState(dims, amps)
-    return ProtocolRun(start, tuple(branches), 0.0)
+    return ProtocolRun(start, dims, rows, weights, transcripts, 0.0)
 
 
 def stacked_check(result):

@@ -304,6 +304,23 @@ def test_pure_state_rejects_dim_mismatch():
         PureState((2, 2), np.ones(3, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, np.bool_(True), "2", np.float64(2.0)])
+def test_pure_state_refuses_non_integer_dims_by_name(bad):
+    # dims are read by the party rule, so 2.7 is not truncated to 2 nor True to 1
+    message = f"expected an integer, not {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        PureState((bad, 2, 2), np.ones(8) / 8**0.5)
+    with pytest.raises(ValueError, match=message):
+        PureState((2, bad, 2), np.ones(8) / 8**0.5)
+    with pytest.raises(ValueError, match=message):
+        make_state((2, bad), [("00", 1.0)])
+    with pytest.raises(ValueError, match=message):
+        random_pure_state((bad, 2), rng=0)
+    # numpy integers are integers, and are stored as ints
+    state = PureState((np.int64(2), np.uint8(1), 2), np.ones(4) / 2)
+    assert state.dims == (2, 1, 2) and all(type(d) is int for d in state.dims)
+
+
 # --- the array state decoder against the per-term one it replaced ----------
 
 
