@@ -80,16 +80,19 @@ def _text_columns(columns) -> list[list[str]]:
     """Cell text of equal-length `columns`, column by column.
 
     A column whose cells share one exact type from `_CELL_TEXT` maps that
-    type's formatter over itself; any other column goes through `_fmt` cell
-    by cell. Either way a cell reads as `_fmt` would write it; mapping the
-    formatter saves one `_fmt` call per cell, about a fifth of the time a
-    long CSV table takes to write.
+    type's formatter over itself (a `float` column is one "%.12g" `%` call);
+    any other column goes through `_fmt` cell by cell. Either way a cell
+    reads as `_fmt` would write it; skipping `_fmt` saves about a fifth of
+    the time a long CSV table takes to write.
     """
     text = []
     for column in columns:
         kinds = set(map(type, column))
-        plain = _CELL_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        text.append(list(map(plain or _fmt, column)))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
+            text.append(("%.12g\n" * len(column) % tuple(column)).split("\n")[:-1])
+        else:
+            text.append(list(map(_CELL_TEXT.get(kind) or _fmt, column)))
     return text
 
 

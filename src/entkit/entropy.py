@@ -159,7 +159,8 @@ def _cuts_by_size(dims: tuple[int, ...]) -> tuple:
     one entry, with the first such cut's side: a dimension-1 party adds no
     length to either axis of the split amplitude matrix, so their Grams are
     the same matrix, byte for byte. A state with no dimension-1 party has
-    one index per entry.
+    one index per entry. This is the package's one rule for dimension-1
+    parties: `_exact_lift` reads it from these entries too.
     """
     dim, m = math.prod(dims), len(dims)
     by_size: dict[int, dict[tuple[int, ...], tuple[list[int], Partition]]] = {}
@@ -342,15 +343,58 @@ def _symmetric_level(values: dict[Partition, Fraction], num_parties: int, size: 
 # --- exact-rational entropy vectors -----------------------------------------
 
 
+@functools.cache
+def _exact_lift(dims: tuple[int, ...]) -> tuple:
+    """(shape, lift) of states on `dims`: their shape on the parties of
+    dimension > 1 and, per canonical cut, the canonical index of its cut of
+    those parties (-1 if it splits none), read through the side of its
+    `_cuts_by_size` entry."""
+    kept = [p for p, d in enumerate(dims) if d > 1]
+    position = {p: i for i, p in enumerate(kept)}
+    lift = [-1] * len(canonical_partitions(len(dims)))
+    for _, entries in _cuts_by_size(dims):
+        for indices, side, _ in entries:
+            members = tuple(position[p] for p in side.members if p in position)
+            for index in indices if members else ():
+                lift[index] = canonical_partitions(len(kept)).index(Partition(len(kept), members).canonical())
+    return tuple(dims[p] for p in kept), tuple(lift)
+
+
+def _exact_rows(states: Sequence[PureState]) -> list:
+    """Per state, its exact entropies in canonical order, or the `ValueError`
+    naming its first inexact cut, returned so that a caller raises the first
+    fault in entry order. States of one shape on their parties of dimension
+    > 1 take one `_cut_blocks` pass, each a copy-free view on those parties
+    (a group of one stays that view); `_exact_lift` maps the rows back onto
+    each state's cuts, and a cut that splits none of those parties is 0."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, state in enumerate(states):
+        groups.setdefault(_exact_lift(state.dims)[0], []).append(i)
+    rows: list = [None] * len(states)
+    for shape, members in groups.items():
+        values = [{-1: Fraction(0)} for _ in members]  # -1: every unsplit cut
+        if len(shape) > 1:
+            views = [states[i].amplitudes.reshape(shape) for i in members]
+            stack = views[0][None] if len(views) == 1 else np.stack(views)
+            for entries, entropies, others, _ in _cut_blocks(stack):
+                for (index,), column, flags in zip(entries, entropies.tolist(), others.tolist()):
+                    for row, value, other in zip(values, column, flags):
+                        row[index] = None if other else Fraction(int(value))
+        for i, row in zip(members, values):
+            rows[i] = tuple(map(row.__getitem__, _exact_lift(states[i].dims)[1]))
+            if any(value is None for value in row.values()):
+                part = canonical_partitions(states[i].num_parties)[[v is None for v in rows[i]].index(True)]
+                rows[i] = ValueError(f"partition {part.label} has no exact rational entropy")
+    return rows
+
+
 def exact_entropy_vector(state: PureState) -> dict[Partition, Fraction]:
-    """Exact entropy per canonical partition; raises if any cut is not exact."""
-    values = cut_spectra(state)
-    for part, value in values.items():
-        if not isinstance(value, Fraction):
-            raise ValueError(
-                f"partition {part.label} has no exact rational entropy"
-            )
-    return values
+    """Exact entropy per canonical partition, from `_exact_rows` of the state
+    alone; raises, naming the first cut, if any cut is not exact."""
+    row = _exact_rows([state])[0]
+    if isinstance(row, ValueError):
+        raise row
+    return dict(zip(canonical_partitions(state.num_parties), row))
 
 
 def exact_entropy_ratio_r21(

@@ -22,7 +22,7 @@ equation to Python ints and runs fraction-free, so the one solver
 an inconsistent system and the lift of Farkas multipliers to a weighting.
 Every exact inner product (`_dot`: picking and re-checking a certificate,
 the residual of a mix) likewise sums Python ints over one common
-denominator and builds one `Fraction` at the end.
+denominator, each vector scaled once, and builds one `Fraction` at the end.
 The inequality half, x >= 0 over the solutions of the equality system, is
 one exact dictionary simplex (`_lexmin_mix`): it finds the mix, decides
 uniqueness and yields the Farkas multipliers.
@@ -39,9 +39,9 @@ from typing import Sequence, Union
 from .builders import cat_state, codeword5, embedded_cat, epr_between
 from .entropy import (
     EntropyVector,
+    _exact_rows,
     entropy_vector,
     exact_entropy_ratio_r21,
-    exact_entropy_vector,
 )
 from .errors import InternalError
 from .states import PureState, canonical_partitions, party_letters
@@ -74,23 +74,27 @@ def _snap(value) -> Fraction:
     return fr
 
 
-def _as_row(num_parties: int, vector) -> tuple[Fraction, ...]:
-    """A state's exact entropy vector, or a sequence of entries in canonical
-    partition order, as an exact partition row."""
-    if isinstance(vector, PureState):
-        if vector.num_parties != num_parties:
-            raise ValueError(
-                f"a {vector.num_parties}-party state where {num_parties} "
-                "parties are expected"
-            )
-        return tuple(exact_entropy_vector(vector).values())  # canonical order
-    row = tuple(_snap(x) for x in vector)
-    width = len(canonical_partitions(num_parties))
-    if len(row) != width:
-        raise ValueError(
-            f"expected {width} entries for {num_parties} parties, got {len(row)}"
-        )
-    return row
+def _as_rows(num_parties: int, vectors: Sequence) -> list[tuple[Fraction, ...]]:
+    """Each state's exact entropy vector, or sequence of entries in canonical
+    partition order, as an exact partition row; the first bad entry raises.
+    The states' rows come from one `_exact_rows` call, made at the first
+    state so that a party count below 2 faults where one state alone would."""
+    states = [v for v in vectors if isinstance(v, PureState) and v.num_parties == num_parties]
+    rows, exact = [], None
+    for vector in vectors:
+        if isinstance(vector, PureState):
+            if vector.num_parties != num_parties:
+                raise ValueError(f"a {vector.num_parties}-party state where {num_parties} parties are expected")
+            exact = exact or iter(_exact_rows(states))
+            row = next(exact)
+            if isinstance(row, ValueError):
+                raise row
+        else:
+            row, width = tuple(_snap(x) for x in vector), len(canonical_partitions(num_parties))
+            if len(row) != width:
+                raise ValueError(f"expected {width} entries for {num_parties} parties, got {len(row)}")
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -124,14 +128,14 @@ class EntropyMatrix:
         cls, num_parties: int, entries: Sequence[tuple[str, object]]
     ) -> "EntropyMatrix":
         labels = tuple(label for label, _ in entries)
-        rows = tuple(_as_row(num_parties, vec) for _, vec in entries)
+        rows = tuple(_as_rows(num_parties, [vec for _, vec in entries]))
         return cls(num_parties, labels, rows)
 
     def with_generator(self, label: str, vector) -> "EntropyMatrix":
         return EntropyMatrix(
             self.num_parties,
             self.labels + (label,),
-            self.rows + (_as_row(self.num_parties, vector),),
+            self.rows + tuple(_as_rows(self.num_parties, [vector])),
         )
 
 
@@ -336,11 +340,12 @@ def _feasible(
     of that and of w . c >= 0 for every column c.
     """
     n = len(columns)
+    b_scaled = _integer_scaled(b)
     outcome = _solve_exact([[c[p] for c in columns] for p in range(len(b))], b, n)
     if outcome is None:
         # a left-kernel vector that does not vanish on b
         _, left_kernel = _solve_exact(columns, [0] * n, len(b))
-        w = next(w for w in left_kernel if _dot(w, b) != 0)
+        w = next(w for w in left_kernel if _dot(_integer_scaled(w), b_scaled) != 0)
         reason = "the equality system itself is inconsistent"
     else:
         x0, kernel = outcome
@@ -352,9 +357,10 @@ def _feasible(
             raise InternalError("multipliers failed to lift; this is a bug")
         w = lifted[0]
         reason = "the equality system is solvable only with negative coefficients"
-    if _dot(w, b) > 0:
-        w = [-x for x in w]
-    verified = _dot(w, b) < 0 and all(_dot(w, c) >= 0 for c in columns)
+    w_scaled = _integer_scaled(w)
+    if _dot(w_scaled, b_scaled) > 0:
+        w, w_scaled = [-x for x in w], (w_scaled[0], [-x for x in w_scaled[1]])
+    verified = _dot(w_scaled, b_scaled) < 0 and all(_dot(w_scaled, _integer_scaled(c)) >= 0 for c in columns)
     return None, (w, reason, verified)
 
 
@@ -367,14 +373,12 @@ def _integer_scaled(values: Sequence) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    """The exact inner product of two vectors of ints or `Fraction`s: each is
-    scaled to Python ints over its common denominator, the products are
-    summed as ints, and one `Fraction` is built at the end (0 for empty
-    vectors)."""
-    scale_a, ints_a = _integer_scaled(a)
-    scale_b, ints_b = _integer_scaled(b)
-    return Fraction(sum(map(operator.mul, ints_a, ints_b)), scale_a * scale_b)
+def _dot(a: tuple[int, list[int]], b: tuple[int, list[int]]) -> Fraction:
+    """The exact inner product of two vectors of ints or `Fraction`s, each
+    given as its `_integer_scaled` pair, so that a vector in several
+    products is scaled once: the products are summed as ints, and one
+    `Fraction` is built at the end (0 for empty vectors)."""
+    return Fraction(sum(map(operator.mul, a[1], b[1])), a[0] * b[0])
 
 
 def solve_coefficients(
@@ -392,13 +396,14 @@ def solve_coefficients(
     coefficient) is returned with a separating partition weighting, checked
     exactly before being handed back.
     """
-    t = _as_row(gens.num_parties, target)
+    (t,) = _as_rows(gens.num_parties, [target])
     mix, certificate = _feasible(gens.rows, t)
     if certificate is not None:
         w, reason, verified = certificate
         return Infeasible(gens.labels, tuple(w), verified, reason)
     point, unique, kernel = mix
-    residual = max(abs(_dot([row[p] for row in gens.rows], point) - t[p]) for p in range(len(t)))
+    scaled = _integer_scaled(point)
+    residual = max(abs(_dot(_integer_scaled([row[p] for row in gens.rows]), scaled) - x) for p, x in enumerate(t))
     return CoefficientSolution(
         labels=gens.labels,
         coefficients=tuple(point),
@@ -477,9 +482,10 @@ def mregs_lower_bound(m: int) -> MregsBound:
     """
     if m < 2:
         raise ValueError("need at least two parties")
-    eprs = _epr_generators(m)
-    gens = EntropyMatrix.from_states(m, eprs)
+    eprs, probes = _epr_generators(m), _default_probes(m)
+    rows = _as_rows(m, [state for _, state in eprs + probes])
     baseline = len(eprs)
+    gens = EntropyMatrix(m, tuple(label for label, _ in eprs), tuple(rows[:baseline]))
     trace = [
         f"baseline: the {baseline} EPR pairs are mutually independent "
         "(each is the only generator entangling its pair of parties)"
@@ -497,9 +503,7 @@ def mregs_lower_bound(m: int) -> MregsBound:
         )
     bound = baseline
     results: list[ProbeResult] = []
-    for label, state in _default_probes(m):
-        # the probe's exact entropy row, computed once for both calls
-        row = _as_row(m, state)
+    for (label, _), row in zip(probes, rows[baseline:]):
         verdict = solve_coefficients(gens, row)
         if isinstance(verdict, Infeasible):
             if not verdict.verified:
@@ -560,21 +564,20 @@ def r21_table() -> list[R21Row]:
 
     Cat states sit at 1 for every m; complete EPR graphs at 2(m-2)/(m-1);
     the five-qubit codeword at 2. All ratios are computed from the states
-    in exact arithmetic: cats and the codeword densely, each complete EPR
-    graph as the sum of the exact vectors of its embedded pairs
-    (`epr_between`), since partial entropy is additive over tensor
-    factors, so no graph state is ever built.
+    in exact arithmetic, from one `_exact_rows` call per m: cats and the
+    codeword densely, each complete EPR graph as the sum of the exact rows
+    of its embedded pairs (`epr_between`), since partial entropy is
+    additive over tensor factors, so no graph state is ever built.
     """
     rows: list[R21Row] = []
     for m in (3, 4, 5, 6):
-        cat_vec = exact_entropy_vector(cat_state(m))
-        rows.append(R21Row(m, f"cat{m}", exact_entropy_ratio_r21(cat_vec, m)))
-        pairs = [exact_entropy_vector(state) for _, state in _epr_generators(m)]
-        epr_vec = {part: sum(vec[part] for vec in pairs) for part in pairs[0]}
-        rows.append(R21Row(m, f"{len(pairs)} eprs", exact_entropy_ratio_r21(epr_vec, m)))
+        pairs = [state for _, state in _epr_generators(m)]
+        cat, *exact = _as_rows(m, [cat_state(m), *pairs, *([codeword5()] if m == 5 else [])])
+        vectors = {f"cat{m}": cat, f"{len(pairs)} eprs": [sum(cut) for cut in zip(*exact[: len(pairs)])]}
         if m == 5:
-            code_vec = exact_entropy_vector(codeword5())
-            rows.append(R21Row(5, "codeword5", exact_entropy_ratio_r21(code_vec, 5)))
+            vectors["codeword5"] = exact[-1]
+        for label, row in vectors.items():
+            rows.append(R21Row(m, label, exact_entropy_ratio_r21(dict(zip(canonical_partitions(m), row)), m)))
     return rows
 
 

@@ -19,13 +19,12 @@ from entkit.builders import (
     epr_pair,
     eprs_complete,
 )
-from entkit.entropy import entropy_vector, shannon_entropy
+from entkit.entropy import entropy_vector, exact_entropy_vector, shannon_entropy
 from entkit.linalg import hermitian_eigenvalues
 from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
     Infeasible,
-    _as_row,
     mregs_lower_bound,
     r21_table,
     solve_coefficients,
@@ -165,7 +164,7 @@ def test_criterion_4_mregs_bounds_and_recovery():
             outcome = solve_coefficients(gens, state)
             assert isinstance(outcome, Infeasible)
             w = outcome.certificate
-            target_row = list(_as_row(m, state))
+            target_row = list(exact_entropy_vector(state).values())
             assert sum(wi * ti for wi, ti in zip(w, target_row)) < 0
             for row in gens.rows:
                 assert sum(wi * ri for wi, ri in zip(w, row)) >= 0

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import MALFORMED_PROTOCOLS, MALFORMED_STATES
 
 from entkit.cli import _CSV_BLOCK, _emit_csv, _emit_text_table, _fmt, main
-from entkit.states import PureState, random_unitary, save_state
+from entkit.states import PureState, random_unitary, save_state, tensor
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +252,29 @@ def test_coeffs_rejects_an_unverified_certificate(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: infeasibility certificate failed verification\n"
+
+
+def test_coeffs_takes_one_block_pass_per_generator_shape(capsys, monkeypatch, tmp_path):
+    # the ten EPR pairs share one pass, the 3-cat and the 4-cat take one
+    # each, and the product target one more
+    from entkit import entropy
+    from entkit.builders import embedded_cat, epr_between
+
+    paths = []
+    for name, state in [
+        ("cat3", embedded_cat(5, (0, 2, 3))),
+        ("cat4", embedded_cat(5, (0, 1, 2, 4))),
+        ("target", tensor(epr_between(5, 1, 4), embedded_cat(5, (0, 2, 3)), list(range(5)))),
+    ]:
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_state(state, paths[-1])
+    pairs = [f"epr({i},{j},5)" for i in range(5) for j in range(i + 1, 5)]
+    passes = []
+    blocks = entropy._cut_blocks
+    monkeypatch.setattr(entropy, "_cut_blocks", lambda stack: passes.append(stack.shape) or blocks(stack))
+    code, out, _ = run_cli(capsys, "coeffs", "--gens", *pairs, *paths[:2], "--target", paths[2], "--format", "csv")
+    assert code == 0 and out.startswith("generator,coefficient\n") and "\nresidual,0\n" in out
+    assert passes == [(10, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2, 2), (1,) + (2,) * 5]
 
 
 def test_run_protocol_with_target(capsys, tmp_path):

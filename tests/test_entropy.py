@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import entkit.entropy as entropy_module
+
 from entkit.builders import (
     cat_power,
     cat_state,
@@ -22,6 +24,7 @@ from entkit.entropy import (
     PartitionAsymmetryError,
     _cut_blocks,
     _cuts_by_size,
+    _exact_rows,
     _spectra_and_entropies,
     cut_spectra,
     entropy_vector,
@@ -39,6 +42,7 @@ from entkit.states import (
     random_pure_state,
     random_unitary,
     reduced_gram,
+    tensor,
 )
 
 # h(3/4, 1/4), written out once so nothing downstream drifts
@@ -615,3 +619,89 @@ def test_shannon_entropy_rejects_negatives_and_drops_zeros():
     assert shannon_entropy([0.5, 0.5, 0.0, 1e-13, -1e-13]) == 1.0
     stacked = shannon_entropy([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.75, 0.25, 0.0]])
     assert stacked.tolist() == [1.0, 0.0, shannon_entropy([0.75, 0.25])]
+
+
+# --- exact rows, one block pass per shape ----------------------------------------
+
+
+def flat_factor(m, members, dims, rank, rng):
+    """A rank-`rank` cat on `members` of m parties, dimension 1 elsewhere:
+    member p has dimension dims[p] and holds `rank` random distinct levels,
+    and the terms carry random phases half of the time."""
+    shape = tuple(dims[p] if p in members else 1 for p in range(m))
+    levels = {p: rng.permutation(dims[p])[:rank] for p in members}
+    phases = np.exp(2j * np.pi * rng.random(rank)) if rng.random() < 0.5 else np.ones(rank)
+    amps = np.zeros(shape, dtype=complex)
+    for k in range(rank):
+        amps[tuple(levels[p][k] if p in members else 0 for p in range(m))] = phases[k]
+    return PureState(shape, amps.reshape(-1)), ((frozenset(members), int(rank).bit_length() - 1),)
+
+
+def flat_collection(m, rng):
+    """Embedded EPR pairs, embedded cats, their products and one-party
+    states on m parties, with qubit, qutrit and ququart members and
+    dimension-1 parties, each with its factors' (members, bits)."""
+    out = []
+    for _ in range(6):
+        size = 2 if rng.random() < 0.5 else int(rng.integers(2, min(m, 4) + 1))
+        members = tuple(sorted(rng.choice(m, size, replace=False).tolist()))
+        dims, rank = rng.choice([2, 3, 4], m).tolist(), 2
+        if rng.random() < 0.25:  # ququart members holding two bits a split
+            dims, rank = [4] * m, 4
+        out.append(flat_factor(m, members, dims, rank, rng))
+    for (a, fa), (b, fb) in itertools.combinations(out[:4], 2):
+        out.append((tensor(a, b, list(range(m))), fa + fb))
+    lone = np.ones(m, dtype=int)
+    lone[int(rng.integers(m))] = 3
+    out.append((PureState(tuple(lone.tolist()), rng.normal(size=3) + 0j), ()))
+    out.append((PureState((1,) * m, [1j]), ()))
+    return out
+
+
+def test_exact_rows_match_the_combinatorial_vector_and_the_one_state_call(monkeypatch):
+    # every party count in one call, shuffled: each row is the sum over
+    # factors of the bits of those whose members the cut splits, and the
+    # one-state call's row; one block pass per shape with two or more
+    # parties of dimension > 1
+    rng = np.random.default_rng(2027)
+    entries = [entry for m in range(2, 7) for entry in flat_collection(m, rng)]
+    entries = [entries[i] for i in rng.permutation(len(entries))]
+    states = [state for state, _ in entries]
+    singles = [tuple(exact_entropy_vector(state).values()) for state in states]
+    passes = []
+    blocks = _cut_blocks
+    monkeypatch.setattr(entropy_module, "_cut_blocks", lambda stack: passes.append(stack.shape) or blocks(stack))
+    rows = _exact_rows(states)
+    shapes = {tuple(d for d in state.dims if d > 1) for state in states}
+    assert sorted(shape[1:] for shape in passes) == sorted(shape for shape in shapes if len(shape) > 1)
+    assert any(shape[0] > 1 for shape in passes)
+    for (state, factors), row, single in zip(entries, rows, singles):
+        want = tuple(
+            sum(bits for members, bits in factors if 0 < len(members & set(part.members)) < len(members))
+            for part in canonical_partitions(state.num_parties)
+        )
+        assert row == want == single
+        assert all(type(value) is Fraction for value in row)
+
+
+def test_a_lone_state_is_a_view_on_its_nontrivial_parties(monkeypatch):
+    state = epr_between(5, 0, 3)
+    stacks = []
+    blocks = _cut_blocks
+    monkeypatch.setattr(entropy_module, "_cut_blocks", lambda stack: stacks.append(stack) or blocks(stack))
+    assert _exact_rows([state]) == [tuple(exact_entropy_vector(state).values())]
+    assert stacks[0].shape == (1, 2, 2)
+    assert np.shares_memory(stacks[0], state.amplitudes)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_exact_rows_name_the_first_inexact_cut_per_state(count):
+    # EPR on A, B and a Haar pair on C, D: A and B are exact, C is not
+    haar = tensor(epr_pair(), random_pure_state((2, 2), np.random.default_rng(9)))
+    states = [cat_state(4)] * (count - 1) + [haar]
+    rows = _exact_rows(states)
+    assert rows[:-1] == [tuple(exact_entropy_vector(cat_state(4)).values())] * (count - 1)
+    assert isinstance(rows[-1], ValueError)
+    assert str(rows[-1]) == "partition C has no exact rational entropy"
+    with pytest.raises(ValueError, match="^partition C has no exact rational entropy$"):
+        exact_entropy_vector(haar)

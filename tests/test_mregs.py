@@ -26,6 +26,7 @@ from entkit.mregs import (
     Infeasible,
     _dot,
     _feasible,
+    _integer_scaled,
     _lexmin_mix,
     _solve_exact,
     egs_check,
@@ -33,7 +34,7 @@ from entkit.mregs import (
     r21_table,
     solve_coefficients,
 )
-from entkit.states import canonical_partitions, make_state
+from entkit.states import canonical_partitions, make_state, random_pure_state, tensor
 
 
 def epr_matrix(m):
@@ -126,6 +127,34 @@ def test_state_on_other_parties_is_rejected(build, message):
         build()
 
 
+W4 = make_state((2, 2, 2, 2), [("1000", 1), ("0100", 1), ("0010", 1), ("0001", 1)])
+# an EPR pair on A, B and a Haar pair on C, D: the first inexact cut is C
+HAAR_CD = tensor(epr_between(2, 0, 1), random_pure_state((2, 2), 9))
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([epr_between(4, 0, 1), W4, cat_state(3)], "partition A has no exact"),
+        ([epr_between(4, 0, 1), cat_state(3), W4], "a 3-party state where 4"),
+        ([HAAR_CD, cat_state(3)], "partition C has no exact"),
+        ([cat_state(3), HAAR_CD], "a 3-party state where 4"),
+        ([HAAR_CD, W4], "partition C has no exact"),
+        ([W4, HAAR_CD], "partition A has no exact"),
+        ([W4, [1, 2]], "partition A has no exact"),
+        ([[1, 2], W4], "expected 7 entries for 4 parties, got 2"),
+        ([[1.5e-7] * 7, W4], "entry 1.5e-07 is not rational"),
+        ([cat_state(4), HAAR_CD, [1, 2]], "partition C has no exact"),
+    ],
+)
+def test_the_first_bad_entry_in_order_raises(vectors, message):
+    # every state's row comes from one call, but the fault reported is the
+    # one the entries give one at a time
+    entries = [(f"g{i}", vector) for i, vector in enumerate(vectors)]
+    with pytest.raises(ValueError, match=message):
+        EntropyMatrix.from_states(4, entries)
+
+
 def test_infeasible_on_inconsistent_equalities():
     gens = EntropyMatrix.from_states(2, [("epr", epr_between(2, 0, 1))])
     outcome = solve_coefficients(gens, [Fraction(1, 3)])
@@ -145,13 +174,15 @@ def test_lower_bounds(m, expected):
 
 
 def test_lower_bound_computes_each_exact_entropy_row_once(monkeypatch):
-    # one block pass per EPR generator and one per probe: a counted probe's
+    # one block pass per distinct shape on the parties of dimension > 1:
+    # the 15 EPR pairs, the 15 embedded 4-cats and cat6; a counted probe's
     # row is not computed again when it joins the generators
     passes = []
     blocks = entropy._cut_blocks
-    monkeypatch.setattr(entropy, "_cut_blocks", lambda stack: passes.append(1) or blocks(stack))
+    monkeypatch.setattr(entropy, "_cut_blocks", lambda stack: passes.append(stack.shape) or blocks(stack))
     result = mregs_lower_bound(6)
-    assert len(passes) == result.baseline + len(result.probes) == 31
+    assert result.baseline + len(result.probes) == 31
+    assert sorted(passes) == [(1,) + (2,) * 6, (15, 2, 2), (15, 2, 2, 2, 2)]
 
 
 def test_lower_bound_trace_mentions_ratio():
@@ -657,7 +688,7 @@ exact_entries = st.integers(-(2**70), 2**70) | st.fractions(max_denominator=2**8
 def test_integer_dot_is_the_fraction_sum(data, size):
     a = data.draw(st.lists(exact_entries, min_size=size, max_size=size))
     b = data.draw(st.lists(exact_entries, min_size=size, max_size=size))
-    got = _dot(a, b)
+    got = _dot(_integer_scaled(a), _integer_scaled(b))
     assert type(got) is Fraction
     assert got == sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -665,8 +696,9 @@ def test_integer_dot_is_the_fraction_sum(data, size):
 def test_integer_dot_past_64_bit_denominators():
     a = [Fraction(1, 2**64 + 1), Fraction(-3, 2**65), 7]
     b = [Fraction(2**64 + 1, 5), 2**65, Fraction(-1, 3**41)]
-    assert _dot(a, b) == Fraction(1, 5) - 3 - Fraction(7, 3**41)
-    assert _dot([], []) == Fraction(0) and type(_dot([], [])) is Fraction
+    assert _dot(_integer_scaled(a), _integer_scaled(b)) == Fraction(1, 5) - 3 - Fraction(7, 3**41)
+    empty = _dot(_integer_scaled([]), _integer_scaled([]))
+    assert empty == Fraction(0) and type(empty) is Fraction
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
