@@ -82,7 +82,6 @@ from .reducibility import (
     classify_states,
     ghz_epr_witness,
     majorizes,
-    ppt_minimum_eigenvalue,
 )
 from .schmidt import (
     MOrthogonalResult,

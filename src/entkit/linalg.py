@@ -3,10 +3,12 @@
 Every spectrum in the package comes through here. The public solvers
 enforce the input contract: square matrices (or a stack of equal-size
 ones) with finite entries, Hermitian within 1e-10 of each matrix's
-Frobenius norm. Only `entropy._cut_blocks` skips it, for the Grams M M^dag
-it forms, which are Hermitian by construction; it rejects non-finite ones
-by their purities. Results are sorted descending, which is the order
-Schmidt coefficients and majorization tests read them in.
+Frobenius norm. Two callers skip it, for matrices Hermitian by
+construction: `entropy._cut_blocks`, for the Grams M M^dag it forms (it
+rejects non-finite ones by their purities), and
+`reducibility._pair_transpose_spectra`, for partial transposes of the
+reduced matrices of a state. Results are sorted descending, which is the
+order Schmidt coefficients and majorization tests read them in.
 """
 from __future__ import annotations
 

@@ -6,9 +6,9 @@ marginally isentropic pairs: they are either interconvertible (and then
 related by local unitaries) or incomparable, with no one-way reductions.
 The classifier walks that tree, certifying local-unitary equivalence by
 explicitly constructing the unitaries where it can, and certifying
-incomparability from invariant mismatches or from a structural
-obstruction: a two-party reduction that is exactly maximally mixed on one
-side while the other side's same reduction holds a distillable qubit pair.
+incomparability from a mismatch of local-unitary invariants: the partial
+entropies, the spectrum of every cut, and then the spectrum of every
+two-party reduction after a partial transpose on its second party.
 """
 from __future__ import annotations
 
@@ -24,15 +24,14 @@ import numpy as np
 from .builders import cat_power, eprs_complete
 from .entropy import _EIGENVALUE_FLOOR, _ISENTROPY_TOL, EntropyVector, _spectra_and_entropies
 from .errors import InternalError
-from .linalg import hermitian_eigensystem, hermitian_eigenvalues
-from .states import Partition, PureState, reduced_gram, refine_to_qubits
+from .linalg import _unchecked_eigenvalues, hermitian_eigensystem
+from .states import Partition, PureState, party_letters, reduced_gram
 
 __all__ = [
     "majorizes",
     "ComparisonVerdict",
     "Classification",
     "classify_states",
-    "ppt_minimum_eigenvalue",
     "GhzEprWitness",
     "ghz_epr_witness",
 ]
@@ -40,8 +39,9 @@ __all__ = [
 _MAJORIZATION_TOL = 1e-10
 _SPECTRUM_TOL = 1e-8
 _LU_FIDELITY_TOL = 1e-9
-_NPT_TOL = 1e-10
-_MAXMIX_TOL = 1e-10
+# a partial transpose has no cheaper side to diagonalize, so pairs of
+# parties whose joint dimension d_i * d_j exceeds this are left out
+_PAIR_TRANSPOSE_DIM_LIMIT = 256
 
 
 def majorizes(q: Sequence[float], p: Sequence[float]) -> bool:
@@ -133,15 +133,43 @@ def _partition_spectra_match(
 ) -> Partition | None:
     """First canonical partition whose marginal spectra differ, if any."""
     for part, value in spectra_a.items():
-        ea, eb = _as_eigenvalues(value), _as_eigenvalues(spectra_b[part])
-        n = max(len(ea), len(eb))
-        pa = np.zeros(n)
-        pb = np.zeros(n)
-        pa[: len(ea)] = ea
-        pb[: len(eb)] = eb
-        if np.max(np.abs(pa - pb)) > _SPECTRUM_TOL:
+        if _spectra_differ(_as_eigenvalues(value), _as_eigenvalues(spectra_b[part])):
             return part
     return None
+
+
+def _spectra_differ(ea: np.ndarray, eb: np.ndarray) -> bool:
+    """Whether two spectra, each sorted descending, differ by more than 1e-8
+    in some entry. Spectra of different lengths are padded with zeros to a
+    common length and sorted again, since a partial transpose can have
+    negative eigenvalues."""
+    if len(ea) != len(eb):
+        n = max(len(ea), len(eb))
+        ea, eb = (np.sort(np.concatenate([e, np.zeros(n - len(e))])) for e in (ea, eb))
+    return bool(np.abs(ea - eb).max() > _SPECTRUM_TOL)
+
+
+def _pair_transpose_spectra(state: PureState) -> dict[tuple[int, int], np.ndarray]:
+    """The spectrum of rho_XY^{T_Y}, sorted descending, for every pair of
+    parties X < Y with d_X * d_Y at most 256.
+
+    Each is a local-unitary invariant: (U x V) rho (U x V)^dag partially
+    transposes to (U x conj(V)) rho^{T_Y} (U x conj(V))^dag. Reductions of
+    one size share one eigensolver call, unchecked: the partial transpose of
+    a Hermitian matrix is Hermitian, and a `PureState` has finite amplitudes.
+    """
+    by_size: dict[int, list] = {}
+    for x, y in itertools.combinations(range(state.num_parties), 2):
+        dx, dy = state.dims[x], state.dims[y]
+        if dx * dy > _PAIR_TRANSPOSE_DIM_LIMIT:
+            continue
+        rho = reduced_gram(state, (x, y)).reshape(dx, dy, dx, dy)
+        by_size.setdefault(dx * dy, []).append(((x, y), rho.transpose(0, 3, 2, 1).reshape(dx * dy, -1)))
+    spectra = {}
+    for entries in by_size.values():
+        pairs, mats = zip(*entries)
+        spectra.update(zip(pairs, _unchecked_eigenvalues(np.array(mats))))
+    return spectra
 
 
 def _apply_party_unitaries(state: PureState, mats: Sequence[np.ndarray]) -> PureState:
@@ -241,87 +269,9 @@ def _lu_align(a: PureState, b: PureState) -> list[np.ndarray] | None:
     return mats
 
 
-def ppt_minimum_eigenvalue(rho: np.ndarray) -> float:
-    """Smallest eigenvalue of a two-qubit state after partial transpose."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit reduced matrix")
-    t = rho.reshape(2, 2, 2, 2)
-    # transpose the second qubit: swap its bra and ket indices
-    pt = t.transpose(0, 3, 2, 1).reshape(4, 4)
-    return float(hermitian_eigenvalues(pt)[-1])
-
-
 def _maximally_mixed_deviation(rho: np.ndarray) -> float:
     d = rho.shape[0]
     return float(np.max(np.abs(rho - np.eye(d) / d)))
-
-
-def _off_diagonal_max(rho: np.ndarray) -> float:
-    return float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
-
-
-def _npt_cross_pair(
-    state: PureState, party_x: int, party_y: int
-) -> tuple[tuple[int, int], float] | None:
-    """Search for a distillable qubit pair between two parties.
-
-    Refines both parties into qubit factors and tests every cross pair of
-    qubits with the partial-transpose criterion; returns (qubit indices,
-    minimum eigenvalue) for the most negative pair found.
-    """
-    refined, groups = refine_to_qubits(state)
-    best = None
-    for qx in groups[party_x]:
-        for qy in groups[party_y]:
-            rho = reduced_gram(refined, [qx, qy])
-            if rho.shape != (4, 4):
-                continue
-            eig = ppt_minimum_eigenvalue(rho)
-            if eig < -_NPT_TOL and (best is None or eig < best[1]):
-                best = ((qx, qy), eig)
-    return best
-
-
-def _separable_versus_entangled(
-    a: PureState, b: PureState
-) -> Classification | None:
-    """Obstruction for fully isentropic pairs.
-
-    If the states were interconvertible they would be related by local
-    unitaries, and unitaries on two parties carry one state's reduction to
-    those parties onto the other's. So a reduction that is certifiably
-    separable on one side (diagonal in the product basis, i.e. a classical
-    mixture of basis products) cannot face a reduction holding a
-    distillable qubit pair on the other side.
-    """
-    m = a.num_parties
-    for pair in itertools.combinations(range(m), 2):
-        for first, second, tag in ((a, b, "A"), (b, a, "B")):
-            rho_first = reduced_gram(first, pair)
-            if _off_diagonal_max(rho_first) > _MAXMIX_TOL:
-                continue
-            found = _npt_cross_pair(second, *pair)
-            if found is None:
-                continue
-            qubits, eig = found
-            other = "B" if tag == "A" else "A"
-            label = Partition(m, pair).label
-            return Classification(
-                ComparisonVerdict.INCOMPARABLE,
-                f"the reduction to parties {label} is a classical mixture of "
-                f"basis products for state {tag}, but state {other} holds a "
-                f"distillable qubit pair there (partial-transpose eigenvalue "
-                f"{eig:.9f}); local unitaries cannot bridge that, and "
-                "non-equivalent fully isentropic states are incomparable",
-                details={
-                    "pair": pair,
-                    "separable_side": tag,
-                    "npt_qubits": qubits,
-                    "npt_eigenvalue": eig,
-                },
-            )
-    return None
 
 
 def classify_states(a: PureState, b: PureState) -> Classification:
@@ -412,9 +362,21 @@ def _classify_from_spectra(
             details={"unitaries": mats},
         )
 
-    obstruction = _separable_versus_entangled(a, b)
-    if obstruction is not None:
-        return obstruction
+    # a pair of parties is not a cut, so this verdict has no witness partition
+    pairs_a, pairs_b = _pair_transpose_spectra(a), _pair_transpose_spectra(b)
+    for pair in sorted(pairs_a.keys() & pairs_b.keys()):
+        ea, eb = pairs_a[pair], pairs_b[pair]
+        if _spectra_differ(ea, eb):
+            min_a, min_b = float(ea[-1]), float(eb[-1])
+            return Classification(
+                ComparisonVerdict.INCOMPARABLE,
+                "fully isentropic and isospectral, but the reduction to parties "
+                f"{party_letters(pair)} has different spectra after a partial "
+                f"transpose (minimum eigenvalue {min_a:.9f} for A, {min_b:.9f} "
+                "for B), which rules out local-unitary equivalence and with it "
+                "any reduction either way",
+                details={"pair": pair, "min_eigenvalue_a": min_a, "min_eigenvalue_b": min_b},
+            )
 
     return Classification(
         ComparisonVerdict.UNKNOWN,
@@ -434,8 +396,11 @@ class GhzEprWitness:
     The decisive contrast sits in the reduction to parties B and C: the
     cats leave them in a classical mixture of basis products (each party
     individually exactly maximally mixed), while the EPR configuration
-    leaves them an intact entangled pair, witnessed by a negative
-    partial-transpose eigenvalue.
+    leaves them an intact entangled pair. The report shows that pair as
+    the minimum partial-transpose eigenvalue over the B,C qubit pairs of
+    the EPR configuration's six qubits; the verdict comes from
+    `classify_states`, whose certificate is the differing
+    partial-transpose spectra of a two-party reduction.
     """
 
     entropy_vector_cats: list[tuple[str, float]]
@@ -495,7 +460,7 @@ def ghz_epr_witness() -> GhzEprWitness:
     spectra_c = read_c[0]
 
     rho_bc = reduced_gram(cats, [1, 2])
-    off_diag = _off_diagonal_max(rho_bc)
+    off_diag = float(np.max(np.abs(rho_bc - np.diag(np.diag(rho_bc)))))
     bc = _as_eigenvalues(spectra_c[Partition(3, (1, 2)).canonical()])
     spectrum = bc[bc > _EIGENVALUE_FLOOR].tolist()
     rho_b = reduced_gram(cats, [1])
@@ -504,10 +469,12 @@ def ghz_epr_witness() -> GhzEprWitness:
     dev_c = _maximally_mixed_deviation(rho_c)
     dev_product = _maximally_mixed_deviation(np.kron(rho_b, rho_c))
 
-    found = _npt_cross_pair(eprs, 1, 2)
-    if found is None:
+    # the EPR configuration viewed on its six qubits: B holds qubits 2 and 3,
+    # C holds 4 and 5
+    qubit_spectra = _pair_transpose_spectra(PureState((2,) * 6, eprs.amplitudes))
+    eig = min(float(qubit_spectra[pair][-1]) for pair in itertools.product((2, 3), (4, 5)))
+    if eig >= -_SPECTRUM_TOL:
         raise InternalError("expected a distillable pair between B and C")
-    _, eig = found
 
     classified = _classify_from_spectra(cats, eprs, read_c, read_e)
     return GhzEprWitness(

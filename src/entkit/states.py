@@ -33,7 +33,6 @@ __all__ = [
     "fidelity",
     "party_letters",
     "canonical_partitions",
-    "refine_to_qubits",
     "random_pure_state",
     "random_unitary",
     "load_state",
@@ -271,14 +270,15 @@ def tensor(
     append new parties. When several subsystems land on one party, that
     party's local dimension becomes the product, with `a`'s subsystems as
     the more significant factors (in order), then `b`'s in `b`'s order.
-    Omitting `party_map` appends all of b's parties after a's.
+    Omitting `party_map` appends all of b's parties after a's. Its keys
+    and targets are integers (see `_integer`).
     """
     if party_map is None:
         mapping = {i: a.num_parties + i for i in range(b.num_parties)}
     elif isinstance(party_map, Mapping):
-        mapping = {int(k): int(v) for k, v in party_map.items()}
+        mapping = {_integer(k): _integer(v) for k, v in party_map.items()}
     else:
-        mapping = {i: int(v) for i, v in enumerate(party_map)}
+        mapping = {i: _integer(v) for i, v in enumerate(party_map)}
     if sorted(mapping) != list(range(b.num_parties)):
         raise ValueError("party_map must assign every party of b exactly once")
     targets = list(mapping.values())
@@ -308,8 +308,9 @@ def tensor(
 
 
 def permute_parties(state: PureState, perm: Sequence[int]) -> PureState:
-    """Reorder parties; position i of the result holds party perm[i]."""
-    order = tuple(int(p) for p in perm)
+    """Reorder parties; position i of the result holds party perm[i], an
+    integer (see `_integer`)."""
+    order = tuple(map(_integer, perm))
     if sorted(order) != list(range(state.num_parties)):
         raise ValueError("perm must list every party exactly once")
     dims = tuple(state.dims[p] for p in order)
@@ -379,28 +380,6 @@ def fidelity(rho: PureState | np.ndarray, psi: PureState) -> float:
         raise ValueError(f"matrix shape {rho.shape} does not match dims {psi.dims}")
     value = np.vdot(psi.amplitudes, rho @ psi.amplitudes).real
     return float(min(max(value, 0.0), 1.0))
-
-
-def refine_to_qubits(state: PureState) -> tuple[PureState, list[list[int]]]:
-    """Split every party whose dimension is a power of two into qubit parties.
-
-    Returns the refined state plus, per original party, the list of its
-    qubit indices in the refined state (most significant first). Parties
-    with non-power-of-two dimensions are kept whole.
-    """
-    new_dims: list[int] = []
-    groups: list[list[int]] = []
-    for d in state.dims:
-        group = []
-        if d > 1 and d & (d - 1) == 0:
-            for _ in range(d.bit_length() - 1):
-                group.append(len(new_dims))
-                new_dims.append(2)
-        else:
-            group.append(len(new_dims))
-            new_dims.append(d)
-        groups.append(group)
-    return PureState(tuple(new_dims), state.amplitudes), groups
 
 
 def random_pure_state(

@@ -93,7 +93,6 @@ PUBLIC_NAMES = [
     "mregs_lower_bound",
     "parse_named_state",
     "permute_parties",
-    "ppt_minimum_eigenvalue",
     "r21_table",
     "random_pure_state",
     "random_unitary",
@@ -145,7 +144,7 @@ README_EIGENSOLVER_CALLERS = {
     "entropy._cut_blocks",
     "protocols._discard",
     "reducibility._lu_align",
-    "reducibility.ppt_minimum_eigenvalue",
+    "reducibility._pair_transpose_spectra",
     "schmidt.schmidt_decompose",
 }
 

@@ -1,4 +1,5 @@
-"""Majorization, convertibility verdicts, and the separability/NPT witness."""
+"""Majorization, convertibility verdicts, partial-transpose spectra and the
+cat-versus-EPR witness."""
 import itertools
 
 import numpy as np
@@ -15,13 +16,20 @@ from entkit.builders import (
 from entkit.reducibility import (
     Classification,
     ComparisonVerdict,
-    _npt_cross_pair,
+    _pair_transpose_spectra,
     classify_states,
     ghz_epr_witness,
     majorizes,
-    ppt_minimum_eigenvalue,
 )
-from entkit.states import PureState, make_state, random_pure_state, random_unitary, reduced_gram
+from entkit.states import (
+    PureState,
+    canonical_partitions,
+    make_state,
+    random_pure_state,
+    random_unitary,
+    reduced_gram,
+    tensor,
+)
 
 
 def random_spectrum(rng, max_len=6):
@@ -286,21 +294,128 @@ def test_classify_entropy_gap_incomparable():
 
 
 def test_ppt_epr_value():
-    rho = np.outer(epr_pair().amplitudes, epr_pair().amplitudes.conj())
-    assert ppt_minimum_eigenvalue(rho) == pytest.approx(-0.5, abs=1e-12)
-    qubits, eig = _npt_cross_pair(epr_pair(), 0, 1)
-    assert qubits == (0, 1) and eig == pytest.approx(-0.5, abs=1e-12)
+    assert _pair_transpose_spectra(epr_pair())[(0, 1)][-1] == pytest.approx(-0.5, abs=1e-12)
+    # beside a bystander the pair keeps its eigenvalue, and the bystander's
+    # pairs have none below zero
+    spectra = _pair_transpose_spectra(eprs_graph(3, [(0, 1)]))
+    assert spectra[(0, 1)][-1] == pytest.approx(-0.5, abs=1e-12)
+    assert spectra[(0, 2)][-1] >= -1e-12 and spectra[(1, 2)][-1] >= -1e-12
 
 
 def test_ppt_separable_state_stays_positive():
     rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
-    assert ppt_minimum_eigenvalue(rho) >= -1e-12
     # a purification on a third party C has rho as its A,B reduction
     purified = make_state(
         (2, 2, 4), [((i >> 1, i & 1, i), np.sqrt(w)) for i, w in enumerate([0.4, 0.1, 0.3, 0.2])]
     )
     assert np.allclose(reduced_gram(purified, [0, 1]), rho, atol=1e-12)
-    assert _npt_cross_pair(purified, 0, 1) is None
+    spectrum = _pair_transpose_spectra(purified)[(0, 1)]
+    assert spectrum[-1] >= -1e-12
+    assert spectrum == pytest.approx([0.4, 0.3, 0.2, 0.1], abs=1e-12)
+
+
+def partial_transpose_oracle(rho: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """rho^{T_Y} entry by entry: <i l| rho^{T_Y} |k j> = <i j| rho |k l>."""
+    out = np.empty_like(rho)
+    for i, j, k, l in itertools.product(range(dx), range(dy), range(dx), range(dy)):
+        out[i * dy + l, k * dy + j] = rho[i * dy + j, k * dy + l]
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 3, 4), (1, 2, 3), (4, 1, 2, 3), (2, 2, 2, 2), (3, 1, 4, 2, 1), (2, 3, 2, 2, 4)]
+)
+def test_pair_transpose_spectra_match_a_direct_partial_transpose(dims):
+    psi = random_pure_state(dims, rng=[len(dims), *dims])
+    spectra = _pair_transpose_spectra(psi)
+    assert sorted(spectra) == list(itertools.combinations(range(len(dims)), 2))
+    for (x, y), got in spectra.items():
+        pt = partial_transpose_oracle(reduced_gram(psi, (x, y)), dims[x], dims[y])
+        want = np.sort(np.linalg.eigvalsh(pt))[::-1]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_pair_transpose_spectra_leave_out_pairs_past_256():
+    psi = random_pure_state((17, 16, 1), rng=3)
+    assert sorted(_pair_transpose_spectra(psi)) == [(0, 2), (1, 2)]
+    psi = random_pure_state((16, 16, 1), rng=3)
+    assert sorted(_pair_transpose_spectra(psi)) == [(0, 1), (0, 2), (1, 2)]
+
+
+def _rotated(state: PureState, rng) -> PureState:
+    tensor = state.as_tensor()
+    for party, d in enumerate(state.dims):
+        tensor = np.moveaxis(np.tensordot(random_unitary(d, rng), tensor, axes=([1], [party])), 0, party)
+    return PureState(state.dims, tensor.reshape(-1))
+
+
+def test_local_unitary_images_never_get_the_pair_certificate():
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for _ in range(200):
+        m = int(rng.integers(3, 6))
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=m))
+        state = random_pure_state(dims, rng)
+        result = classify_states(state, _rotated(state, rng))
+        assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
+        assert "pair" not in result.details
+        verdicts.add(result.verdict)
+    assert verdicts == {ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN}
+
+
+def _padded(state: PureState, dims) -> PureState:
+    """`state` with its amplitudes placed in larger local dimensions."""
+    tensor = np.zeros(dims, dtype=complex)
+    tensor[tuple(slice(d) for d in state.dims)] = state.as_tensor()
+    return PureState(tuple(dims), tensor.reshape(-1))
+
+
+@pytest.mark.parametrize(
+    "state, dims", [(cat_state(3), (2, 2, 3)), (eprs_complete(3), (4, 4, 5)), (eprs_complete(3), (5, 4, 6))]
+)
+def test_the_same_state_in_larger_dims_never_gets_the_pair_certificate(state, dims):
+    # the partial-transpose spectra gain zeros: padded with zeros and
+    # sorted, they agree, negative entries included
+    for a, b in ((state, _padded(state, dims)), (_padded(state, dims), state)):
+        result = classify_states(a, b)
+        assert result.verdict is ComparisonVerdict.UNKNOWN
+        assert "pair" not in result.details
+
+
+def _isospectral_partner(state: PureState, seed: int) -> PureState:
+    """A state fitted by least squares to `state`'s spectrum on every cut,
+    from a seeded random start."""
+    from scipy.optimize import least_squares
+
+    parts = canonical_partitions(state.num_parties)
+    target = np.concatenate([np.linalg.eigvalsh(reduced_gram(state, p)) for p in parts])
+
+    def unpack(x):
+        amps = x[: state.dim] + 1j * x[state.dim :]
+        return PureState(state.dims, amps / np.linalg.norm(amps))
+
+    def residual(x):
+        trial = unpack(x)
+        return np.concatenate([np.linalg.eigvalsh(reduced_gram(trial, p)) for p in parts]) - target
+
+    start = random_pure_state(state.dims, rng=[seed, 7]).amplitudes
+    fit = least_squares(residual, np.concatenate([start.real, start.imag]), xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert np.max(np.abs(residual(fit.x))) < 1e-12
+    return unpack(fit.x)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_isospectral_states_are_told_apart_by_a_pair(dims, seed):
+    state = random_pure_state(dims, rng=[seed, 16])
+    partner = _isospectral_partner(state, seed)
+    for a, b in ((state, partner), (partner, state)):
+        result = classify_states(a, b)
+        assert result.verdict is ComparisonVerdict.INCOMPARABLE
+        assert result.witness_partition is None
+        x, y = result.details["pair"]
+        assert 0 <= x < y < len(dims)
+        assert "fully isentropic and isospectral, but the reduction to parties" in result.reason
 
 
 def test_ghz_epr_witness_report():
@@ -321,8 +436,24 @@ def test_ghz_epr_witness_report():
 
 
 def test_classify_2ghz_vs_3epr():
-    result = classify_states(cat_power(3, 2), eprs_complete(3))
-    assert result.verdict is ComparisonVerdict.INCOMPARABLE
+    cats, eprs = cat_power(3, 2), eprs_complete(3)
+    for a, b, mins in ((cats, eprs, (0.0, -0.125)), (eprs, cats, (-0.125, 0.0))):
+        result = classify_states(a, b)
+        assert result.verdict is ComparisonVerdict.INCOMPARABLE
+        assert result.witness_partition is None
+        assert result.details["pair"] == (0, 1)
+        got = (result.details["min_eigenvalue_a"], result.details["min_eigenvalue_b"])
+        assert got == pytest.approx(mins, abs=1e-12)
+
+
+def test_cat_copies_against_eprs_up_to_the_pair_limit():
+    # n cats against n - 2 cats beside the EPR triangle: every partial
+    # entropy is n bits. At (16, 16, 16) each pair is 256 x 256 and is
+    # certified; at (32, 32, 32) every pair is past the limit, so no
+    # certificate is found, and Unknown is not a wrong answer
+    for n, verdict in ((4, ComparisonVerdict.INCOMPARABLE), (5, ComparisonVerdict.UNKNOWN)):
+        mixed = tensor(cat_power(3, n - 2), eprs_complete(3), {0: 0, 1: 1, 2: 2})
+        assert classify_states(cat_power(3, n), mixed).verdict is verdict
 
 
 def test_classify_builds_each_entropy_vector_once(record_calls):

@@ -20,7 +20,6 @@ from entkit.states import (
     permute_parties,
     random_pure_state,
     reduced_gram,
-    refine_to_qubits,
     save_state,
     state_from_dict,
     tensor,
@@ -182,6 +181,17 @@ def test_a_non_integer_party_is_refused_by_name(bad):
     assert part.members == (0, 2) and all(type(p) is int for p in part.members)
     assert part == Partition(3, (0, 2)) and hash(part) == hash(Partition(3, (0, 2)))
     assert np.array_equal(reduced_gram(cat, [np.int64(1)]), reduced_gram(cat, [1]))
+    # party maps: every index, key and target
+    epr = make_state((2, 2), [("00", 1.0), ("11", 1.0)])
+    for perm in ([0, 1, bad], [bad, 0, 2]):
+        with pytest.raises(ValueError, match=message):
+            permute_parties(cat, perm)
+    for party_map in ([bad, 2], [0, bad], {0: 1, bad: 2}, {0: bad, 1: 2}):
+        with pytest.raises(ValueError, match=message):
+            tensor(epr, epr, party_map)
+    moved = permute_parties(cat, [np.int64(2), np.uint8(0), 1])
+    assert moved.dims == (2, 2, 2) and all(type(d) is int for d in moved.dims)
+    assert tensor(epr, epr, {np.int64(0): np.uint8(1), 1: np.int64(2)}).dims == (2, 4, 2)
 
 
 def test_reduced_gram_rejects_a_single_non_finite_state():
@@ -233,14 +243,6 @@ def test_fidelity_bounds():
     f = fidelity(s, t)
     assert 0.0 <= f <= 1.0
     assert abs(fidelity(s, s) - 1.0) < 1e-12
-
-
-def test_refine_to_qubits():
-    s = random_pure_state((4, 2), rng=4)
-    refined, groups = refine_to_qubits(s)
-    assert refined.dims == (2, 2, 2)
-    assert groups == [[0, 1], [2]]
-    assert abs(abs(refined.amplitudes @ s.amplitudes.conj()) - 1.0) < 1e-12
 
 
 def test_state_file_roundtrip(tmp_path):
