@@ -204,10 +204,7 @@ def _cmd_schmidt(args) -> int:
         _emit(args, _coefficient_rows(schmidt_decompose(state, (0,)).coefficients))
         return 0
     result = is_m_orthogonal(state)
-    status = (
-        "inconclusive" if result.decomposable is None
-        else "yes" if result.decomposable else "no"
-    )
+    status = "yes" if result.decomposable else "no"
     rows = None if result.form is None else _coefficient_rows(result.form.coefficients)
     if args.format == "csv":
         _emit(args, [["decomposable", status], ["reason", result.reason]])

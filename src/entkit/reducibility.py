@@ -7,8 +7,8 @@ related by local unitaries) or incomparable, with no one-way reductions.
 The classifier walks that tree, certifying local-unitary equivalence by
 explicitly constructing the unitaries where it can, and certifying
 incomparability from a mismatch of local-unitary invariants: the partial
-entropies, the spectrum of every cut, and then the spectrum of every
-two-party reduction after a partial transpose on its second party.
+entropies, the spectra of every cut and of every partially transposed
+two-party reduction, and last m-orthogonality.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .builders import cat_power, eprs_complete
 from .entropy import _EIGENVALUE_FLOOR, _ISENTROPY_TOL, EntropyVector, _spectra_and_entropies
 from .errors import InternalError
 from .linalg import _unchecked_eigenvalues, hermitian_eigensystem
+from .schmidt import _decide_m_orthogonal
 from .states import Partition, PureState, party_letters, reduced_gram
 
 __all__ = [
@@ -263,10 +264,12 @@ def _lu_align(a: PureState, b: PureState) -> list[np.ndarray] | None:
         for level, angle in theta[party].items():
             phases[level] = np.exp(1j * angle)
         mats.append(frames_a[party] @ np.diag(phases) @ frames_b[party].conj().T)
-    moved = _apply_party_unitaries(b, mats)
-    if abs(moved.overlap(a)) ** 2 < 1.0 - _LU_FIDELITY_TOL:
-        return None
-    return mats
+    return mats if _carries(mats, b, a) else None
+
+
+def _carries(mats: Sequence[np.ndarray], b: PureState, a: PureState) -> bool:
+    """Whether per-party `mats` carry b onto a, to fidelity 1 - 1e-9."""
+    return abs(_apply_party_unitaries(b, mats).overlap(a)) ** 2 >= 1.0 - _LU_FIDELITY_TOL
 
 
 def _maximally_mixed_deviation(rho: np.ndarray) -> float:
@@ -376,6 +379,30 @@ def _classify_from_spectra(
                 "for B), which rules out local-unitary equivalence and with it "
                 "any reduction either way",
                 details={"pair": pair, "min_eigenvalue_a": min_a, "min_eigenvalue_b": min_b},
+            )
+
+    # local unitaries keep an m-orthogonal form and map it onto any form of equal coefficients
+    ortho_a, ortho_b = _decide_m_orthogonal(a, entropies_a), _decide_m_orthogonal(b, entropies_b)
+    if ortho_a.decomposable != ortho_b.decomposable:
+        yes, no = ("A", ortho_b) if ortho_a else ("B", ortho_a)
+        return Classification(
+            ComparisonVerdict.INCOMPARABLE,
+            f"fully isentropic and isospectral, but only {yes} is m-orthogonal (the other: "
+            f"{no.reason}), and local unitaries keep a state m-orthogonal, which rules out "
+            "local-unitary equivalence and with it any reduction either way",
+            details={"m_orthogonal": yes},
+        )
+    if ortho_a and a.dims == b.dims and ortho_a.form.rank == ortho_b.form.rank:
+        mats = []  # each takes B's kets onto A's, and the complements of their spans likewise
+        for va, vb in zip(ortho_a.form.vectors, ortho_b.form.vectors):
+            ca, cb = (np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :] for v in (va, vb))
+            mats.append(va @ vb.conj().T + ca @ cb.conj().T)
+        if _carries(mats, b, a):
+            return Classification(
+                ComparisonVerdict.LU_EQUIVALENT,
+                "both states are m-orthogonal with equal coefficients; per-party "
+                "unitaries carry the form of B onto the form of A",
+                details={"unitaries": mats},
             )
 
     return Classification(

@@ -39,10 +39,13 @@ __all__ = [
 
 _COEFF_FLOOR = 1e-12
 _RANK_ONE_TOL = 1e-8
-_DEGENERACY_GAP = 1e-8
 _ORTHOGONALITY_TOL = 1e-8
 _ENTROPY_SPREAD_TOL = 1e-8
 _RECONSTRUCTION_TOL = 1e-9
+_COMMUTATOR_TOL = 1e-8
+_EQUAL_COEFFICIENT_TOL = 1e-8
+# the seed of the two fixed contraction vectors of `_decide_m_orthogonal`
+_DRAW_SEED = 1993
 
 
 @dataclass(frozen=True)
@@ -106,21 +109,19 @@ def schmidt_decompose(
 
 @dataclass(frozen=True)
 class MOrthogonalResult:
-    """Outcome of the m-orthogonality test.
+    """Outcome of the m-orthogonality test: always a yes or a no.
 
-    `decomposable` is True or False when certified either way; None means
-    the test was inconclusive (this can happen when the squared
-    coefficients are degenerate, where the canonical construction loses
-    its uniqueness). `form` carries the decomposition when found, with one
-    group per party.
+    `decomposable` says whether the state has an m-orthogonal form, and
+    `form` carries it, with one group per party, when it does. `reason`
+    names the certificate behind the answer.
     """
 
-    decomposable: bool | None
+    decomposable: bool
     form: SchmidtDecomposition | None
     reason: str
 
     def __bool__(self) -> bool:
-        return self.decomposable is True
+        return self.decomposable
 
 
 def _peel(ket: np.ndarray, dims: Sequence[int]) -> list[np.ndarray] | str:
@@ -146,80 +147,74 @@ def _peel(ket: np.ndarray, dims: Sequence[int]) -> list[np.ndarray] | str:
 
 
 def is_m_orthogonal(state: PureState) -> MOrthogonalResult:
-    """Test whether a pure state admits an m-orthogonal decomposition.
-
-    Decomposes across the {first party | rest} cut and tries to split each
-    far-side ket into a product over the remaining parties, then checks
-    that each party's collected kets are pairwise orthogonal. A necessary
-    condition is checked first: every partition must carry the same
-    entropy, which rejects most states immediately. When the squared
-    coefficients are degenerate and the construction fails, the result is
-    inconclusive rather than negative, since a different basis of the
-    degenerate subspace could still succeed.
-    """
-    m = state.num_parties
-    if m < 2:
+    """Whether a pure state has an m-orthogonal form; two parties always do."""
+    if state.num_parties < 2:
         raise ValueError("need at least two parties")
+    if state.num_parties == 2:
+        return MOrthogonalResult(True, schmidt_decompose(state, (0,)), "two parties always decompose")
+    return _decide_m_orthogonal(state, entropy_vector(state).values.values())
 
-    if m >= 3:
-        vec = entropy_vector(state)
-        lo = min(v for _, v in vec.entries())
-        hi = max(v for _, v in vec.entries())
-        if hi - lo > _ENTROPY_SPREAD_TOL:
-            return MOrthogonalResult(
-                decomposable=False,
-                form=None,
-                reason=(
-                    "partial entropies are not constant across partitions "
-                    f"(spread {hi - lo:.3e})"
-                ),
-            )
 
+def _decide_m_orthogonal(state: PureState, entropies: Iterable[float]) -> MOrthogonalResult:
+    """`is_m_orthogonal` of a state of three or more parties with these
+    partial entropies: yes or no, each with its certificate.
+
+    A spread of the entropies is a no. Else let the state be sum_k s_k
+    |u_k>|w_k> across party 0. A form sum_i c_i |a_i>|b_i>|v_i> (v_i over
+    parties 2..m-1) has u = A Q, Q mixing only equal c_i, and the unit w_k
+    contracted with a vector r over parties 2..m-1 give N_r N_r^dag = Q^dag
+    diag|v_i . r|^2 Q. For two fixed unit complex Gaussian draws these
+    Grams commute with each other and with diag(s_k^2), or the answer is
+    no; on each block of equal s_k, the eigenbasis of the Gram with the
+    wider gap there turns u into the a_i, and each branch must peel into
+    orthogonal per-party kets that rebuild the state. The form is unique up
+    to order and phases (Kruskal, 1977), so with separated eigenvalues a no
+    holds whatever the draws; only where both draws tie inside one block of
+    equal coefficients, a set of measure zero, can a no be wrong.
+    """
+    spread = max(entropies) - min(entropies)
+    if spread > _ENTROPY_SPREAD_TOL:
+        reason = f"partial entropies are not constant across partitions (spread {spread:.3e})"
+        return MOrthogonalResult(False, None, reason)
     sd = schmidt_decompose(state, (0,))
-    if m == 2:
-        return MOrthogonalResult(True, sd, "two parties always decompose")
-    degenerate = bool(np.any(np.diff(np.sort(sd.coefficients**2)) < _DEGENERACY_GAP))
-
-    def failed(negative: str, obstacle: str) -> MOrthogonalResult:
-        if degenerate:
-            return MOrthogonalResult(
-                None, None, f"inconclusive: degenerate coefficients and {obstacle}"
-            )
-        return MOrthogonalResult(False, None, negative)
+    n = math.prod(state.dims[2:])
+    draws = np.random.default_rng(_DRAW_SEED).standard_normal((2, n, 2)) @ [1, 1j]
+    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    contracted = np.einsum("jnk,dn->dkj", sd.vectors[1].reshape(state.dims[1], n, sd.rank), draws)
+    grams = contracted @ contracted.conj().swapaxes(1, 2)
+    pairs = itertools.combinations([*grams, np.diag(sd.coefficients**2)], 2)
+    defect = max(np.linalg.norm(x @ y - y @ x) for x, y in pairs)
+    if defect > _COMMUTATOR_TOL:
+        reason = "two contractions of the first-party Schmidt partners and the first-party spectrum"
+        return MOrthogonalResult(False, None, f"{reason} do not commute (defect {defect:.3e})")
+    # a tie of the Grams may mix only branches of equal coefficient
+    basis = np.eye(sd.rank, dtype=complex)
+    edges = np.flatnonzero(np.diff(sd.coefficients**2, prepend=2, append=-1) < -_EQUAL_COEFFICIENT_TOL)
+    for lo, hi in itertools.pairwise(edges):
+        values, bases = hermitian_eigensystem(grams[:, lo:hi, lo:hi])
+        basis[lo:hi, lo:hi] = bases[np.argmax(np.min(-np.diff(values), axis=1, initial=np.inf))]
 
     branches = []
-    for i in range(sd.rank):
-        factors = _peel(sd.vectors[1][:, i], state.dims[1:])
+    for i, ket in enumerate((sd.vectors[1] @ basis.conj()).T):
+        factors = _peel(ket, state.dims[1:])
         if isinstance(factors, str):
-            return failed(
-                f"branch {i} of the first-party cut: {factors}",
-                "a non-product branch; a rotated degenerate basis might still "
-                f"decompose ({factors})",
-            )
+            return MOrthogonalResult(False, None, f"branch {i} of the first-party cut: {factors}")
         branches.append(factors)
 
-    vectors = (sd.vectors[0],) + tuple(np.column_stack(f) for f in zip(*branches))
+    vectors = (sd.vectors[0] @ basis,) + tuple(np.column_stack(f) for f in zip(*branches))
     for p, f in enumerate(vectors[1:], 1):
         inners = abs(f.conj().T @ f)
         clashes = np.argwhere(np.triu(inners > _ORTHOGONALITY_TOL, 1))
         if len(clashes):
             i, j = clashes[0]
-            inner = f"(|<i|j>| = {inners[i, j]:.3e})"
-            return failed(
-                f"party {p} vectors for branches {i} and {j} are not orthogonal {inner}",
-                f"non-orthogonal vectors at party {p} {inner}",
-            )
+            reason = f"party {p} vectors for branches {i} and {j} are not orthogonal"
+            return MOrthogonalResult(False, None, f"{reason} (|<i|j>| = {inners[i, j]:.3e})")
 
-    form = SchmidtDecomposition(
-        state.dims, tuple((p,) for p in range(m)), sd.coefficients, vectors
-    )
+    parties = tuple((p,) for p in range(state.num_parties))
+    form = SchmidtDecomposition(state.dims, parties, sd.coefficients, vectors)
     overlap = abs(form.to_state().overlap(state)) ** 2
     if overlap < 1.0 - _RECONSTRUCTION_TOL:
-        return MOrthogonalResult(
-            None,
-            None,
-            f"inconclusive: assembled form has fidelity {overlap:.12f}",
-        )
+        return MOrthogonalResult(False, None, f"assembled form has fidelity {overlap:.12f}")
     return MOrthogonalResult(True, form, "decomposition found")
 
 
@@ -227,12 +222,10 @@ def cat_yield(state: PureState) -> float:
     """Asymptotic cat states per copy from a Schmidt decomposable state.
 
     This is the entropy of the squared coefficients, which equals every
-    partition's partial entropy. Raises for states that are not certified
-    decomposable (inconclusive cases included, with a distinct message).
+    partition's partial entropy. Raises for a state that is not
+    decomposable, naming the certificate.
     """
     result = is_m_orthogonal(state)
-    if result.decomposable is None:
-        raise ValueError(f"decomposability is unresolved: {result.reason}")
     if not result.decomposable:
         raise ValueError(f"state is not Schmidt decomposable: {result.reason}")
     return shannon_entropy(result.form.coefficients ** 2)

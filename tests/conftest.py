@@ -3,7 +3,9 @@ import importlib
 import numpy as np
 import pytest
 
-from entkit import ProtocolBuilder, random_unitary
+from entkit import ProtocolBuilder, PureState, random_unitary
+from entkit.reducibility import _apply_party_unitaries
+from entkit.schmidt import _DRAW_SEED
 
 
 @pytest.fixture
@@ -28,6 +30,25 @@ def record_calls(monkeypatch):
         return calls
 
     return install
+
+
+def rotated(state: PureState, rng) -> PureState:
+    """`state` with each party turned by its own Haar-random unitary."""
+    return _apply_party_unitaries(state, [random_unitary(d, rng) for d in state.dims])
+
+
+def tied_form(rng) -> PureState:
+    """0.8|00>|v_0> + 0.6|11>|v_1> on (2, 2, 5), parties 0 and 1 then turned.
+
+    v_0, v_1 = (x +- y)/sqrt 2 with y killed by both fixed draws of
+    `is_m_orthogonal`, so its two contraction Grams tie although the
+    coefficients differ."""
+    draws = np.random.default_rng(_DRAW_SEED).standard_normal((2, 5, 2)) @ [1, 1j]
+    x, _, y = np.linalg.svd(draws)[2][:3].conj()
+    t = np.zeros((2, 2, 5), dtype=complex)
+    t[0, 0], t[1, 1] = 0.8 * (x + y) / 2**0.5, 0.6 * (x - y) / 2**0.5
+    turns = [random_unitary(2, rng), random_unitary(2, rng), np.eye(5)]
+    return _apply_party_unitaries(PureState((2, 2, 5), t.reshape(-1)), turns)
 
 
 def random_basis_projectors(dim: int, rng) -> list[np.ndarray]:

@@ -145,6 +145,7 @@ README_EIGENSOLVER_CALLERS = {
     "protocols._discard",
     "reducibility._lu_align",
     "reducibility._pair_transpose_spectra",
+    "schmidt._decide_m_orthogonal",
     "schmidt.schmidt_decompose",
 }
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rotated, tied_form
 from entkit.builders import (
     cat_power,
     cat_state,
@@ -16,6 +17,7 @@ from entkit.builders import (
 from entkit.reducibility import (
     Classification,
     ComparisonVerdict,
+    _apply_party_unitaries,
     _pair_transpose_spectra,
     classify_states,
     ghz_epr_witness,
@@ -275,12 +277,7 @@ def test_classify_isospectral_entropies_with_different_spectra():
 def test_classify_never_guesses_on_rotated_four_party_copies(seed):
     rng = np.random.default_rng([seed, 41])
     state = random_pure_state((2, 2, 2, 2), rng)
-    tensor = state.as_tensor()
-    for party in range(4):
-        tensor = np.moveaxis(
-            np.tensordot(random_unitary(2, rng), tensor, axes=([1], [party])), 0, party
-        )
-    result = classify_states(state, PureState(state.dims, tensor.reshape(-1)))
+    result = classify_states(state, rotated(state, rng))
     assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
 
 
@@ -342,13 +339,6 @@ def test_pair_transpose_spectra_leave_out_pairs_past_256():
     assert sorted(_pair_transpose_spectra(psi)) == [(0, 1), (0, 2), (1, 2)]
 
 
-def _rotated(state: PureState, rng) -> PureState:
-    tensor = state.as_tensor()
-    for party, d in enumerate(state.dims):
-        tensor = np.moveaxis(np.tensordot(random_unitary(d, rng), tensor, axes=([1], [party])), 0, party)
-    return PureState(state.dims, tensor.reshape(-1))
-
-
 def test_local_unitary_images_never_get_the_pair_certificate():
     rng = np.random.default_rng(16)
     verdicts = set()
@@ -356,7 +346,7 @@ def test_local_unitary_images_never_get_the_pair_certificate():
         m = int(rng.integers(3, 6))
         dims = tuple(int(d) for d in rng.integers(1, 5, size=m))
         state = random_pure_state(dims, rng)
-        result = classify_states(state, _rotated(state, rng))
+        result = classify_states(state, rotated(state, rng))
         assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
         assert "pair" not in result.details
         verdicts.add(result.verdict)
@@ -449,11 +439,76 @@ def test_classify_2ghz_vs_3epr():
 def test_cat_copies_against_eprs_up_to_the_pair_limit():
     # n cats against n - 2 cats beside the EPR triangle: every partial
     # entropy is n bits. At (16, 16, 16) each pair is 256 x 256 and is
-    # certified; at (32, 32, 32) every pair is past the limit, so no
-    # certificate is found, and Unknown is not a wrong answer
-    for n, verdict in ((4, ComparisonVerdict.INCOMPARABLE), (5, ComparisonVerdict.UNKNOWN)):
+    # certified; at (32, 32, 32) every pair is past the limit, and only the
+    # cats are m-orthogonal
+    for n, certificate in ((4, "pair"), (5, "m_orthogonal")):
         mixed = tensor(cat_power(3, n - 2), eprs_complete(3), {0: 0, 1: 1, 2: 2})
-        assert classify_states(cat_power(3, n), mixed).verdict is verdict
+        for a, b, which in ((cat_power(3, n), mixed, "A"), (mixed, cat_power(3, n), "B")):
+            result = classify_states(a, b)
+            assert result.verdict is ComparisonVerdict.INCOMPARABLE
+            assert result.witness_partition is None
+            assert certificate in result.details
+    assert result.details == {"m_orthogonal": "B"}
+    assert result.reason.startswith("fully isentropic and isospectral, but only B is m-orthogonal (the other: ")
+
+
+@pytest.mark.parametrize("state", [cat_state(3), cat_state(4), cat_power(3, 2)], ids=["ghz", "cat4", "2ghz"])
+def test_rotated_cats_are_lu_equivalent_through_their_forms(state):
+    # degenerate marginals leave `_lu_align` no canonical frame; the two
+    # m-orthogonal forms give the unitaries instead
+    rng = np.random.default_rng([state.num_parties, state.dim, 29])
+    for _ in range(3):
+        image = rotated(state, rng)
+        result = classify_states(state, image)
+        assert result.verdict is ComparisonVerdict.LU_EQUIVALENT
+        assert result.reason.startswith("both states are m-orthogonal with equal coefficients")
+        mats = result.details["unitaries"]
+        assert all(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-9 for u in mats)
+        assert np.max(np.abs(_apply_party_unitaries(image, mats).amplitudes - state.amplitudes)) < 1e-9
+
+
+def test_a_tied_form_is_lu_equivalent_to_its_rotations():
+    # `_lu_align` skips a party of dimension 5, so the forms decide; their
+    # contraction Grams tie on the unrotated side only
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        state = tied_form(rng)
+        image = rotated(state, rng)
+        for a, b in ((state, image), (image, state)):
+            result = classify_states(a, b)
+            assert result.verdict is ComparisonVerdict.LU_EQUIVALENT
+            moved = _apply_party_unitaries(b, result.details["unitaries"])
+            assert np.max(np.abs(moved.amplitudes - a.amplitudes)) < 1e-9
+
+
+def _spread_free_state(rng) -> tuple[PureState, bool]:
+    """A state whose partial entropies all agree, so that `classify_states`
+    reaches its m-orthogonality step on it and its images, and whether it
+    is m-orthogonal: a form on up to five parties, degenerate or not, or one
+    of two states without a form."""
+    kind = int(rng.integers(4))
+    if kind == 3:
+        beside = tensor(cat_state(3), eprs_complete(3), {0: 0, 1: 1, 2: 2})
+        return [beside, eprs_complete(3)][int(rng.integers(2))], False
+    m, d = int(rng.integers(3, 6)), int(rng.integers(1, 5))
+    c = np.ones(d) if kind == 2 else rng.uniform(0.1, 1.0, d)
+    t = np.zeros(tuple(int(x) for x in rng.integers(d, 5, size=m)), dtype=complex)
+    for i, x in enumerate(c / np.linalg.norm(c)):
+        t[(i,) * m] = x * np.exp(2j * np.pi * rng.random())
+    return PureState(t.shape, t.reshape(-1)), True
+
+
+def test_local_unitary_images_are_never_incomparable():
+    rng = np.random.default_rng(215)
+    forms = 0
+    for _ in range(200):
+        state, has_form = _spread_free_state(rng)
+        result = classify_states(state, rotated(state, rng))
+        # the pairs without a form have degenerate marginals, which `_lu_align` skips
+        want = ComparisonVerdict.LU_EQUIVALENT if has_form else ComparisonVerdict.UNKNOWN
+        assert result.verdict is want
+        forms += has_form
+    assert 100 < forms < 200
 
 
 def test_classify_builds_each_entropy_vector_once(record_calls):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entkit.builders import cat_power, cat_state
+from conftest import rotated, tied_form
+from entkit.builders import cat_power, cat_state, codeword5, eprs_chain, eprs_complete
+from entkit.entropy import entropy_vector
 from entkit.schmidt import (
     _FLOAT_OVERFLOW,
     TypeBranch,
@@ -28,8 +30,10 @@ from entkit.states import (
     PureState,
     canonical_partitions,
     make_state,
+    permute_parties,
     random_pure_state,
     random_unitary,
+    tensor,
 )
 
 
@@ -106,8 +110,8 @@ def test_w_state_not_decomposable():
     result = is_m_orthogonal(w)
     assert result.decomposable is False
     assert result.reason == (
-        "branch 0 of the first-party cut: factor 0 is entangled with the "
-        "remainder (principal weight 0.500000000)"
+        "two contractions of the first-party Schmidt partners and the first-party "
+        "spectrum do not commute (defect 1.260e-01)"
     )
 
 
@@ -117,48 +121,32 @@ def test_two_cat_copies_decompose():
     assert result.form.rank == 4
 
 
-def test_rotated_cat_copies_inconclusive():
-    # rotating one party mixes the degenerate local eigenbasis; the test
-    # must refuse to certify either way rather than guess
+def test_rotated_cat_copies_decompose():
+    # rotating one party mixes the degenerate local eigenbasis; the common
+    # eigenbasis of the contraction Grams undoes the mixing
     state = cat_power(3, 2)
     u = random_unitary(4, np.random.default_rng(3))
     tensorized = np.tensordot(u, state.as_tensor(), axes=([1], [0]))
     rotated = PureState(state.dims, tensorized.reshape(-1))
     result = is_m_orthogonal(rotated)
-    assert result.decomposable is None
-    assert result.reason == (
-        "inconclusive: degenerate coefficients and a non-product branch; a "
-        "rotated degenerate basis might still decompose (factor 0 is entangled "
-        "with the remainder (principal weight 0.480439121))"
-    )
+    assert (result.decomposable, result.reason) == (True, "decomposition found")
+    assert np.max(np.abs(result.form.to_state().amplitudes - rotated.amplitudes)) < 1e-12
+    assert np.max(np.abs(result.form.coefficients - 0.5)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "weights, decomposable, reason",
-    [
-        (
-            (0.6, 0.4),
-            False,
-            "party 2 vectors for branches 0 and 1 are not orthogonal (|<i|j>| = 1.000e-05)",
-        ),
-        (
-            (0.5, 0.5),
-            None,
-            "inconclusive: degenerate coefficients and non-orthogonal vectors at "
-            "party 2 (|<i|j>| = 1.000e-05)",
-        ),
-    ],
-)
-def test_product_branches_with_overlapping_vectors(weights, decomposable, reason):
+@pytest.mark.parametrize("weights", [(0.6, 0.4), (0.5, 0.5)])
+def test_product_branches_with_overlapping_vectors(weights):
     # sqrt(w0)|0>|0>|c0> + sqrt(w1)|1>|1>|c1> with <c0|c1> = 1e-5: every
     # branch is a product and every entropy agrees to about 1e-10, so only
-    # the orthogonality check at party C can fail
+    # the orthogonality check at party C can fail; the form is unique, equal
+    # weights or not, so that failure is a no
     eps = 1e-5
     t = np.zeros((2, 2, 2))
     t[0, 0] = math.sqrt(weights[0]) * np.array([1.0, 0.0])
     t[1, 1] = math.sqrt(weights[1]) * np.array([eps, math.sqrt(1 - eps**2)])
     result = is_m_orthogonal(PureState((2, 2, 2), t.reshape(-1)))
-    assert (result.decomposable, result.form, result.reason) == (decomposable, None, reason)
+    reason = "party 2 vectors for branches 0 and 1 are not orthogonal (|<i|j>| = 1.000e-05)"
+    assert (result.decomposable, result.form, result.reason) == (False, None, reason)
 
 
 def test_random_state_rejected():
@@ -174,9 +162,7 @@ def rotated_cat(coefficients, phases, m, rng) -> PureState:
     t = np.zeros((d,) * m, dtype=complex)
     for i, (c, phi) in enumerate(zip(coefficients, phases)):
         t[(i,) * m] = c * np.exp(1j * phi)
-    for p in range(m):
-        t = np.moveaxis(np.tensordot(random_unitary(d, rng), t, axes=([1], [p])), 0, p)
-    return PureState((d,) * m, t.reshape(-1))
+    return rotated(PureState((d,) * m, t.reshape(-1)), rng)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -212,6 +198,137 @@ def test_cat_yield_values():
     assert cat_yield(cat_power(3, 2)) == pytest.approx(2.0, abs=1e-12)
     biased = make_state((2, 2, 2), [("000", math.sqrt(3)), ("111", 1.0)])
     assert cat_yield(biased) == pytest.approx(0.8112781244591328, abs=1e-12)
+
+
+def m_orthogonal_state(coefficients, dims, rng) -> PureState:
+    """sum_i c_i e^{i phi_i} |i...i> on `dims`, each party then rotated."""
+    t = np.zeros(dims, dtype=complex)
+    for i, c in enumerate(coefficients):
+        t[(i,) * len(dims)] = c * np.exp(2j * np.pi * rng.random())
+    return rotated(PureState(tuple(dims), t.reshape(-1)), rng)
+
+
+W_STATE = make_state((2, 2, 2), [("001", 1.0), ("010", 1.0), ("100", 1.0)])
+CERTIFICATES = (
+    "partial entropies are not constant across partitions",
+    "two contractions of the first-party Schmidt partners",
+    "branch ",
+    "party ",
+    "assembled form has fidelity",
+)
+
+
+def assert_reproduces(state: PureState, coefficients) -> None:
+    result = is_m_orthogonal(state)
+    assert (result.decomposable, result.reason) == (True, "decomposition found")
+    assert np.max(np.abs(result.form.to_state().amplitudes - state.amplitudes)) < 1e-10
+    assert np.max(np.abs(result.form.coefficients - np.sort(coefficients)[::-1])) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "state",
+    [cat_state(m) for m in range(3, 7)] + [cat_power(3, k) for k in (1, 2, 3)],
+    ids=[f"cat{m}" for m in range(3, 7)] + [f"{k}ghz" for k in (1, 2, 3)],
+)
+def test_rotated_cats_decompose(state):
+    # every coefficient is the same, so the first-party spectrum says
+    # nothing about the basis
+    rng = np.random.default_rng([state.num_parties, state.dim])
+    rank = round(2 ** entropy_vector(state)[(0,)])
+    for _ in range(3):
+        assert_reproduces(rotated(state, rng), np.full(rank, rank**-0.5))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_random_m_orthogonal_states_decompose(m, degenerate):
+    rng = np.random.default_rng([m, degenerate, 15])
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        dims = tuple(int(x) for x in rng.integers(d, 5, size=m))
+        c = rng.uniform(0.1, 1.0, d)
+        if degenerate:
+            c[: d // 2 + 1] = c[0]
+        c /= np.linalg.norm(c)
+        assert_reproduces(m_orthogonal_state(c, dims, rng), c)
+
+
+def test_a_tie_of_both_draws_never_mixes_distinct_coefficients():
+    # both contraction Grams are multiples of the identity, so only the
+    # first-party spectrum can keep the two branches apart
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        assert_reproduces(tied_form(rng), [0.8, 0.6])
+
+
+NO_FORM = {
+    "3epr": eprs_complete(3),
+    "chain4": eprs_chain(4),
+    "chain5": eprs_chain(5),
+    "eprs4": eprs_complete(4),
+    "eprs5": eprs_complete(5),
+    "codeword5": codeword5(),
+    "w": W_STATE,
+}
+
+
+@pytest.mark.parametrize("state", NO_FORM.values(), ids=NO_FORM.keys())
+def test_states_without_a_form_are_refused_with_a_certificate(state):
+    rng = np.random.default_rng(state.dim)
+    for s in (state, rotated(state, rng)):
+        result = is_m_orthogonal(s)
+        assert (result.decomposable, result.form) == (False, None)
+        assert result.reason.startswith(CERTIFICATES)
+        with pytest.raises(ValueError, match="not Schmidt decomposable"):
+            cat_yield(s)
+
+
+def test_three_eprs_fail_the_commutator_certificate():
+    # every cut carries two bits, so the entropies cannot tell it from 2ghz
+    result = is_m_orthogonal(eprs_complete(3))
+    assert result.reason.startswith("two contractions of the first-party Schmidt partners")
+
+
+def test_haar_states_are_refused_by_their_entropy_spread():
+    rng = np.random.default_rng(200)
+    for _ in range(200):
+        dims = tuple(int(d) for d in rng.integers(2, 5, size=int(rng.integers(3, 6))))
+        result = is_m_orthogonal(random_pure_state(dims, rng))
+        assert result.decomposable is False
+        assert result.reason.startswith(CERTIFICATES[0])
+
+
+@st.composite
+def _states_and_moves(draw):
+    """A state of one of several kinds, with a seed for local unitaries and
+    a party permutation."""
+    m = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["form", "degenerate form", "haar", "w", "3epr", "ghz beside 3epr"]))
+    if kind.endswith("form"):
+        d = draw(st.integers(1, 4))
+        c = rng.uniform(0.1, 1.0, d)
+        if kind == "degenerate form":
+            c[:] = 1.0
+        dims = tuple(int(x) for x in rng.integers(d, 5, size=m))
+        state = m_orthogonal_state(c / np.linalg.norm(c), dims, rng)
+    elif kind == "haar":
+        state = random_pure_state(tuple(int(x) for x in rng.integers(2, 4, size=m)), rng)
+    else:
+        m = 3
+        state = {"w": W_STATE, "3epr": eprs_complete(3)}.get(kind)
+        if state is None:
+            state = tensor(cat_state(3), eprs_complete(3), {0: 0, 1: 1, 2: 2})
+    return state, rng, draw(st.permutations(range(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_states_and_moves())
+def test_the_verdict_ignores_local_unitaries_and_party_order(case):
+    state, rng, perm = case
+    verdict = is_m_orthogonal(state).decomposable
+    assert is_m_orthogonal(rotated(state, rng)).decomposable is verdict
+    assert is_m_orthogonal(permute_parties(state, perm)).decomposable is verdict
 
 
 def test_concentration_small_n_by_hand():
