@@ -12,29 +12,35 @@ target. Counting certified-independent states gives lower bounds on how
 many states a reversible generating set must contain.
 
 Inputs and results are exact `fractions.Fraction`s; float inputs are
-accepted only when they are within 1e-9 of a small rational. One core,
-`_feasible`, decides x >= 0 with A x = b over plain int or `Fraction`
-columns of either sign, and hands back either the mix or a separating
-weighting it has re-checked exactly; `solve_coefficients` is its adapter
-for labeled entropy rows. Inside the core, elimination scales each
-equation to Python ints and runs fraction-free, so the one solver
-`_solve_exact` serves the equality system, the left-kernel certificate of
-an inconsistent system and the lift of Farkas multipliers to a weighting.
-Every exact inner product (`_dot`: picking and re-checking a certificate,
-the residual of a mix) likewise sums Python ints over one common
-denominator, each vector scaled once, and builds one `Fraction` at the end.
+accepted only when they are finite and within 1e-9 of a small rational,
+and bools and strings are refused. One core, `_feasible`, decides x >= 0
+with A x = b over plain int or `Fraction` columns of either sign, and
+hands back either the mix or a separating weighting it has re-checked
+exactly; `solve_coefficients` is its adapter for labeled entropy rows.
+Inside the core, every elimination is one routine, `_Echelon`: equations
+scaled to Python ints are inserted one at a time and reduced fraction-free
+against the rows already held. `_solve_exact` reads one for the equality
+system and for the lift of Farkas multipliers to a weighting; the
+left-kernel certificate of an inconsistent system is read from an echelon
+of the generator rows, which `mregs_lower_bound` keeps across its probes,
+inserting each counted probe's row once. Every exact inner product
+(`_dot`: picking and re-checking a certificate, the residual of a mix)
+likewise sums Python ints over one common denominator, each vector scaled
+once, and builds one `Fraction` at the end.
 The inequality half, x >= 0 over the solutions of the equality system, is
 one exact dictionary simplex (`_lexmin_mix`): it finds the mix, decides
 uniqueness and yields the Farkas multipliers.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence, Union
+from math import gcd, isfinite, lcm
+from typing import Iterator, Sequence, Union
 
 from .builders import cat_state, codeword5, embedded_cat, epr_between
 from .entropy import (
@@ -64,12 +70,21 @@ _EGS_FLOOR = 1e-8
 
 
 def _snap(value) -> Fraction:
+    """One entry as an exact `Fraction`: an int or a `Fraction` as it is, a
+    finite float only within 1e-9 of a fraction with denominator at most
+    10^6. A bool, a string, a non-finite float or anything else that is not
+    a real number raises a ValueError naming the entry."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"entry {value!r} is not a real number")
+    if isinstance(value, numbers.Rational):
         return Fraction(value)
-    fr = Fraction(float(value)).limit_denominator(1_000_000)
-    if abs(fr - Fraction(float(value))) > _FLOAT_SNAP_TOL:
+    real = float(value)
+    if not isfinite(real):
+        raise ValueError(f"entry {value!r} is not finite")
+    fr = Fraction(real).limit_denominator(1_000_000)
+    if abs(fr - Fraction(real)) > _FLOAT_SNAP_TOL:
         raise ValueError(f"entry {value!r} is not rational within tolerance")
     return fr
 
@@ -172,56 +187,137 @@ class Infeasible:
     reason: str
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """A row of ints divided by the gcd of its entries."""
+    common = gcd(*row)
+    return [x // common for x in row] if common > 1 else row
+
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int, support: list[int]) -> list[int]:
+    """The fraction-free a*row - f*pivot_row that clears column `col`, where
+    a = pivot_row[col] > 0, f = row[col] and `support` lists the columns
+    where pivot_row is nonzero: `row` is scaled by a when a != 1, then
+    updated in place on the support alone."""
+    a, f = pivot_row[col], row[col]
+    if a != 1:
+        row = [a * x for x in row]
+    for k in support:
+        row[k] -= f * pivot_row[k]
+    return row
+
+
+class _Echelon:
+    """Exact rows over `n_cols` unknowns and a right-hand side, inserted one
+    at a time and held in row echelon form.
+
+    Every held row is Python ints with gcd 1 and a positive pivot, its
+    first nonzero entry; `supports` lists each held row's nonzero columns,
+    the only ones an elimination by it touches. `insert` reduces a new row
+    against the held rows in pivot order, so what is left is zero on every
+    pivot column, and keeps it as a new pivot row. The first read
+    (`solution`, `kernel`) back-substitutes the held rows once; from then
+    on each insert also clears its pivot column from the rows above it, so
+    the form stays reduced. A reduced held row is then the unique primitive
+    integer multiple of its row in the reduced row echelon form, whatever
+    the order of the inserts, so every reading is that of rational
+    elimination.
+    """
+
+    def __init__(self, n_cols: int) -> None:
+        self.n_cols = n_cols
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.supports: list[list[int]] = []
+        self._reduced = False
+
+    def reduce(self, row: Sequence[int]) -> list[int]:
+        """A copy of `row` less its part in the span of the held rows (up to
+        a nonzero factor): zero on every pivot column, and divided by the gcd
+        of its entries only at the end."""
+        row = list(row)
+        for col, held, support in zip(self.pivots, self.rows, self.supports):
+            if row[col]:
+                row = _eliminate(row, held, col, support)
+        return _primitive(row)
+
+    def _clear(self, r: int, col: int, row: list[int], support: list[int]) -> None:
+        """Clear column `col` from held row r by the pivot row `row`."""
+        held = _primitive(_eliminate(self.rows[r], row, col, support))
+        self.rows[r], self.supports[r] = held, [k for k, x in enumerate(held) if x]
+
+    def insert(self, row: Sequence[int]) -> int | None:
+        """Hold a row of `n_cols` + 1 ints. Returns its pivot column,
+        `n_cols` when it makes the system inconsistent, or None when it
+        depends on the held rows and is dropped."""
+        row = self.reduce(row)
+        support = [k for k, x in enumerate(row) if x]
+        if not support:
+            return None
+        col = support[0]
+        if row[col] < 0:
+            row = [-x for x in row]
+        at = bisect.bisect(self.pivots, col)
+        if self._reduced:
+            for r in range(at):
+                if self.rows[r][col]:
+                    self._clear(r, col, row, support)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, col)
+        self.supports.insert(at, support)
+        return col
+
+    def _back_substitute(self) -> None:
+        if not self._reduced:
+            for k in range(len(self.rows) - 1, 0, -1):
+                col = self.pivots[k]
+                for r in range(k):
+                    if self.rows[r][col]:
+                        self._clear(r, col, self.rows[k], self.supports[k])
+            self._reduced = True
+
+    def kernel(self) -> Iterator[list[Fraction]]:
+        """The kernel basis of the held coefficients, one direction per free
+        column in increasing order: 1 there, 0 at the other free columns."""
+        self._back_substitute()
+        pivots = set(self.pivots)
+        for free in range(self.n_cols):
+            if free not in pivots:
+                direction = [Fraction(0)] * self.n_cols
+                direction[free] = Fraction(1)
+                for row, col in zip(self.rows, self.pivots):
+                    direction[col] = Fraction(-row[free], row[col])
+                yield direction
+
+    def solution(self) -> tuple[list[Fraction], list[list[Fraction]]]:
+        """(particular solution, kernel basis) of a consistent held system;
+        the particular solution is 0 on every free column."""
+        kernel = list(self.kernel())
+        particular = [Fraction(0)] * self.n_cols
+        for row, col in zip(self.rows, self.pivots):
+            particular[col] = Fraction(row[-1], row[col])
+        return particular, kernel
+
+
 def _solve_exact(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n_cols: int
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """Solve matrix x = rhs over the rationals, for `n_cols` unknowns.
 
-    Each equation is scaled to Python ints and reduced Gauss-Jordan style
-    with the fraction-free row operation a*row - f*pivot_row, every new row
-    divided by the gcd of its entries. Each pivot row is then a multiple of
-    its row in the reduced row echelon form, so the results are those of
-    rational elimination. Returns (particular solution, kernel basis), or
-    None when the system is inconsistent.
+    Each equation is scaled to Python ints and inserted into an `_Echelon`;
+    returns None at the first whose pivot is the right-hand side, as the
+    system is then inconsistent, and otherwise the echelon's (particular
+    solution, kernel basis).
     """
-    rows = [_integer_scaled([*coeffs, b])[1] for coeffs, b in zip(matrix, rhs)]
-    pivots: list[int] = []
-    for col in range(n_cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        a = top[col]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != rank and f:
-                new = [a * x - f * y for x, y in zip(row, top)]
-                common = gcd(*new)
-                rows[r] = [x // common for x in new] if common > 1 else new
-        pivots.append(col)
-    if any(row[-1] for row in rows[len(pivots):]):
-        return None
-    particular = [Fraction(0)] * n_cols
-    for row, col in zip(rows, pivots):
-        particular[col] = Fraction(row[-1], row[col])
-    kernel: list[list[Fraction]] = []
-    for f_col in (c for c in range(n_cols) if c not in pivots):
-        direction = [Fraction(0)] * n_cols
-        direction[f_col] = Fraction(1)
-        for row, col in zip(rows, pivots):
-            direction[col] = Fraction(-row[f_col], row[col])
-        kernel.append(direction)
-    return particular, kernel
+    echelon = _Echelon(n_cols)
+    for coeffs, b in zip(matrix, rhs):
+        if echelon.insert(_integer_scaled([*coeffs, b])[1]) == n_cols:
+            return None
+    return echelon.solution()
 
 
 def _primitive_direction(direction: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational direction to coprime integers, first nonzero > 0."""
-    ints = _integer_scaled(direction)[1]
-    common = gcd(*ints)
-    if common:
-        ints = [x // common for x in ints]
+    ints = _primitive(_integer_scaled(direction)[1])
     first = next((x for x in ints if x != 0), 0)
     if first < 0:
         ints = [-x for x in ints]
@@ -325,8 +421,17 @@ def _lexmin_mix(
     return point, unique, None
 
 
+def _column_echelon(columns: Sequence[Sequence], n_rows: int) -> _Echelon:
+    """The `_Echelon` of A's columns as rows, with zero right-hand sides:
+    its kernel is A's left kernel."""
+    echelon = _Echelon(n_rows)
+    for column in columns:
+        echelon.insert([*_integer_scaled(column)[1], 0])
+    return echelon
+
+
 def _feasible(
-    columns: Sequence[Sequence], b: Sequence
+    columns: Sequence[Sequence], b: Sequence, left: _Echelon | None = None
 ) -> tuple[tuple | None, tuple | None]:
     """Decide whether x >= 0 with A x = b, exactly; A's columns are `columns`.
 
@@ -338,14 +443,21 @@ def _feasible(
     inconsistent system or the Farkas multipliers lifted through A's
     transpose, oriented so that w . b < 0; `verified` is an exact re-check
     of that and of w . c >= 0 for every column c.
+
+    `left`, when given, is the caller's `_column_echelon(columns, len(b))`,
+    kept across calls: b is reduced against it first, and a b outside the
+    span of the columns skips the equality elimination.
     """
     n = len(columns)
     b_scaled = _integer_scaled(b)
-    outcome = _solve_exact([[c[p] for c in columns] for p in range(len(b))], b, n)
+    if left is not None and any(left.reduce([*b_scaled[1], 0])):
+        outcome = None
+    else:
+        outcome = _solve_exact([[c[p] for c in columns] for p in range(len(b))], b, n)
     if outcome is None:
-        # a left-kernel vector that does not vanish on b
-        _, left_kernel = _solve_exact(columns, [0] * n, len(b))
-        w = next(w for w in left_kernel if _dot(_integer_scaled(w), b_scaled) != 0)
+        # the first left-kernel vector that does not vanish on b
+        left = _column_echelon(columns, len(b)) if left is None else left
+        w = next(w for w in left.kernel() if _dot(_integer_scaled(w), b_scaled) != 0)
         reason = "the equality system itself is inconsistent"
     else:
         x0, kernel = outcome
@@ -397,7 +509,15 @@ def solve_coefficients(
     exactly before being handed back.
     """
     (t,) = _as_rows(gens.num_parties, [target])
-    mix, certificate = _feasible(gens.rows, t)
+    return _coefficients(gens, t)
+
+
+def _coefficients(
+    gens: EntropyMatrix, t: Sequence[Fraction], left: _Echelon | None = None
+) -> Union[CoefficientSolution, Infeasible]:
+    """`solve_coefficients` for an exact target row `t`; `left` is an
+    echelon of the generator rows the caller keeps, as `_feasible` takes it."""
+    mix, certificate = _feasible(gens.rows, t, left)
     if certificate is not None:
         w, reason, verified = certificate
         return Infeasible(gens.labels, tuple(w), verified, reason)
@@ -476,9 +596,12 @@ def mregs_lower_bound(m: int) -> MregsBound:
     the count certifies is that each counted probe's entropy vector is not
     a nonnegative mix of the generators accumulated before it, so it cannot
     be bought from them at any exchange rate; the probe then joins the
-    pool. The trace records the entropy-ratio comparison that drives the
-    standard probes: symmetric EPR mixes have ratio 2(m-2)/(m-1), cats sit
-    at 1, the five-qubit codeword at 2.
+    pool. The pool's rows are held in one `_Echelon` across the probes, so
+    each counted probe's row is eliminated once, when it joins, and a probe
+    outside their span needs no other elimination. The trace records the
+    entropy-ratio comparison that drives the standard probes: symmetric EPR
+    mixes have ratio 2(m-2)/(m-1), cats sit at 1, the five-qubit codeword
+    at 2.
     """
     if m < 2:
         raise ValueError("need at least two parties")
@@ -486,6 +609,7 @@ def mregs_lower_bound(m: int) -> MregsBound:
     rows = _as_rows(m, [state for _, state in eprs + probes])
     baseline = len(eprs)
     gens = EntropyMatrix(m, tuple(label for label, _ in eprs), tuple(rows[:baseline]))
+    left = _column_echelon(gens.rows, len(rows[0]))
     trace = [
         f"baseline: the {baseline} EPR pairs are mutually independent "
         "(each is the only generator entangling its pair of parties)"
@@ -504,7 +628,7 @@ def mregs_lower_bound(m: int) -> MregsBound:
     bound = baseline
     results: list[ProbeResult] = []
     for (label, _), row in zip(probes, rows[baseline:]):
-        verdict = solve_coefficients(gens, row)
+        verdict = _coefficients(gens, row, left)
         if isinstance(verdict, Infeasible):
             if not verdict.verified:
                 raise InternalError(
@@ -512,6 +636,7 @@ def mregs_lower_bound(m: int) -> MregsBound:
                 )
             bound += 1
             gens = gens.with_generator(label, row)
+            left.insert([*_integer_scaled(row)[1], 0])
             results.append(
                 ProbeResult(label, True, verdict.certificate, verdict.reason)
             )

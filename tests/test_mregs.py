@@ -3,9 +3,12 @@ and the generating-set lower bounds."""
 import importlib.util
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +27,9 @@ from entkit.mregs import (
     CoefficientSolution,
     EntropyMatrix,
     Infeasible,
+    ProbeResult,
+    _Echelon,
+    _column_echelon,
     _dot,
     _feasible,
     _integer_scaled,
@@ -155,22 +161,62 @@ def test_the_first_bad_entry_in_order_raises(vectors, message):
         EntropyMatrix.from_states(4, entries)
 
 
-def test_infeasible_on_inconsistent_equalities():
+def test_one_pair_gives_a_feasible_one_third_mix():
     gens = EntropyMatrix.from_states(2, [("epr", epr_between(2, 0, 1))])
     outcome = solve_coefficients(gens, [Fraction(1, 3)])
     assert isinstance(outcome, CoefficientSolution)
     assert outcome.coefficients == (Fraction(1, 3),)
 
 
-@pytest.mark.parametrize("m,expected", [(3, 3), (4, 7), (5, 12), (6, 31)])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (float("inf"), "entry inf is not finite"),
+        (float("-inf"), "entry -inf is not finite"),
+        (float("nan"), "entry nan is not finite"),
+        (np.float64("inf"), "entry np.float64(inf) is not finite"),
+        (True, "entry True is not a real number"),
+        (np.True_, "entry np.True_ is not a real number"),
+        ("1", "entry '1' is not a real number"),
+        (None, "entry None is not a real number"),
+        (1j, "entry 1j is not a real number"),
+    ],
+)
+def test_bad_entries_raise_a_value_error_naming_them(entry, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EntropyMatrix.from_states(2, [("x", [entry])])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_coefficients(epr_matrix(3), [1, entry, 1])
+
+
+def test_numeric_entries_of_any_real_type_are_read_exactly():
+    sol = solve_coefficients(epr_matrix(3), [np.int64(1), np.float64(1.0), Fraction(2, 2)])
+    assert isinstance(sol, CoefficientSolution)
+    assert sol.coefficients == (Fraction(1, 2),) * 3
+    (row,) = EntropyMatrix.from_states(2, [("x", [np.int64(2**62 + 1)])]).rows
+    assert row == (Fraction(2**62 + 1),)
+
+
+@pytest.mark.parametrize("m,expected", [(3, 3), (4, 7), (5, 12), (6, 31), (7, 22), (8, 29)])
 def test_lower_bounds(m, expected):
     result = mregs_lower_bound(m)
     assert result.bound == expected
     assert result.baseline == m * (m - 1) // 2
-    # every certificate re-verifies against the generators it separated
-    for probe in result.probes:
-        if probe.infeasible:
-            assert probe.certificate is not None
+    # each probe's verdict is that of a from-scratch solve over the generators
+    # accumulated before it, and each certificate separates them exactly
+    gens = EntropyMatrix.from_states(m, mregs._epr_generators(m))
+    for (label, state), probe in zip(mregs._default_probes(m), result.probes, strict=True):
+        verdict = solve_coefficients(gens, state)
+        if isinstance(verdict, Infeasible):
+            assert verdict.verified
+            assert probe == ProbeResult(label, True, verdict.certificate, verdict.reason)
+            (target,) = EntropyMatrix.from_states(m, [(label, state)]).rows
+            verify_certificate(gens, target, probe.certificate)
+            gens = gens.with_generator(label, state)
+        else:
+            mix = ", ".join(f"{g}={c}" for g, c in zip(verdict.labels, verdict.coefficients) if c != 0)
+            assert probe == ProbeResult(label, False, None, f"feasible: {mix or '0'}")
+    assert len(gens.labels) == result.bound
 
 
 def test_lower_bound_computes_each_exact_entropy_row_once(monkeypatch):
@@ -183,6 +229,20 @@ def test_lower_bound_computes_each_exact_entropy_row_once(monkeypatch):
     result = mregs_lower_bound(6)
     assert result.baseline + len(result.probes) == 31
     assert sorted(passes) == [(1,) + (2,) * 6, (15, 2, 2), (15, 2, 2, 2, 2)]
+
+
+def test_lower_bound_keeps_one_echelon_across_its_probes(monkeypatch):
+    # the 15 EPR rows and the 16 counted probes are inserted once each; every
+    # probe lies outside the span of the generators, so no equality system is
+    # eliminated
+    inserts, solves = [], []
+    insert = _Echelon.insert
+    monkeypatch.setattr(_Echelon, "insert", lambda self, row: inserts.append(row) or insert(self, row))
+    monkeypatch.setattr(mregs, "_solve_exact", lambda *args: solves.append(args))
+    result = mregs_lower_bound(6)
+    assert result.bound == 31
+    assert len(inserts) == 31
+    assert solves == []
 
 
 def test_lower_bound_trace_mentions_ratio():
@@ -375,6 +435,60 @@ def test_solve_exact_matches_rational_elimination():
             not any(row[c] for row in matrix) for c in range(n_cols)
         ) and bool(matrix)
     assert min(seen.values()) >= 20, seen
+
+
+@st.composite
+def signed_rows(draw):
+    """Up to 8 rows of small signed ints, some zero, some combinations of
+    two earlier rows."""
+    width = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * width)
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=width, max_size=width)))
+    return width, rows
+
+
+def primitive_rref_row(kernel, pivot, width):
+    """The RREF row of `pivot` that a kernel basis as `_solve_exact` returns
+    it determines, as coprime ints with a zero right-hand side appended."""
+    row = [Fraction(int(c == pivot)) for c in range(width)]
+    for direction in kernel:
+        free = max(c for c, x in enumerate(direction) if x)
+        row[free] = -direction[pivot]
+    scale = lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    return [x // gcd(*ints) for x in ints] + [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_rows())
+def test_kept_echelon_matches_a_fresh_solve_after_every_insert(case):
+    width, rows = case
+    kept, lazy = _Echelon(width), _Echelon(width)
+    for k, row in enumerate(rows, 1):
+        rank = len(kept.pivots)
+        pivot = kept.insert([*row, 0])
+        lazy.insert([*row, 0])
+        fresh = _solve_exact(rows[:k], [0] * k, width)
+        assert fresh == reference_solve(rows[:k], [0] * k, width)
+        assert kept.solution() == fresh
+        _, kernel = fresh
+        assert len(kept.pivots) == width - len(kernel)
+        assert (pivot is None) == (len(kept.pivots) == rank)
+        assert pivot is None or pivot in kept.pivots
+        assert kept.rows == [primitive_rref_row(kernel, p, width) for p in kept.pivots]
+        assert kept.supports == [[c for c, x in enumerate(held) if x] for held in kept.rows]
+    # an echelon first read after all its inserts back-substitutes to the same rows
+    assert lazy.solution() == kept.solution()
+    assert (lazy.rows, lazy.pivots) == (kept.rows, kept.pivots)
 
 
 def eprs_and_embedded_cats(m):
@@ -651,6 +765,8 @@ def test_feasibility_matches_highs_on_random_systems():
         columns = [[row[c] for row in matrix] for c in range(n_cols)]
         for b in (rhs, [rng.randrange(-6, 7) for _ in rhs]):
             mix, certificate = _feasible(columns, b)
+            # a kept echelon of the columns changes nothing in the verdict
+            assert _feasible(columns, b, _column_echelon(columns, len(b))) == (mix, certificate)
             if mix is not None:
                 assert certificate is None
                 point = mix[0]
