@@ -4,17 +4,18 @@ For two parties the question is settled by majorization of the Schmidt
 spectra. For three or more, partial entropies give a sharp dichotomy on
 marginally isentropic pairs: they are either interconvertible (and then
 related by local unitaries) or incomparable, with no one-way reductions.
-The classifier walks that tree, certifying local-unitary equivalence by
-explicitly constructing the unitaries where it can, and certifying
-incomparability from a mismatch of local-unitary invariants: the partial
-entropies, the spectra of every cut and of every partially transposed
-two-party reduction, and last m-orthogonality.
+The classifier walks that tree and certifies from local-unitary invariants:
+the partial entropies, the spectra of every cut, the marginals' eigenframes
+(which decide LU equivalence either way where every one-party marginal is
+nondegenerate), the spectra of every partially transposed two-party
+reduction, and last m-orthogonality.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -39,6 +40,11 @@ __all__ = [
 
 _MAJORIZATION_TOL = 1e-10
 _SPECTRUM_TOL = 1e-8
+# `_lu_align` trusts an amplitude in marginal eigenframes to _FRAME_TOL / gap,
+# gap the least eigenvalue spacing of a marginal (Davis-Kahan: a frame vector
+# moves by |E| / gap for an error E far below 1e-8); the phase of an amplitude b
+# to 5 _FRAME_TOL / (gap |b|) (arcsin), and k . phases to sum |k_i| times that.
+_FRAME_TOL = 1e-8
 _LU_FIDELITY_TOL = 1e-9
 # a partial transpose has no cheaper side to diagonalize, so pairs of
 # parties whose joint dimension d_i * d_j exceeds this are left out
@@ -173,103 +179,116 @@ def _pair_transpose_spectra(state: PureState) -> dict[tuple[int, int], np.ndarra
     return spectra
 
 
-def _apply_party_unitaries(state: PureState, mats: Sequence[np.ndarray]) -> PureState:
-    t = state.as_tensor()
-    for party, mat in enumerate(mats):
-        t = np.moveaxis(
-            np.tensordot(mat, t, axes=([1], [party])), 0, party
-        )
-    return PureState(state.dims, t.reshape(-1))
+def _turned_amplitudes(state: PureState, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The amplitudes of `state` with party p turned by mats[p]."""
+    t = state.amplitudes
+    for mat in mats:  # each product turns the leading party and moves it last
+        t = (mat @ t.reshape(len(mat), -1)).T
+    return t.reshape(-1)
 
 
-def _lu_align(a: PureState, b: PureState) -> list[np.ndarray] | None:
-    """Search for per-party unitaries carrying b onto a.
-
-    Works in the canonical frame set by each party's marginal eigenbasis,
-    which pins the unitaries down to diagonal phases; the phases are then
-    propagated through the nonzero amplitudes. Only attempted for small
-    systems with nondegenerate marginals, whose spectra the caller has
-    already matched cut by cut; any failure returns None (the result is
-    verified by fidelity before being trusted).
-    """
+def _lu_align(a: PureState, b: PureState) -> Classification | None:
+    """Decide local-unitary equivalence when every one-party marginal is
+    nondegenerate: `LU_EQUIVALENT` with unitaries carrying b onto a, or
+    `INCOMPARABLE` with a certificate. Such unitaries map each marginal
+    eigenbasis of b onto a's up to a phase per vector (Kraus, PRL 104,
+    020504): in these frames the magnitudes agree, and phases theta_p solve
+    theta_1[i_1] + ... + theta_m[i_m] = arg(a_i / b_i) over the support, or
+    an integer k with k^T A = 0 (A the equations' incidence matrix) and
+    k . arg(a / b) off 2 pi Z certifies that none do. The phases are peeled
+    from m - 1 gauge pins; a phase the support leaves free (as for W) is
+    pinned as a search step, after which a mismatch is no certificate. None
+    for other dims, a marginal gap below 1e-8, or a mismatch within the
+    tolerances at `_FRAME_TOL`."""
     if a.dims != b.dims:
         return None
-    m = a.num_parties
-    if m > 3 or any(d > 4 for d in a.dims):
+    dims, both = a.dims, np.stack([a.as_tensor(), b.as_tensor()])
+    frames, gap = [None] * len(dims), math.inf  # per party, A's frame and B's
+    for d in set(dims):  # one eigensolver call per party dimension
+        parties = [p for p, size in enumerate(dims) if size == d]
+        grams = [reduced_gram(both, [p]) for p in parties]
+        values, vectors = hermitian_eigensystem(np.concatenate(grams))
+        gap = min(gap, float(np.min(values[:, :-1] - values[:, 1:], initial=math.inf)))
+        for i, p in enumerate(parties):
+            frames[p] = vectors[2 * i : 2 * i + 2]
+    if gap < _SPECTRUM_TOL:
         return None
-    frames_a: list[np.ndarray] = []
-    frames_b: list[np.ndarray] = []
-    for party in range(m):
-        ea, va = hermitian_eigensystem(reduced_gram(a, [party]))
-        _, vb = hermitian_eigensystem(reduced_gram(b, [party]))
-        # eigenvalues come sorted descending; a near-zero gap means a
-        # degenerate marginal and the eigenframe is not canonical
-        if len(ea) > 1 and np.min(np.abs(np.diff(ea))) < _SPECTRUM_TOL:
-            return None
-        frames_a.append(va)
-        frames_b.append(vb)
+    tol = _FRAME_TOL / gap
+    ca, cb = (_turned_amplitudes(s, [f[i].conj().T for f in frames]) for i, s in enumerate((a, b)))
+    defect = np.abs(ca) - np.abs(cb)
+    worst = int(np.argmax(np.abs(defect)))
+    if abs(defect[worst]) > tol:
+        entry = tuple(int(i) for i in np.unravel_index(worst, dims))
+        return _not_lu_equivalent(
+            "fully isentropic and isospectral with nondegenerate marginals, but in their eigenframes "
+            f"amplitude {entry} has magnitude {abs(ca[worst]):.9f} in A and {abs(cb[worst]):.9f} in B",
+            magnitude=(entry, float(defect[worst])),
+        )
+    size = np.abs(cb)
+    support = np.argsort(-size, kind="stable")[: np.count_nonzero(size > 2 * tol)]
+    phi, noise = np.angle(ca[support] * cb[support].conj()), 5 * tol / size[support]
+    offsets = np.cumsum((0,) + dims)
+    cols = np.stack(np.unravel_index(support, dims), 1) + offsets[:-1]  # each entry's m phases
+    theta, known, source, relations = np.zeros(offsets[-1]), np.zeros(offsets[-1], bool), {}, {}
+    known[cols[:1, 1:]] = True  # the gauge: party 0 takes up the other parties' shifts
 
-    a_canon = _apply_party_unitaries(a, [v.conj().T for v in frames_a]).as_tensor()
-    b_canon = _apply_party_unitaries(b, [v.conj().T for v in frames_b]).as_tensor()
-    if np.max(np.abs(np.abs(a_canon) - np.abs(b_canon))) > 1e-7:
+    def relation(entry: int, fixed: int = -1) -> Counter:
+        """The phase `fixed` as a sum over the support; without it, a k with k^T A = 0."""
+        k = Counter({entry: 1})
+        for u in (set(cols[entry].tolist()) & source.keys()) - {fixed}:
+            if u not in relations:
+                relations[u] = relation(source[u], u)
+            k.subtract(relations[u])
+        return k
+
+    searching, checked = False, np.zeros(len(support), bool)
+    while True:
+        open_ = ~known[cols]
+        count = open_.sum(1)
+        ready = np.flatnonzero(count == 1)
+        if ready.size:  # in descending |b|, so each phase comes from its largest entry
+            fixed, first = np.unique(cols[ready, open_[ready].argmax(1)], return_index=True)
+            theta[fixed] = phi[ready[first]] - theta[cols[ready[first]]].sum(1)
+            known[fixed] = True
+            source.update(zip(fixed.tolist(), ready[first].tolist()))
+            continue
+        if not searching:  # every entry the phases determine is checked before a free pin
+            new = np.flatnonzero((count == 0) & ~checked)
+            checked[new] = True
+            residual = (phi[new] - theta[cols[new]].sum(1) + math.pi) % (2 * math.pi) - math.pi
+            excess = np.abs(residual) / noise[new]
+            for i in sorted(np.flatnonzero(excess > 1), key=lambda i: -excess[i]):
+                k = {e: c for e, c in relation(int(new[i])).items() if c}
+                if abs(residual[i]) > sum(abs(c) * noise[e] for e, c in k.items()):
+                    return _not_lu_equivalent(
+                        "fully isentropic and isospectral with nondegenerate marginals, but in their "
+                        f"eigenframes the phases of A against B break an integer relation over {len(k)} "
+                        f"amplitudes, which local phases keep, by {residual[i]:.9f} rad",
+                        phase_relation={tuple((cols[e] - offsets[:-1]).tolist()): c for e, c in k.items()},
+                        phase_defect=float(residual[i]),
+                    )
+        if not count.any():
+            break
+        stuck = int(np.flatnonzero(count)[0])
+        known[cols[stuck, open_[stuck].argmax()]] = True
+        searching = True
+
+    phases = np.exp(1j * theta)[:, None]
+    mats = [fa @ (phases[o : o + len(fa)] * fb.conj().T) for (fa, fb), o in zip(frames, offsets)]
+    if not _carries(mats, b, a):
         return None
+    reason = "explicit per-party unitaries found carrying B onto A"
+    return Classification(ComparisonVerdict.LU_EQUIVALENT, reason, details={"unitaries": mats})
 
-    # the two canonical tensors can differ only by per-party phases now;
-    # solve sum_p theta[p][i_p] = arg(a/b) over the common support
-    dims = a.dims
-    support = np.argwhere(np.abs(b_canon) > 1e-8)
-    ratios = a_canon[tuple(support.T)] / b_canon[tuple(support.T)]
-    equations = list(zip(map(tuple, support.tolist()), np.angle(ratios).tolist()))
 
-    theta: list[dict[int, float]] = [dict() for _ in range(m)]
-    for party in range(1, m):
-        levels = {digits[party] for digits, _ in equations}
-        if levels:
-            theta[party][min(levels)] = 0.0
-
-    pending = list(equations)
-    while pending:
-        progress = False
-        still = []
-        for digits, phi in pending:
-            unknown = [
-                p for p in range(m) if digits[p] not in theta[p]
-            ]
-            if not unknown:
-                total = sum(theta[p][digits[p]] for p in range(m))
-                diff = (phi - total + math.pi) % (2 * math.pi) - math.pi
-                if abs(diff) > 1e-6:
-                    return None
-                progress = True
-                continue
-            if len(unknown) == 1:
-                p = unknown[0]
-                rest = sum(
-                    theta[q][digits[q]] for q in range(m) if q != p
-                )
-                theta[p][digits[p]] = phi - rest
-                progress = True
-                continue
-            still.append((digits, phi))
-        pending = still
-        if pending and not progress:
-            # disconnected support: pin one more phase and keep going
-            digits, _ = pending[0]
-            p = next(q for q in range(m) if digits[q] not in theta[q])
-            theta[p][digits[p]] = 0.0
-
-    mats = []
-    for party in range(m):
-        phases = np.ones(dims[party], dtype=complex)
-        for level, angle in theta[party].items():
-            phases[level] = np.exp(1j * angle)
-        mats.append(frames_a[party] @ np.diag(phases) @ frames_b[party].conj().T)
-    return mats if _carries(mats, b, a) else None
+def _not_lu_equivalent(why: str, witness: Partition | None = None, **details) -> Classification:
+    why += ", which rules out local-unitary equivalence and with it any reduction either way"
+    return Classification(ComparisonVerdict.INCOMPARABLE, why, witness, details)
 
 
 def _carries(mats: Sequence[np.ndarray], b: PureState, a: PureState) -> bool:
     """Whether per-party `mats` carry b onto a, to fidelity 1 - 1e-9."""
-    return abs(_apply_party_unitaries(b, mats).overlap(a)) ** 2 >= 1.0 - _LU_FIDELITY_TOL
+    return abs(np.vdot(a.amplitudes, _turned_amplitudes(b, mats))) ** 2 >= 1.0 - _LU_FIDELITY_TOL
 
 
 def _maximally_mixed_deviation(rho: np.ndarray) -> float:
@@ -313,12 +332,8 @@ def _classify_from_spectra(
         b_dom = vec_b.dominates(vec_a)
         if not a_dom and not b_dom:
             values_a, values_b = vec_a.values, vec_b.values
-            up = next(
-                p for p, _ in vec_a.entries() if values_a[p] < values_b[p] - _ISENTROPY_TOL
-            )
-            down = next(
-                p for p, _ in vec_a.entries() if values_a[p] > values_b[p] + _ISENTROPY_TOL
-            )
+            up = next(p for p, _ in vec_a.entries() if values_a[p] < values_b[p] - _ISENTROPY_TOL)
+            down = next(p for p, _ in vec_a.entries() if values_a[p] > values_b[p] + _ISENTROPY_TOL)
             return Classification(
                 ComparisonVerdict.INCOMPARABLE,
                 "each state has a partition with strictly larger entropy "
@@ -334,11 +349,7 @@ def _classify_from_spectra(
         )
 
     if vec_a.max_difference(vec_b) > _ISENTROPY_TOL:
-        witness = next(
-            p
-            for p, _ in vec_a.entries()
-            if abs(vec_a.values[p] - vec_b.values[p]) > _ISENTROPY_TOL
-        )
+        witness = next(p for p, _ in vec_a.entries() if abs(vec_a.values[p] - vec_b.values[p]) > _ISENTROPY_TOL)
         return Classification(
             ComparisonVerdict.INCOMPARABLE_BY_DICHOTOMY,
             "marginally isentropic but a joint partition's entropy differs, "
@@ -349,21 +360,13 @@ def _classify_from_spectra(
 
     spectral_witness = _partition_spectra_match(spectra_a, spectra_b)
     if spectral_witness is not None:
-        return Classification(
-            ComparisonVerdict.INCOMPARABLE,
-            "fully isentropic but marginal spectra differ across a "
-            "partition, which rules out local-unitary equivalence and with "
-            "it any reduction either way",
-            witness_partition=spectral_witness,
+        return _not_lu_equivalent(
+            "fully isentropic but marginal spectra differ across a partition", spectral_witness
         )
 
-    mats = _lu_align(a, b)
-    if mats is not None:
-        return Classification(
-            ComparisonVerdict.LU_EQUIVALENT,
-            "explicit per-party unitaries found carrying B onto A",
-            details={"unitaries": mats},
-        )
+    aligned = _lu_align(a, b)
+    if aligned is not None:
+        return aligned
 
     # a pair of parties is not a cut, so this verdict has no witness partition
     pairs_a, pairs_b = _pair_transpose_spectra(a), _pair_transpose_spectra(b)
@@ -371,26 +374,23 @@ def _classify_from_spectra(
         ea, eb = pairs_a[pair], pairs_b[pair]
         if _spectra_differ(ea, eb):
             min_a, min_b = float(ea[-1]), float(eb[-1])
-            return Classification(
-                ComparisonVerdict.INCOMPARABLE,
-                "fully isentropic and isospectral, but the reduction to parties "
-                f"{party_letters(pair)} has different spectra after a partial "
-                f"transpose (minimum eigenvalue {min_a:.9f} for A, {min_b:.9f} "
-                "for B), which rules out local-unitary equivalence and with it "
-                "any reduction either way",
-                details={"pair": pair, "min_eigenvalue_a": min_a, "min_eigenvalue_b": min_b},
+            return _not_lu_equivalent(
+                f"fully isentropic and isospectral, but the reduction to parties {party_letters(pair)} has "
+                f"different spectra after a partial transpose (minimum eigenvalue {min_a:.9f} for A, "
+                f"{min_b:.9f} for B)",
+                pair=pair,
+                min_eigenvalue_a=min_a,
+                min_eigenvalue_b=min_b,
             )
 
     # local unitaries keep an m-orthogonal form and map it onto any form of equal coefficients
     ortho_a, ortho_b = _decide_m_orthogonal(a, entropies_a), _decide_m_orthogonal(b, entropies_b)
     if ortho_a.decomposable != ortho_b.decomposable:
         yes, no = ("A", ortho_b) if ortho_a else ("B", ortho_a)
-        return Classification(
-            ComparisonVerdict.INCOMPARABLE,
+        return _not_lu_equivalent(
             f"fully isentropic and isospectral, but only {yes} is m-orthogonal (the other: "
-            f"{no.reason}), and local unitaries keep a state m-orthogonal, which rules out "
-            "local-unitary equivalence and with it any reduction either way",
-            details={"m_orthogonal": yes},
+            f"{no.reason}), and local unitaries keep a state m-orthogonal",
+            m_orthogonal=yes,
         )
     if ortho_a and a.dims == b.dims and ortho_a.form.rank == ortho_b.form.rank:
         mats = []  # each takes B's kets onto A's, and the complements of their spans likewise

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entkit import ProtocolBuilder, PureState, random_unitary
-from entkit.reducibility import _apply_party_unitaries
+from entkit.reducibility import _turned_amplitudes
 from entkit.schmidt import _DRAW_SEED
 
 
@@ -34,7 +34,7 @@ def record_calls(monkeypatch):
 
 def rotated(state: PureState, rng) -> PureState:
     """`state` with each party turned by its own Haar-random unitary."""
-    return _apply_party_unitaries(state, [random_unitary(d, rng) for d in state.dims])
+    return PureState(state.dims, _turned_amplitudes(state, [random_unitary(d, rng) for d in state.dims]))
 
 
 def tied_form(rng) -> PureState:
@@ -48,7 +48,7 @@ def tied_form(rng) -> PureState:
     t = np.zeros((2, 2, 5), dtype=complex)
     t[0, 0], t[1, 1] = 0.8 * (x + y) / 2**0.5, 0.6 * (x - y) / 2**0.5
     turns = [random_unitary(2, rng), random_unitary(2, rng), np.eye(5)]
-    return _apply_party_unitaries(PureState((2, 2, 5), t.reshape(-1)), turns)
+    return PureState((2, 2, 5), _turned_amplitudes(PureState((2, 2, 5), t.reshape(-1)), turns))
 
 
 def random_basis_projectors(dim: int, rng) -> list[np.ndarray]:

@@ -17,8 +17,8 @@ from entkit.builders import (
 from entkit.reducibility import (
     Classification,
     ComparisonVerdict,
-    _apply_party_unitaries,
     _pair_transpose_spectra,
+    _turned_amplitudes,
     classify_states,
     ghz_epr_witness,
     majorizes,
@@ -243,6 +243,31 @@ def test_classify_dominance_direction_unknown():
     assert result.verdict is ComparisonVerdict.UNKNOWN
 
 
+def test_w_is_lu_equivalent_to_its_rotations():
+    # W's support leaves a phase free, which `_lu_align` pins as a search
+    # step; nondegenerate marginals (2/3, 1/3) give the frames
+    w = make_state((2, 2, 2), [("001", 1.0), ("010", 1.0), ("100", 1.0)])
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        image = rotated(w, rng)
+        for a, b in ((w, image), (image, w)):
+            _assert_carries(classify_states(a, b), a, b)
+
+
+def test_a_mismatch_after_a_search_pin_is_no_certificate():
+    # past the gauge the support {000, 011, 101, 110} leaves three phases,
+    # each equation holding two: the peel stalls, and the pinned phase need
+    # not be the one solution
+    state = make_state((2, 2, 2), {"000": 0.7, "011": 0.5j, "101": 0.4 * np.exp(2j), "110": 0.3})
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        image = rotated(state, rng)
+        for a, b in ((state, image), (image, state)):
+            result = classify_states(a, b)
+            assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
+            assert not set(_FRAME_CERTIFICATES) & set(result.details)
+
+
 def _diagonal_state(p) -> PureState:
     """sum_i sqrt(p_i) |iii>: every cut has spectrum p."""
     return make_state((3, 3, 3), {f"{i}{i}{i}": np.sqrt(x) for i, x in enumerate(p)})
@@ -278,7 +303,117 @@ def test_classify_never_guesses_on_rotated_four_party_copies(seed):
     rng = np.random.default_rng([seed, 41])
     state = random_pure_state((2, 2, 2, 2), rng)
     result = classify_states(state, rotated(state, rng))
-    assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
+    assert result.verdict is ComparisonVerdict.LU_EQUIVALENT
+
+
+# Haar states have nondegenerate marginals, party 2 of (2, 2, 5) with one zero eigenvalue
+_FRAME_SHAPES = [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 2, 2), (3, 3, 3, 3), (2,) * 6]
+_FRAME_CERTIFICATES = ("magnitude", "phase_relation")
+
+
+def _assert_carries(result, a: PureState, b: PureState):
+    assert result.verdict is ComparisonVerdict.LU_EQUIVALENT
+    mats = result.details["unitaries"]
+    assert all(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-9 for u in mats)
+    assert np.max(np.abs(_turned_amplitudes(b, mats) - a.amplitudes)) < 1e-9
+
+
+@pytest.mark.parametrize("dims", _FRAME_SHAPES + [(2, 2, 5)], ids=str)
+def test_rotated_haar_states_are_lu_equivalent_at_every_shape(dims):
+    for seed in range(10):
+        rng = np.random.default_rng([seed, *dims, 31])
+        state = random_pure_state(dims, rng)
+        image = rotated(state, rng)
+        _assert_carries(classify_states(state, image), state, image)
+
+
+def _eigenframes(state: PureState) -> list[np.ndarray]:
+    """Each party's marginal eigenvectors from `np.linalg.eigh`, columns in
+    descending order of eigenvalue."""
+    t = state.as_tensor()
+    frames = []
+    for p in range(state.num_parties):
+        rest = [q for q in range(state.num_parties) if q != p]
+        frames.append(np.linalg.eigh(np.tensordot(t, t.conj(), axes=(rest, rest)))[1][:, ::-1])
+    return frames
+
+
+def _in_frames(state: PureState, frames) -> np.ndarray:
+    t = state.as_tensor()
+    for p, v in enumerate(frames):
+        t = np.moveaxis(np.tensordot(v.conj().T, t, axes=([1], [p])), 0, p)
+    return t
+
+
+def _check_frame_certificate(result, a: PureState, b: PureState):
+    """Recompute the certificate from this module's own eigenframes; the
+    phases of eigenvectors are arbitrary, and a relation k with k^T A = 0
+    does not see them."""
+    assert result.verdict is ComparisonVerdict.INCOMPARABLE
+    assert result.witness_partition is None
+    ta, tb = _in_frames(a, _eigenframes(a)), _in_frames(b, _eigenframes(b))
+    if "magnitude" in result.details:
+        entry, defect = result.details["magnitude"]
+        assert abs(abs(ta[entry]) - abs(tb[entry]) - defect) < 1e-9
+        assert abs(defect) > 1e-6
+        return
+    relation, defect = result.details["phase_relation"], result.details["phase_defect"]
+    for party, d in enumerate(a.dims):
+        for level in range(d):
+            assert sum(c for digits, c in relation.items() if digits[party] == level) == 0
+    assert all(isinstance(c, int) and c != 0 for c in relation.values())
+    total = sum(c * np.angle(ta[digits] / tb[digits]) for digits, c in relation.items())
+    assert abs((total - defect + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+    assert 1e-3 < abs(defect) <= np.pi
+
+
+@pytest.mark.parametrize("dims", _FRAME_SHAPES, ids=str)
+def test_a_state_and_its_conjugate_get_the_frame_certificate(dims):
+    for seed in range(10):
+        state = random_pure_state(dims, rng=[seed, *dims, 37])
+        conjugate = PureState(dims, state.amplitudes.conj())
+        for a, b in ((state, conjugate), (conjugate, state)):
+            _check_frame_certificate(classify_states(a, b), a, b)
+
+
+def test_a_real_state_is_lu_equivalent_to_its_conjugate():
+    rng = np.random.default_rng(43)
+    for dims in _FRAME_SHAPES:
+        state = PureState(dims, rng.standard_normal(int(np.prod(dims))))
+        for image in (PureState(dims, state.amplitudes.conj()), PureState(dims, rotated(state, rng).amplitudes.conj())):
+            _assert_carries(classify_states(state, image), state, image)
+
+
+def _with_gap(state: PureState, gap: float) -> PureState:
+    """`state` with the two largest eigenvalues of party 0's marginal moved
+    to their mean -+ gap / 2."""
+    u, s, vh = np.linalg.svd(state.as_tensor().reshape(state.dims[0], -1), full_matrices=False)
+    weights = s**2
+    weights[:2] = weights[:2].mean() + np.array([gap, -gap]) / 2
+    return PureState(state.dims, (u * np.sqrt(weights)) @ vh)
+
+
+def _nudged(state: PureState, rng) -> PureState:
+    """`state` moved by 1e-10 in a random direction, well inside the 1e-8
+    to which spectra are compared."""
+    step = rng.standard_normal(state.dim) + 1j * rng.standard_normal(state.dim)
+    return PureState(state.dims, state.amplitudes + 1e-10 * step / np.linalg.norm(step))
+
+
+@pytest.mark.parametrize("gap", [None, 1e-6, 1e-8])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2)], ids=str)
+def test_a_near_degenerate_or_nudged_image_never_gets_the_frame_certificate(dims, gap):
+    # a frame moves by about the perturbation over the gap, so the
+    # tolerances have to grow as the gap closes
+    for seed in range(10):
+        rng = np.random.default_rng([seed, *dims, 47])
+        state = random_pure_state(dims, rng)
+        state = state if gap is None else _with_gap(state, gap)
+        for image in (rotated(state, rng), _nudged(rotated(state, rng), rng)):
+            for a, b in ((state, image), (image, state)):
+                result = classify_states(a, b)
+                assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
+                assert not set(_FRAME_CERTIFICATES) & set(result.details)
 
 
 def test_classify_entropy_gap_incomparable():
@@ -347,8 +482,9 @@ def test_local_unitary_images_never_get_the_pair_certificate():
         dims = tuple(int(d) for d in rng.integers(1, 5, size=m))
         state = random_pure_state(dims, rng)
         result = classify_states(state, rotated(state, rng))
+        assert result.verdict is not ComparisonVerdict.INCOMPARABLE
         assert result.verdict in (ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN)
-        assert "pair" not in result.details
+        assert not {"pair", *_FRAME_CERTIFICATES} & set(result.details)
         verdicts.add(result.verdict)
     assert verdicts == {ComparisonVerdict.LU_EQUIVALENT, ComparisonVerdict.UNKNOWN}
 
@@ -397,15 +533,21 @@ def _isospectral_partner(state: PureState, seed: int) -> PureState:
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
 @pytest.mark.parametrize("seed", range(4))
 def test_isospectral_states_are_told_apart_by_a_pair(dims, seed):
+    # the marginals are nondegenerate, so the frame certificate comes first;
+    # the pair invariant tells the states apart as well
     state = random_pure_state(dims, rng=[seed, 16])
     partner = _isospectral_partner(state, seed)
+    pairs_a, pairs_b = _pair_transpose_spectra(state), _pair_transpose_spectra(partner)
+    assert any(np.max(np.abs(pairs_a[pair] - pairs_b[pair])) > 1e-6 for pair in pairs_a)
     for a, b in ((state, partner), (partner, state)):
         result = classify_states(a, b)
         assert result.verdict is ComparisonVerdict.INCOMPARABLE
         assert result.witness_partition is None
-        x, y = result.details["pair"]
-        assert 0 <= x < y < len(dims)
-        assert "fully isentropic and isospectral, but the reduction to parties" in result.reason
+        if "pair" in result.details:
+            x, y = result.details["pair"]
+            assert 0 <= x < y < len(dims)
+        else:
+            _check_frame_certificate(result, a, b)
 
 
 def test_ghz_epr_witness_report():
@@ -454,8 +596,8 @@ def test_cat_copies_against_eprs_up_to_the_pair_limit():
 
 @pytest.mark.parametrize("state", [cat_state(3), cat_state(4), cat_power(3, 2)], ids=["ghz", "cat4", "2ghz"])
 def test_rotated_cats_are_lu_equivalent_through_their_forms(state):
-    # degenerate marginals leave `_lu_align` no canonical frame; the two
-    # m-orthogonal forms give the unitaries instead
+    # degenerate marginals have no canonical frame, so `_lu_align` gives
+    # no verdict; the two m-orthogonal forms give the unitaries instead
     rng = np.random.default_rng([state.num_parties, state.dim, 29])
     for _ in range(3):
         image = rotated(state, rng)
@@ -464,12 +606,13 @@ def test_rotated_cats_are_lu_equivalent_through_their_forms(state):
         assert result.reason.startswith("both states are m-orthogonal with equal coefficients")
         mats = result.details["unitaries"]
         assert all(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) < 1e-9 for u in mats)
-        assert np.max(np.abs(_apply_party_unitaries(image, mats).amplitudes - state.amplitudes)) < 1e-9
+        assert np.max(np.abs(_turned_amplitudes(image, mats) - state.amplitudes)) < 1e-9
 
 
 def test_a_tied_form_is_lu_equivalent_to_its_rotations():
-    # `_lu_align` skips a party of dimension 5, so the forms decide; their
-    # contraction Grams tie on the unrotated side only
+    # party 2's marginal has three zero eigenvalues, so `_lu_align` gives no
+    # verdict and the forms decide; their contraction Grams tie on the
+    # unrotated side only
     rng = np.random.default_rng(5)
     for _ in range(5):
         state = tied_form(rng)
@@ -477,8 +620,8 @@ def test_a_tied_form_is_lu_equivalent_to_its_rotations():
         for a, b in ((state, image), (image, state)):
             result = classify_states(a, b)
             assert result.verdict is ComparisonVerdict.LU_EQUIVALENT
-            moved = _apply_party_unitaries(b, result.details["unitaries"])
-            assert np.max(np.abs(moved.amplitudes - a.amplitudes)) < 1e-9
+            moved = _turned_amplitudes(b, result.details["unitaries"])
+            assert np.max(np.abs(moved - a.amplitudes)) < 1e-9
 
 
 def _spread_free_state(rng) -> tuple[PureState, bool]:
@@ -504,7 +647,7 @@ def test_local_unitary_images_are_never_incomparable():
     for _ in range(200):
         state, has_form = _spread_free_state(rng)
         result = classify_states(state, rotated(state, rng))
-        # the pairs without a form have degenerate marginals, which `_lu_align` skips
+        # the pairs without a form have degenerate marginals, on which `_lu_align` gives no verdict
         want = ComparisonVerdict.LU_EQUIVALENT if has_form else ComparisonVerdict.UNKNOWN
         assert result.verdict is want
         forms += has_form
