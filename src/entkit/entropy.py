@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import _unchecked_eigenvalues
-from .states import Partition, PureState, _gram_axes, _keep_indices, canonical_partitions
+from .states import _NORM_TOL, Partition, PureState, _gram_axes, _keep_indices, canonical_partitions
 
 __all__ = [
     "shannon_entropy",
@@ -285,6 +285,17 @@ def _spectra_and_entropies(state: PureState) -> tuple[dict[Partition, Fraction |
     return dict(zip(parts, spectra)), values
 
 
+def _check_norms(squared: list[float]) -> None:
+    """Given each stack row's squared norm, refuse the first row whose norm
+    is finite and off 1 by more than `_NORM_TOL`; a non-finite row is left
+    for `_cut_blocks` to refuse."""
+    low, high = (1.0 - _NORM_TOL) ** 2, (1.0 + _NORM_TOL) ** 2
+    if not low <= min(squared) <= max(squared) <= high:
+        for row, value in enumerate(squared):
+            if math.isfinite(value) and not low <= value <= high:
+                raise ValueError(f"stack row {row} has norm {math.sqrt(value):.12g}; a state's norm is 1")
+
+
 def entropy_vector(
     state: PureState | np.ndarray, weights: Sequence[float] | None = None
 ) -> EntropyVector:
@@ -297,15 +308,23 @@ def entropy_vector(
     1. The entropies come from `_cut_blocks`, one per distinct reduced
     matrix, and each sum is copied to every cut that shares the matrix.
     Each cut's sum runs left to right over the states, so it equals the
-    sum of the states' own vectors exactly.
+    sum of the states' own vectors exactly. A stack row whose norm is off
+    1 by more than `states._NORM_TOL` (the limit `PureState` normalizes
+    to), a row with NaN or infinite amplitudes (refused by its purity in
+    `_cut_blocks`) and a weight that is negative, NaN or infinite raise
+    ValueError.
     """
     if isinstance(state, PureState):
         if weights is not None:
             raise ValueError("weights apply to a stack of states only")
-        state, weights = state.as_tensor()[None], [1.0]
-    if not len(state) or weights is None or len(weights) != len(state):
-        raise ValueError("a stack needs at least one state and one weight per state")
-    weights = np.asarray(weights, dtype=float)
+        state, weights = state.as_tensor()[None], np.ones(1)
+    else:
+        if not len(state) or weights is None or len(weights) != len(state):
+            raise ValueError("a stack needs at least one state and one weight per state")
+        state, weights = np.asarray(state, dtype=complex), np.asarray(weights, dtype=float)
+        if not 0.0 <= weights.min() <= weights.max() < math.inf:
+            raise ValueError("weights must be finite and nonnegative")
+        _check_norms(_squared_norms(state).tolist())
     parts = canonical_partitions(state.ndim - 1)
     totals = [0.0] * len(parts)
     # infinite rows give NaN Grams, which `_cut_blocks` rejects

@@ -22,11 +22,12 @@ scaled to Python ints are inserted one at a time and reduced fraction-free
 against the rows already held. `_solve_exact` reads one for the equality
 system and for the lift of Farkas multipliers to a weighting; the
 left-kernel certificate of an inconsistent system is read from an echelon
-of the generator rows, which `mregs_lower_bound` keeps across its probes,
-inserting each counted probe's row once. Every exact inner product
-(`_dot`: picking and re-checking a certificate, the residual of a mix)
-likewise sums Python ints over one common denominator, each vector scaled
-once, and builds one `Fraction` at the end.
+of the generator rows, which `mregs_lower_bound` keeps across its probes
+with the rows scaled to ints (`_Columns`), adding each counted probe's row
+once; the exact re-check of a certificate reads those scaled rows. Every
+exact inner product (`_dot`: picking and re-checking a certificate, the
+residual of a mix) likewise sums Python ints over one common denominator,
+each vector scaled once, and builds one `Fraction` at the end.
 The inequality half, x >= 0 over the solutions of the equality system, is
 one exact dictionary simplex (`_lexmin_mix`): it finds the mix, decides
 uniqueness and yields the Farkas multipliers.
@@ -421,17 +422,26 @@ def _lexmin_mix(
     return point, unique, None
 
 
-def _column_echelon(columns: Sequence[Sequence], n_rows: int) -> _Echelon:
-    """The `_Echelon` of A's columns as rows, with zero right-hand sides:
-    its kernel is A's left kernel."""
-    echelon = _Echelon(n_rows)
-    for column in columns:
-        echelon.insert([*_integer_scaled(column)[1], 0])
-    return echelon
+class _Columns:
+    """A's columns, each scaled to ints once (`_integer_scaled`), and the
+    `_Echelon` of them as rows with zero right-hand sides, whose kernel is
+    A's left kernel. A caller that solves against one A many times keeps
+    one and `add`s each column it appends to A."""
+
+    def __init__(self, columns: Sequence[Sequence], n_rows: int) -> None:
+        self.scaled: list[tuple[int, list[int]]] = []
+        self.echelon = _Echelon(n_rows)
+        for column in columns:
+            self.add(column)
+
+    def add(self, column: Sequence) -> None:
+        scaled = _integer_scaled(column)
+        self.scaled.append(scaled)
+        self.echelon.insert([*scaled[1], 0])
 
 
 def _feasible(
-    columns: Sequence[Sequence], b: Sequence, left: _Echelon | None = None
+    columns: Sequence[Sequence], b: Sequence, left: _Columns | None = None
 ) -> tuple[tuple | None, tuple | None]:
     """Decide whether x >= 0 with A x = b, exactly; A's columns are `columns`.
 
@@ -444,20 +454,21 @@ def _feasible(
     transpose, oriented so that w . b < 0; `verified` is an exact re-check
     of that and of w . c >= 0 for every column c.
 
-    `left`, when given, is the caller's `_column_echelon(columns, len(b))`,
-    kept across calls: b is reduced against it first, and a b outside the
-    span of the columns skips the equality elimination.
+    `left`, when given, is the caller's `_Columns(columns, len(b))`,
+    kept across calls: b is reduced against its echelon first, and a b
+    outside the span of the columns skips the equality elimination; the
+    re-check reads its scaled columns.
     """
     n = len(columns)
     b_scaled = _integer_scaled(b)
-    if left is not None and any(left.reduce([*b_scaled[1], 0])):
+    if left is not None and any(left.echelon.reduce([*b_scaled[1], 0])):
         outcome = None
     else:
         outcome = _solve_exact([[c[p] for c in columns] for p in range(len(b))], b, n)
     if outcome is None:
         # the first left-kernel vector that does not vanish on b
-        left = _column_echelon(columns, len(b)) if left is None else left
-        w = next(w for w in left.kernel() if _dot(_integer_scaled(w), b_scaled) != 0)
+        left = _Columns(columns, len(b)) if left is None else left
+        w = next(w for w in left.echelon.kernel() if _dot(_integer_scaled(w), b_scaled) != 0)
         reason = "the equality system itself is inconsistent"
     else:
         x0, kernel = outcome
@@ -472,7 +483,8 @@ def _feasible(
     w_scaled = _integer_scaled(w)
     if _dot(w_scaled, b_scaled) > 0:
         w, w_scaled = [-x for x in w], (w_scaled[0], [-x for x in w_scaled[1]])
-    verified = _dot(w_scaled, b_scaled) < 0 and all(_dot(w_scaled, _integer_scaled(c)) >= 0 for c in columns)
+    scaled = left.scaled if left is not None else map(_integer_scaled, columns)
+    verified = _dot(w_scaled, b_scaled) < 0 and all(_dot(w_scaled, c) >= 0 for c in scaled)
     return None, (w, reason, verified)
 
 
@@ -513,10 +525,11 @@ def solve_coefficients(
 
 
 def _coefficients(
-    gens: EntropyMatrix, t: Sequence[Fraction], left: _Echelon | None = None
+    gens: EntropyMatrix, t: Sequence[Fraction], left: _Columns | None = None
 ) -> Union[CoefficientSolution, Infeasible]:
-    """`solve_coefficients` for an exact target row `t`; `left` is an
-    echelon of the generator rows the caller keeps, as `_feasible` takes it."""
+    """`solve_coefficients` for an exact target row `t`; `left` is the
+    `_Columns` of the generator rows the caller keeps, as `_feasible` takes
+    it."""
     mix, certificate = _feasible(gens.rows, t, left)
     if certificate is not None:
         w, reason, verified = certificate
@@ -609,7 +622,7 @@ def mregs_lower_bound(m: int) -> MregsBound:
     rows = _as_rows(m, [state for _, state in eprs + probes])
     baseline = len(eprs)
     gens = EntropyMatrix(m, tuple(label for label, _ in eprs), tuple(rows[:baseline]))
-    left = _column_echelon(gens.rows, len(rows[0]))
+    left = _Columns(gens.rows, len(rows[0]))
     trace = [
         f"baseline: the {baseline} EPR pairs are mutually independent "
         "(each is the only generator entangling its pair of parties)"
@@ -636,7 +649,7 @@ def mregs_lower_bound(m: int) -> MregsBound:
                 )
             bound += 1
             gens = gens.with_generator(label, row)
-            left.insert([*_integer_scaled(row)[1], 0])
+            left.add(row)
             results.append(
                 ProbeResult(label, True, verdict.certificate, verdict.reason)
             )

@@ -44,19 +44,23 @@ measurement with K outcomes turns them into B*K rows, then drops the ones
 below the pruning threshold; a conditioned unitary applies each distinct
 table matrix once, to the rows whose transcript selects it; a discard
 checks purity and finds each row's product factor with one stacked Gram
-and one stacked eigensystem call. Rows are processed in slices of about
-4096 amplitudes, so the transient copies stay small; each is viewed as
-(rows, parties before, the party, parties after), so a step moves one
-axis. Each row is normalized by the routine `PureState` uses, and the
-returned `ProtocolRun` holds the rows themselves: a branch's `PureState`
-is built only when `ProtocolRun.branches` reads it. The monotonicity check
-runs `entropy.entropy_vector` once on the simulator's own rows, in the
-order the branches are returned, and once on the input as a stack of one;
-both test and diagonalize Grams in blocks of same-size cuts. Its cost is
-arithmetic: forming each cut's (B, d, d) Grams, and the flat-spectrum
-test, which squares each Gram, O(B d^3) per cut. With 256 branches and
-Grams up to 32 x 32, `cat_to_epr(10, 0, 1)` takes about 1.3 s with the
-check on a shared 2-core host and a few hundredths without.
+and one stacked eigensystem call (`_contract_pure`). Rows are processed in
+slices of about 4096 amplitudes, so the transient copies stay small; each
+is viewed as (rows, parties before, the party, parties after), so a step
+moves one axis. Each row is normalized by the routine `PureState` uses,
+and the returned `ProtocolRun` holds the rows themselves: a branch's
+`PureState` is built only when `ProtocolRun.branches` reads it. The
+monotonicity check runs `entropy.entropy_vector` once on the input, as a
+stack of one, and once on the simulator's own rows, in the order the
+branches are returned, after `_drop_pure_parties` has contracted every
+party that is pure in every row to dimension 1 through `_contract_pure`,
+the routine a discard uses: the branches of `cat_to_epr(m, i, j)` are
+checked on their EPR pair. Both entropy passes test and diagonalize Grams
+in blocks of same-size cuts. Their cost is arithmetic: forming each cut's
+(B, d, d) Grams, and the flat-spectrum test, which squares each Gram,
+O(B d^3) per cut. With 256 branches, `cat_to_epr(10, 0, 1)` takes about
+0.03 s with the check on a shared 2-core host, one BLAS thread, and
+0.013 s without; a check on all ten parties would take 0.7 s.
 """
 from __future__ import annotations
 
@@ -71,7 +75,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .builders import cat_state, epr_pair
-from .entropy import _squared_norms, entropy_vector
+from .entropy import _check_norms, _squared_norms, entropy_vector
 from .linalg import hermitian_eigensystem
 from .schmidt import SchmidtDecomposition
 from .states import PureState, _check_dense, _integer, _normalize_rows, permute_parties, tensor
@@ -110,6 +114,20 @@ _OPERATOR_TOL = 1e-9  # isometries and projectors
 _DISCARD_PURITY_TOL = 1e-9
 _PROBABILITY_TOL = 1e-9
 _ENTROPY_GAIN_TOL = 1e-8
+# the monotonicity check drops a party whose marginal has purity at least
+# 1 - delta in every normalized row: its non-principal eigenvalues then sum
+# to at most delta, and contracting it moves each cut entropy by at most
+# h(delta) + delta log2(2^21) (the dense limit), 6.2e-11 bits at delta =
+# 1e-12, so that even 21 drops move it by under 1.3e-9, an eighth of the
+# gain the check allows
+_PURE_PARTY_TOL = _ENTROPY_GAIN_TOL * 1e-4
+# the check tries that drop only on stacks it reads at least this many
+# amplitudes of, rows times amplitudes times canonical cuts: below it, the
+# per-party Grams and eigensystem calls of a drop cost about what the cuts
+# they remove do (2^15 reads, 16 rows of six qubits with four pure, break
+# even on a 2-core host with one BLAS thread; 2^18 reads, 32 rows of seven
+# qubits with five pure, save half the check)
+_DROP_MIN_READS = 1 << 16
 # amplitudes per slice of branch rows an operator is applied to, which
 # bounds the transient copies a step makes
 _CHUNK_AMPS = 1 << 12
@@ -447,9 +465,32 @@ def _condition(step: ConditionedUnitary, transcripts, where: str) -> list:
     return [(mat, None if len(groups) == 1 else np.array(rows)) for mat, rows in groups.values()]
 
 
+def _contract_pure(split: Callable[[slice], np.ndarray], count: int, d: int, n: int, tol: float) -> np.ndarray | float:
+    """Contract a factor of dimension d out of `count` rows, where
+    `split(rows)` views a slice of them as (rows, d, n) matrices M, the
+    factor's axis first: one stacked Gram M M^dag per row, a purity test
+    against 1 - `tol`, and one stacked eigensystem call, whose principal
+    eigenvector v gives the row v^dag M. Returns the (count, n) contracted
+    rows, or the purity of the first row that fails. `_discard` and the
+    monotonicity check (`_drop_pure_parties`) both contract here."""
+    chunks = _row_chunks(count, d * n)
+    grams = np.empty((count, d, d), dtype=complex)
+    for chunk in chunks:
+        m = split(chunk)
+        grams[chunk] = m @ m.conj().swapaxes(-1, -2)
+    purities = _squared_norms(grams)
+    mixed = ~(purities >= 1.0 - tol)
+    if mixed.any():
+        return float(purities[mixed.argmax()])
+    principal = hermitian_eigensystem(grams)[1][:, None, :, 0].conj()
+    out = np.empty((count, n), dtype=complex)
+    for chunk in chunks:
+        out[chunk] = (principal[chunk] @ split(chunk))[:, 0]
+    return out
+
+
 def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-    """Drop product factors from every branch row: one stacked purity check
-    and one stacked eigensystem call on the discarded factors' Grams.
+    """Drop product factors from every branch row through `_contract_pure`.
     Returns the new rows."""
     party, layout = step.party, step.layout
     d_disc = layout.shape[1]
@@ -460,26 +501,17 @@ def _discard(step: DiscardSubsystem, dims: tuple[int, ...], amps: np.ndarray) ->
     shape = (math.prod(dims[:party]),) + layout.factors + (math.prod(dims[party + 1 :]),)
     kept = [i for i in range(n) if i not in layout.on]
     axes = (0, *(2 + i for i in layout.on), 1, *(2 + i for i in kept), n + 2)
-    chunks = _row_chunks(len(amps), amps.shape[1])
 
     def split(chunk: slice) -> np.ndarray:
         block = amps[chunk].reshape((-1,) + shape).transpose(axes)
         return block.reshape(len(block), d_disc, -1)
 
-    grams = np.empty((len(amps), d_disc, d_disc), dtype=complex)
-    for chunk in chunks:
-        m = split(chunk)
-        grams[chunk] = m @ m.conj().swapaxes(-1, -2)
-    for purity in _squared_norms(grams).tolist():
-        if purity < 1.0 - _DISCARD_PURITY_TOL:
-            raise ProtocolError(
-                f"discarded factors {step.discard} of party {party} are not in a "
-                f"product state (purity {purity:.12g})"
-            )
-    principal = hermitian_eigensystem(grams)[1][:, None, :, 0].conj()
-    out = np.empty((len(amps), amps.shape[1] // d_disc), dtype=complex)
-    for chunk in chunks:
-        out[chunk] = (principal[chunk] @ split(chunk))[:, 0]
+    out = _contract_pure(split, len(amps), d_disc, amps.shape[1] // d_disc, _DISCARD_PURITY_TOL)
+    if isinstance(out, float):
+        raise ProtocolError(
+            f"discarded factors {step.discard} of party {party} are not in a "
+            f"product state (purity {out:.12g})"
+        )
     return out
 
 
@@ -561,12 +593,63 @@ def run(
 
 def _assert_entropy_monotone(state: PureState, rows: np.ndarray, probs: Sequence[float]) -> None:
     """No cut's probability-weighted entropy over a (B, d1, ..., dm) stack
-    of branch rows may exceed the input state's; the input is a stack of one."""
-    before = entropy_vector(state)
-    after = entropy_vector(rows, probs)
-    for part in before.partitions():
-        if after.values[part] > before.values[part] + _ENTROPY_GAIN_TOL:
-            raise EntropyMonotonicityError(part.label, before.values[part], after.values[part])
+    of branch rows may exceed the input state's; the input is a stack of
+    one. The rows are checked on the parties `_drop_pure_parties` keeps."""
+    before = entropy_vector(state).values
+    after = entropy_vector(_drop_pure_parties(rows), probs).values
+    # both hold the canonical partitions in canonical order
+    for (part, was), now in zip(before.items(), after.values()):
+        if now > was + _ENTROPY_GAIN_TOL:
+            raise EntropyMonotonicityError(part.label, was, now)
+
+
+def _drop_pure_parties(rows: np.ndarray) -> np.ndarray:
+    """A (B, d1, ..., dm) stack with each party whose marginal is pure in
+    every row contracted to dimension 1 by `_contract_pure`, in party
+    order, and the contracted rows normalized. A party that is product in
+    every row adds nothing to any cut's entropy, and
+    `entropy._cuts_by_size` folds cuts that differ only by dimension-1
+    parties, so the stack's entropy vector keeps its values and costs the
+    cuts of the kept parties only.
+
+    A stack whose check reads fewer than `_DROP_MIN_READS` amplitudes
+    (rows times amplitudes times canonical cuts) comes back as it is, and
+    so does one with no party pure in row 0, each tested there with one
+    row's Gram. Otherwise the rows are held to `entropy_vector`'s norm
+    check, and the purity test runs on them divided by their norms, so
+    that it reads the marginals' own purities."""
+    if rows.size * (2 ** (rows.ndim - 2) - 1) < _DROP_MIN_READS:
+        return rows
+    count, dims = len(rows), rows.shape[1:]
+    flat = rows.reshape(count, -1)
+    pure = []
+    for p, d in enumerate(dims):
+        if d > 1:
+            row = flat[0].reshape(math.prod(dims[:p]), d, -1).transpose(1, 0, 2).reshape(d, -1)
+            gram = row @ row.conj().T
+            if np.vdot(gram, gram).real >= 1.0 - _PURE_PARTY_TOL:
+                pure.append(p)
+    if not pure:
+        return rows
+    squared = _squared_norms(flat)
+    if not np.isfinite(squared).all():  # left for `entropy_vector` to refuse
+        return rows
+    _check_norms(squared.tolist())
+    flat = flat / np.sqrt(squared)[:, None]
+    for p in pure:
+        before, d, after = math.prod(dims[:p]), dims[p], math.prod(dims[p + 1 :])
+
+        def split(chunk: slice) -> np.ndarray:
+            block = flat[chunk].reshape(-1, before, d, after).transpose(0, 2, 1, 3)
+            return block.reshape(len(block), d, before * after)
+
+        out = _contract_pure(split, count, d, before * after, _PURE_PARTY_TOL)
+        if not isinstance(out, float):
+            flat, dims = out, dims[:p] + (1,) + dims[p + 1 :]
+    if dims == rows.shape[1:]:
+        return rows
+    _normalize_rows(flat, np.sqrt(_squared_norms(flat)).tolist())
+    return flat.reshape((count,) + dims)
 
 
 # --- factor-level operator plumbing -----------------------------------------

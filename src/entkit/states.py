@@ -349,9 +349,11 @@ def reduced_gram(
     `reducibility`'s local-unitary alignment, partial transpose and
     witness tests take it. Cut spectra and partial entropies do not:
     `entropy._block_grams` forms the Grams of a block of same-size cuts
-    with one product. Two callers that also need the split amplitude
-    matrix M itself form M M^dag from it directly: `schmidt_decompose`
-    and `protocols._discard`. `state` may also be a stack of states with
+    with one product. Callers that also need the split amplitude matrix M
+    itself form M M^dag from it directly: `schmidt_decompose`, and
+    `protocols._contract_pure` for a discard and for the monotonicity
+    check's drop of pure parties (`_drop_pure_parties` tests their first
+    row the same way). `state` may also be a stack of states with
     shared dims, an array of shape (B, d1, ..., dm); the result is then
     the (B, d, d) stack of their reduced matrices, and a non-finite
     amplitude raises.

@@ -323,6 +323,10 @@ def test_zero_non_finite_and_empty_stacks():
     grams = reduced_gram(stack, (0,))
     assert flat_spectrum_rank(grams).tolist() == [0, 2]
     assert [flat_spectrum_rank(g[None])[0] for g in grams] == [0, 2]
+    # a zero row is not a state; a product row beside the pair is
+    with pytest.raises(ValueError, match="stack row 0 has norm 0;"):
+        entropy_vector(stack, [0.5, 0.5])
+    stack[0, 0, 0] = 1.0
     assert entropy_vector(stack, [0.5, 0.5]).entries() == [(Partition(2, (1,)), 0.5)]
     for bad in (np.nan, np.inf):
         for row in (0, 1):
@@ -356,6 +360,27 @@ def test_entropy_vector_of_a_stack_is_the_weighted_sum():
         entropy_vector(stack)
     with pytest.raises(ValueError):
         entropy_vector(states[0], [1.0])
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 1e-9, 0.0])
+def test_a_stack_row_off_its_norm_raises(scale):
+    # 2 EPR once read 0.0 bits and 0.5 EPR 0.75, with no error
+    pair = epr_pair().as_tensor()
+    stack = np.stack([pair, scale * pair])
+    with pytest.raises(ValueError, match=f"stack row 1 has norm {scale:.12g};"):
+        entropy_vector(stack, [0.5, 0.5])
+    # within the limit `PureState` normalizes to, a row is a state
+    assert entropy_vector(np.stack([pair, (1.0 + 5e-11) * pair]), [0.5, 0.5])[(0,)] == 1.0
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.25])
+def test_a_weight_that_is_not_finite_and_nonnegative_raises(weight):
+    # a NaN weight once made every cut NaN, which the monotonicity check's
+    # `>` read as no gain
+    stack = np.stack([epr_pair().as_tensor()] * 2)
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        entropy_vector(stack, [1.0, weight])
+    assert entropy_vector(stack, [1.0, 0.0])[(0,)] == 1.0
 
 
 def test_held_back_eigensolver_batches_are_bounded(monkeypatch, solver_calls, buffer_calls):

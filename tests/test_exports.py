@@ -142,7 +142,7 @@ EIGENSOLVERS = {"hermitian_eigensystem", "hermitian_eigenvalues", "_unchecked_ei
 # because its public solvers call `_unchecked_eigenvalues` themselves
 README_EIGENSOLVER_CALLERS = {
     "entropy._cut_blocks",
-    "protocols._discard",
+    "protocols._contract_pure",
     "reducibility._lu_align",
     "reducibility._pair_transpose_spectra",
     "schmidt._decide_m_orthogonal",

@@ -28,8 +28,8 @@ from entkit.mregs import (
     EntropyMatrix,
     Infeasible,
     ProbeResult,
+    _Columns,
     _Echelon,
-    _column_echelon,
     _dot,
     _feasible,
     _integer_scaled,
@@ -766,7 +766,7 @@ def test_feasibility_matches_highs_on_random_systems():
         for b in (rhs, [rng.randrange(-6, 7) for _ in rhs]):
             mix, certificate = _feasible(columns, b)
             # a kept echelon of the columns changes nothing in the verdict
-            assert _feasible(columns, b, _column_echelon(columns, len(b))) == (mix, certificate)
+            assert _feasible(columns, b, _Columns(columns, len(b))) == (mix, certificate)
             if mix is not None:
                 assert certificate is None
                 point = mix[0]
@@ -793,6 +793,22 @@ def test_core_recheck_rejects_a_bad_weighting(monkeypatch):
     mix, (w, reason, verified) = _feasible([[1, 0], [0, 1]], [-1, 1])
     assert mix is None and w == [1, -1] and not verified
     assert reason == "the equality system is solvable only with negative coefficients"
+
+
+def test_kept_columns_are_scaled_once_and_still_re_checked(record_calls):
+    # x1 (1, 0, 1) + x2 (0, 1, 1) = (1, 1, 3) is inconsistent: the certificate
+    # w = (1, 1, -1) comes from the kept echelon, and the re-check reads the
+    # kept scaled columns without scaling a column again
+    columns, b = [[1, 0, 1], [0, 1, 1]], [1, 1, 3]
+    kept = _Columns(columns, len(b))
+    scaled = record_calls("_integer_scaled", "entkit.mregs", record=lambda values: list(values))
+    mix, (w, reason, verified) = _feasible(columns, b, kept)
+    assert mix is None and w == [1, 1, -1] and verified
+    assert reason == "the equality system itself is inconsistent"
+    assert not any(values in columns for values in scaled)
+    # the flag is that exact re-check: a kept column w is negative on fails it
+    kept.scaled[0] = _integer_scaled([-1, 0, 0])
+    assert _feasible(columns, b, kept)[1] == (w, reason, False)
 
 
 # ints and fractions of either sign; denominators reach past 2^64

@@ -30,6 +30,7 @@ from entkit.protocols import (
     ProtocolRun,
     StepStats,
     _assert_entropy_monotone,
+    _drop_pure_parties,
     _factor_layout,
     bell_projectors,
     cat_to_epr,
@@ -46,7 +47,7 @@ from entkit.protocols import (
     run,
     save_protocol,
 )
-from entkit.entropy import entropy_vector, flat_spectrum_rank
+from entkit.entropy import _cut_blocks, entropy_vector, flat_spectrum_rank
 from entkit.states import (
     PureState,
     canonical_partitions,
@@ -236,18 +237,28 @@ def test_monotonicity_accepts_decrease():
     _assert_entropy_monotone(epr_pair(), product.as_tensor()[None], [1.0])
 
 
-def test_run_checks_its_own_rows_in_the_returned_order(record_calls):
+def test_run_checks_its_own_rows_in_the_returned_order(record_calls, monkeypatch):
     # outcomes listed against sorted order, so the simulator's rows come out
     # reordered; the check must read them as the returned branches hold them
     calls = record_calls("entropy_vector", "entkit.entropy", "entkit.protocols")
+    drops = record_calls("_drop_pure_parties", "entkit.protocols")
+    contractions = record_calls("_contract_pure", "entkit.protocols", record=lambda split, *rest: split(slice(None)))
+    # every party of every branch is pure; lift the size gate so the drop runs
+    monkeypatch.setattr(sys.modules["entkit.protocols"], "_DROP_MIN_READS", 0)
     state = random_pure_state((2, 2, 2), np.random.default_rng(31))
     zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     steps = [LocalMeasurement(0, (one, zero), ("1", "0")), LocalMeasurement(2, (one, zero), ("b", "a"))]
     result = run(steps, state)
     assert [b.transcript for b in result.branches] == [("0", "a"), ("0", "b"), ("1", "a"), ("1", "b")]
+    returned = np.stack([b.state.as_tensor() for b in result.branches])
+    ((given,),) = drops
+    assert np.array_equal(given, returned)
+    # the first contraction splits those rows, divided by their norms, on party 0
+    assert len(contractions) == 3
+    assert np.allclose(contractions[0], returned.reshape(4, 2, 4), rtol=0, atol=1e-15)
     (before,), (rows, probs) = calls
     assert before is state
-    assert np.array_equal(rows, np.stack([b.state.as_tensor() for b in result.branches]))
+    assert rows.shape == (4, 1, 1, 1)
     assert probs == [b.probability for b in result.branches]
 
 
@@ -1297,29 +1308,30 @@ def test_check_forms_one_stacked_gram_per_cut(record_calls):
     )
     blocks = record_calls("_flat_ranks", "entkit.entropy", record=first_argument)
     solver = record_calls("_unchecked_eigenvalues", "entkit.entropy", record=first_argument)
+    contractions = record_calls("_contract_pure", "entkit.protocols", record=lambda split, *rest: rest[:3])
     run(cat_to_epr(8, 0, 1), cat_state(8))
     assert solver == []
-    # each canonical cut's Gram, on its cheaper side, once for the input and
-    # once for the 64 branches
+    # the input: each canonical cut's Gram, on its cheaper side, once
     sides = sorted(
         part.members if len(part.members) <= 4 else part.complement().members
         for part in canonical_partitions(8)
     )
-    grams = [(shape, keep) for shape, block in buffers for keep in block]
-    for rows in (1, 64):
-        assert sorted(keep for shape, keep in grams if shape == (rows,) + (2,) * 8) == sides
-    assert len(grams) == 2 * len(sides)
+    assert sorted(keep for shape, block in buffers if shape == (1,) + (2,) * 8 for keep in block) == sides
+    # the six helpers are pure in all 64 branches: each is contracted in
+    # turn, halving the rows, and the branches' Grams are formed on the EPR
+    # pair's parties 0 and 1 alone, one per distinct cut of them
+    assert contractions == [(64, 2, 2**k) for k in range(7, 1, -1)]
+    branch = [(shape, keep) for shape, block in buffers if shape[0] == 64 for keep in block]
+    assert {shape for shape, _ in branch} == {(64, 2, 2) + (1,) * 6}
+    assert sorted(tuple(p for p in keep if p < 2) for _, keep in branch) == [(), (0,), (1,)]
     # same-size cuts share a block; one above the cap holds a single cut
     cap = entropy_module._BLOCK_ENTRIES
-    assert len(blocks) < len(grams)
+    assert len(blocks) < len(buffers)
     assert all(b.size <= max(cap, 64 * b.shape[-1] ** 2) for b in blocks)
-    assert any(b.size > cap for b in blocks) and any(len(b) > 64 for b in blocks)
-    # a buffer holds at most 2^13 amplitudes: the input's 127 cuts fill 6,
-    # and 64 branches of 256 amplitudes are above the cap, so each of their
-    # buffers holds a single cut
-    assert all(len(block) * shape[0] * 256 <= max(cap, shape[0] * 256) for shape, block in buffers)
+    assert any(len(b) > 64 for b in blocks)
+    # a buffer holds at most 2^13 amplitudes: the input's 127 cuts fill 6
+    assert all(len(block) * math.prod(shape) <= max(cap, math.prod(shape)) for shape, block in buffers)
     assert sorted(len(block) for shape, block in buffers if shape[0] == 1) == [3, 8, 24, 28, 32, 32]
-    assert [len(block) for shape, block in buffers if shape[0] == 64] == [1] * len(sides)
 
 
 def test_check_peak_memory_is_bounded():
@@ -1337,6 +1349,116 @@ def test_check_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1_432_264
+
+
+def flat_cut_indices(stack):
+    """Canonical indices of the cuts that are flat of power-of-two rank in
+    every row of a stack, whose entropies are exact."""
+    return {i for entries, _, others, _ in _cut_blocks(stack) for k, indices in enumerate(entries) if not others[k].any() for i in indices}
+
+
+def assert_same_vector(got, want, exact):
+    for index, part in enumerate(want.partitions()):
+        if index in exact:
+            assert got.values[part] == want.values[part], part.label
+        else:
+            assert abs(got.values[part] - want.values[part]) <= 1e-12, part.label
+
+
+@pytest.mark.parametrize("make", shipped_protocol_cases())
+def test_dropping_pure_parties_keeps_every_shipped_vector(make, monkeypatch):
+    # the check's vector of the reduced stack against the full stack's, at
+    # the shipped size gate and with every stack tried
+    steps, state = make()
+    result = run(steps, state, check_entropy=False)
+    rows, probs = result.rows.reshape((-1,) + result.dims), result.probabilities
+    want, exact = entropy_vector(rows, probs), flat_cut_indices(rows)
+    assert_same_vector(entropy_vector(_drop_pure_parties(rows), probs), want, exact)
+    monkeypatch.setattr(sys.modules["entkit.protocols"], "_DROP_MIN_READS", 0)
+    reduced = _drop_pure_parties(rows)
+    assert_same_vector(entropy_vector(reduced, probs), want, exact)
+    if state.dims == (2,) * len(state.dims) and np.array_equal(state.amplitudes, cat_state(len(state.dims)).amplitudes):
+        # cat_to_epr: only the EPR pair's two parties are kept
+        assert sorted(reduced.shape[1:]) == [1] * (len(state.dims) - 2) + [2, 2]
+
+
+def with_pure_parties(rows, inserts, rng):
+    """Each row of a stack, tensored with a random pure state of its own on
+    each inserted party: (position, dimension) pairs, in order."""
+    for at, d in inserts:
+        vectors = rng.standard_normal((len(rows), d)) + 1j * rng.standard_normal((len(rows), d))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        shape = (len(rows),) + (1,) * at + (d,) + (1,) * (rows.ndim - 1 - at)
+        rows = np.expand_dims(rows, at + 1) * vectors.reshape(shape)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dropping_inserted_pure_parties_keeps_haar_vectors(seed):
+    rng = np.random.default_rng(seed)
+    dims = [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2)][int(rng.integers(4))]
+    count = int(rng.integers(1, 7))
+    rows = np.stack([random_pure_state(dims, rng).as_tensor() for _ in range(count)])
+    inserts = []
+    for _ in range(int(rng.integers(1, 4))):
+        inserts.append((int(rng.integers(len(dims) + len(inserts) + 1)), int(rng.integers(2, 4))))
+    rows = with_pure_parties(rows, inserts, rng)
+    weights = list(map(float, rng.dirichlet(np.ones(count))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["entkit.protocols"], "_DROP_MIN_READS", 0)
+        reduced = _drop_pure_parties(rows)
+    # exactly the inserted parties go: each Haar party is mixed in every row
+    assert sum(d > 1 for d in reduced.shape[1:]) == len(dims)
+    assert math.prod(reduced.shape[1:]) == math.prod(dims)
+    assert_same_vector(entropy_vector(reduced, weights), entropy_vector(rows, weights), flat_cut_indices(rows))
+
+
+@pytest.mark.parametrize("mixing, dropped", [(0.5, False), (1e-12, False), (1e-14, True)])
+def test_a_party_mixed_in_one_row_is_kept(mixing, dropped):
+    # party 0 is pure in rows 0..30 and, in row 31, holds weight `mixing`
+    # off its principal state, entangled with the rest: purity about
+    # 1 - 2 mixing; the stack is above the size gate
+    rng = np.random.default_rng(7)
+    rows = with_pure_parties(np.stack([random_pure_state((2,) * 6, rng).as_tensor() for _ in range(32)]), [(0, 2)], rng)
+    rest = [random_pure_state((2,) * 6, rng).as_tensor() for _ in range(2)]
+    rows[31] = np.stack([math.sqrt(1.0 - mixing) * rest[0], math.sqrt(mixing) * rest[1]])
+    weights = [1.0 / 32] * 32
+    assert rows.size * (2**6 - 1) >= sys.modules["entkit.protocols"]._DROP_MIN_READS
+    reduced = _drop_pure_parties(rows)
+    assert reduced.shape[1] == (1 if dropped else 2)
+    assert_same_vector(entropy_vector(reduced, weights), entropy_vector(rows, weights), set())
+
+
+@pytest.mark.parametrize("scale, message", [(1.01, "stack row 3 has norm 1.01;"), (np.nan, "non-finite")])
+def test_the_drop_lets_no_bad_row_through(scale, message):
+    # the helpers are pure in every branch, so the drop runs; a row off its
+    # norm or NaN must still be refused as `entropy_vector` refuses it
+    result = run(cat_to_epr(8, 0, 1), cat_state(8), check_entropy=False)
+    rows = np.array(result.rows).reshape((-1,) + result.dims)
+    rows[3] *= scale
+    with pytest.raises(ValueError, match=message):
+        _assert_entropy_monotone(result.input_state, rows, result.probabilities)
+
+
+def test_a_gain_on_a_kept_cut_still_raises_by_its_label(record_calls):
+    # 32 branches of seven qubits, five of them pure in every branch, above
+    # the size gate: the check drops them and still finds the EPR pair's gain
+    contractions = record_calls("_contract_pure", "entkit.protocols", record=lambda split, *rest: rest[0])
+    rng = np.random.default_rng(11)
+    pair = np.stack([epr_pair().as_tensor()] * 32)
+    rows = with_pure_parties(pair, [(2, 2), (0, 2), (4, 2), (1, 2), (6, 2)], rng)
+    weights = tuple(map(float, rng.dirichlet(np.ones(32))))
+    states = [PureState((2,) * 7, row.reshape(-1)) for row in rows]
+    rows = np.stack([state.as_tensor() for state in states])
+    start = make_state((2,) * 7, [("0" * 7, 1.0)])
+    fake = ProtocolRun(start, (2,) * 7, rows.reshape(32, -1), weights, tuple((str(i),) for i in range(32)), 0.0)
+    got = monotonicity_verdict(stacked_check, fake)
+    assert contractions == [32] * 5
+    want = monotonicity_verdict(reference_assert_entropy_monotone, fake)
+    assert got[0] == want[0] == "C"
+    assert got[1:] == pytest.approx(want[1:], abs=1e-12)
+    assert got[1:] == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 def test_each_discard_makes_one_stacked_eigensystem_call(record_calls):
