@@ -3,12 +3,13 @@
 Every spectrum in the package comes through here. The public solvers
 enforce the input contract: square matrices (or a stack of equal-size
 ones) with finite entries, Hermitian within 1e-10 of each matrix's
-Frobenius norm. Two callers skip it, for matrices Hermitian by
-construction: `entropy._cut_blocks`, for the Grams M M^dag it forms (it
-rejects non-finite ones by their purities), and
-`reducibility._pair_transpose_spectra`, for partial transposes of the
-reduced matrices of a state. Results are sorted descending, which is the
-order Schmidt coefficients and majorization tests read them in.
+Frobenius norm. Three callers skip it, for matrices Hermitian by
+construction: `entropy._cut_blocks` and `protocols._contract_pure`, for
+the Grams M M^dag they form (both reject non-finite ones by their
+purities), and `reducibility._pair_transpose_spectra`, for partial
+transposes of the reduced matrices of a state. Results are sorted
+descending, which is the order Schmidt coefficients and majorization tests
+read them in.
 """
 from __future__ import annotations
 
@@ -50,8 +51,7 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors : (n, n) or (k, n, n) complex ndarray; column i pairs with
         eigenvalue i.
     """
-    eigenvalues, vectors = np.linalg.eigh(_checked(matrix))
-    return eigenvalues[..., ::-1], vectors[..., ::-1]
+    return _unchecked_eigensystem(_checked(matrix))
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -63,3 +63,9 @@ def _unchecked_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """`hermitian_eigenvalues` of a finite stack known Hermitian: real
     symmetric (LAPACK's real solver) or complex Hermitian."""
     return np.linalg.eigvalsh(stack)[..., ::-1]
+
+
+def _unchecked_eigensystem(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eigensystem` of a finite complex stack known Hermitian."""
+    eigenvalues, vectors = np.linalg.eigh(stack)
+    return eigenvalues[..., ::-1], vectors[..., ::-1]

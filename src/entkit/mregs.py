@@ -35,6 +35,7 @@ uniqueness and yields the Farkas multipliers.
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import numbers
 import operator
@@ -126,18 +127,21 @@ class EntropyMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        width = len(canonical_partitions(self.num_parties))
         if len(self.labels) != len(self.rows):
             raise ValueError("need exactly one label per row")
         for label, row in zip(self.labels, self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {label!r} has {len(row)} entries, expected {width}")
-            try:
-                negative = any(x.numerator < 0 for x in row)
-            except AttributeError:
-                raise ValueError(f"row {label!r}: entries must be ints or Fractions") from None
-            if negative:
-                raise ValueError(f"row {label!r} has a negative entropy entry")
+            self._check_row(label, row)
+
+    def _check_row(self, label: str, row: tuple) -> None:
+        width = len(canonical_partitions(self.num_parties))
+        if len(row) != width:
+            raise ValueError(f"row {label!r} has {len(row)} entries, expected {width}")
+        try:
+            negative = any(x.numerator < 0 for x in row)
+        except AttributeError:
+            raise ValueError(f"row {label!r}: entries must be ints or Fractions") from None
+        if negative:
+            raise ValueError(f"row {label!r} has a negative entropy entry")
 
     @classmethod
     def from_states(
@@ -148,11 +152,14 @@ class EntropyMatrix:
         return cls(num_parties, labels, rows)
 
     def with_generator(self, label: str, vector) -> "EntropyMatrix":
-        return EntropyMatrix(
-            self.num_parties,
-            self.labels + (label,),
-            self.rows + tuple(_as_rows(self.num_parties, [vector])),
-        )
+        """This matrix with one more generator row; only the new row is
+        checked, as the held ones were when this matrix was made."""
+        (row,) = _as_rows(self.num_parties, [vector])
+        self._check_row(label, row)
+        grown = copy.copy(self)
+        object.__setattr__(grown, "labels", self.labels + (label,))
+        object.__setattr__(grown, "rows", self.rows + (row,))
+        return grown
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,9 @@ import numpy as np
 
 from .builders import cat_state, epr_pair
 from .entropy import _check_norms, _squared_norms, entropy_vector
-from .linalg import hermitian_eigensystem
+from .linalg import _unchecked_eigensystem
 from .schmidt import SchmidtDecomposition
-from .states import PureState, _check_dense, _integer, _normalize_rows, permute_parties, tensor
+from .states import PureState, _check_dense, _integer, _normalize_rows, _write_json_lines, permute_parties, tensor
 
 __all__ = [
     "LocalUnitary",
@@ -482,7 +482,7 @@ def _contract_pure(split: Callable[[slice], np.ndarray], count: int, d: int, n: 
     mixed = ~(purities >= 1.0 - tol)
     if mixed.any():
         return float(purities[mixed.argmax()])
-    principal = hermitian_eigensystem(grams)[1][:, None, :, 0].conj()
+    principal = _unchecked_eigensystem(grams)[1][:, None, :, 0].conj()
     out = np.empty((count, n), dtype=complex)
     for chunk in chunks:
         out[chunk] = (principal[chunk] @ split(chunk))[:, 0]
@@ -1446,6 +1446,4 @@ def load_protocol(path: str) -> list[ProtocolStep]:
 
 def save_protocol(steps: Sequence[ProtocolStep], path: str) -> None:
     """Write a protocol file, one compact JSON step per line."""
-    entries = [json.dumps(entry) for entry in protocol_to_list(steps)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n" + ",\n".join(entries) + "\n]\n")
+    _write_json_lines(path, "[\n", protocol_to_list(steps), "\n]\n")

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -411,7 +411,28 @@ def random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> np
 # {"dims": [d1, ..., dm],
 #  "terms": [{"basis": [i1, ..., im], "re": x, "im": y}, ...]}
 #
-# Terms may be unnormalized; the loader normalizes.
+# Terms may be unnormalized; the loader normalizes. `save_state` writes
+# `dims` on one line and one compact term per line, as in the README; the
+# loader reads any layout of the same JSON.
+
+# lines per write of a line-per-item JSON file, and state-file terms per
+# conversion from numpy to Python objects
+_LINE_BLOCK = 1024
+
+
+def _write_json_lines(path: str, head: str, items: Iterable, tail: str, indent: str = "") -> None:
+    """Write `head`, then each item as one compact JSON line after `indent`,
+    comma-separated, then `tail`: one write per block of `_LINE_BLOCK`
+    lines, so no string holds the whole file. Floats are `float.__repr__`,
+    as `json.dump` writes them in every layout."""
+    items, sep = iter(items), ",\n" + indent
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        lead = indent
+        while block := list(itertools.islice(items, _LINE_BLOCK)):
+            fh.write(lead + sep.join(map(json.dumps, block)))
+            lead = sep
+        fh.write(tail)
 
 
 def _decode_terms(terms, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -465,13 +486,20 @@ def state_from_dict(payload: Mapping) -> PureState:
     return _dense_state(dims, index, amplitudes)
 
 
+def _state_terms(state: PureState) -> Iterator[dict]:
+    """The state-file terms of a state, in basis order: one per amplitude
+    above 1e-14, turned into Python objects a block at a time."""
+    flat = np.flatnonzero(np.abs(state.amplitudes) > _TERM_FLOOR)
+    for start in range(0, len(flat), _LINE_BLOCK):
+        block = flat[start : start + _LINE_BLOCK]
+        digits = np.stack(np.unravel_index(block, state.dims), axis=1)
+        for b, a in zip(digits.tolist(), state.amplitudes[block].tolist()):
+            yield {"basis": b, "re": a.real, "im": a.imag}
+
+
 def state_to_dict(state: PureState) -> dict:
     """The state-file payload of a state: one term per amplitude above 1e-14."""
-    tensor_view = state.as_tensor()
-    index = np.argwhere(np.abs(tensor_view) > _TERM_FLOOR)
-    amps = tensor_view[tuple(index.T)].tolist()
-    terms = [{"basis": b, "re": a.real, "im": a.imag} for b, a in zip(index.tolist(), amps)]
-    return {"dims": list(state.dims), "terms": terms}
+    return {"dims": list(state.dims), "terms": list(_state_terms(state))}
 
 
 def load_state(path: str) -> PureState:
@@ -480,6 +508,6 @@ def load_state(path: str) -> PureState:
 
 
 def save_state(state: PureState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
-        fh.write("\n")
+    """Write a state file: `dims` on one line, then one term per line."""
+    head = f'{{\n  "dims": {json.dumps(list(state.dims))},\n  "terms": [\n'
+    _write_json_lines(path, head, _state_terms(state), "\n  ]\n}\n", indent="    ")

@@ -137,9 +137,10 @@ def test_tracer_names_resolve():
     assert unresolved == []
 
 
-EIGENSOLVERS = {"hermitian_eigensystem", "hermitian_eigenvalues", "_unchecked_eigenvalues"}
+UNCHECKED_EIGENSOLVERS = {"_unchecked_eigensystem", "_unchecked_eigenvalues"}
+EIGENSOLVERS = {"hermitian_eigensystem", "hermitian_eigenvalues"} | UNCHECKED_EIGENSOLVERS
 # the callers the README's eigensolver paragraph names; `linalg` is left out
-# because its public solvers call `_unchecked_eigenvalues` themselves
+# because its public solvers call the unchecked ones themselves
 README_EIGENSOLVER_CALLERS = {
     "entropy._cut_blocks",
     "protocols._contract_pure",
@@ -179,13 +180,27 @@ def _callers(names: set[str], match=lambda call: True) -> set[str]:
 def test_eigensolver_callers_are_the_readme_list():
     callers = _callers(EIGENSOLVERS)
     assert {c for c in callers if not c.startswith("linalg.")} == README_EIGENSOLVER_CALLERS
-    assert {c for c in callers if c.startswith("linalg.")} == {"linalg.hermitian_eigenvalues"}
+    assert {c for c in callers if c.startswith("linalg.")} == {"linalg.hermitian_eigensystem", "linalg.hermitian_eigenvalues"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unnamed = [
         c for c in sorted(README_EIGENSOLVER_CALLERS)
         if not re.search(rf"`(\w+\.)?{re.escape(c.split('.')[1])}`", readme)
     ]
     assert unnamed == []
+
+
+def test_hermiticity_check_skippers_are_the_readme_list():
+    # the callers that pass matrices Hermitian by construction straight to
+    # LAPACK; the README's eigensolver paragraph and the `linalg` docstring
+    # name the same three
+    skippers = {c for c in _callers(UNCHECKED_EIGENSOLVERS) if not c.startswith("linalg.")}
+    assert skippers == {"entropy._cut_blocks", "protocols._contract_pure", "reducibility._pair_transpose_spectra"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").split("\n\n")
+    (paragraph,) = [p for p in readme if "skips the Hermiticity check" in p]
+    docstring = " ".join(importlib.import_module("entkit.linalg").__doc__.split())
+    for caller in sorted(skippers):
+        assert re.search(rf"`(\w+\.)?{caller.split('.')[1]}`", paragraph)
+        assert f"`{caller}`" in docstring
 
 
 def test_partial_entropies_come_from_the_block_routine():

@@ -1,5 +1,6 @@
 """Exact feasibility over entropy vectors: recovery, kernels, certificates,
 and the generating-set lower bounds."""
+import hashlib
 import importlib.util
 import itertools
 import random
@@ -219,6 +220,23 @@ def test_lower_bounds(m, expected):
     assert len(gens.labels) == result.bound
 
 
+# SHA-256 of each bound's repr (probes, certificates and trace included), as
+# computed when `with_generator` still checked every held row again
+PINNED_BOUNDS = {
+    2: "2758c0d1b613b5223eacb4a89e7a34ff1d1a635be6dd7816027830064851661a",
+    3: "ad4c7796b3e42a39cfe285b9c790304e6ba64cb1c695f88a3c7534b820d96f8f",
+    4: "abf73be4b3fa4df9a561a9028b3efd561c7e31d8e0f209c823a8aaede5d29c7e",
+    5: "a495c263420182e94062bc8cc33ca72e1cff3cb0a4337af55921431e6655910e",
+    6: "087541e01f25a8a039bfc3211f461469be57b4cdefacb890f9a88e2ac6e52098",
+    7: "c72b87de1d94c4c327b6cdb0f6c9f9e0d52be2140efea38d9d111d253c1f39eb",
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_BOUNDS))
+def test_lower_bounds_are_pinned(m):
+    assert hashlib.sha256(repr(mregs_lower_bound(m)).encode()).hexdigest() == PINNED_BOUNDS[m]
+
+
 def test_lower_bound_computes_each_exact_entropy_row_once(monkeypatch):
     # one block pass per distinct shape on the parties of dimension > 1:
     # the 15 EPR pairs, the 15 embedded 4-cats and cat6; a counted probe's
@@ -304,6 +322,25 @@ def test_entropy_matrix_rejects_negative_entries():
 def test_entropy_matrix_rejects_float_entries():
     with pytest.raises(ValueError, match="row 'x': entries must be ints or Fractions"):
         EntropyMatrix(2, ("x",), ((0.5,),))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([1, -1, 0], "row 'x' has a negative entropy entry"),
+        ([1, 2], "expected 3 entries for 3 parties, got 2"),
+        ([1, "a", 2], "entry 'a' is not a real number"),
+        ([1, float("nan"), 0], "entry nan is not finite"),
+    ],
+)
+def test_with_generator_checks_the_new_row(row, message):
+    gens = epr_matrix(3)
+    with pytest.raises(ValueError) as excinfo:
+        gens.with_generator("x", row)
+    assert str(excinfo.value) == message
+    grown = gens.with_generator("x", [1, 2, 3])
+    assert grown == EntropyMatrix(3, gens.labels + ("x",), gens.rows + ((1, 2, 3),))
+    assert gens == epr_matrix(3)
 
 
 def test_solver_snaps_close_floats():

@@ -47,7 +47,9 @@ from entkit.protocols import (
     run,
     save_protocol,
 )
+from entkit import protocols
 from entkit.entropy import _cut_blocks, entropy_vector, flat_spectrum_rank
+from entkit.linalg import hermitian_eigensystem
 from entkit.states import (
     PureState,
     canonical_partitions,
@@ -1462,11 +1464,41 @@ def test_a_gain_on_a_kept_cut_still_raises_by_its_label(record_calls):
 
 
 def test_each_discard_makes_one_stacked_eigensystem_call(record_calls):
-    calls = record_calls("hermitian_eigensystem", "entkit.protocols", record=first_argument)
+    calls = record_calls("_unchecked_eigensystem", "entkit.protocols", record=first_argument)
     steps = eprs_to_cat(4, 0)
     run(steps, eprs_to_cat_input(4, 0))
     assert sum(isinstance(step, DiscardSubsystem) for step in steps) == 3
     assert [np.shape(c) for c in calls] == [(4, 4, 4), (16, 4, 4), (64, 4, 4)]
+
+
+@pytest.mark.parametrize(
+    "steps, state",
+    [
+        pytest.param(eprs_to_cat(4, 1), eprs_to_cat_input(4, 1), id="eprs_to_cat-4-1"),
+        pytest.param(eprs_to_cat(5, 0), eprs_to_cat_input(5, 0), id="eprs_to_cat-5-0"),
+        pytest.param(
+            dilution_protocol([np.sqrt(0.75), np.sqrt(0.25)], 2, 1, 3),
+            dilution_input([np.sqrt(0.75), np.sqrt(0.25)], 2, 1, 3),
+            id="dilution-n2-k1-m3",
+        ),
+        pytest.param(
+            dilution_protocol([0.5, 0.3, 0.6, np.sqrt(0.3)], 2, 2, 2),
+            dilution_input([0.5, 0.3, 0.6, np.sqrt(0.3)], 2, 2, 2),
+            id="dilution-n2-k2-m2",
+        ),
+    ],
+)
+def test_discards_skip_the_hermiticity_check_bit_for_bit(monkeypatch, record_calls, steps, state):
+    # the contracted Grams are M M^dag, so the checked solver gives the
+    # same rows to the bit
+    grams = record_calls("_unchecked_eigensystem", "entkit.protocols", record=first_argument)
+    unchecked = run(steps, state)
+    assert grams and all(np.isfinite(g).all() for g in grams)
+    monkeypatch.setattr(protocols, "_unchecked_eigensystem", hermitian_eigensystem)
+    checked = run(steps, state)
+    assert unchecked.transcripts == checked.transcripts
+    assert unchecked.probabilities == checked.probabilities
+    assert unchecked.rows.tobytes() == checked.rows.tobytes()
 
 
 @pytest.mark.parametrize("m, i, j", [(3, 0, 1), (5, 1, 4), (7, 2, 3)])

@@ -6,7 +6,9 @@ import shlex
 
 import pytest
 
+from entkit.builders import epr_pair
 from entkit.cli import main
+from entkit.states import save_state
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -47,3 +49,12 @@ def test_readme_cli_example(capsys, block):
 def test_readme_python_example(capsys, block):
     exec(compile(block, README, "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_state_file_is_what_save_state_writes(tmp_path):
+    # the first json block is the state file example
+    block = readme_blocks("json")[0]
+    assert '"terms"' in block
+    path = tmp_path / "epr.json"
+    save_state(epr_pair(), str(path))
+    assert path.read_text(encoding="utf-8") == block

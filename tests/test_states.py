@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from entkit.states import (
     reduced_gram,
     save_state,
     state_from_dict,
+    state_to_dict,
     tensor,
 )
+from entkit.states import _TERM_FLOOR
 
 
 def test_make_state_normalizes():
@@ -273,10 +277,22 @@ def test_state_file_normalizes_on_load(tmp_path):
 
 
 @pytest.mark.parametrize("payload, message", MALFORMED_STATES)
-def test_malformed_state_names_the_term(payload, message):
-    with pytest.raises(ValueError) as excinfo:
+def test_malformed_state_names_the_term(tmp_path, payload, message):
+    with pytest.raises(ValueError) as direct:
         state_from_dict(payload)
-    assert str(excinfo.value).startswith(message)
+    assert str(direct.value).startswith(message)
+    # a file gets the same message in any layout: older one-token-per-line,
+    # minified, and the one-term-per-line layout `save_state` writes
+    layouts = {"indent": json.dumps(payload, indent=1), "minified": json.dumps(payload)}
+    if isinstance(payload, dict) and isinstance(payload["terms"], list):
+        lines = ",\n    ".join(map(json.dumps, payload["terms"]))
+        layouts["lines"] = f'{{\n  "dims": {json.dumps(payload["dims"])},\n  "terms": [\n    {lines}\n  ]\n}}\n'
+    for name, text in layouts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as loaded:
+            load_state(str(path))
+        assert str(loaded.value) == str(direct.value)
 
 
 def test_state_from_dict_takes_numpy_numbers_and_large_integers():
@@ -425,3 +441,76 @@ def test_save_load_round_trips_bit_identically(tmp_path_factory, payload):
     # tiny amplitudes are not written, so compare only states without them
     if not np.any((np.abs(state.amplitudes) > 0) & (np.abs(state.amplitudes) <= 1e-14)):
         assert load_state(path).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+# --- the state file's layout ------------------------------------------------
+
+
+def _saved(state, tmp_path):
+    path = str(tmp_path / "s.json")
+    save_state(state, path)
+    return path
+
+
+def _tiny_term_state():
+    # one amplitude at or below the 1e-14 term floor, which is not written
+    amps = random_pure_state((3, 4), rng=8).amplitudes.copy()
+    amps[5] = 3e-15 - 2e-15j
+    return PureState((3, 4), amps)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(random_pure_state((2, 3), rng=1), id="haar-2x3"),
+        pytest.param(random_pure_state((3, 3, 4, 2, 2), rng=2), id="haar-3x3x4x2x2"),
+        pytest.param(random_pure_state((2,) * 8, rng=3), id="haar-2^8"),
+        pytest.param(PureState((3, 5), np.random.default_rng(4).standard_normal(15)), id="real"),
+        pytest.param(_tiny_term_state(), id="tiny-term"),
+    ],
+)
+def test_saved_states_load_bit_for_bit(tmp_path, state):
+    want = state.amplitudes.copy()
+    want[np.abs(want) <= _TERM_FLOOR] = 0.0
+    assert np.array_equal(load_state(_saved(state, tmp_path)).amplitudes, want)
+
+
+def test_saved_state_file_has_one_term_per_line(tmp_path):
+    # 1155 terms: a full block of lines and part of another
+    state = random_pure_state((3, 5, 7, 11), rng=2)
+    with open(_saved(state, tmp_path), encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    terms = state_to_dict(state)["terms"]
+    assert len(terms) == 1155
+    assert lines[:3] == ["{", '  "dims": [3, 5, 7, 11],', '  "terms": [']
+    assert lines[3:-4] == [f"    {json.dumps(term)}," for term in terms[:-1]]
+    assert lines[-4:] == [f"    {json.dumps(terms[-1])}", "  ]", "}", ""]
+
+
+def test_older_and_minified_layouts_load_to_the_same_state(tmp_path):
+    state = random_pure_state((3, 2, 2), rng=6)
+    payload = state_to_dict(state)
+    legacy, minified = tmp_path / "legacy.json", tmp_path / "min.json"
+    with open(legacy, "w", encoding="utf-8") as fh:  # the layout older versions wrote
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    minified.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+    want = load_state(_saved(state, tmp_path)).amplitudes
+    for path in (legacy, minified):
+        assert np.array_equal(load_state(str(path)).amplitudes, want)
+
+
+def test_saving_holds_no_more_than_the_old_whole_payload():
+    # the older writer held the whole `state_to_dict` payload while it wrote;
+    # the blocked writer holds one block of terms (2^16 amplitudes on two
+    # parties, as more parties only slow the traced run down)
+    state = random_pure_state((256, 256), rng=9)
+    peaks = []
+    for write in (lambda: state_to_dict(state), lambda: save_state(state, os.devnull)):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
